@@ -2,9 +2,9 @@
 
 Commands: run, session, simulate, inspect, tools list, models list.
 Config precedence: flags > environment (SUPERVISORD_*) > config file > defaults.
-Stable exit codes: 2 workload spec violation, 3 unknown session, 4 corrupt
-state, 10 unreachable attachment, 11 unplannable query, 12 budget exceeded,
-20 clarification required in non-interactive mode.
+Stable exit codes: 2 workload spec violation or unknown config-file key,
+3 unknown session, 4 corrupt state, 10 unreachable attachment, 11 unplannable
+query, 12 budget exceeded, 20 clarification required in non-interactive mode.
 """
 
 from __future__ import annotations
@@ -66,10 +66,8 @@ class CliConfig:
     tools_path: Optional[str] = None
     models_path: Optional[str] = None
     flag_rules_path: Optional[str] = None
-    clock_mode: str = "virtual"
     seed: int = 0
     budget_usd: Optional[str] = None
-    parallelism: int = 8
 
     def registry(self) -> ToolRegistry:
         return load_catalog(self.tools_path) if self.tools_path else default_registry()
@@ -88,10 +86,12 @@ class CliConfig:
             registry=self.registry(),
             catalog=self.catalog(),
             seed=self.seed,
-            clock_mode=self.clock_mode,
             budget_cap=budget,
             flag_rules=flag_rules,
         )
+
+
+CONFIG_FILE_KEYS = ("store_root", "tools", "models", "flag_rules", "seed", "budget_usd")
 
 
 def resolve_config(args: argparse.Namespace) -> CliConfig:
@@ -99,14 +99,16 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        unknown = sorted(set(file_cfg) - set(CONFIG_FILE_KEYS))
+        if unknown:
+            print(f"error: unknown config key {unknown[0]!r}", file=sys.stderr)
+            sys.exit(2)
         cfg.store_root = file_cfg.get("store_root", cfg.store_root)
         cfg.tools_path = file_cfg.get("tools", cfg.tools_path)
         cfg.models_path = file_cfg.get("models", cfg.models_path)
         cfg.flag_rules_path = file_cfg.get("flag_rules", cfg.flag_rules_path)
-        cfg.clock_mode = file_cfg.get("clock", cfg.clock_mode)
         cfg.seed = file_cfg.get("seed", cfg.seed)
         cfg.budget_usd = file_cfg.get("budget_usd", cfg.budget_usd)
-        cfg.parallelism = file_cfg.get("parallelism", cfg.parallelism)
     if os.environ.get("SUPERVISORD_STORE_ROOT"):
         cfg.store_root = os.environ["SUPERVISORD_STORE_ROOT"]
     if os.environ.get("SUPERVISORD_BUDGET_USD"):
@@ -119,8 +121,6 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
         cfg.models_path = args.models
     if getattr(args, "flag_rules", None):
         cfg.flag_rules_path = args.flag_rules
-    if getattr(args, "clock", None):
-        cfg.clock_mode = args.clock
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "budget_usd", None):
@@ -447,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--models", help="model catalog JSON")
     parser.add_argument("--flag-rules", help="flag rule table JSON")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--clock", choices=("virtual", "wall"))
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 

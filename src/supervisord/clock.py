@@ -1,19 +1,17 @@
-"""Time sources: a virtual clock for simulation and a wall clock for live runs.
+"""The virtual clock every execution runs under.
 
-All durations in the engine are integer milliseconds. The virtual clock only
-moves when explicitly advanced, which makes latency measurements deterministic
-and lets the scheduler replay identical timelines for a fixed seed.
+All durations in the engine are integer milliseconds. The clock only moves
+when explicitly advanced: by node latencies in the scheduler, by memory
+retrieval and by simulated user wait in the supervisor. That makes latency
+measurements deterministic and lets the scheduler replay identical timelines
+for a fixed seed.
 """
 
 from __future__ import annotations
 
-import time
-
 
 class VirtualClock:
     """Simulated time source advancing by explicit deltas (milliseconds)."""
-
-    virtual = True
 
     def __init__(self, start_ms: int = 0):
         self._now_ms = int(start_ms)
@@ -34,18 +32,3 @@ class VirtualClock:
             )
         self._now_ms = int(t_ms)
         return self._now_ms
-
-
-class WallClock:
-    """Real time source; `advance` is a no-op because wall time moves itself."""
-
-    virtual = False
-
-    def now_ms(self) -> int:
-        return int(time.time() * 1000)
-
-    def advance(self, delta_ms: int) -> int:
-        return self.now_ms()
-
-    def advance_to(self, t_ms: int) -> int:
-        return self.now_ms()

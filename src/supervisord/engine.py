@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from . import couplet as couplet_mod
-from .clock import VirtualClock, WallClock
+from .clock import VirtualClock
 from .couplet import SimulatedBackend, contextualize_timeline, summarize_payload
 from .decomposition import (
     classify_flag_detail,
@@ -42,6 +42,7 @@ from .routing import (
     default_model_catalog,
     invocation_cost,
     route_strong_weak,
+    token_cost,
 )
 from .scheduler import (
     DEFAULT_CLARIFICATION_LIMIT,
@@ -100,13 +101,11 @@ class EngineConfig:
     catalog: ModelCatalog = field(default_factory=default_model_catalog)
     embedder: HashingEmbedder = field(default_factory=HashingEmbedder)
     seed: int = 0
-    clock_mode: str = "virtual"  # "virtual" | "wall"
     win_threshold: float = 0.4
     repair_limit: int = DEFAULT_REPAIR_LIMIT
     clarification_limit: int = DEFAULT_CLARIFICATION_LIMIT
     clarification_threshold: float = DEFAULT_CLARIFICATION_THRESHOLD
     failure_confidence_threshold: float = DEFAULT_FAILURE_CONFIDENCE
-    parallelism: Optional[int] = None
     parallel_enabled: bool = True
     memory_enabled: bool = True
     repair_enabled: bool = True
@@ -117,9 +116,6 @@ class EngineConfig:
     flag_rules: Optional[dict] = None
     flag_classifier: Optional[Callable] = None
     prober: Any = None
-
-    def make_clock(self):
-        return VirtualClock() if self.clock_mode == "virtual" else WallClock()
 
 
 @dataclass
@@ -282,11 +278,7 @@ class EngineBackends:
             return invocation_cost(entry, invocation.tokens)
         flat = spec.cost.per_invocation
         if spec.cost.per_mtok.micros and invocation.tokens:
-            flat = flat + invocation_cost(
-                # Reuse the exact per-token arithmetic for tool token pricing.
-                type("E", (), {"cost_per_mtok": spec.cost.per_mtok, "per_request_fee": Money(0)})(),
-                invocation.tokens,
-            )
+            flat = flat + token_cost(spec.cost.per_mtok, invocation.tokens)
         return flat
 
 
@@ -299,7 +291,6 @@ class Supervisor:
             self.config.registry,
             repair_limit=self.config.repair_limit,
             failure_confidence_threshold=self.config.failure_confidence_threshold,
-            parallelism=self.config.parallelism,
             repair_enabled=self.config.repair_enabled,
             parallel_enabled=self.config.parallel_enabled,
         )
@@ -327,7 +318,7 @@ class Supervisor:
         query_id: str = "",
     ) -> QueryOutcome:
         config = self.config
-        clock = clock or config.make_clock()
+        clock = clock or VirtualClock()
         backend = perceptual_backend or SimulatedBackend()
         outcome = QueryOutcome()
         t0 = clock.now_ms()
@@ -535,8 +526,7 @@ class Supervisor:
         response = clarifier(question)
         if response is None:
             return False
-        if self.config.clock_mode == "virtual":
-            clock.advance(self.config.clarify_user_delay_ms)
+        clock.advance(self.config.clarify_user_delay_ms)
         state.clarify_response = response
         return True
 

@@ -26,7 +26,7 @@ from .couplet import SimulatedBackend
 from .engine import EngineConfig, Supervisor, detect_underspecified
 from .errors import IncomparableReports, WorkloadSpecError
 from .memory import MemoryStore, whitespace_tokens
-from .routing import invocation_cost
+from .routing import default_model_catalog, invocation_cost
 from .scheduler import stable_seed
 from .state import (
     Attachment,
@@ -37,6 +37,7 @@ from .state import (
     QueryState,
     SessionMeta,
 )
+from .tools import default_registry
 
 CATEGORIES: tuple[str, ...] = (
     "text_reasoning",
@@ -732,23 +733,14 @@ def _run_hierarchical(
     policy_cfg: PolicyConfig,
     seed: int,
 ) -> list[QueryRecord]:
-    from .tools import default_registry
-
     registry = default_registry()
-    catalog_entry_strong = None
-    from .routing import default_model_catalog
-
-    catalog = default_model_catalog()
-    catalog_entry_strong = catalog.strongest(CostKnob.CLOSED_SRC)
+    catalog_entry_strong = default_model_catalog().strongest(CostKnob.CLOSED_SRC)
     tool_ids = {registry.get(t).name: t for t in registry.all_ids()}
 
     records: list[QueryRecord] = []
     for q in queries:
         chain = list(_HIER_OVERHEAD)
         chain += _HIER_CHAINS[_hier_chain_key(q.category)]
-        if q.category == "complex_orchestration":
-            # one extraction pass per attached report
-            pass
         chain.append(_HIER_SYNTH)
 
         evidence_tokens = sum(f.get("tokens", 100) for f in q.fixtures.values())
@@ -839,9 +831,6 @@ def _run_monolithic(
     policy_cfg: PolicyConfig,
     seed: int,
 ) -> list[QueryRecord]:
-    from .routing import default_model_catalog
-    from .tools import default_registry
-
     registry = default_registry()
     strong_tool = registry.id_for_name("llm-strong-invoke")
     strong_model = default_model_catalog().strongest(CostKnob.CLOSED_SRC)

@@ -222,12 +222,16 @@ def classify_subflag(query: str, classifier=None) -> Subflag:
 # --- cost accounting ----------------------------------------------------------
 
 
+def token_cost(per_mtok: Money, tokens: int) -> Money:
+    """Per-token pricing at a per-million-token rate, exact in micro-dollars."""
+    if tokens < 0:
+        raise ValueError("tokens must be nonnegative")
+    return money_div_rounded(per_mtok.micros * tokens, 1_000_000)
+
+
 def invocation_cost(model: ModelCatalogEntry, token_count: int) -> Money:
-    """Per-token pricing plus the fixed per-request fee, exact in micro-dollars."""
-    if token_count < 0:
-        raise ValueError("token_count must be nonnegative")
-    per_token = money_div_rounded(model.cost_per_mtok.micros * token_count, 1_000_000)
-    return per_token + model.per_request_fee
+    """Per-token pricing plus the fixed per-request fee."""
+    return token_cost(model.cost_per_mtok, token_count) + model.per_request_fee
 
 
 _cost_lock = threading.Lock()

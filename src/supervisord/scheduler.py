@@ -1,10 +1,12 @@
 """Execution graphs: flag-shaped DAG construction, virtual-clock execution,
 local repair, clarification checks, and structural output verification.
 
-Independent branches run concurrently, so total latency under the virtual
-clock equals the longest dependency chain of sampled node latencies rather
-than their sum. A failing node is repaired in place: its tool is swapped for
-the next-ranked capable alternative while every completed node's result is
+Execution is one event loop under a virtual clock. Independent branches run
+concurrently, so total latency equals the longest dependency chain of node
+latencies rather than their sum. A node's latency is the one its backend
+reports, or a draw from its tool's latency prior when the backend reports
+none. A failing node is repaired in place: its tool is swapped for the
+next-ranked capable alternative while every completed node's result is
 preserved.
 """
 
@@ -118,40 +120,45 @@ class ExecutionGraph:
         self.nodes: dict[str, GraphNode] = {}
         self.edges: list[tuple[str, str]] = []
         self.repair_log: list[RepairEvent] = []
+        self._parents: dict[str, list[str]] = {}
+        self._children: dict[str, list[str]] = {}
 
     def add_node(self, node: GraphNode) -> GraphNode:
         if node.node_id in self.nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
         self.nodes[node.node_id] = node
+        self._parents[node.node_id] = []
+        self._children[node.node_id] = []
         return node
 
     def add_edge(self, producer: str, consumer: str) -> None:
         if producer not in self.nodes or consumer not in self.nodes:
             raise ValueError(f"edge references unknown node: {producer} -> {consumer}")
         self.edges.append((producer, consumer))
+        self._children[producer].append(consumer)
+        self._parents[consumer].append(producer)
 
     def parents(self, node_id: str) -> list[str]:
-        return [p for p, c in self.edges if c == node_id]
+        return self._parents[node_id]
 
     def children(self, node_id: str) -> list[str]:
-        return [c for p, c in self.edges if p == node_id]
+        return self._children[node_id]
 
-    def validate_acyclic(self) -> None:
-        state: dict[str, int] = {}
+    def topological_order(self) -> list[str]:
+        """Kahn order: sources in insertion order, then children as they free up.
 
-        def visit(node_id: str) -> None:
-            mark = state.get(node_id, 0)
-            if mark == 1:
-                raise ValueError("execution graph contains a dependency cycle")
-            if mark == 2:
-                return
-            state[node_id] = 1
-            for child in self.children(node_id):
-                visit(child)
-            state[node_id] = 2
-
-        for node_id in self.nodes:
-            visit(node_id)
+        Raises ValueError when the edges contain a cycle.
+        """
+        indegree = {n: len(parents) for n, parents in self._parents.items()}
+        order = [n for n in self.nodes if indegree[n] == 0]
+        for node_id in order:  # `order` grows while it is walked
+            for child in self._children[node_id]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    order.append(child)
+        if len(order) < len(self.nodes):
+            raise ValueError("execution graph contains a dependency cycle")
+        return order
 
     def done_count(self) -> int:
         return sum(1 for n in self.nodes.values() if n.status == "done")
@@ -367,7 +374,7 @@ def build_graph(
     else:  # pragma: no cover - flag enum is closed
         raise UnplannableQuery(f"unsupported flag {flag}")
 
-    graph.validate_acyclic()
+    graph.topological_order()
     return graph
 
 
@@ -412,29 +419,12 @@ class ExecutionOutcome:
         return min(critical) if critical else 1.0
 
 
-def longest_path_ms(edges: list[tuple[str, str]], latencies: dict[str, int]) -> int:
-    """Longest dependency chain over per-node latencies (DAG assumed)."""
-    children: dict[str, list[str]] = {}
-    indegree: dict[str, int] = {n: 0 for n in latencies}
-    for p, c in edges:
-        children.setdefault(p, []).append(c)
-        indegree[c] += 1
-    finish: dict[str, int] = {}
-    order = [n for n in latencies if indegree[n] == 0]
-    queue = list(order)
-    while queue:
-        node = queue.pop(0)
-        start = max((finish[p] for p, c in edges if c == node), default=0)
-        finish[node] = start + latencies[node]
-        for child in children.get(node, ()):
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                queue.append(child)
-    return max(finish.values(), default=0)
-
-
 class Scheduler:
-    """Runs execution graphs under a clock with bounded local repair."""
+    """Runs execution graphs under a virtual clock with bounded local repair.
+
+    Capacity is one running node when `parallel_enabled` is off and unbounded
+    otherwise.
+    """
 
     def __init__(
         self,
@@ -442,14 +432,12 @@ class Scheduler:
         *,
         repair_limit: int = DEFAULT_REPAIR_LIMIT,
         failure_confidence_threshold: float = DEFAULT_FAILURE_CONFIDENCE,
-        parallelism: Optional[int] = None,
         repair_enabled: bool = True,
         parallel_enabled: bool = True,
     ):
         self.registry = registry
         self.repair_limit = repair_limit
         self.failure_confidence_threshold = failure_confidence_threshold
-        self.parallelism = parallelism
         self.repair_enabled = repair_enabled
         self.parallel_enabled = parallel_enabled
 
@@ -498,52 +486,43 @@ class Scheduler:
         seed: int,
         session_id: str = "",
     ) -> ExecutionOutcome:
-        """Event-driven execution: nodes start as soon as dependencies complete.
+        """Event-driven execution: nodes start as soon as their parents are done.
 
-        Deterministic for a fixed seed. Returns per-node results and the
-        virtual total latency (equal to the critical path when branches are
-        independent and parallelism is unbounded). A wall clock switches to
-        real threaded execution with measured latencies.
+        Nodes already done (from an earlier clarification round) are kept and
+        not re-run. Ready nodes launch in insertion order while capacity
+        allows; running nodes finish in (finish time, insertion) order and the
+        clock advances to each finish. A repaired node becomes ready again
+        under its original insertion index. Deterministic for a fixed seed.
+        Returns per-node results and the total virtual latency, which equals
+        the critical path when capacity is unbounded.
         """
-        graph.validate_acyclic()
-        if not getattr(clock, "virtual", True):
-            return self._execute_wall(graph, clock, backends, seed, session_id)
+        order = graph.topological_order()
         start_ms = clock.now_ms()
         results: dict[str, NodeResult] = {}
         trace: list[TraceRow] = []
         node_elapsed: dict[str, int] = {}
+        attempts: dict[str, tuple] = {}  # node_id -> (invocation, failed, cause)
         insertion = {node_id: i for i, node_id in enumerate(graph.nodes)}
         running: list[tuple[int, int, str]] = []  # (finish_ts, insertion, node_id)
-        started: set[str] = set()
-
-        def ready_nodes() -> list[str]:
-            out = []
-            for node_id, node in graph.nodes.items():
-                if node_id in started or node.status == "done":
-                    continue
-                parents = graph.parents(node_id)
-                if all(graph.nodes[p].status == "done" for p in parents):
-                    out.append(node_id)
-            out.sort(key=lambda n: insertion[n])
-            return out
-
-        def capacity() -> int:
-            if not self.parallel_enabled:
-                return max(0, 1 - len(running))
-            if self.parallelism is None:
-                return len(graph.nodes)
-            return max(0, self.parallelism - len(running))
+        # Unfinished parents per node; a node is ready once its count is zero.
+        waiting = {
+            node_id: sum(graph.nodes[p].status != "done" for p in graph.parents(node_id))
+            for node_id in graph.nodes
+        }
+        # Heap of (insertion, node_id); built in insertion order, so already a heap.
+        ready: list[tuple[int, str]] = [
+            (insertion[node_id], node_id)
+            for node_id, node in graph.nodes.items()
+            if node.status != "done" and waiting[node_id] == 0
+        ]
 
         def launch(node_id: str, at_ms: int) -> None:
             node = graph.nodes[node_id]
             node.status = "running"
-            started.add(node_id)
-            attempt = len(node.failed_tools)
-            attempt_seed = stable_seed(seed, node_id, attempt)
-            tool_spec = self.registry.get(node.tool)
+            attempt_seed = stable_seed(seed, node_id, len(node.failed_tools))
             trace.append(
                 TraceRow(ts=at_ms, session_id=session_id, node_id=node_id,
-                         tool=tool_spec.name, event="start")
+                         tool=self.registry.get(node.tool).name, event="start")
             )
             try:
                 invocation = backends.run_node(node, attempt_seed)
@@ -559,23 +538,20 @@ class Scheduler:
                 latency = self.registry.sample_latency(node.tool, attempt_seed)
                 failed = True
                 cause = str(exc)
-            finish = at_ms + int(latency)
             node_elapsed[node_id] = node_elapsed.get(node_id, 0) + int(latency)
-            heapq.heappush(running, (finish, insertion[node_id], node_id))
-            pending_attempts[node_id] = (invocation, failed, cause)
+            heapq.heappush(running, (at_ms + int(latency), insertion[node_id], node_id))
+            attempts[node_id] = (invocation, failed, cause)
 
-        pending_attempts: dict[str, tuple] = {}
+        def launch_ready(at_ms: int) -> None:
+            while ready and (self.parallel_enabled or not running):
+                launch(heapq.heappop(ready)[1], at_ms)
 
-        for node_id in ready_nodes()[: max(1, capacity())]:
-            if capacity() <= 0:
-                break
-            launch(node_id, start_ms)
-
+        launch_ready(start_ms)
         while running:
             finish_ts, _, node_id = heapq.heappop(running)
             clock.advance_to(finish_ts)
             node = graph.nodes[node_id]
-            invocation, failed, cause = pending_attempts.pop(node_id)
+            invocation, failed, cause = attempts.pop(node_id)
             tool_spec = self.registry.get(node.tool)
             if failed:
                 trace.append(
@@ -594,11 +570,11 @@ class Scheduler:
                     TraceRow(ts=finish_ts, session_id=session_id, node_id=node_id,
                              tool=self.registry.get(replacement).name, event="repaired")
                 )
-                started.discard(node_id)
+                heapq.heappush(ready, (insertion[node_id], node_id))
             else:
                 node.status = "done"
                 cost = backends.node_cost(node, invocation)
-                result = NodeResult(
+                results[node_id] = NodeResult(
                     node_id=node_id,
                     output=invocation.payload,
                     confidence=invocation.confidence,
@@ -607,140 +583,34 @@ class Scheduler:
                     tool_name=tool_spec.name,
                     tokens=invocation.tokens,
                 )
-                results[node_id] = result
                 trace.append(
                     TraceRow(ts=finish_ts, session_id=session_id, node_id=node_id,
                              tool=tool_spec.name, event="done",
                              latency_ms=node_elapsed[node_id],
                              cost_usd=cost.usd_str(), confidence=invocation.confidence)
                 )
-            for ready in ready_nodes():
-                if capacity() <= 0:
-                    break
-                launch(ready, finish_ts)
-
-        total = clock.now_ms() - start_ms
-        outcome = ExecutionOutcome(
-            results=[results[n] for n in graph.nodes if n in results],
-            total_latency_ms=total,
-            trace=trace,
-        )
-        outcome.critical_node_ids = self._critical_nodes(graph, node_elapsed)
-        for result in outcome.results:
-            result.critical = result.node_id in outcome.critical_node_ids
-        return outcome
-
-    def _execute_wall(self, graph, clock, backends, seed, session_id):
-        """Live mode: nodes run on a thread pool and latencies are measured."""
-        import time as _time
-        from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-        start_ms = clock.now_ms()
-        if not self.parallel_enabled:
-            workers = 1
-        else:
-            workers = self.parallelism or 8
-        results: dict[str, NodeResult] = {}
-        trace: list[TraceRow] = []
-        node_elapsed: dict[str, int] = {}
-        started: set[str] = set()
-
-        def run_one(node, attempt_seed):
-            t0 = _time.perf_counter()
-            try:
-                invocation = backends.run_node(node, attempt_seed)
-                failed = invocation.confidence < self.failure_confidence_threshold
-                cause = f"low confidence {invocation.confidence:.2f}" if failed else ""
-            except NodeFailure as exc:
-                invocation, failed, cause = None, True, str(exc)
-            return invocation, failed, cause, max(1, int((_time.perf_counter() - t0) * 1000))
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending: dict = {}
-
-            def submit_ready():
-                for node_id, node in graph.nodes.items():
-                    if node_id in started or node.status == "done":
-                        continue
-                    if not all(graph.nodes[p].status == "done" for p in graph.parents(node_id)):
-                        continue
-                    node.status = "running"
-                    started.add(node_id)
-                    trace.append(TraceRow(
-                        ts=clock.now_ms(), session_id=session_id, node_id=node_id,
-                        tool=self.registry.get(node.tool).name, event="start",
-                    ))
-                    attempt_seed = stable_seed(seed, node_id, len(node.failed_tools))
-                    pending[pool.submit(run_one, node, attempt_seed)] = node_id
-
-            submit_ready()
-            while pending:
-                finished, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-                for future in finished:
-                    node_id = pending.pop(future)
-                    node = graph.nodes[node_id]
-                    invocation, failed, cause, real_ms = future.result()
-                    node_elapsed[node_id] = node_elapsed.get(node_id, 0) + real_ms
-                    tool_name = self.registry.get(node.tool).name
-                    if failed:
-                        trace.append(TraceRow(
-                            ts=clock.now_ms(), session_id=session_id, node_id=node_id,
-                            tool=tool_name, event="failed", latency_ms=node_elapsed[node_id],
-                        ))
-                        try:
-                            replacement = self.repair(graph, node_id, cause or "backend failure")
-                        except PipelineFailed as exc:
-                            exc.partial_results = list(results.values())
-                            exc.trace = trace
-                            raise
-                        trace.append(TraceRow(
-                            ts=clock.now_ms(), session_id=session_id, node_id=node_id,
-                            tool=self.registry.get(replacement).name, event="repaired",
-                        ))
-                        started.discard(node_id)
-                    else:
-                        node.status = "done"
-                        cost = backends.node_cost(node, invocation)
-                        results[node_id] = NodeResult(
-                            node_id=node_id, output=invocation.payload,
-                            confidence=invocation.confidence,
-                            latency_ms=node_elapsed[node_id], cost=cost,
-                            tool_name=tool_name, tokens=invocation.tokens,
-                        )
-                        trace.append(TraceRow(
-                            ts=clock.now_ms(), session_id=session_id, node_id=node_id,
-                            tool=tool_name, event="done", latency_ms=node_elapsed[node_id],
-                            cost_usd=cost.usd_str(), confidence=invocation.confidence,
-                        ))
-                submit_ready()
+                for child in graph.children(node_id):
+                    waiting[child] -= 1
+                    if waiting[child] == 0 and graph.nodes[child].status != "done":
+                        heapq.heappush(ready, (insertion[child], child))
+            launch_ready(finish_ts)
 
         outcome = ExecutionOutcome(
             results=[results[n] for n in graph.nodes if n in results],
             total_latency_ms=clock.now_ms() - start_ms,
             trace=trace,
         )
-        outcome.critical_node_ids = self._critical_nodes(graph, node_elapsed)
+        outcome.critical_node_ids = self._critical_nodes(graph, node_elapsed, order)
         for result in outcome.results:
             result.critical = result.node_id in outcome.critical_node_ids
         return outcome
 
-    def _critical_nodes(self, graph: ExecutionGraph, elapsed: dict[str, int]) -> set[str]:
+    def _critical_nodes(
+        self, graph: ExecutionGraph, elapsed: dict[str, int], order: list[str]
+    ) -> set[str]:
         """Nodes on (one of) the longest dependency chains."""
-        if not elapsed:
-            return set()
-        indegree = {n: 0 for n in graph.nodes}
-        for _, consumer in graph.edges:
-            indegree[consumer] += 1
-        topo: list[str] = [n for n in graph.nodes if indegree[n] == 0]
-        cursor = 0
-        while cursor < len(topo):
-            for child in graph.children(topo[cursor]):
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    topo.append(child)
-            cursor += 1
         finish: dict[str, int] = {}
-        for node_id in topo:
+        for node_id in order:
             if node_id not in elapsed:
                 continue
             start = max(

@@ -176,6 +176,16 @@ class TestConfigPrecedence:
         cfg = resolve_config(args)
         assert cfg.budget_usd == "1.25"
 
+    @pytest.mark.parametrize("key", ["clock", "parallelism"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, key):
+        config_file = tmp_path / "cfg.json"
+        config_file.write_text(json.dumps({"seed": 1, key: 4}))
+        args = build_parser().parse_args(["--config", str(config_file), "tools", "list"])
+        with pytest.raises(SystemExit) as exc:
+            resolve_config(args)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip() == f"error: unknown config key {key!r}"
+
 
 class TestSessionRepl:
     def test_scripted_session(self, store, monkeypatch, capsys):

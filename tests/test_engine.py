@@ -210,19 +210,6 @@ class TestAccounting:
         assert state.session.turn_count == 1
 
 
-class TestWallClock:
-    def test_live_mode_measures_real_latency(self):
-        config = EngineConfig(seed=1, clock_mode="wall")
-        supervisor = Supervisor(config)
-        state = QueryState(
-            user_query="hello world", cost_knob=CostKnob.OPEN_SRC,
-            session=session(),
-        )
-        outcome = supervisor.process(state, memory_store=MemoryStore(), query_id="w0")
-        assert outcome.segments["answer"]
-        assert 0 <= outcome.tta_ms < 5000  # real elapsed, not sampled priors
-
-
 class TestPersistence:
     def test_state_file_round_trip(self, tmp_path):
         state, _ = run_query("transcribe this recording",

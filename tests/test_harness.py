@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -11,6 +12,7 @@ from supervisord.errors import IncomparableReports, WorkloadSpecError
 from supervisord.harness import (
     CATEGORIES,
     MetricsReport,
+    PolicyConfig,
     WorkloadSpec,
     compare,
     default_workload_spec,
@@ -157,6 +159,37 @@ class TestRunPolicy:
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
+
+
+_PERCEPTUAL_TOOLS = (
+    "yolo-detect", "clip-embed", "vision-analyze", "image-generate",
+    "whisper-transcribe", "audio-analyze", "tesseract-ocr", "pdf-parse", "table-extract",
+)
+
+
+class TestReportBytes:
+    """Centralized report bytes for a fixed small workload.
+
+    A change that moves report numbers on purpose re-pins these digests and
+    says so; any other change must leave them as they are.
+    """
+
+    @pytest.mark.parametrize("parallel_enabled,faults,expected", [
+        (True, False, "5ea8f99b9fa1d14df8dd18e9bfc126b0592dfb5c67faee0d53579819cb10017c"),
+        (False, False, "e2597bdeea4161cf47b77abcd532d36162f6cbbd7daa559b3d13108e0a7ed257"),
+        (True, True, "2a17de09ae7e524bad8f5301db08e9026e3f87d70f0bafc162da417c9c861412"),
+    ])
+    def test_centralized_report_digest(self, parallel_enabled, faults, expected):
+        spec = default_workload_spec(300)
+        if faults:
+            spec.failure_injection = {tool: 0.3 for tool in _PERCEPTUAL_TOOLS}
+            spec.ambiguity_rate = 0.6
+        report = run_policy(
+            generate_workload(spec), "centralized", spec,
+            PolicyConfig(parallel_enabled=parallel_enabled),
+        )
+        doc = json.dumps(report.to_json_dict(), sort_keys=True, indent=1)
+        assert hashlib.sha256(doc.encode()).hexdigest() == expected
 
 
 class TestCompare:

@@ -18,7 +18,6 @@ from supervisord.scheduler import (
     TraceRow,
     build_graph,
     check_clarification,
-    longest_path_ms,
     verify_output,
 )
 from supervisord.state import (
@@ -85,6 +84,27 @@ def simple_registry(n_alternatives=3):
             )
         )
     return registry
+
+
+def longest_path_ms(edges: list[tuple[str, str]], latencies: dict[str, int]) -> int:
+    """Reference oracle: longest dependency chain over per-node latencies (DAG)."""
+    children: dict[str, list[str]] = {}
+    indegree: dict[str, int] = {n: 0 for n in latencies}
+    for p, c in edges:
+        children.setdefault(p, []).append(c)
+        indegree[c] += 1
+    finish: dict[str, int] = {}
+    order = [n for n in latencies if indegree[n] == 0]
+    queue = list(order)
+    while queue:
+        node = queue.pop(0)
+        start = max((finish[p] for p, c in edges if c == node), default=0)
+        finish[node] = start + latencies[node]
+        for child in children.get(node, ()):
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                queue.append(child)
+    return max(finish.values(), default=0)
 
 
 def chain_graph(registry, latencies):
@@ -154,7 +174,7 @@ class TestBuildGraphShapes:
         graph = chain_graph(registry, {"a": 1, "b": 1})
         graph.add_edge("b", "a")
         with pytest.raises(ValueError):
-            graph.validate_acyclic()
+            graph.topological_order()
 
 
 class TestExecuteCriticalPath:
@@ -234,6 +254,67 @@ class TestExecuteCriticalPath:
         scheduler = Scheduler(registry, parallel_enabled=False)
         outcome = scheduler.execute(graph, VirtualClock(), backends, seed=1)
         assert outcome.total_latency_ms == 800
+
+
+def graph_of(registry, nodes, edges):
+    requirement = Requirement(output_tags=frozenset({"ok"}))
+    tool = registry.match_tools(requirement)[0]
+    graph = ExecutionGraph()
+    for node_id in nodes:
+        graph.add_node(GraphNode(node_id, tool, requirement, role="perceptual"))
+    for producer, consumer in edges:
+        graph.add_edge(producer, consumer)
+    return graph
+
+
+class TestPinnedEventOrder:
+    """Exact (ts, node, event) sequences: launch order, tie-breaks, repairs."""
+
+    def test_single_slot_fan_out_with_repair(self):
+        # a, b, c become ready together; b fails once and is relaunched ahead
+        # of the still-waiting c because it was inserted first.
+        registry = simple_registry()
+        graph = graph_of(
+            registry,
+            ["src", "a", "b", "c", "join"],
+            [("src", "a"), ("src", "b"), ("src", "c"),
+             ("a", "join"), ("b", "join"), ("c", "join")],
+        )
+        backends = StubBackends(
+            {"src": 100, "a": 300, "b": 200, "c": 50, "join": 10}, failures={("b", 0)}
+        )
+        outcome = Scheduler(registry, parallel_enabled=False).execute(
+            graph, VirtualClock(), backends, seed=1
+        )
+        assert [(r.ts, r.node_id, r.event) for r in outcome.trace] == [
+            (0, "src", "start"), (100, "src", "done"),
+            (100, "a", "start"), (400, "a", "done"),
+            (400, "b", "start"), (500, "b", "failed"), (500, "b", "repaired"),
+            (500, "b", "start"), (700, "b", "done"),
+            (700, "c", "start"), (750, "c", "done"),
+            (750, "join", "start"), (760, "join", "done"),
+        ]
+
+    def test_unbounded_diamond_with_repair(self):
+        # a's failure and b's completion tie at 200; a is popped first.
+        registry = simple_registry()
+        graph = graph_of(
+            registry,
+            ["src", "a", "b", "join"],
+            [("src", "a"), ("src", "b"), ("a", "join"), ("b", "join")],
+        )
+        backends = StubBackends(
+            {"src": 100, "a": 200, "b": 100, "join": 50}, failures={("a", 0)}
+        )
+        outcome = Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
+        assert [(r.ts, r.node_id, r.event) for r in outcome.trace] == [
+            (0, "src", "start"), (100, "src", "done"),
+            (100, "a", "start"), (100, "b", "start"),
+            (200, "a", "failed"), (200, "a", "repaired"), (200, "a", "start"),
+            (200, "b", "done"),
+            (400, "a", "done"),
+            (400, "join", "start"), (450, "join", "done"),
+        ]
 
 
 class TestRepair:
