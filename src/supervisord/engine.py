@@ -557,8 +557,10 @@ class Supervisor:
                 w.strip(" .,") for w in state.clarify_response.lower().split()
                 if len(w) > 2 and w.strip(" .,") not in stop
             ]
-            node.task.parameters["targets"] = targets[:5]
-            node.task.parameters["refined"] = True
+            schema = couplet_mod.TASK_SCHEMAS[node.task.kind]
+            for name, value in (("targets", targets[:5]), ("refined", True)):
+                if name in schema:
+                    node.task.parameters[name] = value
         node.status = "pending"
 
     def _assemble(self, graph, results, state):

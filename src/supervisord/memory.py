@@ -1,21 +1,19 @@
-"""Five-layer hierarchical conversation memory with modality segregation.
+"""Layered conversation memory with per-modality scoring.
 
 Layers: a five-turn short-term ring (O(1) access), the append-only full
-history, per-modality vector indices, the last retrieval result, and an
-optional compressed summary. Retrieval scores records on cosine similarity,
-exponential recency decay with modality-specific rates, and a modality-match
-bonus; the default index is an exhaustive scan (exact at desk scale), with a
-small navigable-graph index available behind the same interface.
+history, the last retrieval result, and an optional compressed summary.
+Every record carries its modality. Retrieval is one exact scan of the
+uncompressed history that scores each record on cosine similarity,
+exponential recency decay at its modality's rate, and a modality-match
+bonus.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import math
 import os
-import random
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -160,139 +158,23 @@ class CompressedSummary:
     ratio: float
 
 
-# --- indices --------------------------------------------------------------------
-
-
-class ExhaustiveIndex:
-    """Exact index: keeps references and lets retrieval scan everything."""
-
-    def __init__(self):
-        self.records: list[MemoryRecord] = []
-
-    def add(self, record: MemoryRecord) -> None:
-        self.records.append(record)
-
-    def candidates(self, query: np.ndarray, limit: int) -> list[MemoryRecord]:
-        return list(self.records)
-
-
-class HnswIndex:
-    """Small navigable-graph index (M=16, ef-construct=100) over unit vectors.
-
-    Approximate: returns a candidate set by cosine similarity; callers re-rank
-    with the full memory score. Level draws are seeded, so builds are
-    deterministic.
-    """
-
-    def __init__(self, m: int = 16, ef_construction: int = 100, ef_search: int = 64,
-                 seed: int = 0):
-        self.m = m
-        self.m0 = 2 * m
-        self.ef_construction = ef_construction
-        self.ef_search = ef_search
-        self._level_mult = 1.0 / math.log(m)
-        self._rng = random.Random(seed)
-        self.records: dict[str, MemoryRecord] = {}
-        self._levels: dict[str, int] = {}
-        self._links: dict[tuple[str, int], list[str]] = {}
-        self._entry: Optional[str] = None
-        self._max_level = -1
-
-    def _dist(self, a: np.ndarray, b: np.ndarray) -> float:
-        return 1.0 - float(np.dot(a, b))
-
-    def _search_layer(self, query: np.ndarray, entry: str, ef: int, level: int) -> list[tuple[float, str]]:
-        start = (self._dist(query, self.records[entry].embedding), entry)
-        visited = {entry}
-        candidates = [start]
-        best: list[tuple[float, str]] = [(-start[0], start[1])]
-        while candidates:
-            dist, node = heapq.heappop(candidates)
-            if dist > -best[0][0]:
-                break
-            for neighbor in self._links.get((node, level), ()):
-                if neighbor in visited:
-                    continue
-                visited.add(neighbor)
-                d = self._dist(query, self.records[neighbor].embedding)
-                if len(best) < ef or d < -best[0][0]:
-                    heapq.heappush(candidates, (d, neighbor))
-                    heapq.heappush(best, (-d, neighbor))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        return sorted((-d, node) for d, node in best)
-
-    def add(self, record: MemoryRecord) -> None:
-        node = record.record_id
-        self.records[node] = record
-        level = int(-math.log(max(self._rng.random(), 1e-12)) * self._level_mult)
-        self._levels[node] = level
-        for lv in range(level + 1):
-            self._links[(node, lv)] = []
-        if self._entry is None:
-            self._entry = node
-            self._max_level = level
-            return
-        entry = self._entry
-        for lv in range(self._max_level, level, -1):
-            entry = self._search_layer(record.embedding, entry, 1, lv)[0][1]
-        for lv in range(min(level, self._max_level), -1, -1):
-            neighbors = self._search_layer(
-                record.embedding, entry, self.ef_construction, lv
-            )
-            cap = self.m0 if lv == 0 else self.m
-            chosen = [n for _, n in neighbors[:cap]]
-            self._links[(node, lv)] = chosen
-            for other in chosen:
-                links = self._links[(other, lv)]
-                links.append(node)
-                if len(links) > cap:
-                    links.sort(
-                        key=lambda x: self._dist(
-                            self.records[other].embedding, self.records[x].embedding
-                        )
-                    )
-                    del links[cap:]
-            entry = chosen[0] if chosen else entry
-        if level > self._max_level:
-            self._max_level = level
-            self._entry = node
-
-    def candidates(self, query: np.ndarray, limit: int) -> list[MemoryRecord]:
-        if self._entry is None:
-            return []
-        entry = self._entry
-        for lv in range(self._max_level, 0, -1):
-            entry = self._search_layer(query, entry, 1, lv)[0][1]
-        ef = max(self.ef_search, limit)
-        found = self._search_layer(query, entry, ef, 0)
-        return [self.records[node] for _, node in found[:limit]]
-
-
 # --- the layered store ------------------------------------------------------------
 
 
 class MemoryStore:
-    """Modality-segregated layered memory for one session."""
+    """Layered memory for one session."""
 
     def __init__(
         self,
         dimension: int = DEFAULT_EMBEDDING_DIM,
-        index_kind: str = "exact",
         weights: ScoreWeights = ScoreWeights(),
         decay_rates: Optional[dict[Modality, float]] = None,
-        index_seed: int = 0,
     ):
-        if index_kind not in ("exact", "hnsw"):
-            raise ValueError(f"unknown index kind {index_kind!r}")
         self.dimension = dimension
-        self.index_kind = index_kind
         self.weights = weights
         self.decay_rates = decay_rates or DEFAULT_DECAY_RATES
-        self._index_seed = index_seed
         self.full_history: list[MemoryRecord] = []
         self.short_term: deque[MemoryRecord] = deque(maxlen=SHORT_TERM_TURNS)
-        self.modality_indices: dict[Modality, object] = {}
         self.relevant_cache: list[MemoryRecord] = []
         self.compressed: Optional[CompressedSummary] = None
         self._write_lock = threading.Lock()
@@ -300,14 +182,6 @@ class MemoryStore:
     @property
     def turn_count(self) -> int:
         return len(self.full_history)
-
-    def _index_for(self, modality: Modality):
-        if modality not in self.modality_indices:
-            if self.index_kind == "hnsw":
-                self.modality_indices[modality] = HnswIndex(seed=self._index_seed)
-            else:
-                self.modality_indices[modality] = ExhaustiveIndex()
-        return self.modality_indices[modality]
 
     def store(self, record: MemoryRecord) -> "MemoryStore":
         if record.embedding.shape != (self.dimension,):
@@ -317,7 +191,6 @@ class MemoryStore:
             )
         with self._write_lock:
             self.full_history.append(record)
-            self._index_for(record.modality).add(record)
             self.short_term.append(record)
         return self
 
@@ -353,24 +226,10 @@ class MemoryStore:
         k: int = DEFAULT_TOP_K,
         now_turn: Optional[int] = None,
     ) -> list[MemoryRecord]:
-        """Top-k records by score across all partitions, newest-first on ties."""
+        """Top-k retrievable records by exact score, newest-first on ties."""
         if k < 1:
             raise ValueError("k must be at least 1")
         now = self.turn_count + 1 if now_turn is None else now_turn
-        if self.index_kind == "exact":
-            pool = self._retrievable()
-        else:
-            limit = max(k * 8, 64)
-            pool_map: dict[str, MemoryRecord] = {}
-            for index in self.modality_indices.values():
-                for rec in index.candidates(query_embedding, limit):
-                    pool_map[rec.record_id] = rec
-            # Recency-favored records may have modest cosine; keep the newest
-            # turns in the candidate set so re-ranking can surface them.
-            for rec in self.full_history[-50:]:
-                pool_map[rec.record_id] = rec
-            retrievable_ids = {r.record_id for r in self._retrievable()}
-            pool = [r for r in pool_map.values() if r.record_id in retrievable_ids]
         scored = [
             (
                 -score_memory(
@@ -380,7 +239,7 @@ class MemoryStore:
                 rec.record_id,
                 rec,
             )
-            for rec in pool
+            for rec in self._retrievable()
         ]
         scored.sort(key=lambda item: item[:3])
         result = [rec for *_, rec in scored[:k]]
@@ -476,7 +335,6 @@ def memory_path(store_root: str, session_id: str) -> str:
 def save_memory(store: MemoryStore, path: str) -> None:
     payload = {
         "dimension": store.dimension,
-        "index_kind": store.index_kind,
         "records": [
             {
                 "record_id": r.record_id,
@@ -506,11 +364,11 @@ def save_memory(store: MemoryStore, path: str) -> None:
 
 
 def load_memory(path: str, **store_kwargs) -> MemoryStore:
-    """Rehydrate a store from disk; indices are rebuilt on load."""
+    """Rehydrate a store from disk. Keys other than dimension, records and
+    compressed, such as the index choice older files recorded, are ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    store = MemoryStore(dimension=int(payload["dimension"]),
-                        index_kind=payload.get("index_kind", "exact"), **store_kwargs)
+    store = MemoryStore(dimension=int(payload["dimension"]), **store_kwargs)
     for obj in payload["records"]:
         record = MemoryRecord(
             record_id=obj["record_id"],

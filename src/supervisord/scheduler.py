@@ -414,10 +414,6 @@ class ExecutionOutcome:
     trace: list[TraceRow]
     critical_node_ids: set[str] = field(default_factory=set)
 
-    def min_critical_confidence(self) -> float:
-        critical = [r.confidence for r in self.results if r.critical]
-        return min(critical) if critical else 1.0
-
 
 class Scheduler:
     """Runs execution graphs under a virtual clock with bounded local repair.

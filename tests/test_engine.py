@@ -7,9 +7,10 @@ import json
 import pytest
 
 from supervisord.clock import VirtualClock
-from supervisord.couplet import SimulatedBackend
+from supervisord.couplet import SimulatedBackend, TaskKind
 from supervisord.engine import (
     EngineConfig,
+    QueryOutcome,
     Supervisor,
     append_trace_rows,
     load_state_file,
@@ -17,6 +18,7 @@ from supervisord.engine import (
 )
 from supervisord.errors import BudgetExceeded
 from supervisord.memory import MemoryStore
+from supervisord.scenarios import load_scenario, run_scenario
 from supervisord.state import (
     Attachment,
     CostKnob,
@@ -167,6 +169,31 @@ class TestClarification:
             clarifier=lambda q: asked.append(q) or "dates",
         )
         assert asked
+
+    def test_refining_non_ocr_node_keeps_its_schema(self, monkeypatch):
+        # Detection fails over to vision-analyze at low confidence, so the
+        # clarified rounds refine a detect_objects node, whose schema has no
+        # `targets` or `refined` parameter.
+        scenario = load_scenario("video-advertisement")
+        fixture = scenario.fixtures["sneaker_ad.mp4"]
+        fixture["tool_failure"] = {"yolo-detect": True}
+        fixture["tool_confidence"] = {"vision-analyze": 0.45}
+        scenario.clarify_reply = "the sneakers and the bag please"
+        invoked = []
+        original = SimulatedBackend.invoke
+
+        def spy(self, task, seed, tool_name=""):
+            invoked.append((task.kind, dict(task.parameters)))
+            return original(self, task, seed, tool_name=tool_name)
+
+        monkeypatch.setattr(SimulatedBackend, "invoke", spy)
+        outcome = run_scenario(scenario)
+        assert isinstance(outcome, QueryOutcome)
+        assert outcome.best_effort
+        assert outcome.clarifications_user == 3
+        frames = [params for kind, params in invoked if kind is TaskKind.DETECT_OBJECTS]
+        assert len(frames) > 1
+        assert all("targets" not in params for params in frames)
 
 
 class TestRepairAndEscalation:

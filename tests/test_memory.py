@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -11,6 +12,7 @@ import pytest
 from supervisord.errors import DimensionMismatch, EmbeddingUnavailable
 from supervisord.memory import (
     COMPRESSION_TRIGGER_TOKENS,
+    CompressedSummary,
     DEFAULT_DECAY_RATES,
     HashingEmbedder,
     MemoryRecord,
@@ -66,15 +68,6 @@ class TestStoreLayers:
         window = [r.turn_index for r in store.short_term]
         assert window == [2, 3, 4, 5, 6]
 
-    def test_modality_partition_purity(self):
-        store = MemoryStore()
-        record(store, "an image note", Modality.IMAGE)
-        record(store, "a text note", Modality.TEXT)
-        image_index = store.modality_indices[Modality.IMAGE]
-        text_index = store.modality_indices[Modality.TEXT]
-        assert [r.modality for r in image_index.records] == [Modality.IMAGE]
-        assert [r.modality for r in text_index.records] == [Modality.TEXT]
-
     def test_full_history_append_only_count(self):
         store = MemoryStore()
         for i in range(100):
@@ -86,15 +79,6 @@ class TestStoreLayers:
         bad = MemoryRecord("r0", "x", Modality.TEXT, np.zeros(32), 1)
         with pytest.raises(DimensionMismatch):
             store.store(bad)
-
-    def test_randomized_interleaving_keeps_partitions_pure(self):
-        store = MemoryStore()
-        rng = random.Random(5)
-        modalities = list(Modality)
-        for i in range(200):
-            record(store, f"note {i}", rng.choice(modalities))
-        for modality, index in store.modality_indices.items():
-            assert all(r.modality is modality for r in index.records)
 
 
 class TestScoring:
@@ -148,7 +132,7 @@ class TestScoring:
         )
 
 
-def brute_force_topk(store, query, modality, k, now_turn):
+def brute_force_topk(store, query, modality, k, now_turn, after_turn=0):
     scored = sorted(
         (
             (
@@ -159,6 +143,7 @@ def brute_force_topk(store, query, modality, k, now_turn):
             r,
         )
         for r in store.full_history
+        if r.turn_index > after_turn
     )
     return [r for _, r in scored[:k]]
 
@@ -218,27 +203,6 @@ class TestRetrieval:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             MemoryStore().retrieve_relevant(HashingEmbedder().embed("q"), Modality.TEXT, k=0)
-
-
-class TestApproximateIndex:
-    def test_recall_against_oracle(self):
-        embedder = HashingEmbedder()
-        rng = random.Random(23)
-        vocabulary = [f"token{i}" for i in range(40)]
-        exact = MemoryStore(index_kind="exact")
-        approx = MemoryStore(index_kind="hnsw")
-        for i in range(1500):
-            text = " ".join(rng.choices(vocabulary, k=rng.randint(3, 8)))
-            modality = rng.choice(list(Modality))
-            record(exact, text, modality, embedder)
-            record(approx, text, modality, embedder)
-        recalls = []
-        for probe in ("token1 token2 token3", "token30 token31", "token7 token8 token20"):
-            query = embedder.embed(probe)
-            truth = {r.record_id for r in exact.retrieve_relevant(query, Modality.TEXT, k=6)}
-            got = {r.record_id for r in approx.retrieve_relevant(query, Modality.TEXT, k=6)}
-            recalls.append(len(truth & got) / 6)
-        assert sum(recalls) / len(recalls) >= 0.95
 
 
 class TestContextIntegration:
@@ -334,3 +298,56 @@ class TestPersistence:
         assert [r.record_id for r in loaded.retrieve_relevant(query, Modality.TEXT)] == [
             r.record_id for r in store.retrieve_relevant(query, Modality.TEXT)
         ]
+
+    @pytest.mark.parametrize("index_kind", ["hnsw", "exact", None])
+    def test_loads_older_files_and_drops_index_kind(self, tmp_path, index_kind):
+        # A file in the earlier layout, which also recorded the index kind.
+        rng = random.Random(41)
+        modalities = [Modality.TEXT, Modality.IMAGE, Modality.AUDIO, Modality.DOCUMENT]
+        records = []
+        for i in range(12):
+            vec = np.array([rng.gauss(0, 1) for _ in range(8)])
+            vec /= np.linalg.norm(vec)
+            records.append({
+                "record_id": f"m{i:06d}",
+                "content": f"turn {i}",
+                "modality": modalities[i % len(modalities)].value,
+                "embedding": [float(x) for x in vec],
+                "turn_index": i + 1,
+                "created_at_ms": 100 * i,
+            })
+        payload = {
+            "dimension": 8,
+            "records": records,
+            "compressed": {
+                "text": "turns one to four",
+                "source_start_turn": 1,
+                "source_end_turn": 4,
+                "ratio": 12.0,
+            },
+        }
+        if index_kind is not None:
+            payload["index_kind"] = index_kind
+        path = tmp_path / "old.memory.json"
+        path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+
+        weights = ScoreWeights(0.6, 0.3, 0.1)
+        loaded = load_memory(str(path), weights=weights)
+        assert loaded.weights == weights
+        assert loaded.turn_count == 12
+        assert loaded.compressed == CompressedSummary("turns one to four", 1, 4, 12.0)
+        assert [r.record_id for r in loaded.short_term] == [
+            f"m{i:06d}" for i in range(7, 12)
+        ]
+        query = np.array([rng.gauss(0, 1) for _ in range(8)])
+        query /= np.linalg.norm(query)
+        for modality in modalities:
+            got = loaded.retrieve_relevant(query, modality, k=6)
+            expected = brute_force_topk(loaded, query, modality, 6, 13, after_turn=4)
+            assert [r.record_id for r in got] == [r.record_id for r in expected]
+
+        resaved = tmp_path / "new.memory.json"
+        save_memory(loaded, str(resaved))
+        assert set(json.loads(resaved.read_text(encoding="utf-8"))) == {
+            "dimension", "records", "compressed",
+        }
