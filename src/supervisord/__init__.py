@@ -11,7 +11,6 @@ from .state import (
     QueryState,
     SessionMeta,
     Subflag,
-    TraceEvent,
     deserialize_state,
     new_session,
     serialize_state,
@@ -54,7 +53,6 @@ __all__ = [
     "ToolCost",
     "ToolRegistry",
     "ToolSpec",
-    "TraceEvent",
     "build_graph",
     "default_model_catalog",
     "default_registry",

@@ -2,9 +2,10 @@
 
 Commands: run, session, simulate, inspect, tools list, models list.
 Config precedence: flags > environment (SUPERVISORD_*) > config file > defaults.
-Stable exit codes: 2 workload spec violation or unknown config-file key,
-3 unknown session, 4 corrupt state, 10 unreachable attachment, 11 unplannable
-query, 12 budget exceeded, 20 clarification required in non-interactive mode.
+Stable exit codes: 2 workload spec violation or bad config file (unreadable,
+not a JSON object, or an unknown key), 3 unknown session, 4 corrupt state,
+10 unreachable attachment, 11 unplannable query, 12 budget exceeded,
+20 clarification required in non-interactive mode.
 """
 
 from __future__ import annotations
@@ -97,8 +98,15 @@ CONFIG_FILE_KEYS = ("store_root", "tools", "models", "flag_rules", "seed", "budg
 def resolve_config(args: argparse.Namespace) -> CliConfig:
     cfg = CliConfig()
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read config file {args.config}: {exc}", file=sys.stderr)
+            sys.exit(2)
+        if not isinstance(file_cfg, dict):
+            print("error: config file must hold a JSON object", file=sys.stderr)
+            sys.exit(2)
         unknown = sorted(set(file_cfg) - set(CONFIG_FILE_KEYS))
         if unknown:
             print(f"error: unknown config key {unknown[0]!r}", file=sys.stderr)
@@ -211,6 +219,14 @@ def cmd_run(args) -> int:
 # --- session (interactive REPL) ------------------------------------------------------
 
 
+def _ask_stdin(question: str) -> Optional[str]:
+    """REPL clarifier; an empty line or end of input counts as no answer."""
+    try:
+        return input(f"{question}\n>> ") or None
+    except EOFError:
+        return None
+
+
 def cmd_session(args) -> int:
     cfg = resolve_config(args)
     engine_cfg = cfg.engine_config()
@@ -267,7 +283,7 @@ def cmd_session(args) -> int:
                 state,
                 memory_store=memory,
                 perceptual_backend=backend,
-                clarifier=lambda q: input(f"{q}\n>> ") or None,
+                clarifier=_ask_stdin,
                 query_id=f"{session.session_id}:{session.turn_count}",
             )
         except BudgetExceeded as exc:

@@ -221,7 +221,8 @@ def parse_intent(
 # --- backends ---------------------------------------------------------------------
 
 
-def _stable_seed(*parts) -> int:
+def stable_seed(*parts) -> int:
+    """64-bit seed derived from the parts' text; stable across processes."""
     text = "|".join(str(p) for p in parts)
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
@@ -255,7 +256,7 @@ class SimulatedBackend:
         fixture = self.fixtures.get(task.source, {})
         if fixture.get("tool_failure", {}).get(tool_name):
             raise NodeFailure(f"{tool_name} scripted failure on {task.source}")
-        rng = random.Random(_stable_seed(seed, task.source, task.kind.value, tool_name))
+        rng = random.Random(stable_seed(seed, task.source, task.kind.value, tool_name))
         latency: Optional[int] = None
         payload: dict[str, Any]
         if task.kind is TaskKind.DETECT_OBJECTS:

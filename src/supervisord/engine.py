@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional
 
 from . import couplet as couplet_mod
 from .clock import VirtualClock
-from .couplet import SimulatedBackend, contextualize_timeline, summarize_payload
+from .couplet import SimulatedBackend, contextualize_timeline, stable_seed, summarize_payload
 from .decomposition import (
     classify_flag_detail,
     detect_modality,
@@ -56,7 +56,6 @@ from .scheduler import (
     TraceRow,
     build_graph,
     check_clarification,
-    stable_seed,
     verify_output,
 )
 from .state import (
@@ -66,7 +65,6 @@ from .state import (
     QueryState,
     SessionMeta,
     Subflag,
-    TraceEvent,
     new_session,
     serialize_state,
     deserialize_state,
@@ -114,7 +112,6 @@ class EngineConfig:
     moe_width: int = 3
     answer_tokens: int = 150
     flag_rules: Optional[dict] = None
-    flag_classifier: Optional[Callable] = None
     prober: Any = None
 
 
@@ -340,14 +337,7 @@ class Supervisor:
         }
 
         # 2. Flag classification plus safety reconciliation.
-        decision = classify_flag_detail(
-            state.user_query, modalities, config.flag_classifier, config.flag_rules
-        )
-        if decision.used_fallback:
-            state.append_trace(TraceEvent(
-                tool="flag-classifier", args_digest="fallback", start_ms=clock.now_ms(),
-                end_ms=clock.now_ms(), outcome="rule_fallback",
-            ))
+        decision = classify_flag_detail(state.user_query, modalities, rules=config.flag_rules)
         state.flag = reconcile_flag(decision.flag, modalities)
         outcome.flag = state.flag
 
@@ -395,11 +385,6 @@ class Supervisor:
             )
             outcome.routing = routing_decision
             state.subflag = routing_decision.subflag
-            if routing_decision.fallback_used:
-                state.append_trace(TraceEvent(
-                    tool="win-predictor", args_digest="fallback", start_ms=clock.now_ms(),
-                    end_ms=clock.now_ms(), outcome="weak_fallback",
-                ))
 
         # 5. Build and execute the graph with bounded clarification rounds.
         try:
@@ -487,18 +472,7 @@ class Supervisor:
         outcome.repair_count = len(graph.repair_log)
         outcome.rework_internal += outcome.repair_count
 
-        # 9. Trace events onto the state object (append-only log).
-        for row in exec_outcome.trace:
-            if row.event == "done":
-                state.append_trace(TraceEvent(
-                    tool=row.tool,
-                    args_digest=stable_digest(state.user_query, row.node_id),
-                    start_ms=max(0, row.ts - (row.latency_ms or 0)),
-                    end_ms=row.ts,
-                    outcome="done",
-                ))
-
-        # 10. Remember the turn.
+        # 9. Remember the turn.
         if config.memory_enabled:
             primary = next(iter(sorted(m.value for m in modalities)), "text")
             memory_store.add_turn(
@@ -590,12 +564,6 @@ def detect_underspecified(query: str) -> Optional[str]:
         if marker in q:
             return marker
     return None
-
-
-def stable_digest(*parts) -> str:
-    import hashlib
-
-    return hashlib.blake2b("|".join(str(p) for p in parts).encode(), digest_size=8).hexdigest()
 
 
 # --- session persistence -----------------------------------------------------------

@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .clock import VirtualClock
-from .couplet import SimulatedBackend
+from .couplet import SimulatedBackend, stable_seed
 from .engine import EngineConfig, Supervisor, detect_underspecified
 from .errors import IncomparableReports, WorkloadSpecError
 from .memory import MemoryStore, whitespace_tokens
 from .routing import default_model_catalog, invocation_cost
-from .scheduler import stable_seed
 from .state import (
     Attachment,
     CostKnob,

@@ -12,12 +12,11 @@ preserved.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .couplet import PerceptualTask, TaskKind
+from .couplet import PerceptualTask, TaskKind, stable_seed
 from .errors import NoCapableTool, NodeFailure, PipelineFailed, UnplannableQuery
 from .routing import RoutingDecision
 from .state import (
@@ -46,11 +45,6 @@ KIND_OUTPUT_TAGS: dict[TaskKind, str] = {
     TaskKind.GENERATE_IMAGE: "image_ref",
     TaskKind.PARSE_PDF: "parse",
 }
-
-
-def stable_seed(*parts) -> int:
-    text = "|".join(str(p) for p in parts)
-    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
 @dataclass
@@ -185,7 +179,6 @@ def build_graph(
     registry: ToolRegistry,
     *,
     routing_decision: Optional[RoutingDecision] = None,
-    parse_task: Optional[Callable[..., PerceptualTask]] = None,
     moe_width: int = DEFAULT_MOE_WIDTH,
 ) -> ExecutionGraph:
     """Build the flag-shaped execution graph for a reconciled query state.
@@ -194,7 +187,6 @@ def build_graph(
     """
     from .couplet import parse_intent  # local import avoids a cycle at module load
 
-    parse = parse_task or parse_intent
     graph = ExecutionGraph()
 
     def match(requirement: Requirement) -> ToolId:
@@ -208,7 +200,7 @@ def build_graph(
         scanned = modality is Modality.IMAGE or (
             att.declared_name is not None and "scan" in att.declared_name.lower()
         )
-        task = parse(
+        task = parse_intent(
             state.user_query,
             modality,
             attachment_ref=_attachment_ref(att),
@@ -640,7 +632,6 @@ def check_clarification(
     threshold: float = DEFAULT_CLARIFICATION_THRESHOLD,
     *,
     repair_attempted: bool = False,
-    hint: str = "",
 ) -> Optional[str]:
     """Emit a clarification question when critical-path confidence is low.
 
@@ -657,9 +648,7 @@ def check_clarification(
     worst = min(critical, key=lambda r: (r.confidence, r.node_id))
     if worst.confidence >= threshold:
         return None
-    subject = hint
-    if not subject and isinstance(worst.output, dict):
-        subject = worst.output.get("clarify_hint") or ""
+    subject = worst.output.get("clarify_hint") if isinstance(worst.output, dict) else None
     if subject:
         return f"I notice this is {subject}. What specific information are you looking for?"
     return (

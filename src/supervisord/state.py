@@ -1,9 +1,10 @@
 """Query state: the single record carried across every processing stage.
 
 Holds the user query, cost tier, clarification dialogue, attachments,
-accumulated context, session metadata, and the execution trace, plus a
-lossless serialize/rehydrate pair so state can move between stages and
-processes without information loss.
+accumulated context and session metadata, plus a lossless
+serialize/rehydrate pair so state can move between stages and processes
+without information loss. Execution events live in the JSONL trace
+(`scheduler.TraceRow`), not here.
 """
 
 from __future__ import annotations
@@ -174,17 +175,6 @@ class SessionMeta:
 
 
 @dataclass(frozen=True)
-class TraceEvent:
-    """One tool invocation record: name, argument digest, virtual times, outcome."""
-
-    tool: str
-    args_digest: str
-    start_ms: int
-    end_ms: int
-    outcome: str
-
-
-@dataclass(frozen=True)
 class ContextSegment:
     """One weighted slice of integrated context (short / relevant / compressed)."""
 
@@ -216,7 +206,6 @@ class QueryState:
     context: ContextBundle = field(default_factory=ContextBundle)
     flag: Optional[ExecutionFlag] = None
     subflag: Optional[Subflag] = None
-    trace: list[TraceEvent] = field(default_factory=list)
 
     def validate(self) -> None:
         if self.clarify_response is not None and self.clarify_question is None:
@@ -229,10 +218,6 @@ class QueryState:
             att.validate()
         if self.session.turn_count < 0:
             raise ValueError("turn_count must be nonnegative")
-
-    def append_trace(self, event: TraceEvent) -> None:
-        """Trace is append-only; events are never reordered or removed."""
-        self.trace.append(event)
 
 
 def new_session(clock: Callable[[], int], entropy: Callable[[], bytes]) -> SessionMeta:
@@ -309,20 +294,11 @@ def state_to_json_dict(state: QueryState, max_inline_bytes: int = DEFAULT_MAX_IN
         },
         "flag": state.flag.value if state.flag else None,
         "subflag": state.subflag.value if state.subflag else None,
-        "trace": [
-            {
-                "tool": ev.tool,
-                "args_digest": ev.args_digest,
-                "start_ms": ev.start_ms,
-                "end_ms": ev.end_ms,
-                "outcome": ev.outcome,
-            }
-            for ev in state.trace
-        ],
     }
 
 
 def state_from_json_dict(obj: dict) -> QueryState:
+    """Inverse of `state_to_json_dict`; a `trace` key from older files is ignored."""
     session_obj = obj["session"]
     session = SessionMeta(
         session_id=session_obj["session_id"],
@@ -345,16 +321,6 @@ def state_from_json_dict(obj: dict) -> QueryState:
         ),
         flag=ExecutionFlag(obj["flag"]) if obj.get("flag") else None,
         subflag=Subflag(obj["subflag"]) if obj.get("subflag") else None,
-        trace=[
-            TraceEvent(
-                tool=ev["tool"],
-                args_digest=ev["args_digest"],
-                start_ms=int(ev["start_ms"]),
-                end_ms=int(ev["end_ms"]),
-                outcome=ev["outcome"],
-            )
-            for ev in obj["trace"]
-        ],
     )
     return state
 
@@ -388,11 +354,6 @@ def deserialize_state(data: bytes) -> QueryState:
     return state
 
 
-def clone_state(state: QueryState) -> QueryState:
-    """Deep copy via the serialization pair (guarantees round-trip fidelity)."""
-    return deserialize_state(serialize_state(state))
-
-
 __all__ = [
     "Attachment",
     "ContextBundle",
@@ -406,8 +367,6 @@ __all__ = [
     "STATE_VERSION",
     "SessionMeta",
     "Subflag",
-    "TraceEvent",
-    "clone_state",
     "deserialize_state",
     "money_div_rounded",
     "new_session",

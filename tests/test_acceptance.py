@@ -44,7 +44,6 @@ from supervisord.state import (
     QueryState,
     SessionMeta,
     Subflag,
-    TraceEvent,
     deserialize_state,
     serialize_state,
 )
@@ -91,16 +90,6 @@ def _random_state(rng: random.Random) -> QueryState:
         ContextSegment(layer, weight, rng.choice(["", "some text", "ünïcode ⊕ text"]))
         for layer, weight in (("short", 0.6), ("relevant", 0.3), ("compressed", 0.1))
     )
-    trace = [
-        TraceEvent(
-            tool=rng.choice(["yolo-detect", "whisper-transcribe"]),
-            args_digest=f"{rng.getrandbits(32):08x}",
-            start_ms=rng.randint(0, 10**6),
-            end_ms=rng.randint(0, 10**6),
-            outcome=rng.choice(["done", "failed"]),
-        )
-        for _ in range(rng.randint(0, 5))
-    ]
     return QueryState(
         user_query=rng.choice(["", "hello", "transcribe this", "compare α and β?"]),
         cost_knob=rng.choice(list(CostKnob)),
@@ -116,7 +105,6 @@ def _random_state(rng: random.Random) -> QueryState:
         context=ContextBundle(segments=segments),
         flag=rng.choice([None] + flags),
         subflag=rng.choice([None] + list(Subflag)),
-        trace=trace,
     )
 
 

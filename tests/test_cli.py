@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 
@@ -186,6 +187,22 @@ class TestConfigPrecedence:
         assert exc.value.code == 2
         assert capsys.readouterr().err.strip() == f"error: unknown config key {key!r}"
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "error: cannot read config file"),
+        ("{not json", "error: cannot read config file"),
+        ("[1]", "error: config file must hold a JSON object"),
+        ('"seed"', "error: config file must hold a JSON object"),
+    ], ids=["missing", "invalid-json", "list", "string"])
+    def test_bad_config_file_rejected(self, tmp_path, capsys, content, message):
+        config_file = tmp_path / "cfg.json"
+        if content is not None:
+            config_file.write_text(content)
+        args = build_parser().parse_args(["--config", str(config_file), "tools", "list"])
+        with pytest.raises(SystemExit) as exc:
+            resolve_config(args)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(message)
+
 
 class TestSessionRepl:
     def test_scripted_session(self, store, monkeypatch, capsys):
@@ -206,6 +223,18 @@ class TestSessionRepl:
         code = run_cli("session")
         assert code == 0
         assert "clarified: a formal tone" in capsys.readouterr().out
+
+    def test_eof_during_clarification_saves_turn(self, store, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("explain it the usual way\n"))
+        code = run_cli("session")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Answer to: explain it the usual way" in out
+        sid = out.split()[1]
+        run_cli("--json", "inspect", sid)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["state"]["turn_count"] == 1
+        assert [r["event"] for r in doc["trace"]].count("clarify") == 1
 
     def test_six_turns_memory_window(self, store, monkeypatch, capsys):
         queries = [f"question number {i} about topic {i}" for i in range(6)]

@@ -106,12 +106,6 @@ class TestFlagPipelines:
         assert "refreshing" in outcome.segments["timeline"]
         assert {"detections", "transcript", "timeline"} <= outcome.evidence_keys
 
-    def test_trace_rows_written_to_state_trace(self):
-        state, outcome = run_query("what time is it in Tokyo")
-        assert state.trace  # append-only state log mirrors completed nodes
-        tools = {ev.tool for ev in state.trace}
-        assert any(tool.endswith("-invoke") for tool in tools)
-
 
 class TestDeterminism:
     def test_same_seed_identical_trace(self):
@@ -247,7 +241,6 @@ class TestPersistence:
         loaded = load_state_file(root, state.session.session_id)
         assert loaded.user_query == state.user_query
         assert loaded.session.cumulative_cost == state.session.cumulative_cost
-        assert loaded.trace == state.trace
 
     def test_trace_jsonl_schema(self, tmp_path):
         state, outcome = run_query("what time is it in Tokyo")
@@ -260,3 +253,4 @@ class TestPersistence:
         assert all(set(row) == expected_keys for row in rows)
         assert all(row["event"] in ("start", "done", "failed", "repaired", "clarify")
                    for row in rows)
+        assert any(row["event"] == "done" and row["tool"].endswith("-invoke") for row in rows)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import base64
+import json
 import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supervisord.cli import main
 from supervisord.errors import CorruptState, SizeExceeded, VersionMismatch
 from supervisord.state import (
     Attachment,
@@ -20,7 +23,6 @@ from supervisord.state import (
     QueryState,
     SessionMeta,
     Subflag,
-    TraceEvent,
     deserialize_state,
     money_div_rounded,
     new_session,
@@ -92,10 +94,6 @@ class TestSerializationRoundTrip:
                 Attachment("bytes", b"\x89PNG\r\n\x1a\n123", declared_name="raw.png"),
                 Attachment("path", "a.mp3", detected_modality=Modality.AUDIO),
             ],
-            trace=[
-                TraceEvent("yolo-detect", "abcd", 0, 1450, "done"),
-                TraceEvent("slm-weak-invoke", "ef01", 1450, 2100, "done"),
-            ],
             context=ContextBundle(segments=(
                 ContextSegment("short", 0.6, "earlier turn"),
                 ContextSegment("relevant", 0.3, ""),
@@ -113,7 +111,6 @@ class TestSerializationRoundTrip:
         assert back.flag is state.flag
         assert back.subflag is state.subflag
         assert [a.__dict__ for a in back.attachments] == [a.__dict__ for a in state.attachments]
-        assert back.trace == state.trace
         assert back.context.segments == state.context.segments
         assert back.session == state.session
 
@@ -149,6 +146,81 @@ class TestSerializationRoundTrip:
             serialize_state(state)
 
 
+def _older_state_doc() -> dict:
+    """A version-1 document as earlier builds wrote it, with a `trace` list."""
+    return {
+        "version": 1,
+        "state": {
+            "user_query": "what products are shown in this ad?",
+            "cost_knob": "open_src",
+            "clarify_question": "which brand?",
+            "clarify_response": "the drinks",
+            "attachments": [
+                {"source_kind": "path", "source": "ad.mp4", "declared_name": "ad.mp4",
+                 "detected_modality": "video", "mime": "video/mp4"},
+                {"source_kind": "bytes", "source": base64.b64encode(b"\x89PNG\r\n").decode(),
+                 "declared_name": "raw.png", "detected_modality": None, "mime": None},
+            ],
+            "context": {"segments": [
+                {"layer": "short", "weight": 0.6, "text": "earlier turn"},
+                {"layer": "relevant", "weight": 0.3, "text": ""},
+                {"layer": "compressed", "weight": 0.1, "text": "ünïcode summary"},
+            ]},
+            "session": {"session_id": "1700000000000-00112233aabbccdd",
+                        "created_at_ms": 1700000000000,
+                        "cumulative_cost_usd": "0.012345", "turn_count": 3},
+            "flag": "video",
+            "subflag": "general",
+            "trace": [
+                {"tool": "yolo-detect", "args_digest": "0123456789abcdef",
+                 "start_ms": 0, "end_ms": 1450, "outcome": "done"},
+                {"tool": "flag-classifier", "args_digest": "fallback",
+                 "start_ms": 1450, "end_ms": 1450, "outcome": "rule_fallback"},
+            ],
+        },
+    }
+
+
+def _canonical(doc: dict) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode()
+
+
+class TestOlderStateFiles:
+    def test_trace_key_ignored_and_dropped_on_rewrite(self):
+        doc = _older_state_doc()
+        state = deserialize_state(_canonical(doc))
+        assert state.user_query == "what products are shown in this ad?"
+        assert state.cost_knob is CostKnob.OPEN_SRC
+        assert (state.clarify_question, state.clarify_response) == ("which brand?", "the drinks")
+        assert [a.__dict__ for a in state.attachments] == [
+            Attachment("path", "ad.mp4", "ad.mp4", Modality.VIDEO, "video/mp4").__dict__,
+            Attachment("bytes", b"\x89PNG\r\n", "raw.png").__dict__,
+        ]
+        assert state.context.segments == (
+            ContextSegment("short", 0.6, "earlier turn"),
+            ContextSegment("relevant", 0.3, ""),
+            ContextSegment("compressed", 0.1, "ünïcode summary"),
+        )
+        assert state.session == SessionMeta(
+            "1700000000000-00112233aabbccdd", 1700000000000, Money(12_345), 3
+        )
+        assert (state.flag, state.subflag) == (ExecutionFlag.VIDEO, Subflag.GENERAL)
+
+        rewritten = serialize_state(state)
+        del doc["state"]["trace"]
+        assert rewritten == _canonical(doc)
+        assert serialize_state(deserialize_state(rewritten)) == rewritten
+
+    def test_inspect_reads_older_file(self, tmp_path, capsys):
+        doc = _older_state_doc()
+        sid = doc["state"]["session"]["session_id"]
+        (tmp_path / f"{sid}.state.json").write_bytes(_canonical(doc))
+        assert main(["--store-root", str(tmp_path), "--json", "inspect", sid]) == 0
+        shown = json.loads(capsys.readouterr().out)["state"]
+        assert shown["turn_count"] == 3
+        assert shown["cumulative_cost_usd"] == "0.012345"
+
+
 _flags = st.none() | st.sampled_from(list(ExecutionFlag))
 _modalities = st.none() | st.sampled_from(list(Modality))
 
@@ -176,19 +248,6 @@ def states(draw):
     )
     question = draw(st.none() | st.text(max_size=40))
     response = draw(st.none() | st.text(max_size=40)) if question is not None else None
-    trace = draw(
-        st.lists(
-            st.builds(
-                TraceEvent,
-                tool=st.sampled_from(["yolo-detect", "memory-retrieve"]),
-                args_digest=st.text("0123456789abcdef", min_size=4, max_size=8),
-                start_ms=st.integers(0, 10**6),
-                end_ms=st.integers(0, 10**6),
-                outcome=st.sampled_from(["done", "failed"]),
-            ),
-            max_size=5,
-        )
-    )
     return QueryState(
         user_query=draw(st.text(max_size=120)),
         cost_knob=draw(st.sampled_from(list(CostKnob))),
@@ -197,7 +256,6 @@ def states(draw):
         clarify_response=response,
         attachments=attachments,
         flag=draw(_flags),
-        trace=trace,
     )
 
 
