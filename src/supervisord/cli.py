@@ -3,9 +3,9 @@
 Commands: run, session, simulate, inspect, tools list, models list.
 Config precedence: flags > environment (SUPERVISORD_*) > config file > defaults.
 Stable exit codes: 2 workload spec violation or bad config file (unreadable,
-not a JSON object, or an unknown key), 3 unknown session, 4 corrupt state,
-10 unreachable attachment, 11 unplannable query, 12 budget exceeded,
-20 clarification required in non-interactive mode.
+not a JSON object, an unknown key or a value of the wrong type), 3 unknown
+session, 4 corrupt state, 10 unreachable attachment, 11 unplannable query,
+12 budget exceeded, 20 clarification required in non-interactive mode.
 """
 
 from __future__ import annotations
@@ -92,7 +92,15 @@ class CliConfig:
         )
 
 
-CONFIG_FILE_KEYS = ("store_root", "tools", "models", "flag_rules", "seed", "budget_usd")
+# Config-file key -> (required type, its name in the error message).
+CONFIG_FILE_TYPES = {
+    "store_root": (str, "a string"),
+    "tools": (str, "a string"),
+    "models": (str, "a string"),
+    "flag_rules": (str, "a string"),
+    "seed": (int, "an integer"),
+    "budget_usd": (str, "a string"),
+}
 
 
 def resolve_config(args: argparse.Namespace) -> CliConfig:
@@ -107,10 +115,15 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
         if not isinstance(file_cfg, dict):
             print("error: config file must hold a JSON object", file=sys.stderr)
             sys.exit(2)
-        unknown = sorted(set(file_cfg) - set(CONFIG_FILE_KEYS))
+        unknown = sorted(set(file_cfg) - set(CONFIG_FILE_TYPES))
         if unknown:
             print(f"error: unknown config key {unknown[0]!r}", file=sys.stderr)
             sys.exit(2)
+        for key, value in sorted(file_cfg.items()):
+            expected, name = CONFIG_FILE_TYPES[key]
+            if not isinstance(value, expected) or isinstance(value, bool):
+                print(f"error: config key {key!r} must be {name}", file=sys.stderr)
+                sys.exit(2)
         cfg.store_root = file_cfg.get("store_root", cfg.store_root)
         cfg.tools_path = file_cfg.get("tools", cfg.tools_path)
         cfg.models_path = file_cfg.get("models", cfg.models_path)
@@ -286,11 +299,15 @@ def cmd_session(args) -> int:
                 clarifier=_ask_stdin,
                 query_id=f"{session.session_id}:{session.turn_count}",
             )
+        except UnplannableQuery as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_UNPLANNABLE
         except BudgetExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BUDGET
         print(outcome.answer_text)
-        print(f"  ({outcome.tta_ms} ms, ${outcome.cost.usd_str()})")
+        marker = ", best effort" if outcome.best_effort else ""
+        print(f"  ({outcome.tta_ms} ms, ${outcome.cost.usd_str()}{marker})")
         save_state_file(cfg.store_root, state)
         save_session_memory(cfg.store_root, session.session_id, memory)
         append_trace_rows(cfg.store_root, session.session_id, outcome.trace_rows)

@@ -16,7 +16,7 @@ import math
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -118,8 +118,10 @@ def embed(content: str, embedder) -> np.ndarray:
 # --- records and scoring --------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryRecord:
+    """One stored turn; frozen, so the JSON `save_memory` caches for it stays exact."""
+
     record_id: str
     content: str
     modality: Modality
@@ -178,6 +180,7 @@ class MemoryStore:
         self.relevant_cache: list[MemoryRecord] = []
         self.compressed: Optional[CompressedSummary] = None
         self._write_lock = threading.Lock()
+        self._encoded_records: list[str] = []  # JSON of full_history[:len], see save_memory
 
     @property
     def turn_count(self) -> int:
@@ -332,34 +335,35 @@ def memory_path(store_root: str, session_id: str) -> str:
     return os.path.join(store_root, f"{session_id}.memory.json")
 
 
+def _encode_record(r: MemoryRecord) -> str:
+    return json.dumps(
+        {
+            "record_id": r.record_id,
+            "content": r.content,
+            "modality": r.modality.value,
+            "embedding": r.embedding.tolist(),
+            "turn_index": r.turn_index,
+            "created_at_ms": r.created_at_ms,
+        },
+        sort_keys=True,
+    )
+
+
 def save_memory(store: MemoryStore, path: str) -> None:
-    payload = {
-        "dimension": store.dimension,
-        "records": [
-            {
-                "record_id": r.record_id,
-                "content": r.content,
-                "modality": r.modality.value,
-                "embedding": [float(x) for x in r.embedding],
-                "turn_index": r.turn_index,
-                "created_at_ms": r.created_at_ms,
-            }
-            for r in store.full_history
-        ],
-        "compressed": (
-            {
-                "text": store.compressed.text,
-                "source_start_turn": store.compressed.source_start_turn,
-                "source_end_turn": store.compressed.source_end_turn,
-                "ratio": store.compressed.ratio,
-            }
-            if store.compressed
-            else None
-        ),
-    }
+    """Write the store as one line of sorted-key JSON, then rename it into place.
+
+    Only records appended since the previous save are encoded; the file bytes
+    equal `json.dump` of the whole payload with `sort_keys=True`.
+    """
+    encoded = store._encoded_records
+    encoded.extend(_encode_record(r) for r in store.full_history[len(encoded):])
+    compressed = json.dumps(asdict(store.compressed) if store.compressed else None, sort_keys=True)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(
+            f'{{"compressed": {compressed}, "dimension": {json.dumps(store.dimension)}, '
+            f'"records": [{", ".join(encoded)}]}}'
+        )
     os.replace(tmp, path)
 
 

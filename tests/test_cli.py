@@ -8,11 +8,14 @@ import os
 
 import pytest
 
+from supervisord.tools import default_registry, spec_to_json
+
 from supervisord.cli import (
     EXIT_BUDGET,
     EXIT_CLARIFICATION,
     EXIT_CORRUPT_STATE,
     EXIT_UNKNOWN_SESSION,
+    EXIT_UNPLANNABLE,
     EXIT_WORKLOAD_SPEC,
     main,
     resolve_config,
@@ -203,6 +206,35 @@ class TestConfigPrecedence:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("key, value, type_name", [
+        ("seed", "abc", "an integer"),
+        ("seed", True, "an integer"),
+        ("seed", 1.5, "an integer"),
+        ("store_root", 7, "a string"),
+        ("tools", ["a.json"], "a string"),
+        ("models", None, "a string"),
+        ("flag_rules", {"path": "r.json"}, "a string"),
+        ("budget_usd", 1.25, "a string"),
+    ], ids=["seed-str", "seed-bool", "seed-float", "store_root", "tools", "models",
+            "flag_rules", "budget_usd"])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value, type_name):
+        config_file = tmp_path / "cfg.json"
+        config_file.write_text(json.dumps({key: value}))
+        args = build_parser().parse_args(["--config", str(config_file), "tools", "list"])
+        with pytest.raises(SystemExit) as exc:
+            resolve_config(args)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip() == f"error: config key {key!r} must be {type_name}"
+
+    def test_bad_seed_type_stops_simulate(self, tmp_path, capsys):
+        config_file = tmp_path / "cfg.json"
+        config_file.write_text(json.dumps({"seed": "abc"}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", str(config_file), "simulate", "--queries", "20",
+                    "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestSessionRepl:
     def test_scripted_session(self, store, monkeypatch, capsys):
@@ -213,6 +245,9 @@ class TestSessionRepl:
         output = capsys.readouterr().out
         assert "cumulative cost" in output
         assert "short-term window" in output
+        cost_lines = [line for line in output.splitlines() if line.startswith("  (")]
+        assert len(cost_lines) == 1
+        assert cost_lines[0].endswith(")") and "best effort" not in cost_lines[0]
 
     def test_session_resume_unknown(self, store):
         assert run_cli("session", "--session", "0-missing") == EXIT_UNKNOWN_SESSION
@@ -230,11 +265,28 @@ class TestSessionRepl:
         assert code == 0
         out = capsys.readouterr().out
         assert "Answer to: explain it the usual way" in out
+        assert [line for line in out.splitlines() if line.startswith("  (")][0].endswith(
+            ", best effort)"
+        )
         sid = out.split()[1]
         run_cli("--json", "inspect", sid)
         doc = json.loads(capsys.readouterr().out)
         assert doc["state"]["turn_count"] == 1
         assert [r["event"] for r in doc["trace"]].count("clarify") == 1
+
+    def test_unplannable_turn_exits_cleanly(self, store, tmp_path, monkeypatch, capsys):
+        catalog = tmp_path / "tools.json"
+        registry = default_registry()
+        specs = [registry.get(t) for t in registry.all_ids()]
+        catalog.write_text(json.dumps(
+            [spec_to_json(s) for s in specs if not s.name.endswith("-invoke")]
+        ))
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello there\n"))
+        code = run_cli("--tools", str(catalog), "session")
+        assert code == EXIT_UNPLANNABLE
+        err = capsys.readouterr().err
+        assert err.startswith("error: no capable tool for requirement")
+        assert "Traceback" not in err
 
     def test_six_turns_memory_window(self, store, monkeypatch, capsys):
         queries = [f"question number {i} about topic {i}" for i in range(6)]

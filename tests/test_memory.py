@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -281,7 +282,80 @@ class TestCompression:
         assert COMPRESSION_TRIGGER_TOKENS == 8000
 
 
+def reference_memory_bytes(store, tmp_path):
+    """The whole-payload `json.dump` writer that the incremental save must match."""
+    payload = {
+        "dimension": store.dimension,
+        "records": [
+            {
+                "record_id": r.record_id,
+                "content": r.content,
+                "modality": r.modality.value,
+                "embedding": [float(x) for x in r.embedding],
+                "turn_index": r.turn_index,
+                "created_at_ms": r.created_at_ms,
+            }
+            for r in store.full_history
+        ],
+        "compressed": (
+            {
+                "text": store.compressed.text,
+                "source_start_turn": store.compressed.source_start_turn,
+                "source_end_turn": store.compressed.source_end_turn,
+                "ratio": store.compressed.ratio,
+            }
+            if store.compressed
+            else None
+        ),
+    }
+    path = tmp_path / "reference.memory.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True)
+    return path.read_bytes()
+
+
 class TestPersistence:
+    def test_file_bytes_match_whole_payload_encoder(self, tmp_path):
+        store = MemoryStore()
+        embedder = HashingEmbedder()
+        modalities = list(Modality)
+        contents = [
+            "plain note {i}",
+            'she said "ship it" on turn {i}',
+            "caf\u00e9 r\u00e9sum\u00e9 na\u00efve {i} \u2014 \u65e5\u672c\u8a9e",
+            "emoji \U0001F600 and a backslash \\ {i}",
+            "tab\tnewline\nquote' {i}",
+        ]
+        path = tmp_path / "session.memory.json"
+        save_memory(store, str(path))
+        assert path.read_bytes() == reference_memory_bytes(store, tmp_path)
+        for i in range(30):
+            text = contents[i % len(contents)].format(i=i)
+            store.add_turn(text, modalities[i % len(modalities)], embedder, created_at_ms=37 * i)
+            if i == 14:
+                store.maybe_compress(force=True)
+                assert store.compressed is not None
+            save_memory(store, str(path))
+            assert path.read_bytes() == reference_memory_bytes(store, tmp_path), i
+        written = path.read_bytes()
+        assert b"\n" not in written  # one line, no trailing newline
+
+        loaded = load_memory(str(path))
+        resaved = tmp_path / "resaved.memory.json"
+        save_memory(loaded, str(resaved))
+        assert resaved.read_bytes() == written
+        loaded.add_turn("after reload", Modality.AUDIO, embedder)
+        save_memory(loaded, str(resaved))
+        assert resaved.read_bytes() == reference_memory_bytes(loaded, tmp_path)
+
+    def test_stored_records_are_frozen(self):
+        store = MemoryStore()
+        rec = record(store, "immutable once stored")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.content = "changed"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            store.full_history[0].turn_index = 99
+
     def test_round_trip(self, tmp_path):
         store = MemoryStore()
         embedder = HashingEmbedder()
