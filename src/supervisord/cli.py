@@ -2,9 +2,10 @@
 
 Commands: run, session, simulate, inspect, tools list, models list.
 Config precedence: flags > environment (SUPERVISORD_*) > config file > defaults.
-Stable exit codes: 2 workload spec violation or bad config file (unreadable,
-not a JSON object, an unknown key or a value of the wrong type), 3 unknown
-session, 4 corrupt state, 10 unreachable attachment, 11 unplannable query,
+Stable exit codes: 2 workload spec violation, bad config file (unreadable,
+not a JSON object, an unknown key or a value of the wrong type) or an
+unreadable input (tool or model catalog, flag rules, fixtures, workload file,
+budget amount), 3 unknown session, 4 corrupt state, 11 unplannable query,
 12 budget exceeded, 20 clarification required in non-interactive mode.
 """
 
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from .couplet import SimulatedBackend
 from .engine import (
@@ -32,8 +33,9 @@ from .engine import (
 from .errors import (
     BudgetExceeded,
     CorruptState,
+    DuplicateTool,
+    InvalidSpec,
     UnplannableQuery,
-    UnreachableAttachment,
     WorkloadSpecError,
 )
 from .harness import (
@@ -55,10 +57,29 @@ from .tools import ToolRegistry, default_registry, load_catalog, spec_to_json
 EXIT_WORKLOAD_SPEC = 2
 EXIT_UNKNOWN_SESSION = 3
 EXIT_CORRUPT_STATE = 4
-EXIT_UNREACHABLE = 10
 EXIT_UNPLANNABLE = 11
 EXIT_BUDGET = 12
 EXIT_CLARIFICATION = 20
+
+# What a missing or malformed input file or value raises while it is parsed.
+_INPUT_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError, InvalidSpec,
+                 DuplicateTool)
+
+T = TypeVar("T")
+
+
+def _load_input(what: str, source: str, load: Callable[[str], T]) -> T:
+    """Return `load(source)`; an input that cannot be read or parsed exits 2."""
+    try:
+        return load(source)
+    except _INPUT_ERRORS as exc:
+        print(f"error: cannot read {what} {source}: {exc}", file=sys.stderr)
+        sys.exit(EXIT_WORKLOAD_SPEC)
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @dataclass
@@ -71,18 +92,22 @@ class CliConfig:
     budget_usd: Optional[str] = None
 
     def registry(self) -> ToolRegistry:
-        return load_catalog(self.tools_path) if self.tools_path else default_registry()
+        if not self.tools_path:
+            return default_registry()
+        return _load_input("tool catalog", self.tools_path, load_catalog)
 
     def catalog(self) -> ModelCatalog:
-        return load_model_catalog(self.models_path) if self.models_path else default_model_catalog()
+        if not self.models_path:
+            return default_model_catalog()
+        return _load_input("model catalog", self.models_path, load_model_catalog)
 
     def engine_config(self) -> EngineConfig:
-        budget = Money.from_usd(self.budget_usd) if self.budget_usd else None
+        budget = _load_input("budget", self.budget_usd, Money.from_usd) if self.budget_usd else None
         flag_rules = None
         if self.flag_rules_path:
             from .decomposition import load_flag_rules
 
-            flag_rules = load_flag_rules(self.flag_rules_path)
+            flag_rules = _load_input("flag rules", self.flag_rules_path, load_flag_rules)
         return EngineConfig(
             registry=self.registry(),
             catalog=self.catalog(),
@@ -106,12 +131,7 @@ CONFIG_FILE_TYPES = {
 def resolve_config(args: argparse.Namespace) -> CliConfig:
     cfg = CliConfig()
     if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read config file {args.config}: {exc}", file=sys.stderr)
-            sys.exit(2)
+        file_cfg = _load_input("config file", args.config, _load_json)
         if not isinstance(file_cfg, dict):
             print("error: config file must hold a JSON object", file=sys.stderr)
             sys.exit(2)
@@ -154,11 +174,15 @@ def _attachment_from_arg(arg: str) -> Attachment:
     return Attachment(kind, arg, declared_name=os.path.basename(arg) or arg)
 
 
+def _fixtures_from_file(path: str) -> dict:
+    fixtures = _load_json(path)
+    if not isinstance(fixtures, dict):
+        raise ValueError("fixtures file must hold a JSON object")
+    return fixtures
+
+
 def _load_fixtures(path: Optional[str]) -> dict:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return _load_input("fixtures", path, _fixtures_from_file) if path else {}
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -192,9 +216,6 @@ def cmd_run(args) -> int:
             clarifier=None,  # non-interactive: emit the question and exit 20
             query_id=session.session_id,
         )
-    except UnreachableAttachment as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
     except UnplannableQuery as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNPLANNABLE
@@ -322,7 +343,7 @@ def cmd_simulate(args) -> int:
     queries = None
     try:
         if args.workload:
-            spec, queries = load_workload_file(args.workload)
+            spec, queries = _load_input("workload", args.workload, load_workload_file)
         else:
             spec = default_workload_spec(args.queries)
         if queries is None:

@@ -1,22 +1,19 @@
 """Perceptual couplet pipeline: parse intent, execute a backend, contextualize.
 
 Specialized perception runs behind a small typed surface: a rule-based intent
-parser emits a schema-valid task, a backend (simulated fixtures or a remote
-HTTP endpoint) executes it, and a deterministic template renders the raw
-payload into typed evidence with a natural-language summary.
+parser emits a schema-valid task, a simulated fixture backend executes it,
+and a deterministic template renders the raw payload into typed evidence
+with a natural-language summary.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .errors import AmbiguousIntent, EvidenceTypeError, NodeFailure
 from .state import Modality
@@ -133,24 +130,18 @@ def _extraction_targets(query: str) -> Optional[list[str]]:
 def parse_intent(
     query: str,
     modality: Modality,
-    parser: Optional[Callable[[str, Modality], Optional[PerceptualTask]]] = None,
     *,
     attachment_ref: str = "",
     scanned: bool = False,
 ) -> PerceptualTask:
     """Translate a natural-language request into a schema-valid perceptual task.
 
-    The default is an ordered rule table; modality must be perceptual. Vague
+    An ordered rule table decides the task; modality must be perceptual. Vague
     queries with no actionable verb raise AmbiguousIntent, which feeds the
     clarification hook.
     """
     if modality not in (Modality.IMAGE, Modality.AUDIO, Modality.VIDEO, Modality.DOCUMENT):
         raise ValueError(f"parse_intent requires a perceptual modality, got {modality}")
-    if parser is not None:
-        task = parser(query, modality)
-        if task is not None:
-            task.validate()
-            return task
     q = query.lower()
     has_action = bool(
         _GENERATE_RE.search(q) or _DETECT_RE.search(q) or _EMBED_RE.search(q)
@@ -298,48 +289,6 @@ class SimulatedBackend:
         )
 
 
-class HttpBackend:
-    """Remote perceptual backend: one POST per task, one retry on 5xx."""
-
-    def __init__(self, endpoint: str, timeout_s: float = 10.0):
-        self.endpoint = endpoint
-        self.timeout_s = timeout_s
-
-    def invoke(self, task: PerceptualTask, seed: int, tool_name: str = "") -> BackendResult:
-        body = json.dumps(
-            {
-                "kind": task.kind.value,
-                "parameters": task.parameters,
-                "source": task.source,
-                "tool": tool_name,
-            }
-        ).encode("utf-8")
-        last_status = None
-        for attempt in range(2):
-            req = urllib.request.Request(
-                self.endpoint, data=body, headers={"Content-Type": "application/json"}
-            )
-            try:
-                with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                    doc = json.loads(resp.read().decode("utf-8"))
-                    return BackendResult(
-                        payload=doc["payload"],
-                        confidence=float(doc.get("confidence", 1.0)),
-                        latency_ms=doc.get("latency_ms"),
-                        tokens=int(doc.get("tokens", 0)),
-                    )
-            except urllib.error.HTTPError as exc:
-                last_status = exc.code
-                if 500 <= exc.code < 600 and attempt == 0:
-                    continue
-                raise NodeFailure(
-                    f"backend {self.endpoint} returned {exc.code}", retriable=500 <= exc.code < 600
-                ) from exc
-            except (urllib.error.URLError, OSError, json.JSONDecodeError, KeyError) as exc:
-                raise NodeFailure(f"backend {self.endpoint} unreachable: {exc}") from exc
-        raise NodeFailure(f"backend {self.endpoint} returned {last_status} twice")
-
-
 def execute_perceptual(
     task: PerceptualTask, backend, seed: int, tool_name: str = ""
 ) -> BackendResult:
@@ -435,7 +384,6 @@ def contextualize(
     task: PerceptualTask,
     result: BackendResult,
     original_query: str,
-    contextualizer: Optional[Callable[[TaskKind, dict, str], str]] = None,
 ) -> PerceptualEvidence:
     """Turn a raw payload into typed evidence with a rendered summary."""
     expected_key = KIND_PAYLOAD_KEYS[task.kind]
@@ -444,8 +392,7 @@ def contextualize(
             f"payload for {task.kind.value} lacks {expected_key!r}: "
             f"{sorted(result.payload)}"
         )
-    render = contextualizer or summarize_payload
-    summary = render(task.kind, result.payload, original_query)
+    summary = summarize_payload(task.kind, result.payload, original_query)
     return PerceptualEvidence(
         kind=task.kind,
         payload=result.payload,

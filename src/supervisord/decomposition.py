@@ -1,24 +1,21 @@
 """Two-stage query decomposition.
 
 Stage one resolves attachment modality deterministically: extension map,
-then MIME header (HEAD request for URLs), then magic-byte signature, then
-unknown. Stage two assigns one of the eight execution flags from a published
-rule table (or a pluggable external classifier), followed by a safety
-reconciliation that demotes modality flags lacking a matching attachment
-to the mixture-of-experts flag.
+then declared MIME type, then magic-byte signature, then unknown. Stage two
+assigns one of the eight execution flags from a published rule table,
+followed by a safety reconciliation that demotes modality flags lacking a
+matching attachment to the mixture-of-experts flag.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Optional
+from typing import Optional
 from urllib.parse import urlparse
 
-from .errors import UnreachableAttachment
 from .state import Attachment, ExecutionFlag, FLAG_PRECEDENCE, Modality
 
 EXTENSION_MAP: dict[str, Modality] = {
@@ -66,26 +63,6 @@ FLAG_REQUIRED_MODALITIES: dict[ExecutionFlag, frozenset[Modality]] = {
 }
 
 
-class UrlProber:
-    """Issues HTTP HEAD requests; 3 s timeout, one retry."""
-
-    def __init__(self, timeout_s: float = 3.0, retries: int = 1):
-        self.timeout_s = timeout_s
-        self.retries = retries
-
-    def head(self, url: str) -> tuple[int, dict[str, str]]:
-        last_error: Exception | None = None
-        for _ in range(self.retries + 1):
-            try:
-                req = urllib.request.Request(url, method="HEAD")
-                with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                    headers = {k.lower(): v for k, v in resp.headers.items()}
-                    return resp.status, headers
-            except Exception as exc:  # noqa: BLE001 - network errors fall through tiers
-                last_error = exc
-        raise ConnectionError(f"HEAD {url} failed: {last_error}")
-
-
 def modality_from_mime(mime: str) -> Modality:
     base = mime.split(";", 1)[0].strip().lower()
     if base.startswith("image/"):
@@ -126,8 +103,8 @@ def _extension_of(name: str) -> Optional[str]:
     return base.rsplit(".", 1)[1].lower()
 
 
-def detect_modality(attachment: Attachment, prober=None) -> Modality:
-    """Resolve modality: extension, then MIME header, then magic bytes, then unknown."""
+def detect_modality(attachment: Attachment) -> Modality:
+    """Resolve modality: extension, then declared MIME, then magic bytes, then unknown."""
     names = []
     if attachment.declared_name:
         names.append(attachment.declared_name)
@@ -138,15 +115,8 @@ def detect_modality(attachment: Attachment, prober=None) -> Modality:
         if ext and ext in EXTENSION_MAP:
             return EXTENSION_MAP[ext]
 
-    mime = attachment.mime
-    if not mime and attachment.source_kind == "url" and prober is not None:
-        try:
-            _, headers = prober.head(str(attachment.source))
-            mime = headers.get("content-type")
-        except Exception:
-            mime = None  # network failure never aborts detection
-    if mime:
-        resolved = modality_from_mime(mime)
+    if attachment.mime:
+        resolved = modality_from_mime(attachment.mime)
         if resolved is not Modality.UNKNOWN:
             return resolved
 
@@ -164,101 +134,6 @@ def detect_modality(attachment: Attachment, prober=None) -> Modality:
         if resolved is not Modality.UNKNOWN:
             return resolved
     return Modality.UNKNOWN
-
-
-@dataclass
-class ValidationResult:
-    """Outcome of the three sequential URL verification tiers."""
-
-    scheme_ok: bool
-    reachable: bool
-    content_type_ok: bool
-    resolved_mime: Optional[str] = None
-    fallback_local_path: Optional[str] = None
-
-    def __post_init__(self):
-        # Tiers are sequential: a later tier cannot pass if an earlier failed.
-        if self.content_type_ok and not self.reachable:
-            raise ValueError("content_type_ok implies reachable")
-        if self.reachable and not self.scheme_ok:
-            raise ValueError("reachable implies scheme_ok")
-
-
-def _expected_modalities(expected) -> Optional[frozenset[Modality]]:
-    if expected is None:
-        return None
-    if isinstance(expected, ExecutionFlag):
-        return FLAG_REQUIRED_MODALITIES.get(expected)
-    if isinstance(expected, Modality):
-        return frozenset({expected})
-    return frozenset(expected)
-
-
-def validate_url(
-    url: str,
-    prober,
-    expected=None,
-    fs_exists: Callable[[str], bool] = os.path.exists,
-) -> ValidationResult:
-    """Three-tier URL verification with local-path fallback.
-
-    Tier 1 accepts only http/https; tier 2 requires a 2xx/3xx HEAD response;
-    tier 3 checks the resolved MIME against the expected modality (or the
-    modality set of the assigned flag). Any tier failure triggers a local-path
-    interpretation attempt; if that also fails, UnreachableAttachment names
-    the failing tier.
-    """
-    scheme = urlparse(url).scheme.lower()
-    scheme_ok = scheme in ("http", "https")
-    reachable = False
-    content_type_ok = False
-    resolved_mime: Optional[str] = None
-    failed_tier = None
-
-    if not scheme_ok:
-        failed_tier = "scheme"
-    else:
-        try:
-            status, headers = prober.head(url)
-            reachable = 200 <= status < 400
-        except Exception:
-            reachable = False
-            headers = {}
-        if not reachable:
-            failed_tier = "reachability"
-        else:
-            resolved_mime = headers.get("content-type")
-            want = _expected_modalities(expected)
-            if want is None:
-                content_type_ok = resolved_mime is not None
-            else:
-                content_type_ok = (
-                    resolved_mime is not None
-                    and modality_from_mime(resolved_mime) in want
-                )
-            if not content_type_ok:
-                failed_tier = "content-type"
-
-    fallback = None
-    if failed_tier is not None:
-        for candidate in (url, urlparse(url).path):
-            if candidate and fs_exists(candidate):
-                fallback = candidate
-                break
-        if fallback is None:
-            raise UnreachableAttachment(
-                f"attachment {url!r} failed {failed_tier} verification and has no "
-                f"local fallback",
-                failed_tier=failed_tier,
-            )
-
-    return ValidationResult(
-        scheme_ok=scheme_ok,
-        reachable=reachable,
-        content_type_ok=content_type_ok,
-        resolved_mime=resolved_mime,
-        fallback_local_path=fallback,
-    )
 
 
 # --- flag classification -----------------------------------------------------
@@ -319,37 +194,21 @@ def score_flags(
 class FlagDecision:
     flag: ExecutionFlag
     scores: dict[ExecutionFlag, float]
-    used_fallback: bool = False
 
 
 def classify_flag_detail(
     query: str,
     modalities: set[Modality],
-    classifier: Optional[Callable[[str, set[Modality]], dict[ExecutionFlag, float]]] = None,
     rules: Optional[dict[ExecutionFlag, FlagRule]] = None,
 ) -> FlagDecision:
-    """Argmax flag assignment; ties broken by the fixed flag precedence.
-
-    A failing or incomplete external classifier falls back to the rule table.
-    """
-    used_fallback = False
-    scores: Optional[dict[ExecutionFlag, float]] = None
-    if classifier is not None:
-        try:
-            scores = classifier(query, modalities)
-            if scores is None or set(scores) != set(ExecutionFlag):
-                raise ValueError("classifier must score every execution flag")
-        except Exception:
-            scores = None
-            used_fallback = True
-    if scores is None:
-        scores = score_flags(query, modalities, rules or default_flag_rules())
+    """Argmax flag assignment; ties broken by the fixed flag precedence."""
+    scores = score_flags(query, modalities, rules or default_flag_rules())
     best = max(FLAG_PRECEDENCE, key=lambda f: (scores[f], -FLAG_PRECEDENCE.index(f)))
-    return FlagDecision(flag=best, scores=scores, used_fallback=used_fallback)
+    return FlagDecision(flag=best, scores=scores)
 
 
-def classify_flag(query, modalities, classifier=None, rules=None) -> ExecutionFlag:
-    return classify_flag_detail(query, modalities, classifier, rules).flag
+def classify_flag(query, modalities, rules=None) -> ExecutionFlag:
+    return classify_flag_detail(query, modalities, rules).flag
 
 
 def reconcile_flag(flag: ExecutionFlag, modalities: set[Modality]) -> ExecutionFlag:

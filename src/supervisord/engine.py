@@ -14,7 +14,7 @@ import random
 import secrets
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from . import couplet as couplet_mod
 from .clock import VirtualClock
@@ -23,7 +23,6 @@ from .decomposition import (
     classify_flag_detail,
     detect_modality,
     reconcile_flag,
-    validate_url,
 )
 from .errors import AmbiguousIntent, NodeFailure, PipelineFailed
 from .memory import (
@@ -112,7 +111,6 @@ class EngineConfig:
     moe_width: int = 3
     answer_tokens: int = 150
     flag_rules: Optional[dict] = None
-    prober: Any = None
 
 
 @dataclass
@@ -324,12 +322,7 @@ class Supervisor:
         # 1. Attachment decomposition.
         for att in state.attachments:
             if att.detected_modality is None:
-                att.detected_modality = detect_modality(att, config.prober)
-            if att.source_kind == "url" and config.prober is not None:
-                validation = validate_url(str(att.source), config.prober, state.flag)
-                if validation.fallback_local_path:
-                    att.source_kind = "path"
-                    att.source = validation.fallback_local_path
+                att.detected_modality = detect_modality(att)
         modalities = {
             a.detected_modality
             for a in state.attachments

@@ -50,16 +50,6 @@ class NoCapableTool(SupervisorError):
         self.requirement = requirement
 
 
-# --- decomposition -----------------------------------------------------------
-
-class UnreachableAttachment(SupervisorError):
-    """URL validation failed on all tiers and no local fallback exists."""
-
-    def __init__(self, message: str, failed_tier: str):
-        super().__init__(message)
-        self.failed_tier = failed_tier
-
-
 # --- routing -----------------------------------------------------------------
 
 class BudgetExceeded(SupervisorError):

@@ -1044,20 +1044,6 @@ def throughput_from_report(
     return len(records) * 1000.0 / makespan_ms
 
 
-def throughput_run(
-    queries: list[GeneratedQuery],
-    policy: str,
-    spec: WorkloadSpec,
-    parallel_sessions: int,
-    policy_cfg: Optional[PolicyConfig] = None,
-    seed: int = 0,
-    workers: int = 16,
-) -> float:
-    """Run a policy over the workload and measure q/s at the given concurrency."""
-    report = run_policy(queries, policy, spec, policy_cfg, seed)
-    return throughput_from_report(report, parallel_sessions, workers)
-
-
 # --- files ------------------------------------------------------------------------------
 
 

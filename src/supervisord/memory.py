@@ -181,6 +181,7 @@ class MemoryStore:
         self.compressed: Optional[CompressedSummary] = None
         self._write_lock = threading.Lock()
         self._encoded_records: list[str] = []  # JSON of full_history[:len], see save_memory
+        self._retrievable_tokens = 0  # whitespace tokens of _retrievable(), see maybe_compress
 
     @property
     def turn_count(self) -> int:
@@ -195,6 +196,8 @@ class MemoryStore:
         with self._write_lock:
             self.full_history.append(record)
             self.short_term.append(record)
+            if self.compressed is None or record.turn_index > self.compressed.source_end_turn:
+                self._retrievable_tokens += whitespace_tokens(record.content)
         return self
 
     def add_turn(
@@ -221,6 +224,9 @@ class MemoryStore:
             return list(self.full_history)
         cutoff = self.compressed.source_end_turn
         return [r for r in self.full_history if r.turn_index > cutoff]
+
+    def _recount_retrievable_tokens(self) -> None:
+        self._retrievable_tokens = sum(whitespace_tokens(r.content) for r in self._retrievable())
 
     def retrieve_relevant(
         self,
@@ -272,7 +278,6 @@ class MemoryStore:
 
     def maybe_compress(
         self,
-        token_counter: Callable[[str], int] = whitespace_tokens,
         compressor: Optional[Callable[[str], str]] = None,
         force: bool = False,
         on_event: Optional[Callable[[str], None]] = None,
@@ -283,11 +288,10 @@ class MemoryStore:
         short-term ring is a separate layer and keeps its raw turns.
         Compressor failure keeps history intact.
         """
+        if not force and self._retrievable_tokens <= COMPRESSION_TRIGGER_TOKENS:
+            return self
         candidates = self._retrievable()
         if not candidates:
-            return self
-        total_tokens = sum(token_counter(r.content) for r in candidates)
-        if not force and total_tokens <= COMPRESSION_TRIGGER_TOKENS:
             return self
         source_text = "\n".join(r.content for r in candidates)
         compress = compressor or extractive_compressor
@@ -297,8 +301,8 @@ class MemoryStore:
             if on_event:
                 on_event(f"compression failed, history retained: {exc}")
             return self
-        in_tokens = token_counter(source_text)
-        out_tokens = max(1, token_counter(summary_text))
+        in_tokens = whitespace_tokens(source_text)
+        out_tokens = max(1, whitespace_tokens(summary_text))
         ratio = in_tokens / out_tokens
         if on_event:
             low, high = COMPRESSION_RATIO_BAND
@@ -312,6 +316,7 @@ class MemoryStore:
             source_end_turn=candidates[-1].turn_index,
             ratio=ratio,
         )
+        self._recount_retrievable_tokens()
         return self
 
 
@@ -391,4 +396,5 @@ def load_memory(path: str, **store_kwargs) -> MemoryStore:
             source_end_turn=int(comp["source_end_turn"]),
             ratio=float(comp["ratio"]),
         )
+        store._recount_retrievable_tokens()
     return store

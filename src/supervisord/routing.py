@@ -140,7 +140,6 @@ def route_strong_weak(
     *,
     catalog: Optional[ModelCatalog] = None,
     tier: CostKnob = CostKnob.CLOSED_SRC,
-    subflag_classifier=None,
 ) -> RoutingDecision:
     """Strong/weak routing with subflag dispatch; strict inequality at the threshold.
 
@@ -166,7 +165,7 @@ def route_strong_weak(
         return RoutingDecision(
             route="strong", win_probability=probability, chosen_model=model.model_name
         )
-    subflag = classify_subflag(query, subflag_classifier)
+    subflag = classify_subflag(query)
     model = catalog.weak_model(subflag, tier)
     return RoutingDecision(
         route="weak",
@@ -204,14 +203,8 @@ _SUBFLAG_TIE_ORDER = (
 )
 
 
-def classify_subflag(query: str, classifier=None) -> Subflag:
-    """Argmax over the four weak categories; failures and ties go to general."""
-    if classifier is not None:
-        try:
-            result = classifier(query)
-            return Subflag(result)
-        except Exception:
-            return Subflag.GENERAL
+def classify_subflag(query: str) -> Subflag:
+    """Argmax over the four weak categories; ties go to general."""
     q = query.lower()
     scores = {
         sub: sum(1 for kw in kws if kw in q) for sub, kws in SUBFLAG_KEYWORDS.items()

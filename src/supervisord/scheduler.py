@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .couplet import PerceptualTask, TaskKind, stable_seed
 from .errors import NoCapableTool, NodeFailure, PipelineFailed, UnplannableQuery
@@ -659,7 +659,7 @@ def check_clarification(
 
 @dataclass
 class VerificationVerdict:
-    status: str  # "pass" | "fail" | "unverified"
+    status: str  # "pass" | "fail"
     reasons: list[str] = field(default_factory=list)
 
     @property
@@ -672,17 +672,9 @@ def verify_output(
     trace: list[TraceRow],
     required_segments: list[str],
     cited_nodes: Optional[dict[str, list[str]]] = None,
-    verifier: Optional[Callable[..., bool]] = None,
 ) -> VerificationVerdict:
     """Structural verification: every required segment answered, every cited
-    evidence node present in the trace. A failing verifier backend downgrades
-    to `unverified` rather than blocking the answer."""
-    if verifier is not None:
-        try:
-            ok = verifier(answer_segments, trace, required_segments)
-            return VerificationVerdict("pass" if ok else "fail")
-        except Exception as exc:
-            return VerificationVerdict("unverified", [f"verifier backend failed: {exc}"])
+    evidence node present in the trace."""
     reasons = []
     for segment in required_segments:
         if not answer_segments.get(segment, "").strip():

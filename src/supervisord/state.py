@@ -12,7 +12,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
-from decimal import Decimal, ROUND_HALF_EVEN
+from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from typing import Any, Callable, Optional
 
@@ -40,9 +40,12 @@ class Money:
 
     @classmethod
     def from_usd(cls, value: "str | int | float | Decimal") -> "Money":
-        dec = Decimal(str(value)).quantize(
-            Decimal("0.000001"), rounding=ROUND_HALF_EVEN
-        )
+        try:
+            dec = Decimal(str(value)).quantize(
+                Decimal("0.000001"), rounding=ROUND_HALF_EVEN
+            )
+        except InvalidOperation as exc:
+            raise ValueError(f"not a USD amount: {value!r}") from exc
         return cls(int(dec * MICROS_PER_USD))
 
     def usd(self) -> Decimal:

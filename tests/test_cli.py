@@ -236,6 +236,36 @@ class TestConfigPrecedence:
         assert not (tmp_path / "out").exists()
 
 
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("argv, content, env", [
+        (["--tools", "{path}", "tools", "list"], None, {}),
+        (["--tools", "{path}", "tools", "list"], "{not json", {}),
+        (["--models", "{path}", "models", "list"], None, {}),
+        (["--models", "{path}", "models", "list"], "{not json", {}),
+        (["--flag-rules", "{path}", "run", "hi"], None, {}),
+        (["--flag-rules", "{path}", "run", "hi"], "{not json", {}),
+        (["run", "hi", "--fixtures", "{path}"], None, {}),
+        (["run", "hi", "--fixtures", "{path}"], "{not json", {}),
+        (["simulate", "{path}", "--queries", "5"], None, {}),
+        (["run", "hi"], None, {"SUPERVISORD_BUDGET_USD": "abc"}),
+    ], ids=["tools-missing", "tools-invalid-json", "models-missing", "models-invalid-json",
+            "flag-rules-missing", "flag-rules-invalid-json", "fixtures-missing",
+            "fixtures-invalid-json", "workload-missing", "budget-env"])
+    def test_exits_2_without_traceback(self, store, tmp_path, monkeypatch, capsys,
+                                       argv, content, env):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*[a.replace("{path}", str(path)) for a in argv])
+        assert exc.value.code == EXIT_WORKLOAD_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ")
+        assert "Traceback" not in err
+
+
 class TestSessionRepl:
     def test_scripted_session(self, store, monkeypatch, capsys):
         lines = iter(["what is the capital of france", ":cost", ":memory", ":quit"])

@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import http.server
-import json
 import pathlib
-import threading
 
 import pytest
 
 from supervisord.couplet import (
     BackendResult,
-    HttpBackend,
     PerceptualEvidence,
     PerceptualTask,
     SimulatedBackend,
@@ -70,11 +66,6 @@ class TestParseIntent:
     def test_text_modality_rejected(self):
         with pytest.raises(ValueError):
             parse_intent("hello", Modality.TEXT)
-
-    def test_pluggable_parser_wins(self):
-        custom = PerceptualTask(TaskKind.EMBED_IMAGE, {}, "x.png")
-        task = parse_intent("whatever", Modality.IMAGE, parser=lambda q, m: custom)
-        assert task is custom
 
 
 class TestTaskSchema:
@@ -135,65 +126,6 @@ class TestSimulatedBackend:
         task = PerceptualTask(TaskKind.PARSE_PDF, {}, "a.pdf")
         with pytest.raises(NodeFailure):
             backend.invoke(task, 1, tool_name="pdf-parse")
-
-
-class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
-    responses = []
-
-    def do_POST(self):  # noqa: N802 - stdlib handler naming
-        length = int(self.headers["Content-Length"])
-        self.rfile.read(length)
-        status, body = self.responses.pop(0)
-        payload = json.dumps(body).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def http_server():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-
-
-class TestHttpBackend:
-    def test_successful_invocation(self, http_server):
-        _ScriptedHandler.responses = [
-            (200, {"payload": {"transcript": []}, "confidence": 0.9, "latency_ms": 700})
-        ]
-        backend = HttpBackend(f"http://127.0.0.1:{http_server.server_port}/")
-        result = backend.invoke(PerceptualTask(TaskKind.TRANSCRIBE, {}, "a.mp3"), 1)
-        assert result.confidence == 0.9
-        assert result.latency_ms == 700
-
-    def test_single_retry_then_success(self, http_server):
-        _ScriptedHandler.responses = [
-            (503, {}),
-            (200, {"payload": {"transcript": []}, "confidence": 0.8}),
-        ]
-        backend = HttpBackend(f"http://127.0.0.1:{http_server.server_port}/")
-        result = backend.invoke(PerceptualTask(TaskKind.TRANSCRIBE, {}, "a.mp3"), 1)
-        assert result.confidence == 0.8
-
-    def test_double_503_is_retriable_node_failure(self, http_server):
-        _ScriptedHandler.responses = [(503, {}), (503, {})]
-        backend = HttpBackend(f"http://127.0.0.1:{http_server.server_port}/")
-        with pytest.raises(NodeFailure) as exc:
-            backend.invoke(PerceptualTask(TaskKind.TRANSCRIBE, {}, "a.mp3"), 1)
-        assert exc.value.retriable
-
-    def test_unreachable_endpoint(self):
-        backend = HttpBackend("http://127.0.0.1:9/", timeout_s=0.2)
-        with pytest.raises(NodeFailure):
-            backend.invoke(PerceptualTask(TaskKind.TRANSCRIBE, {}, "a.mp3"), 1)
 
 
 class TestContextualize:

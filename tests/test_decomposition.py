@@ -1,41 +1,19 @@
-"""Decomposition: modality detection, URL tiers, flag rules, reconciliation."""
+"""Decomposition: modality detection, flag rules, reconciliation."""
 
 from __future__ import annotations
 
 import time
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from supervisord.decomposition import (
     FLAG_REQUIRED_MODALITIES,
-    ValidationResult,
     classify_flag,
-    classify_flag_detail,
     detect_modality,
     modality_from_magic,
     reconcile_flag,
-    validate_url,
 )
-from supervisord.errors import UnreachableAttachment
 from supervisord.state import Attachment, ExecutionFlag, Modality
-
-
-class StubProber:
-    """Scripted HEAD responses: url -> (status, headers) or an exception."""
-
-    def __init__(self, responses=None):
-        self.responses = responses or {}
-        self.calls = []
-
-    def head(self, url):
-        self.calls.append(url)
-        result = self.responses.get(url)
-        if result is None:
-            raise ConnectionError(f"no route to {url}")
-        if isinstance(result, Exception):
-            raise result
-        return result
 
 
 class TestDetectModality:
@@ -43,11 +21,9 @@ class TestDetectModality:
         att = Attachment("path", "clip.mp3", declared_name="clip.mp3")
         assert detect_modality(att) is Modality.AUDIO
 
-    def test_extensionless_url_uses_head_mime(self):
-        prober = StubProber({"https://cdn/x": (200, {"content-type": "application/pdf"})})
-        att = Attachment("url", "https://cdn/x")
-        assert detect_modality(att, prober) is Modality.DOCUMENT
-        assert prober.calls == ["https://cdn/x"]
+    def test_extensionless_url_uses_declared_mime(self):
+        att = Attachment("url", "https://cdn/x", mime="application/pdf")
+        assert detect_modality(att) is Modality.DOCUMENT
 
     def test_renamed_png_detected_by_signature(self, tmp_path):
         path = tmp_path / "notes.txt2"
@@ -59,10 +35,9 @@ class TestDetectModality:
         att = Attachment("bytes", b"%PDF-1.7 ...")
         assert detect_modality(att) is Modality.DOCUMENT
 
-    def test_head_failure_falls_through(self):
-        prober = StubProber()  # every HEAD raises
+    def test_extensionless_url_without_mime_is_unknown(self):
         att = Attachment("url", "https://cdn/mystery")
-        assert detect_modality(att, prober) is Modality.UNKNOWN
+        assert detect_modality(att) is Modality.UNKNOWN
 
     def test_riff_discrimination(self):
         assert modality_from_magic(b"RIFF\x00\x00\x00\x00WAVEfmt ") is Modality.AUDIO
@@ -86,49 +61,6 @@ class TestDetectModality:
                 assert detect_modality(att) is Modality(modality), ext
 
 
-class TestValidateUrl:
-    def test_ftp_scheme_rejected_with_local_fallback(self):
-        result = validate_url(
-            "ftp://host/f.png", StubProber(), fs_exists=lambda p: p == "ftp://host/f.png"
-        )
-        assert result.scheme_ok is False
-        assert result.fallback_local_path == "ftp://host/f.png"
-
-    def test_all_three_tiers_pass(self):
-        prober = StubProber({"https://h/a.png": (200, {"content-type": "image/png"})})
-        result = validate_url("https://h/a.png", prober, expected=ExecutionFlag.VISION)
-        assert (result.scheme_ok, result.reachable, result.content_type_ok) == (True, True, True)
-        assert result.resolved_mime == "image/png"
-
-    def test_404_with_identical_local_path(self):
-        prober = StubProber({"https://h/data/f.png": (404, {})})
-        result = validate_url(
-            "https://h/data/f.png", prober, fs_exists=lambda p: p == "/data/f.png"
-        )
-        assert result.reachable is False
-        assert result.fallback_local_path == "/data/f.png"
-
-    def test_unreachable_names_failing_tier(self):
-        with pytest.raises(UnreachableAttachment) as exc:
-            validate_url("https://h/x.png", StubProber(), fs_exists=lambda p: False)
-        assert exc.value.failed_tier == "reachability"
-
-    def test_mime_mismatch_fails_tier_three(self):
-        prober = StubProber({"https://h/a.png": (200, {"content-type": "audio/mpeg"})})
-        with pytest.raises(UnreachableAttachment) as exc:
-            validate_url(
-                "https://h/a.png", prober, expected=ExecutionFlag.VISION,
-                fs_exists=lambda p: False,
-            )
-        assert exc.value.failed_tier == "content-type"
-
-    def test_tier_ordering_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            ValidationResult(scheme_ok=False, reachable=True, content_type_ok=False)
-        with pytest.raises(ValueError):
-            ValidationResult(scheme_ok=True, reachable=False, content_type_ok=True)
-
-
 class TestClassifyFlag:
     def test_audio_rule(self):
         assert classify_flag("transcribe this recording", {Modality.AUDIO}) is ExecutionFlag.AUDIO
@@ -141,27 +73,6 @@ class TestClassifyFlag:
             "compare these three reports and chart trends", {Modality.DOCUMENT}
         )
         assert flag is ExecutionFlag.COMPLEX
-
-    def test_backend_failure_falls_back_to_rules(self):
-        def broken(query, modalities):
-            raise RuntimeError("backend down")
-
-        decision = classify_flag_detail("transcribe this recording", {Modality.AUDIO}, broken)
-        assert decision.flag is ExecutionFlag.AUDIO
-        assert decision.used_fallback is True
-
-    def test_incomplete_classifier_scores_fall_back(self):
-        decision = classify_flag_detail(
-            "hello", set(), lambda q, m: {ExecutionFlag.AUDIO: 1.0}
-        )
-        assert decision.used_fallback is True
-
-    def test_external_classifier_wins_when_complete(self):
-        scores = {flag: 0.0 for flag in ExecutionFlag}
-        scores[ExecutionFlag.MOE] = 9.0
-        decision = classify_flag_detail("anything", set(), lambda q, m: dict(scores))
-        assert decision.flag is ExecutionFlag.MOE
-        assert decision.used_fallback is False
 
     def test_labeled_fixture_spot_checks(self):
         import json

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -105,6 +106,25 @@ class TestFlagPipelines:
         assert outcome.flag is ExecutionFlag.VIDEO
         assert "refreshing" in outcome.segments["timeline"]
         assert {"detections", "transcript", "timeline"} <= outcome.evidence_keys
+
+    def test_url_attachments_need_no_network(self, monkeypatch):
+        def no_network(*args, **kwargs):
+            raise OSError("network access during a query")
+
+        monkeypatch.setattr(socket, "socket", no_network)
+        talk, report = "https://cdn.example/talk.mp3", "https://cdn.example/report"
+        fixtures = {talk: {"transcript": [{"word": "hello", "t": 0.0, "conf": 0.9}]}}
+        state, outcome = run_query(
+            "transcribe this recording",
+            [Attachment("url", talk), Attachment("url", report, mime="application/pdf")],
+            fixtures,
+        )
+        assert [a.detected_modality for a in state.attachments] == [
+            Modality.AUDIO, Modality.DOCUMENT
+        ]
+        assert outcome.flag is ExecutionFlag.AUDIO
+        assert "hello" in outcome.segments["transcript"]
+        assert not outcome.failed
 
 
 class TestDeterminism:

@@ -246,13 +246,6 @@ class TestThroughput:
         ratio = throughput_from_report(centralized, 64) / throughput_from_report(hierarchical, 64)
         assert ratio >= 1.15
 
-    def test_workload_shaped_entry_point(self):
-        from supervisord.harness import throughput_run
-
-        spec = default_workload_spec(30, seed=14)
-        queries = generate_workload(spec)
-        assert throughput_run(queries, "centralized", spec, parallel_sessions=4, seed=3) > 0
-
 
 class TestMonotoneDamage:
     def test_hierarchical_tta_nondecreasing_in_failure_rate(self):

@@ -281,6 +281,29 @@ class TestCompression:
     def test_trigger_constant(self):
         assert COMPRESSION_TRIGGER_TOKENS == 8000
 
+    def test_running_token_total_matches_recount(self, tmp_path):
+        def recount(store):
+            return sum(whitespace_tokens(r.content) for r in store._retrievable())
+
+        rng = random.Random(5)
+        embedder = HashingEmbedder()
+        store = MemoryStore()
+        path = str(tmp_path / "session.memory.json")
+        ends = []
+        for i in range(120):
+            words = rng.randint(0, 400)
+            store.add_turn(" ".join(f"w{i}" for _ in range(words)), Modality.TEXT, embedder)
+            assert store._retrievable_tokens == recount(store), i
+            store.maybe_compress(force=i == 10)
+            assert store._retrievable_tokens == recount(store), i
+            if store.compressed and store.compressed.source_end_turn not in ends:
+                ends.append(store.compressed.source_end_turn)
+            if i == 70:
+                save_memory(store, path)
+                store = load_memory(path)
+                assert store._retrievable_tokens == recount(store) > 0
+        assert ends == [11, 58, 104]  # forced, triggered, triggered after the reload
+
 
 def reference_memory_bytes(store, tmp_path):
     """The whole-payload `json.dump` writer that the incremental save must match."""

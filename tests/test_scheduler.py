@@ -425,10 +425,3 @@ class TestVerifyOutput:
             {"answer": "42"}, self.trace(), ["answer"], cited_nodes={"answer": ["ghost"]}
         )
         assert verdict.status == "fail"
-
-    def test_verifier_backend_failure_is_unverified(self):
-        def broken(*args):
-            raise RuntimeError("backend down")
-
-        verdict = verify_output({"answer": "42"}, self.trace(), ["answer"], verifier=broken)
-        assert verdict.status == "unverified"
