@@ -5,8 +5,9 @@ Config precedence: flags > environment (SUPERVISORD_*) > config file > defaults.
 Stable exit codes: 2 workload spec violation, bad config file (unreadable,
 not a JSON object, an unknown key or a value of the wrong type) or an
 unreadable input (tool or model catalog, flag rules, fixtures, workload file,
-budget amount), 3 unknown session, 4 corrupt state, 11 unplannable query,
-12 budget exceeded, 20 clarification required in non-interactive mode.
+budget amount), 3 unknown session, 4 corrupt state or memory file,
+11 unplannable query, 12 budget exceeded, 20 clarification required in
+non-interactive mode.
 """
 
 from __future__ import annotations
@@ -277,7 +278,11 @@ def cmd_session(args) -> int:
         session = state.session
     else:
         session = supervisor.new_session()
-    memory = load_session_memory(cfg.store_root, session.session_id)
+    try:
+        memory = load_session_memory(cfg.store_root, session.session_id)
+    except CorruptState as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CORRUPT_STATE
     backend = SimulatedBackend(_load_fixtures(args.fixtures))
     print(f"session {session.session_id} (:cost :memory :summary :quit)")
     while True:
@@ -405,10 +410,10 @@ def cmd_inspect(args) -> int:
         return EXIT_UNKNOWN_SESSION
     try:
         state = load_state_file(cfg.store_root, sid)
+        memory = load_session_memory(cfg.store_root, sid)
     except CorruptState as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CORRUPT_STATE
-    memory = load_session_memory(cfg.store_root, sid)
     trace_file = trace_path(cfg.store_root, sid)
     rows = []
     if os.path.exists(trace_file):

@@ -2,10 +2,10 @@
 
 Layers: a five-turn short-term ring (O(1) access), the append-only full
 history, the last retrieval result, and an optional compressed summary.
-Every record carries its modality. Retrieval is one exact scan of the
-uncompressed history that scores each record on cosine similarity,
-exponential recency decay at its modality's rate, and a modality-match
-bonus.
+Every record carries its modality. Retrieval ranks the uncompressed history
+exactly on cosine similarity, exponential recency decay at its modality's
+rate, and a modality-match bonus: a vectorized prefilter over append-only
+rows picks the candidates, and the scalar `score_memory` ranks them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmbeddingUnavailable
+from .errors import CorruptState, DimensionMismatch, EmbeddingUnavailable
 from .state import ContextBundle, ContextSegment, Modality
 
 DEFAULT_EMBEDDING_DIM = 64
@@ -29,6 +29,7 @@ DEFAULT_TOP_K = 6
 SHORT_TERM_TURNS = 5
 COMPRESSION_TRIGGER_TOKENS = 8000
 COMPRESSION_RATIO_BAND = (10.0, 15.0)
+GRAM_CACHE_LIMIT = 16_384  # grams each embedder remembers before it starts over
 
 # Per-turn exponential decay rates by modality. The unknown modality is not
 # covered by the published table; it reuses the video rate as a middle value.
@@ -72,6 +73,7 @@ class HashingEmbedder:
             raise ValueError("embedding dimension must be at least 2")
         self.dimension = dimension
         self.seed = seed
+        self._slots: dict[str, tuple[int, float]] = {}  # gram -> (bucket, sign)
 
     def _grams(self, text: str) -> list[str]:
         tokens = text.lower().split()
@@ -79,16 +81,27 @@ class HashingEmbedder:
         grams.extend(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
         return grams
 
+    def _slot(self, gram: str) -> tuple[int, float]:
+        # A slot depends on the gram alone, so threads that race on the dict
+        # at worst hash a gram twice.
+        digest = hashlib.blake2b(f"{self.seed}|{gram}".encode("utf-8"), digest_size=8).digest()
+        value = int.from_bytes(digest, "big")
+        slot = (value % self.dimension, 1.0 if (value >> 62) & 1 else -1.0)
+        if len(self._slots) >= GRAM_CACHE_LIMIT:
+            self._slots.clear()
+        self._slots[gram] = slot
+        return slot
+
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for gram in self._grams(text):
-            digest = hashlib.blake2b(
-                f"{self.seed}|{gram}".encode("utf-8"), digest_size=8
-            ).digest()
-            value = int.from_bytes(digest, "big")
-            bucket = value % self.dimension
-            sign = 1.0 if (value >> 62) & 1 else -1.0
-            vec[bucket] += sign
+        slots = self._slots
+        pairs = [slots.get(gram) or self._slot(gram) for gram in self._grams(text)]
+        if pairs:
+            # Every addend is +-1.0, so each bucket sum is an exact integer in
+            # any order: bincount gives the bytes of a sequential `+=` loop.
+            buckets, signs = zip(*pairs)
+            vec = np.bincount(buckets, weights=signs, minlength=self.dimension)
+        else:
+            vec = np.zeros(self.dimension, dtype=np.float64)
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             anchor = int.from_bytes(
@@ -162,6 +175,11 @@ class CompressedSummary:
 
 # --- the layered store ------------------------------------------------------------
 
+_MODALITIES = tuple(Modality)  # a row's modality code is its index here
+_MODALITY_CODES = {m: code for code, m in enumerate(_MODALITIES)}
+# Slack under the k-th best approximate score; see retrieve_relevant.
+PREFILTER_SLACK = 1e-9
+
 
 class MemoryStore:
     """Layered memory for one session."""
@@ -182,6 +200,10 @@ class MemoryStore:
         self._write_lock = threading.Lock()
         self._encoded_records: list[str] = []  # JSON of full_history[:len], see save_memory
         self._retrievable_tokens = 0  # whitespace tokens of _retrievable(), see maybe_compress
+        # Rows parallel to full_history, grown by doubling; see retrieve_relevant.
+        self._embeddings = np.zeros((16, dimension), dtype=np.float64)
+        self._turns = np.zeros(16, dtype=np.int64)
+        self._codes = np.zeros(16, dtype=np.int8)
 
     @property
     def turn_count(self) -> int:
@@ -194,6 +216,15 @@ class MemoryStore:
                 f"({self.dimension},)"
             )
         with self._write_lock:
+            n = len(self.full_history)
+            if n == len(self._turns):  # full: double the rows
+                self._embeddings, self._turns, self._codes = (
+                    np.concatenate([rows, np.zeros_like(rows)])
+                    for rows in (self._embeddings, self._turns, self._codes)
+                )
+            self._embeddings[n] = record.embedding
+            self._turns[n] = record.turn_index
+            self._codes[n] = _MODALITY_CODES[record.modality]
             self.full_history.append(record)
             self.short_term.append(record)
             if self.compressed is None or record.turn_index > self.compressed.source_end_turn:
@@ -235,10 +266,50 @@ class MemoryStore:
         k: int = DEFAULT_TOP_K,
         now_turn: Optional[int] = None,
     ) -> list[MemoryRecord]:
-        """Top-k retrievable records by exact score, newest-first on ties."""
+        """Top-k retrievable records by exact score, newest-first on ties.
+
+        numpy scores every row approximately; only the rows that can reach
+        the top k are scored again with `score_memory` and ranked.
+        """
         if k < 1:
             raise ValueError("k must be at least 1")
         now = self.turn_count + 1 if now_turn is None else now_turn
+        n = len(self.full_history)  # store() writes a row before it appends the record
+        turns = self._turns[:n]
+        pool = turns > self.compressed.source_end_turn if self.compressed else None
+        if (n if pool is None else int(pool.sum())) <= k:
+            candidates = self._retrievable()
+        else:
+            # A record's approximate score a and exact score s differ by at
+            # most e, far below 1e-12: embeddings are unit vectors and the
+            # weights are of order 1, so the two summation orders of the dot
+            # product, and np.exp against math.exp, differ in the last bits
+            # only. Let A be the k-th best approximate score in a pool of p
+            # records and r a record of the exact top k. At least p-k+1
+            # records have s <= s(r), so a <= s(r) + e for each of them, and
+            # at least k records have a >= A; one record x is in both sets,
+            # so A <= a(x) <= s(r) + e <= a(r) + 2e. Every record of the
+            # exact top k therefore has a(r) >= A - PREFILTER_SLACK.
+            rates = self.decay_rates or DEFAULT_DECAY_RATES
+            codes = self._codes[:n]
+            w = self.weights
+            rate = np.array([rates.get(m, np.nan) for m in _MODALITIES])
+            match = np.array([1.0 if m == query_modality else 0.0 for m in _MODALITIES])
+            approx = (
+                w.similarity * np.einsum("ij,j->i", self._embeddings[:n], query_embedding)
+                + w.recency * np.exp(-rate[codes] * np.maximum(now - turns, 0))
+                + w.modality * match[codes]
+            )
+            if pool is not None:
+                approx[~pool] = -np.inf
+            if np.isnan(approx).any():
+                # A modality missing from the rate table, or a NaN query:
+                # leave the whole pool to score_memory, as before.
+                keep = np.ones(n, dtype=bool) if pool is None else pool
+            else:
+                keep = approx >= np.partition(approx, n - k)[n - k] - PREFILTER_SLACK
+            history = self.full_history
+            candidates = [history[i] for i in np.flatnonzero(keep).tolist()]
         scored = [
             (
                 -score_memory(
@@ -248,7 +319,7 @@ class MemoryStore:
                 rec.record_id,
                 rec,
             )
-            for rec in self._retrievable()
+            for rec in candidates
         ]
         scored.sort(key=lambda item: item[:3])
         result = [rec for *_, rec in scored[:k]]
@@ -374,27 +445,45 @@ def save_memory(store: MemoryStore, path: str) -> None:
 
 def load_memory(path: str, **store_kwargs) -> MemoryStore:
     """Rehydrate a store from disk. Keys other than dimension, records and
-    compressed, such as the index choice older files recorded, are ignored."""
+    compressed, such as the index choice older files recorded, are ignored.
+
+    A file that is not valid JSON, lacks a key or holds a record whose
+    embedding does not match its dimension raises `CorruptState`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    store = MemoryStore(dimension=int(payload["dimension"]), **store_kwargs)
-    for obj in payload["records"]:
-        record = MemoryRecord(
-            record_id=obj["record_id"],
-            content=obj["content"],
-            modality=Modality(obj["modality"]),
-            embedding=np.asarray(obj["embedding"], dtype=np.float64),
-            turn_index=int(obj["turn_index"]),
-            created_at_ms=int(obj["created_at_ms"]),
-        )
-        store.store(record)
-    comp = payload.get("compressed")
-    if comp:
-        store.compressed = CompressedSummary(
+        text = fh.read()
+    try:
+        payload = json.loads(text)
+        dimension = int(payload["dimension"])
+        if dimension < 1:
+            raise ValueError(f"dimension {dimension} is not positive")
+        records = [
+            MemoryRecord(
+                record_id=obj["record_id"],
+                content=obj["content"],
+                modality=Modality(obj["modality"]),
+                embedding=np.asarray(obj["embedding"], dtype=np.float64),
+                turn_index=int(obj["turn_index"]),
+                created_at_ms=int(obj["created_at_ms"]),
+            )
+            for obj in payload["records"]
+        ]
+        comp = payload.get("compressed")
+        compressed = CompressedSummary(
             text=comp["text"],
             source_start_turn=int(comp["source_start_turn"]),
             source_end_turn=int(comp["source_end_turn"]),
             ratio=float(comp["ratio"]),
-        )
+        ) if comp else None
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise CorruptState(f"malformed memory file {path}: {exc}") from exc
+    store = MemoryStore(dimension=dimension, **store_kwargs)
+    try:
+        for record in records:
+            store.store(record)
+    except DimensionMismatch as exc:
+        raise CorruptState(f"malformed memory file {path}: {exc}") from exc
+    if compressed:
+        store.compressed = compressed
         store._recount_retrievable_tokens()
     return store

@@ -2,8 +2,9 @@
 
 Tools declare what they consume (modalities), what they produce (output tags),
 the predicates that must hold before invocation, and a bounded latency prior.
-Matching filters on capability coverage and precondition satisfiability, then
-ranks by (expected latency, expected cost, name) in O(|T| log |T|).
+Matching filters on capability coverage and ranks by (expected latency,
+expected cost, name) once per requirement shape, then checks preconditions
+against the query state on every call.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Optional
 
@@ -89,33 +91,40 @@ _KNOWN_PREDICATES = {
 }
 
 
-def _parse_predicate(text: str) -> tuple[str, Optional[str]]:
+@lru_cache(maxsize=256)
+def _parse_predicate(text: str) -> tuple[str, Optional[Modality]]:
     m = _PREDICATE_RE.match(text.strip())
     if not m or m.group("name") not in _KNOWN_PREDICATES:
         raise InvalidSpec(f"unknown precondition predicate {text!r}")
-    return m.group("name"), m.group("arg")
+    name, arg = m.group("name"), m.group("arg")
+    if name != "has_attachment":
+        if arg is not None:
+            raise InvalidSpec(f"precondition {name!r} takes no argument, got {text!r}")
+        return name, None
+    try:
+        return name, Modality(arg)
+    except ValueError:
+        raise InvalidSpec(f"precondition {text!r} needs a modality argument") from None
 
 
 def evaluate_predicate(text: str, state: Optional[QueryState]) -> bool:
     """Evaluate one predicate descriptor; a missing state satisfies everything."""
     name, arg = _parse_predicate(text)
-    if state is None:
-        return True
-    modalities = {
-        a.detected_modality for a in state.attachments if a.detected_modality
-    }
-    if name == "always":
+    if state is None or name == "always":
         return True
     if name == "nonempty_query":
         return bool(state.user_query.strip())
+    if name == "has_context":
+        return bool(state.context.segments)
+    modalities = {
+        a.detected_modality for a in state.attachments if a.detected_modality
+    }
     if name == "has_attachment":
-        return Modality(arg) in modalities
+        return arg in modalities
     if name == "has_visual_attachment":
         return bool(modalities & {Modality.IMAGE, Modality.VIDEO})
     if name == "has_av_attachment":
         return bool(modalities & {Modality.AUDIO, Modality.VIDEO})
-    if name == "has_context":
-        return bool(state.context.segments)
     raise InvalidSpec(f"unknown precondition predicate {text!r}")
 
 
@@ -174,6 +183,8 @@ class ToolRegistry:
         self._lock = threading.Lock()
         self._by_id: dict[ToolId, ToolSpec] = {}
         self._names: set[str] = set()
+        # (input modalities, output tags, tier) -> capable (tool_id, spec), ranked
+        self._ranked: dict[tuple, list[tuple[ToolId, ToolSpec]]] = {}
 
     def register_tool(self, spec: ToolSpec) -> ToolId:
         spec.validate()
@@ -183,6 +194,7 @@ class ToolRegistry:
             tool_id = ToolId(f"t{len(self._by_id):03d}:{spec.name}")
             self._by_id[tool_id] = spec
             self._names.add(spec.name)
+            self._ranked.clear()
         return tool_id
 
     def get(self, tool_id: ToolId) -> ToolSpec:
@@ -203,35 +215,42 @@ class ToolRegistry:
     def all_ids(self) -> list[ToolId]:
         return list(self._by_id)
 
-    def _covers(self, spec: ToolSpec, req: Requirement) -> bool:
-        if not req.input_modalities <= spec.input_modalities:
-            return False
-        if not req.output_tags <= spec.output_tags:
-            return False
-        if req.tier is not None and spec.tier != req.tier:
-            return False
-        return all(evaluate_predicate(p, req.state) for p in spec.preconditions)
+    def _rank_capable(self, req: Requirement) -> list[tuple[ToolId, ToolSpec]]:
+        """Tools covering the requirement's modalities, tags and tier, ranked."""
+        capable = [
+            (spec.latency_prior.mean_ms(), spec.cost.expected_micros(), spec.name, tool_id, spec)
+            for tool_id, spec in self._by_id.items()
+            if req.input_modalities <= spec.input_modalities
+            and req.output_tags <= spec.output_tags
+            and (req.tier is None or spec.tier == req.tier)
+        ]
+        capable.sort(key=lambda item: item[:4])
+        return [(tool_id, spec) for *_, tool_id, spec in capable]
 
     def match_tools(
         self, requirement: Requirement, exclude: Iterable[ToolId] = ()
     ) -> list[ToolId]:
         """Rank capable tools ascending by (expected latency, expected cost, name)."""
+        key = (requirement.input_modalities, requirement.output_tags, requirement.tier)
         with self._lock:
-            snapshot = list(self._by_id.items())
-        if not snapshot:
-            raise NoCapableTool("registry is empty", requirement)
+            if not self._by_id:
+                raise NoCapableTool("registry is empty", requirement)
+            ranked = self._ranked.get(key)
+            if ranked is None:
+                ranked = self._ranked[key] = self._rank_capable(requirement)
         excluded = set(exclude)
+        state = requirement.state
         matched = [
-            (spec.latency_prior.mean_ms(), spec.cost.expected_micros(), spec.name, tool_id)
-            for tool_id, spec in snapshot
-            if tool_id not in excluded and self._covers(spec, requirement)
+            tool_id
+            for tool_id, spec in ranked
+            if tool_id not in excluded
+            and all(evaluate_predicate(p, state) for p in spec.preconditions)
         ]
         if not matched:
             raise NoCapableTool(
                 f"no capable tool for requirement {requirement.describe()}", requirement
             )
-        matched.sort()
-        return [tool_id for _, _, _, tool_id in matched]
+        return matched
 
     def sample_latency(self, tool_id: ToolId, seed: int) -> int:
         """Deterministic latency draw (ms) from the tool's declared prior."""

@@ -99,6 +99,31 @@ class TestInspect:
         assert run_cli("inspect", sid) == EXIT_CORRUPT_STATE
 
 
+def corrupt_memory(path, how):
+    text = path.read_text()
+    if how == "dimension":
+        doc = json.loads(text)
+        doc["dimension"] = 32  # the records hold 64-wide embeddings
+        path.write_text(json.dumps(doc, sort_keys=True))
+    else:
+        path.write_text(text[: len(text) // 2])
+
+
+class TestCorruptMemory:
+    @pytest.mark.parametrize("how", ["dimension", "truncated"])
+    @pytest.mark.parametrize("command", ["inspect", "session"])
+    def test_exits_4_without_traceback(self, store, capsys, monkeypatch, command, how):
+        run_cli("--json", "run", "hello there")
+        sid = json.loads(capsys.readouterr().out)["session_id"]
+        corrupt_memory(store / f"{sid}.memory.json", how)
+        monkeypatch.setattr("sys.stdin", io.StringIO(":quit\n"))
+        argv = ["inspect", sid] if command == "inspect" else ["session", "--session", sid]
+        assert run_cli(*argv) == EXIT_CORRUPT_STATE
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed memory file ")
+        assert "Traceback" not in err
+
+
 class TestSimulate:
     def test_small_simulation_with_comparison(self, store, tmp_path, capsys):
         out_dir = tmp_path / "reports"
@@ -263,6 +288,25 @@ class TestUnreadableInputs:
         assert exc.value.code == EXIT_WORKLOAD_SPEC
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("precondition",
+                             ["has_attachment(foo)", "has_attachment", "always(text)"])
+    def test_bad_precondition_rejected_at_catalog_load(self, store, tmp_path, capsys,
+                                                       precondition):
+        registry = default_registry()
+        entries = [spec_to_json(registry.get(t)) for t in registry.all_ids()]
+        for entry in entries:
+            if entry["name"] == "yolo-detect":
+                entry["preconditions"] = [precondition]
+        catalog = tmp_path / "tools.json"
+        catalog.write_text(json.dumps(entries))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--tools", str(catalog), "run", "detect the objects in this photo",
+                    "--attach", "p.jpg")
+        assert exc.value.code == EXIT_WORKLOAD_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read tool catalog {catalog}: ")
         assert "Traceback" not in err
 
 

@@ -1,0 +1,67 @@
+"""A 250-turn session, persisted every turn, pinned to its answers and memory file.
+
+The inputs are the benchmark's session-long workload at seed 1, taken from
+`perfbench/workloads.py` (imported, not changed). Memory compresses once, near
+turn 200, so retrieval runs on both sides of a compression cutoff.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from supervisord import engine, errors, memory, routing, state
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ANSWERS_SHA256 = "5264b9b9ab20ea700d2d0114e1a22e0b8ce67bf45b66ff1bf69a402790df6292"
+MEMORY_FILE_SHA256 = "d77617aa51d2592b9d2db0a4596a27e2efe54c4d68f39fccf7ca9098f7cb43cf"
+
+
+def load_workloads():
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def test_seed_1_session_long_answers_and_memory_file(tmp_path):
+    workloads = load_workloads()
+    session_id, turns, backend = workloads.make("session-long", 1, str(tmp_path)).turns()
+    assert len(turns) == 250
+    supervisor = engine.Supervisor(engine.EngineConfig())
+    store = memory.MemoryStore()
+    session = state.SessionMeta(session_id=session_id, created_at_ms=0)
+    knob = routing.select_tier("closed_src")
+    store_root = str(tmp_path / "session")
+    answers = []
+    for i, (text, names) in enumerate(turns):
+        query = state.QueryState(
+            user_query=text, cost_knob=knob, session=session,
+            attachments=[state.Attachment("path", n, declared_name=n) for n in names],
+        )
+        try:
+            outcome = supervisor.process(
+                query, memory_store=store, perceptual_backend=backend,
+                clarifier=lambda _q: workloads.CLARIFY_REPLY,
+                query_id=f"{session_id}:{session.turn_count}",
+            )
+        except errors.SupervisorError as exc:
+            answers.append(f"{i}!{type(exc).__name__}")
+            continue
+        answers.append(f"{i}:{outcome.answer_text}")
+        engine.save_state_file(store_root, query)
+        engine.save_session_memory(store_root, session_id, store)
+
+    assert store.compressed is not None and 150 < store.compressed.source_end_turn < 250
+    digest = hashlib.sha256("\n".join(answers).encode("utf-8")).hexdigest()
+    assert digest == ANSWERS_SHA256
+    memory_file = Path(memory.memory_path(store_root, session_id)).read_bytes()
+    assert hashlib.sha256(memory_file).hexdigest() == MEMORY_FILE_SHA256
+    restored = memory.load_memory(memory.memory_path(store_root, session_id))
+    assert restored.turn_count == store.turn_count
+    assert restored.compressed.text == store.compressed.text

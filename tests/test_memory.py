@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from supervisord import memory
 from supervisord.errors import DimensionMismatch, EmbeddingUnavailable
 from supervisord.memory import (
     COMPRESSION_TRIGGER_TOKENS,
@@ -54,6 +60,83 @@ class TestEmbedder:
 
         with pytest.raises(EmbeddingUnavailable):
             embed("x", Broken())
+
+
+def reference_embed(text, dimension=64, seed=0):
+    """The embedder's formula without a gram cache: one blake2b per gram, added in order."""
+    vec = np.zeros(dimension, dtype=np.float64)
+    tokens = text.lower().split()
+    for gram in tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]:
+        digest = hashlib.blake2b(f"{seed}|{gram}".encode("utf-8"), digest_size=8).digest()
+        value = int.from_bytes(digest, "big")
+        vec[value % dimension] += 1.0 if (value >> 62) & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        anchor = int.from_bytes(hashlib.blake2b(f"{seed}|".encode(), digest_size=8).digest(), "big")
+        vec[anchor % dimension] = 1.0
+        return vec
+    return vec / norm
+
+
+_WORDS = "the a revenue grew Grew in quarter costs held dog chart x y".split()
+_TEXTS = st.one_of(
+    st.text(max_size=60),
+    st.text(alphabet=" \t\n\r", max_size=6),
+    st.lists(st.sampled_from(_WORDS), max_size=40).map(" ".join),
+)
+
+
+class TestEmbedderGramCache:
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(_TEXTS, min_size=1, max_size=10),
+           limit=st.integers(1, 24), dimension=st.sampled_from([2, 7, 64]),
+           seed=st.integers(0, 3))
+    def test_cached_embed_equals_uncached_formula(self, texts, limit, dimension, seed):
+        with mock.patch.object(memory, "GRAM_CACHE_LIMIT", limit):
+            embedder = HashingEmbedder(dimension=dimension, seed=seed)
+            for text in texts + texts:  # the second pass reads grams from the cache
+                got = embedder.embed(text)
+                expected = reference_embed(text, dimension, seed)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), text
+                assert len(embedder._slots) <= limit
+
+    def test_cache_clears_at_its_bound(self):
+        text = " ".join(f"w{i}" for i in range(30))  # 59 distinct grams
+        with mock.patch.object(memory, "GRAM_CACHE_LIMIT", 8):
+            embedder = HashingEmbedder()
+            for _ in range(3):
+                assert np.array_equal(embedder.embed(text), reference_embed(text))
+                assert 0 < len(embedder._slots) <= 8
+        embedder = HashingEmbedder()
+        embedder.embed(text)
+        assert len(embedder._slots) == 59
+
+
+    def test_threads_sharing_one_embedder(self):
+        texts = [" ".join(f"w{(i * 7 + j) % 50}" for j in range(12)) for i in range(40)]
+        expected = {text: reference_embed(text) for text in texts}
+        embedder = HashingEmbedder()
+        wrong = []
+
+        def work(offset):
+            for text in texts[offset:] + texts[:offset]:
+                if not np.array_equal(embedder.embed(text), expected[text]):
+                    wrong.append(text)
+
+        threads = [threading.Thread(target=work, args=(5 * i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(memory, "GRAM_CACHE_LIMIT", 16):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 def record(store, text, modality=Modality.TEXT, embedder=None):
@@ -204,6 +287,80 @@ class TestRetrieval:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             MemoryStore().retrieve_relevant(HashingEmbedder().embed("q"), Modality.TEXT, k=0)
+
+
+def filled_store(n, seed, **store_kwargs):
+    store = MemoryStore(**store_kwargs)
+    embedder = HashingEmbedder()
+    rng = random.Random(seed)
+    words = "alpha beta gamma delta epsilon zeta eta theta".split()
+    for _ in range(n):
+        record(store, " ".join(rng.choices(words, k=rng.randint(1, 5))),
+               rng.choice(list(Modality)), embedder)
+    return store
+
+
+def assert_matches_oracle(store, after_turn=0):
+    embedder = HashingEmbedder()
+    for text in ("gamma delta", "alpha", "zeta eta theta", "unrelated words"):
+        query = embedder.embed(text)
+        for modality in Modality:
+            for k in (1, 6, 40):
+                got = store.retrieve_relevant(query, modality, k=k)
+                assert got == brute_force_topk(
+                    store, query, modality, k, store.turn_count + 1, after_turn
+                ), (text, modality, k)
+
+
+class TestRetrievalPrefilter:
+    def test_exact_ties_rank_newest_first(self):
+        store = MemoryStore(decay_rates={m: 0.0 for m in Modality})
+        vec = HashingEmbedder().embed("the same words")
+        for i in range(20):
+            store.store(MemoryRecord(f"m{i:06d}", "the same words", Modality.TEXT, vec, i + 1))
+        result = store.retrieve_relevant(vec, Modality.TEXT, k=6)
+        assert [r.turn_index for r in result] == [20, 19, 18, 17, 16, 15]
+        assert result == brute_force_topk(store, vec, Modality.TEXT, 6, 21)
+
+    def test_compression_cutoff_masks_rows(self):
+        store = filled_store(70, seed=1)
+        store.maybe_compress(force=True)
+        cutoff = store.compressed.source_end_turn
+        assert cutoff == 70
+        for _ in range(30):
+            record(store, "gamma after the summary", Modality.TEXT)
+        record(store, "alpha beta", Modality.IMAGE)
+        assert_matches_oracle(store, after_turn=cutoff)
+        assert all(r.turn_index > cutoff for r in store.retrieve_relevant(
+            HashingEmbedder().embed("alpha"), Modality.TEXT, k=40))
+
+    def test_load_memory_round_trip(self, tmp_path):
+        store = filled_store(60, seed=2)
+        store.maybe_compress(force=True)
+        for i in range(50):
+            record(store, f"delta {i} epsilon", list(Modality)[i % len(Modality)])
+        path = str(tmp_path / "session.memory.json")
+        save_memory(store, path)
+        loaded = load_memory(path)
+        assert_matches_oracle(loaded, after_turn=loaded.compressed.source_end_turn)
+        query = HashingEmbedder().embed("delta epsilon")
+        assert [r.record_id for r in loaded.retrieve_relevant(query, Modality.AUDIO)] == [
+            r.record_id for r in store.retrieve_relevant(query, Modality.AUDIO)]
+
+    def test_decay_table_replaced_after_storing(self):
+        store = filled_store(120, seed=3)
+        query = HashingEmbedder().embed("beta")
+        before = store.retrieve_relevant(query, Modality.TEXT, k=6)
+        store.decay_rates = {m: (2.0 if m == Modality.TEXT else 0.001) for m in Modality}
+        after = store.retrieve_relevant(query, Modality.TEXT, k=6)
+        assert after != before
+        assert_matches_oracle(store)
+
+    def test_modality_missing_from_decay_table_raises_as_before(self):
+        store = filled_store(30, seed=4)
+        store.decay_rates = {Modality.TEXT: 0.15}
+        with pytest.raises(KeyError):
+            store.retrieve_relevant(HashingEmbedder().embed("beta"), Modality.TEXT, k=6)
 
 
 class TestContextIntegration:

@@ -2,10 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import threading
+import time
+
 import pytest
 
 from supervisord.errors import DuplicateTool, InvalidSpec, NoCapableTool, UnknownTool
-from supervisord.state import CostKnob, Modality, Money, QueryState, SessionMeta, Attachment
+from supervisord.state import (
+    Attachment,
+    ContextBundle,
+    ContextSegment,
+    CostKnob,
+    Modality,
+    Money,
+    QueryState,
+    SessionMeta,
+)
 from supervisord.tools import (
     LatencyPrior,
     Requirement,
@@ -53,6 +67,15 @@ class TestRegistration:
         registry = ToolRegistry()
         with pytest.raises(InvalidSpec):
             registry.register_tool(spec("weird", preconditions=("sentient()",)))
+
+    @pytest.mark.parametrize("predicate", [
+        "has_attachment(foo)", "has_attachment", "always(text)",
+    ])
+    def test_malformed_predicate_rejected(self, predicate):
+        registry = ToolRegistry()
+        with pytest.raises(InvalidSpec):
+            registry.register_tool(spec("weird", preconditions=(predicate,)))
+        assert len(registry) == 0
 
     def test_unknown_tool_lookup(self):
         registry = ToolRegistry()
@@ -131,6 +154,103 @@ class TestMatching:
             Requirement(output_tags=frozenset({"answer_text"}), tier=CostKnob.CLOSED_SRC)
         )
         assert [registry.get(t).name for t in matched] == ["llm-strong-invoke"]
+
+
+def query_state(attachments=(), context=()):
+    return QueryState(
+        user_query="x",
+        cost_knob=CostKnob.TRAD_COUPLET,
+        session=SessionMeta("0-" + "00" * 8, 0),
+        attachments=[Attachment("path", f"f{i}", detected_modality=m)
+                     for i, m in enumerate(attachments)],
+        context=ContextBundle(segments=tuple(context)),
+    )
+
+
+class TestMatchMemo:
+    def test_faster_tool_registered_after_a_match_ranks_first(self):
+        registry = ToolRegistry()
+        registry.register_tool(spec("slow", latency=(1000, 2000)))
+        requirement = Requirement(output_tags=frozenset({"detections"}))
+        assert [registry.get(t).name for t in registry.match_tools(requirement)] == ["slow"]
+        registry.register_tool(spec("fast", latency=(100, 200)))
+        names = [registry.get(t).name for t in registry.match_tools(requirement)]
+        assert names == ["fast", "slow"]
+
+    def test_same_requirement_keys_follow_each_state(self):
+        registry = ToolRegistry()
+        registry.register_tool(spec("ctx", latency=(100, 200), preconditions=("has_context",)))
+        registry.register_tool(spec("plain", latency=(500, 600)))
+        registry.register_tool(spec("needs-audio", latency=(50, 60),
+                                    preconditions=("has_attachment(audio)",)))
+        tags = frozenset({"detections"})
+        bare = Requirement(output_tags=tags, state=query_state())
+        rich = Requirement(output_tags=tags, state=query_state(
+            attachments=[Modality.AUDIO], context=[ContextSegment("short", 0.6, "earlier")]))
+        for _ in range(2):  # the second round is served from the memo
+            assert [registry.get(t).name for t in registry.match_tools(bare)] == ["plain"]
+            assert [registry.get(t).name for t in registry.match_tools(rich)] == [
+                "needs-audio", "ctx", "plain"]
+            assert [registry.get(t).name for t in registry.match_tools(
+                Requirement(output_tags=tags))] == ["needs-audio", "ctx", "plain"]
+
+    def test_exclude_is_honoured_on_every_call(self):
+        registry = ToolRegistry()
+        ids = {name: registry.register_tool(spec(name, latency=latency))
+               for name, latency in (("a", (100, 100)), ("b", (200, 200)), ("c", (300, 300)))}
+        requirement = Requirement()
+        assert registry.match_tools(requirement) == [ids["a"], ids["b"], ids["c"]]
+        assert registry.match_tools(requirement, exclude=[ids["a"]]) == [ids["b"], ids["c"]]
+        assert registry.match_tools(requirement, exclude={ids["b"]}) == [ids["a"], ids["c"]]
+        with pytest.raises(NoCapableTool):
+            registry.match_tools(requirement, exclude=ids.values())
+        assert registry.match_tools(requirement) == [ids["a"], ids["b"], ids["c"]]
+
+    def test_matching_while_registering_sees_every_tool(self):
+        @dataclasses.dataclass(frozen=True)
+        class SlowPrior(LatencyPrior):  # widens the window between ranking and memoizing
+            def mean_ms(self):
+                time.sleep(0.0002)
+                return super().mean_ms()
+
+        registry = ToolRegistry()
+        requirement = Requirement(output_tags=frozenset({"detections"}))
+        stop = threading.Event()
+        unsorted, counts, crashed = [], [], []
+
+        def match_until_stopped():
+            while not stop.is_set():
+                try:
+                    ranked = registry.match_tools(requirement)
+                except NoCapableTool:
+                    continue
+                except Exception as exc:  # reported by the assertion below
+                    crashed.append(exc)
+                    return
+                keys = [(registry.get(t).latency_prior.mean_ms(), registry.get(t).name)
+                        for t in ranked]
+                if keys != sorted(keys):
+                    unsorted.append(keys)
+
+        threads = [threading.Thread(target=match_until_stopped) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for i in range(40):
+                registry.register_tool(dataclasses.replace(
+                    spec(f"tool{i:02d}"), latency_prior=SlowPrior(100 + (37 * i) % 500, 700)))
+                counts.append(len(registry.match_tools(requirement)))
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert crashed == [] and unsorted == []
+        assert counts == list(range(1, 41))  # no stale memo survives a registration
+        assert len(registry.match_tools(requirement)) == 40
 
 
 class TestLatencySampling:
