@@ -5,7 +5,7 @@ Config precedence: flags > environment (SUPERVISORD_*) > config file > defaults.
 Stable exit codes: 2 workload spec violation, bad config file (unreadable,
 not a JSON object, an unknown key or a value of the wrong type) or an
 unreadable input (tool or model catalog, flag rules, fixtures, workload file,
-budget amount), 3 unknown session, 4 corrupt state or memory file,
+budget amount), 3 unknown session, 4 corrupt state, memory or trace file,
 11 unplannable query, 12 budget exceeded, 20 clarification required in
 non-interactive mode.
 """
@@ -26,10 +26,10 @@ from .engine import (
     append_trace_rows,
     load_session_memory,
     load_state_file,
+    load_trace_rows,
     save_session_memory,
     save_state_file,
     state_path,
-    trace_path,
 )
 from .errors import (
     BudgetExceeded,
@@ -411,14 +411,10 @@ def cmd_inspect(args) -> int:
     try:
         state = load_state_file(cfg.store_root, sid)
         memory = load_session_memory(cfg.store_root, sid)
+        rows = load_trace_rows(cfg.store_root, sid)
     except CorruptState as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CORRUPT_STATE
-    trace_file = trace_path(cfg.store_root, sid)
-    rows = []
-    if os.path.exists(trace_file):
-        with open(trace_file, "r", encoding="utf-8") as fh:
-            rows = [json.loads(line) for line in fh if line.strip()]
     if args.json:
         print(json.dumps({
             "state": {

@@ -24,7 +24,7 @@ from .decomposition import (
     detect_modality,
     reconcile_flag,
 )
-from .errors import AmbiguousIntent, NodeFailure, PipelineFailed
+from .errors import AmbiguousIntent, CorruptState, NodeFailure, PipelineFailed
 from .memory import (
     HashingEmbedder,
     MemoryStore,
@@ -65,6 +65,7 @@ from .state import (
     SessionMeta,
     Subflag,
     new_session,
+    parse_jsonl,
     serialize_state,
     deserialize_state,
 )
@@ -587,12 +588,38 @@ def load_state_file(store_root: str, session_id: str) -> QueryState:
 
 
 def append_trace_rows(store_root: str, session_id: str, rows: list[TraceRow]) -> str:
+    """Append one JSON line per row.
+
+    An unterminated last line, left by an interrupted append, is cut off
+    first: readers drop it, and the new rows must not run on from it.
+    """
     os.makedirs(store_root, exist_ok=True)
     path = trace_path(store_root, session_id)
-    with open(path, "a", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")
+    data = "".join(json.dumps(row.to_json_dict(), sort_keys=True) + "\n" for row in rows)
+    with open(path, "a+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                fh.seek(0)
+                fh.truncate(fh.read().rfind(b"\n") + 1)
+        fh.write(data.encode("utf-8"))
     return path
+
+
+def load_trace_rows(store_root: str, session_id: str) -> list[dict]:
+    """The session's trace rows; none if it has no trace log yet."""
+    path = trace_path(store_root, session_id)
+    if not os.path.exists(path):
+        return []
+    with open(path, "rb") as fh:
+        data = fh.read()
+    source = f"malformed trace file {path}"
+    rows = parse_jsonl(data, source)
+    for number, row in enumerate(rows, 1):
+        if not isinstance(row, dict) or not {"ts", "event", "node_id", "tool"} <= row.keys():
+            raise CorruptState(f"{source}: line {number} is not a trace row")
+    return rows
 
 
 def load_session_memory(store_root: str, session_id: str, **kwargs) -> MemoryStore:

@@ -16,13 +16,13 @@ import math
 import os
 import threading
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import CorruptState, DimensionMismatch, EmbeddingUnavailable
-from .state import ContextBundle, ContextSegment, Modality
+from .state import ContextBundle, ContextSegment, Modality, parse_jsonl
 
 DEFAULT_EMBEDDING_DIM = 64
 DEFAULT_TOP_K = 6
@@ -133,7 +133,7 @@ def embed(content: str, embedder) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MemoryRecord:
-    """One stored turn; frozen, so the JSON `save_memory` caches for it stays exact."""
+    """One stored turn; frozen, so its journal line, written once, stays exact."""
 
     record_id: str
     content: str
@@ -198,7 +198,7 @@ class MemoryStore:
         self.relevant_cache: list[MemoryRecord] = []
         self.compressed: Optional[CompressedSummary] = None
         self._write_lock = threading.Lock()
-        self._encoded_records: list[str] = []  # JSON of full_history[:len], see save_memory
+        self._journal_mark: Optional[tuple] = None  # what save_memory last wrote, and where
         self._retrievable_tokens = 0  # whitespace tokens of _retrievable(), see maybe_compress
         # Rows parallel to full_history, grown by doubling; see retrieve_relevant.
         self._embeddings = np.zeros((16, dimension), dtype=np.float64)
@@ -406,6 +406,9 @@ def extractive_compressor(text: str) -> str:
 
 # --- persistence ---------------------------------------------------------------
 
+JOURNAL_FORMAT = "supervisord-memory-journal"
+JOURNAL_VERSION = 1
+
 
 def memory_path(store_root: str, session_id: str) -> str:
     return os.path.join(store_root, f"{session_id}.memory.json")
@@ -425,50 +428,110 @@ def _encode_record(r: MemoryRecord) -> str:
     )
 
 
-def save_memory(store: MemoryStore, path: str) -> None:
-    """Write the store as one line of sorted-key JSON, then rename it into place.
+def _file_identity(path: str) -> Optional[tuple[int, int, int]]:
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_dev, st.st_ino, st.st_size
 
-    Only records appended since the previous save are encoded; the file bytes
-    equal `json.dump` of the whole payload with `sort_keys=True`.
+
+def save_memory(store: MemoryStore, path: str) -> None:
+    """Persist the store at `path` as a JSON Lines journal.
+
+    If `path` is still the file this store last wrote, the records stored
+    since then, and the summary if it changed, are appended to it. Otherwise
+    (a first save, another path, a file removed or replaced since, the first
+    save after `load_memory`) the whole journal is written to `path.tmp` and
+    renamed into place.
     """
-    encoded = store._encoded_records
-    encoded.extend(_encode_record(r) for r in store.full_history[len(encoded):])
-    compressed = json.dumps(asdict(store.compressed) if store.compressed else None, sort_keys=True)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(
-            f'{{"compressed": {compressed}, "dimension": {json.dumps(store.dimension)}, '
-            f'"records": [{", ".join(encoded)}]}}'
-        )
-    os.replace(tmp, path)
+    with store._write_lock:
+        records, compressed = store.full_history, store.compressed
+        # (path, (device, inode, size), records written, summary written)
+        mark = store._journal_mark
+        append = mark is not None and mark[0] == path and _file_identity(path) == mark[1]
+        if append:
+            _, (device, inode, size), start, written_summary = mark
+            lines = []
+        else:
+            start, written_summary = 0, None
+            header = {"dimension": store.dimension, "format": JOURNAL_FORMAT,
+                      "version": JOURNAL_VERSION}
+            lines = [json.dumps(header, sort_keys=True) + "\n"]
+        lines.extend(_encode_record(r) + "\n" for r in records[start:])
+        if compressed != written_summary:
+            summary = asdict(compressed) if compressed else None
+            lines.append(json.dumps({"compressed": summary}, sort_keys=True) + "\n")
+        data = "".join(lines).encode("utf-8")
+        if append:
+            if data:
+                with open(path, "ab") as fh:
+                    fh.write(data)
+            identity = (device, inode, size + len(data))
+        else:
+            tmp = f"{path}.tmp"
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+                st = os.fstat(fh.fileno())
+            os.replace(tmp, path)
+            identity = (st.st_dev, st.st_ino, len(data))
+        summary_copy = replace(compressed) if compressed else None
+        store._journal_mark = (path, identity, len(records), summary_copy)
+
+
+def _decode_record(obj: dict) -> MemoryRecord:
+    return MemoryRecord(
+        record_id=obj["record_id"],
+        content=obj["content"],
+        modality=Modality(obj["modality"]),
+        embedding=np.asarray(obj["embedding"], dtype=np.float64),
+        turn_index=int(obj["turn_index"]),
+        created_at_ms=int(obj["created_at_ms"]),
+    )
+
+
+def _journal_header(line: bytes) -> Optional[dict]:
+    try:
+        header = json.loads(line)
+    except ValueError:
+        return None
+    return header if isinstance(header, dict) and header.get("format") == JOURNAL_FORMAT else None
 
 
 def load_memory(path: str, **store_kwargs) -> MemoryStore:
-    """Rehydrate a store from disk. Keys other than dimension, records and
-    compressed, such as the index choice older files recorded, are ignored.
+    """Rehydrate a store from a journal or from an older one-line file.
 
-    A file that is not valid JSON, lacks a key or holds a record whose
-    embedding does not match its dimension raises `CorruptState`.
+    A journal's unterminated last line is an interrupted append and is
+    dropped. The last `compressed` line wins. One-line files may carry keys
+    other than dimension, records and compressed, such as the index choice
+    older files recorded; they are ignored. Any other defect (invalid JSON, a
+    missing key, an unknown modality, an embedding that does not match the
+    dimension) raises `CorruptState`. The store's next save rewrites the file
+    as a compact journal.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    source = f"malformed memory file {path}"
     try:
-        payload = json.loads(text)
-        dimension = int(payload["dimension"])
+        first, newline, _ = data.partition(b"\n")
+        header = _journal_header(first) if newline else None
+        if header is None:  # the one-line layout of earlier versions
+            payload = json.loads(data)
+            dimension, objects = payload["dimension"], payload["records"]
+            comp = payload.get("compressed")
+        else:
+            if header.get("version") != JOURNAL_VERSION:
+                raise ValueError(f"unsupported journal version {header.get('version')!r}")
+            dimension, objects, comp = header["dimension"], [], None
+            for obj in parse_jsonl(data, source)[1:]:
+                if "compressed" in obj:
+                    comp = obj["compressed"]
+                else:
+                    objects.append(obj)
+        dimension = int(dimension)
         if dimension < 1:
             raise ValueError(f"dimension {dimension} is not positive")
-        records = [
-            MemoryRecord(
-                record_id=obj["record_id"],
-                content=obj["content"],
-                modality=Modality(obj["modality"]),
-                embedding=np.asarray(obj["embedding"], dtype=np.float64),
-                turn_index=int(obj["turn_index"]),
-                created_at_ms=int(obj["created_at_ms"]),
-            )
-            for obj in payload["records"]
-        ]
-        comp = payload.get("compressed")
+        records = [_decode_record(obj) for obj in objects]
         compressed = CompressedSummary(
             text=comp["text"],
             source_start_turn=int(comp["source_start_turn"]),
@@ -476,13 +539,13 @@ def load_memory(path: str, **store_kwargs) -> MemoryStore:
             ratio=float(comp["ratio"]),
         ) if comp else None
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
-        raise CorruptState(f"malformed memory file {path}: {exc}") from exc
+        raise CorruptState(f"{source}: {exc}") from exc
     store = MemoryStore(dimension=dimension, **store_kwargs)
     try:
         for record in records:
             store.store(record)
     except DimensionMismatch as exc:
-        raise CorruptState(f"malformed memory file {path}: {exc}") from exc
+        raise CorruptState(f"{source}: {exc}") from exc
     if compressed:
         store.compressed = compressed
         store._recount_retrievable_tokens()

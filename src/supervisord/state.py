@@ -357,6 +357,24 @@ def deserialize_state(data: bytes) -> QueryState:
     return state
 
 
+def parse_jsonl(data: bytes, source: str) -> list:
+    """The JSON values of a JSON Lines file, one per newline-terminated line.
+
+    Files in this format grow by appends, so an unterminated final line is an
+    append that was interrupted and is dropped. A terminated line that is not
+    JSON raises `CorruptState` as `<source>: line <n>: ...`.
+    """
+    lines = data.split(b"\n")
+    lines.pop()  # empty after a final newline, else the torn tail
+    values = []
+    for number, line in enumerate(lines, 1):
+        try:
+            values.append(json.loads(line))
+        except ValueError as exc:
+            raise CorruptState(f"{source}: line {number}: {exc}") from exc
+    return values
+
+
 __all__ = [
     "Attachment",
     "ContextBundle",
@@ -373,6 +391,7 @@ __all__ = [
     "deserialize_state",
     "money_div_rounded",
     "new_session",
+    "parse_jsonl",
     "serialize_state",
     "state_from_json_dict",
     "state_to_json_dict",

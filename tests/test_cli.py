@@ -99,18 +99,43 @@ class TestInspect:
         assert run_cli("inspect", sid) == EXIT_CORRUPT_STATE
 
 
+def legacy_memory_text(journal_text):
+    """A journal's store in the one-line layout that earlier versions wrote."""
+    header, *lines = [json.loads(line) for line in journal_text.splitlines()]
+    summaries = [None] + [obj["compressed"] for obj in lines if "compressed" in obj]
+    records = [obj for obj in lines if "compressed" not in obj]
+    doc = {"compressed": summaries[-1], "dimension": header["dimension"], "records": records}
+    return json.dumps(doc, sort_keys=True)
+
+
 def corrupt_memory(path, how):
     text = path.read_text()
-    if how == "dimension":
-        doc = json.loads(text)
-        doc["dimension"] = 32  # the records hold 64-wide embeddings
+    lines = text.splitlines(keepends=True)
+    if how == "dimension":  # the records hold 64-wide embeddings
+        doc = json.loads(legacy_memory_text(text))
+        doc["dimension"] = 32
         path.write_text(json.dumps(doc, sort_keys=True))
-    else:
-        path.write_text(text[: len(text) // 2])
+    elif how == "truncated":
+        legacy = legacy_memory_text(text)
+        path.write_text(legacy[: len(legacy) // 2])
+    elif how == "journal-dimension":
+        path.write_text(text.replace('"dimension": 64', '"dimension": 32', 1))
+    elif how == "journal-header-cut":
+        path.write_text(lines[0][:30])
+    else:  # a complete record line that is not JSON
+        path.write_text(lines[0] + lines[1][:40] + "\n" + "".join(lines[2:]))
+
+
+def session_with_turns(monkeypatch, capsys, *turns):
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{t}\n" for t in turns)))
+    assert run_cli("session") == 0
+    return capsys.readouterr().out.split()[1]
 
 
 class TestCorruptMemory:
-    @pytest.mark.parametrize("how", ["dimension", "truncated"])
+    @pytest.mark.parametrize("how", [
+        "dimension", "truncated", "journal-dimension", "journal-header-cut", "journal-bad-line",
+    ])
     @pytest.mark.parametrize("command", ["inspect", "session"])
     def test_exits_4_without_traceback(self, store, capsys, monkeypatch, command, how):
         run_cli("--json", "run", "hello there")
@@ -121,6 +146,50 @@ class TestCorruptMemory:
         assert run_cli(*argv) == EXIT_CORRUPT_STATE
         err = capsys.readouterr().err
         assert err.startswith("error: malformed memory file ")
+        assert "Traceback" not in err
+
+    def test_torn_tail_resumes_without_the_torn_turn(self, store, capsys, monkeypatch):
+        sid = session_with_turns(monkeypatch, capsys, "hello there", "what is the capital of france")
+        path = store / f"{sid}.memory.json"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 25])  # inside the second record's line
+        monkeypatch.setattr("sys.stdin", io.StringIO(":memory\nhello again\n:quit\n"))
+        assert run_cli("session", "--session", sid) == 0
+        out = capsys.readouterr().out
+        assert "short-term window (1 of last 1 turns)" in out
+        lines = path.read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        assert [json.loads(line).get("record_id") for line in lines[:-1]] == [
+            None, "m000000", "m000001"]
+        assert json.loads(lines[2])["content"].startswith("Q: hello again")
+
+
+class TestCorruptTrace:
+    def test_torn_tail_is_dropped_and_the_next_turn_appends(self, store, capsys, monkeypatch):
+        sid = session_with_turns(monkeypatch, capsys, "hello there")
+        path = store / f"{sid}.trace.jsonl"
+        path.write_bytes(path.read_bytes()[:50])
+        assert run_cli("inspect", sid) == 0
+        captured = capsys.readouterr()
+        assert "trace timeline (0 events):" in captured.out
+        assert "Traceback" not in captured.err
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello again\n:quit\n"))
+        assert run_cli("session", "--session", sid) == 0
+        capsys.readouterr()
+        assert run_cli("--json", "inspect", sid) == 0
+        rows = json.loads(capsys.readouterr().out)["trace"]
+        assert rows and path.read_bytes().count(b"\n") == len(rows)
+
+    def test_garbage_line_exits_4_without_traceback(self, store, capsys, monkeypatch):
+        sid = session_with_turns(monkeypatch, capsys, "hello there")
+        path = store / f"{sid}.trace.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) >= 3
+        lines[1] = "not json at all\n"
+        path.write_text("".join(lines))
+        assert run_cli("inspect", sid) == EXIT_CORRUPT_STATE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed trace file {path}: line 2: ")
         assert "Traceback" not in err
 
 

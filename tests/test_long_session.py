@@ -1,4 +1,4 @@
-"""A 250-turn session, persisted every turn, pinned to its answers and memory file.
+"""A 250-turn session, persisted every turn, pinned to its answers and memory journal.
 
 The inputs are the benchmark's session-long workload at seed 1, taken from
 `perfbench/workloads.py` (imported, not changed). Memory compresses once, near
@@ -9,15 +9,20 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from supervisord import engine, errors, memory, routing, state
 
 ROOT = Path(__file__).resolve().parent.parent
 
 ANSWERS_SHA256 = "5264b9b9ab20ea700d2d0114e1a22e0b8ce67bf45b66ff1bf69a402790df6292"
-MEMORY_FILE_SHA256 = "d77617aa51d2592b9d2db0a4596a27e2efe54c4d68f39fccf7ca9098f7cb43cf"
+# The same store written in the one-line layout of earlier versions.
+LEGACY_MEMORY_FILE_SHA256 = "d77617aa51d2592b9d2db0a4596a27e2efe54c4d68f39fccf7ca9098f7cb43cf"
+MEMORY_FILE_SHA256 = "2551a4e40a798686899d93612fdb28e96c615d8533a830e8d1cda6f9e5cd4300"
 
 
 def load_workloads():
@@ -62,6 +67,20 @@ def test_seed_1_session_long_answers_and_memory_file(tmp_path):
     assert digest == ANSWERS_SHA256
     memory_file = Path(memory.memory_path(store_root, session_id)).read_bytes()
     assert hashlib.sha256(memory_file).hexdigest() == MEMORY_FILE_SHA256
+    header, *lines = [json.loads(line) for line in memory_file.splitlines()]
+    legacy = {
+        "compressed": [obj["compressed"] for obj in lines if "compressed" in obj][-1],
+        "dimension": header["dimension"],
+        "records": [obj for obj in lines if "compressed" not in obj],
+    }
+    legacy_bytes = json.dumps(legacy, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(legacy_bytes).hexdigest() == LEGACY_MEMORY_FILE_SHA256
     restored = memory.load_memory(memory.memory_path(store_root, session_id))
     assert restored.turn_count == store.turn_count
-    assert restored.compressed.text == store.compressed.text
+    assert restored.compressed == store.compressed
+    for got, expected in zip(restored.full_history, store.full_history):
+        assert (got.record_id, got.content, got.modality, got.turn_index, got.created_at_ms) == (
+            expected.record_id, expected.content, expected.modality, expected.turn_index,
+            expected.created_at_ms)
+        assert np.array_equal(got.embedding, expected.embedding)
+    assert restored._retrievable_tokens == store._retrievable_tokens

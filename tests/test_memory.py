@@ -6,8 +6,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
 import sys
+import tempfile
 import threading
 from unittest import mock
 
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supervisord import memory
-from supervisord.errors import DimensionMismatch, EmbeddingUnavailable
+from supervisord.errors import CorruptState, DimensionMismatch, EmbeddingUnavailable
 from supervisord.memory import (
     COMPRESSION_TRIGGER_TOKENS,
     CompressedSummary,
@@ -463,7 +465,7 @@ class TestCompression:
 
 
 def reference_memory_bytes(store, tmp_path):
-    """The whole-payload `json.dump` writer that the incremental save must match."""
+    """The one-line file earlier versions wrote: `json.dump` of the whole payload."""
     payload = {
         "dimension": store.dimension,
         "records": [
@@ -494,39 +496,82 @@ def reference_memory_bytes(store, tmp_path):
     return path.read_bytes()
 
 
-class TestPersistence:
-    def test_file_bytes_match_whole_payload_encoder(self, tmp_path):
-        store = MemoryStore()
-        embedder = HashingEmbedder()
-        modalities = list(Modality)
-        contents = [
-            "plain note {i}",
-            'she said "ship it" on turn {i}',
-            "caf\u00e9 r\u00e9sum\u00e9 na\u00efve {i} \u2014 \u65e5\u672c\u8a9e",
-            "emoji \U0001F600 and a backslash \\ {i}",
-            "tab\tnewline\nquote' {i}",
-        ]
-        path = tmp_path / "session.memory.json"
-        save_memory(store, str(path))
-        assert path.read_bytes() == reference_memory_bytes(store, tmp_path)
-        for i in range(30):
-            text = contents[i % len(contents)].format(i=i)
-            store.add_turn(text, modalities[i % len(modalities)], embedder, created_at_ms=37 * i)
-            if i == 14:
-                store.maybe_compress(force=True)
-                assert store.compressed is not None
-            save_memory(store, str(path))
-            assert path.read_bytes() == reference_memory_bytes(store, tmp_path), i
-        written = path.read_bytes()
-        assert b"\n" not in written  # one line, no trailing newline
+def assert_same_store(got, expected):
+    """Everything a store holds, compared field by field, plus retrieval."""
+    assert got.dimension == expected.dimension
+    assert len(got.full_history) == len(expected.full_history)
+    for a, b in zip(got.full_history, expected.full_history):
+        assert (a.record_id, a.content, a.modality, a.turn_index, a.created_at_ms) == (
+            b.record_id, b.content, b.modality, b.turn_index, b.created_at_ms)
+        assert np.array_equal(a.embedding, b.embedding)
+    assert got.compressed == expected.compressed
+    assert [r.record_id for r in got.short_term] == [r.record_id for r in expected.short_term]
+    assert got._retrievable_tokens == expected._retrievable_tokens
+    embedder = HashingEmbedder(dimension=expected.dimension)
+    for text in ("note", "she said ship it", "café \U0001F600"):
+        query = embedder.embed(text)
+        for modality in (Modality.TEXT, Modality.VIDEO):
+            assert [r.record_id for r in got.retrieve_relevant(query, modality, k=4)] == [
+                r.record_id for r in expected.retrieve_relevant(query, modality, k=4)]
 
+
+def journal_lines(path):
+    return path.read_bytes().split(b"\n")
+
+
+def record_line(r):
+    return (memory._encode_record(r) + "\n").encode()
+
+
+def compressed_line(compressed):
+    return (json.dumps({"compressed": dataclasses.asdict(compressed)}, sort_keys=True)
+            + "\n").encode()
+
+
+VARIED_CONTENTS = [
+    "plain note {i}",
+    'she said "ship it" on turn {i}',
+    "café résumé naïve {i} — 日本語",
+    "emoji \U0001F600 and a backslash \\ {i}",
+    "tab\tnewline\nquote' {i}",
+]
+
+
+def varied_store(turns, compress_at=None, dimension=64):
+    store = MemoryStore(dimension=dimension)
+    embedder = HashingEmbedder(dimension=dimension)
+    modalities = list(Modality)
+    for i in range(turns):
+        text = VARIED_CONTENTS[i % len(VARIED_CONTENTS)].format(i=i)
+        store.add_turn(text, modalities[i % len(modalities)], embedder, created_at_ms=37 * i)
+        if i == compress_at:
+            store.maybe_compress(force=True)
+    return store
+
+
+class TestPersistence:
+    def test_legacy_file_loads_and_first_save_migrates(self, tmp_path):
+        store = varied_store(30, compress_at=14)
+        assert store.compressed is not None
+        path = tmp_path / "session.memory.json"
+        path.write_bytes(reference_memory_bytes(store, tmp_path))
         loaded = load_memory(str(path))
-        resaved = tmp_path / "resaved.memory.json"
-        save_memory(loaded, str(resaved))
-        assert resaved.read_bytes() == written
-        loaded.add_turn("after reload", Modality.AUDIO, embedder)
-        save_memory(loaded, str(resaved))
-        assert resaved.read_bytes() == reference_memory_bytes(loaded, tmp_path)
+        assert_same_store(loaded, store)
+
+        save_memory(loaded, str(path))  # the first save after a load rewrites
+        lines = journal_lines(path)
+        assert json.loads(lines[0]) == {
+            "dimension": 64, "format": "supervisord-memory-journal", "version": 1}
+        assert lines[1:-2] == [record_line(r)[:-1] for r in store.full_history]
+        assert lines[-2] == compressed_line(store.compressed)[:-1]
+        assert lines[-1] == b""
+        assert_same_store(load_memory(str(path)), store)
+
+        before = path.read_bytes()
+        added = loaded.add_turn("after migrating", Modality.AUDIO, HashingEmbedder())
+        save_memory(loaded, str(path))
+        assert path.read_bytes() == before + record_line(added)
+        assert_same_store(load_memory(str(path)), loaded)
 
     def test_stored_records_are_frozen(self):
         store = MemoryStore()
@@ -602,6 +647,140 @@ class TestPersistence:
 
         resaved = tmp_path / "new.memory.json"
         save_memory(loaded, str(resaved))
-        assert set(json.loads(resaved.read_text(encoding="utf-8"))) == {
-            "dimension", "records", "compressed",
-        }
+        header = json.loads(journal_lines(resaved)[0])
+        assert header == {"dimension": 8, "format": "supervisord-memory-journal", "version": 1}
+        assert b"index_kind" not in resaved.read_bytes()
+        assert_same_store(load_memory(str(resaved), weights=weights), loaded)
+
+
+_contents = st.one_of(
+    st.sampled_from(['"quoted"', "two\nlines", "café", "\U0001F600 astral", "", "  "]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=24),
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _contents, st.sampled_from(list(Modality))),
+        st.tuples(st.just("compress"), st.booleans()),
+        st.tuples(st.just("save")),
+        st.tuples(st.just("reload")),
+    ),
+    max_size=30,
+)
+
+
+class TestJournal:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_ops)
+    def test_load_equals_store_after_every_save(self, ops):
+        embedder = HashingEmbedder(dimension=8)
+        store = MemoryStore(dimension=8)
+        with tempfile.TemporaryDirectory() as root:
+            path = f"{root}/s.memory.json"
+            for op in ops + [("save",)]:
+                if op[0] == "add":
+                    store.add_turn(op[1], op[2], embedder, created_at_ms=store.turn_count * 7)
+                elif op[0] == "compress":
+                    store.maybe_compress(force=op[1])
+                elif op[0] == "reload" and os.path.exists(path):
+                    store = load_memory(path)  # unsaved turns are dropped; go on from here
+                else:
+                    save_memory(store, path)
+                    assert_same_store(load_memory(path), store)
+
+    def test_save_appends_the_new_turn_only(self, tmp_path):
+        store = varied_store(3)
+        path = tmp_path / "s.memory.json"
+        save_memory(store, str(path))
+        inode = os.stat(path).st_ino
+        embedder = HashingEmbedder()
+        for i in range(12):
+            before = path.read_bytes()
+            added = store.add_turn(VARIED_CONTENTS[i % 5].format(i=i), Modality.TEXT, embedder)
+            expected = before + record_line(added)
+            if i in (4, 9):
+                store.maybe_compress(force=True)
+                expected += compressed_line(store.compressed)
+            save_memory(store, str(path))
+            assert path.read_bytes() == expected, i
+            assert os.stat(path).st_ino == inode  # appended in place, not renamed over
+        before = path.read_bytes()
+        save_memory(store, str(path))  # nothing new: nothing written
+        assert path.read_bytes() == before
+        assert_same_store(load_memory(str(path)), store)
+
+    @pytest.mark.parametrize("last", ["record", "compressed"])
+    def test_torn_tail_loses_only_the_last_line(self, tmp_path, last):
+        store = varied_store(6, compress_at=2, dimension=8)
+        path = tmp_path / "s.memory.json"
+        save_memory(store, str(path))
+        store.add_turn("the turn being saved", Modality.IMAGE, HashingEmbedder(dimension=8))
+        if last == "compressed":
+            save_memory(store, str(path))
+            store.maybe_compress(force=True)
+        earlier = load_memory(str(path))
+        save_memory(store, str(path))
+        data = path.read_bytes()
+        start = data.rstrip(b"\n").rfind(b"\n") + 1
+        assert data[start:].startswith(b'{"compressed"' if last == "compressed" else b'{"content"')
+        torn = tmp_path / "torn.memory.json"
+        for cut in range(start, len(data)):
+            torn.write_bytes(data[:cut])
+            assert_same_store(load_memory(str(torn)), earlier)
+        save_memory(load_memory(str(torn)), str(torn))  # the first save after a load rewrites
+        compact = tmp_path / "compact.memory.json"
+        save_memory(earlier, str(compact))
+        assert torn.read_bytes() == compact.read_bytes()
+        assert torn.read_bytes().endswith(b"\n")
+
+    @pytest.mark.parametrize("change", ["deleted", "replaced", "truncated", "grown"])
+    def test_file_changed_behind_the_store_is_rewritten_whole(self, tmp_path, change):
+        store = varied_store(4)
+        path = tmp_path / "s.memory.json"
+        save_memory(store, str(path))
+        clean = path.read_bytes()
+        if change == "deleted":
+            path.unlink()
+        elif change == "replaced":
+            copy = tmp_path / "copy"
+            copy.write_bytes(clean)
+            os.replace(copy, path)
+        elif change == "truncated":
+            with open(path, "r+b") as fh:
+                fh.truncate(len(clean) - 5)
+        else:
+            with open(path, "ab") as fh:
+                fh.write(b"\n")
+        inode = os.stat(path).st_ino if path.exists() else None
+        added = store.add_turn("after the change", Modality.TEXT, HashingEmbedder())
+        save_memory(store, str(path))
+        assert os.stat(path).st_ino != inode
+        assert path.read_bytes() == clean + record_line(added)
+        assert_same_store(load_memory(str(path)), store)
+
+    @pytest.mark.parametrize("defect", [
+        "header-cut", "header-dimension", "bad-line", "unknown-modality",
+        "missing-key", "bad-version",
+    ])
+    def test_defects_other_than_a_torn_tail_are_corrupt(self, tmp_path, defect):
+        store = varied_store(3)
+        path = tmp_path / "s.memory.json"
+        save_memory(store, str(path))
+        lines = path.read_bytes().split(b"\n")
+        if defect == "header-cut":
+            data = lines[0][:30]
+        else:
+            if defect == "header-dimension":
+                lines[0] = lines[0].replace(b'"dimension": 64', b'"dimension": 32')
+            elif defect == "bad-line":
+                lines[2] = lines[2][:40]
+            elif defect == "unknown-modality":
+                lines[2] = lines[2].replace(b'"modality": "image"', b'"modality": "smell"')
+            elif defect == "missing-key":
+                lines[2] = lines[2].replace(b'"turn_index"', b'"turn"')
+            else:
+                lines[0] = lines[0].replace(b'"version": 1', b'"version": 2')
+            data = b"\n".join(lines)
+        assert data != path.read_bytes()
+        path.write_bytes(data)
+        with pytest.raises(CorruptState, match="malformed memory file"):
+            load_memory(str(path))
