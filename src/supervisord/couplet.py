@@ -1,9 +1,9 @@
-"""Perceptual couplet pipeline: parse intent, execute a backend, contextualize.
+"""Perceptual couplet pipeline: parse intent, execute a backend, summarize.
 
 Specialized perception runs behind a small typed surface: a rule-based intent
 parser emits a schema-valid task, a simulated fixture backend executes it,
-and a deterministic template renders the raw payload into typed evidence
-with a natural-language summary.
+and a deterministic template renders the raw payload as a natural-language
+summary. Video detections and narration merge into one timeline.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .state import Modality
 DEFAULT_FRAME_INTERVAL_S = 1.0
 DETECT_MS_PER_FRAME = 180
 TIMELINE_OVERLAP_TOLERANCE_S = 1.0
+CONFIDENCE_RANGE = (0.85, 0.98)  # unscripted fixture confidences are drawn from here
 
 
 class TaskKind(str, Enum):
@@ -46,18 +47,6 @@ TASK_SCHEMAS: dict[TaskKind, dict[str, tuple[type, bool]]] = {
     TaskKind.GENERATE_IMAGE: {"prompt": (str, True)},
     TaskKind.PARSE_PDF: {},
 }
-
-# Payload key that must be present for each task kind.
-KIND_PAYLOAD_KEYS: dict[TaskKind, str] = {
-    TaskKind.DETECT_OBJECTS: "detections",
-    TaskKind.EMBED_IMAGE: "image_embedding",
-    TaskKind.OCR: "text_blocks",
-    TaskKind.TRANSCRIBE: "transcript",
-    TaskKind.EXTRACT_TABLES: "tables",
-    TaskKind.GENERATE_IMAGE: "image_ref",
-    TaskKind.PARSE_PDF: "text_blocks",
-}
-
 
 @dataclass
 class PerceptualTask:
@@ -91,24 +80,6 @@ class BackendResult:
     confidence: float
     latency_ms: Optional[int] = None  # None: scheduler samples the tool prior
     tokens: int = 0
-
-
-@dataclass
-class PerceptualEvidence:
-    kind: TaskKind
-    payload: dict[str, Any]
-    summary_text: str
-    confidence: float
-    source_node_id: str = ""
-
-    def __post_init__(self):
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError("evidence confidence must lie in [0, 1]")
-        transcript = self.payload.get("transcript")
-        if transcript:
-            times = [entry["t"] for entry in transcript]
-            if any(b < a for a, b in zip(times, times[1:])):
-                raise ValueError("transcript timestamps must be nondecreasing")
 
 
 # --- intent parsing -------------------------------------------------------------
@@ -226,13 +197,8 @@ class SimulatedBackend:
     tool_failure used to script failure scenarios).
     """
 
-    def __init__(
-        self,
-        fixtures: Optional[dict[str, dict]] = None,
-        confidence_range: tuple[float, float] = (0.85, 0.98),
-    ):
+    def __init__(self, fixtures: Optional[dict[str, dict]] = None):
         self.fixtures = fixtures or {}
-        self.confidence_range = confidence_range
 
     def _confidence(self, fixture: dict, tool_name: str, task: PerceptualTask, rng: random.Random) -> float:
         refined = bool(task.parameters.get("targets")) or bool(task.parameters.get("refined"))
@@ -240,8 +206,7 @@ class SimulatedBackend:
             return float(fixture["refined_confidence"][tool_name])
         if tool_name in fixture.get("tool_confidence", {}):
             return float(fixture["tool_confidence"][tool_name])
-        low, high = self.confidence_range
-        return round(rng.uniform(low, high), 4)
+        return round(rng.uniform(*CONFIDENCE_RANGE), 4)
 
     def invoke(self, task: PerceptualTask, seed: int, tool_name: str = "") -> BackendResult:
         fixture = self.fixtures.get(task.source, {})
@@ -297,7 +262,7 @@ def execute_perceptual(
     return backend.invoke(task, seed, tool_name=tool_name)
 
 
-# --- contextualization ---------------------------------------------------------------
+# --- summaries and timelines --------------------------------------------------------
 
 
 def _fmt_ts(seconds: float) -> str:
@@ -305,20 +270,13 @@ def _fmt_ts(seconds: float) -> str:
     return f"{total // 60}:{total % 60:02d}"
 
 
-def merge_timeline(
-    detections: list[dict],
-    transcript: list[dict],
-    tolerance_s: float = TIMELINE_OVERLAP_TOLERANCE_S,
-) -> list[dict]:
+def merge_timeline(detections: list[dict], transcript: list[dict]) -> list[dict]:
     """Pair visual detections with narration words in overlapping windows."""
     entries = []
     for det in detections:
         start, end = float(det["t_start"]), float(det["t_end"])
-        mentions = [
-            w["word"]
-            for w in transcript
-            if start - tolerance_s <= float(w["t"]) <= end + tolerance_s
-        ]
+        low, high = start - TIMELINE_OVERLAP_TOLERANCE_S, end + TIMELINE_OVERLAP_TOLERANCE_S
+        mentions = [w["word"] for w in transcript if low <= float(w["t"]) <= high]
         entries.append(
             {
                 "label": det["label"],
@@ -380,34 +338,11 @@ def summarize_payload(kind: TaskKind, payload: dict, query: str) -> str:
     raise EvidenceTypeError(f"no template for kind {kind}")
 
 
-def contextualize(
-    task: PerceptualTask,
-    result: BackendResult,
-    original_query: str,
-) -> PerceptualEvidence:
-    """Turn a raw payload into typed evidence with a rendered summary."""
-    expected_key = KIND_PAYLOAD_KEYS[task.kind]
-    if expected_key not in result.payload:
-        raise EvidenceTypeError(
-            f"payload for {task.kind.value} lacks {expected_key!r}: "
-            f"{sorted(result.payload)}"
-        )
-    summary = summarize_payload(task.kind, result.payload, original_query)
-    return PerceptualEvidence(
-        kind=task.kind,
-        payload=result.payload,
-        summary_text=summary,
-        confidence=result.confidence,
-    )
-
-
 def contextualize_timeline(
-    detections: list[dict],
-    transcript: list[dict],
-    tolerance_s: float = TIMELINE_OVERLAP_TOLERANCE_S,
+    detections: list[dict], transcript: list[dict]
 ) -> tuple[list[dict], str]:
     """Merged audio/visual timeline plus its narrative summary."""
-    timeline = merge_timeline(detections, transcript, tolerance_s)
+    timeline = merge_timeline(detections, transcript)
     if not timeline:
         return timeline, "No synchronized events found."
     lines = []

@@ -44,10 +44,7 @@ from .routing import (
     token_cost,
 )
 from .scheduler import (
-    DEFAULT_CLARIFICATION_LIMIT,
-    DEFAULT_CLARIFICATION_THRESHOLD,
-    DEFAULT_FAILURE_CONFIDENCE,
-    DEFAULT_REPAIR_LIMIT,
+    CLARIFICATION_LIMIT,
     ExecutionGraph,
     GraphNode,
     NodeResult,
@@ -71,19 +68,9 @@ from .state import (
 )
 from .tools import ToolRegistry, default_registry
 
-DEFAULT_CLARIFY_USER_DELAY_MS = 12_000
+CLARIFY_USER_DELAY_MS = 12_000  # virtual time a user takes to answer a question
+ANSWER_TOKENS = 150  # tokens a model node is charged for its answer
 UNDERSPEC_MARKERS = ("the usual", "as before", "as discussed", "like last time")
-
-FLAG_BASE_SEGMENTS: dict[ExecutionFlag, str] = {
-    ExecutionFlag.AUDIO: "transcript",
-    ExecutionFlag.VIDEO: "timeline",
-    ExecutionFlag.VISION: "detections",
-    ExecutionFlag.IMAGEN: "image",
-    ExecutionFlag.DOCUMENT: "extraction",
-    ExecutionFlag.ROUTELLM: "answer",
-    ExecutionFlag.MOE: "answer",
-    ExecutionFlag.COMPLEX: "synthesis",
-}
 
 _EXPERT_SUBFLAG_ORDER = (
     Subflag.GENERAL,
@@ -99,18 +86,10 @@ class EngineConfig:
     catalog: ModelCatalog = field(default_factory=default_model_catalog)
     embedder: HashingEmbedder = field(default_factory=HashingEmbedder)
     seed: int = 0
-    win_threshold: float = 0.4
-    repair_limit: int = DEFAULT_REPAIR_LIMIT
-    clarification_limit: int = DEFAULT_CLARIFICATION_LIMIT
-    clarification_threshold: float = DEFAULT_CLARIFICATION_THRESHOLD
-    failure_confidence_threshold: float = DEFAULT_FAILURE_CONFIDENCE
     parallel_enabled: bool = True
     memory_enabled: bool = True
     repair_enabled: bool = True
-    clarify_user_delay_ms: int = DEFAULT_CLARIFY_USER_DELAY_MS
     budget_cap: Optional[Money] = None
-    moe_width: int = 3
-    answer_tokens: int = 150
     flag_rules: Optional[dict] = None
 
 
@@ -197,7 +176,7 @@ class EngineBackends:
             tokens = (
                 whitespace_tokens(self.state.user_query)
                 + self._context_tokens()
-                + self.config.answer_tokens
+                + ANSWER_TOKENS
             )
             payload = {"answer_text": text} if node.role == "model" else {
                 "synthesis": text, "answer_text": text,
@@ -285,8 +264,6 @@ class Supervisor:
         self.config = config or EngineConfig()
         self.scheduler = Scheduler(
             self.config.registry,
-            repair_limit=self.config.repair_limit,
-            failure_confidence_threshold=self.config.failure_confidence_threshold,
             repair_enabled=self.config.repair_enabled,
             parallel_enabled=self.config.parallel_enabled,
         )
@@ -373,7 +350,6 @@ class Supervisor:
         if state.flag is ExecutionFlag.ROUTELLM:
             routing_decision = route_strong_weak(
                 state.user_query,
-                threshold=config.win_threshold,
                 catalog=config.catalog,
                 tier=state.cost_knob,
             )
@@ -383,15 +359,13 @@ class Supervisor:
         # 5. Build and execute the graph with bounded clarification rounds.
         try:
             graph = build_graph(
-                state.flag, state, config.registry,
-                routing_decision=routing_decision, moe_width=config.moe_width,
+                state.flag, state, config.registry, routing_decision=routing_decision
             )
         except AmbiguousIntent as exc:
             question = f"I could not pin down the task ({exc.missing}). What exactly should I do?"
             if self._ask_user(state, question, clarifier, clock, outcome):
                 graph = build_graph(
-                    state.flag, state, config.registry,
-                    routing_decision=routing_decision, moe_width=config.moe_width,
+                    state.flag, state, config.registry, routing_decision=routing_decision
                 )
             else:
                 outcome.failed = True
@@ -403,7 +377,7 @@ class Supervisor:
             failure_rates=failure_rates, failure_seed=config.seed, query_id=query_id,
         )
         exec_outcome = None
-        for round_index in range(config.clarification_limit + 1):
+        for round_index in range(CLARIFICATION_LIMIT + 1):
             try:
                 exec_outcome = self.scheduler.execute(
                     graph, clock, backends, stable_seed(config.seed, query_seed, round_index),
@@ -418,13 +392,11 @@ class Supervisor:
                 return outcome
             outcome.trace_rows.extend(exec_outcome.trace)
             question = check_clarification(
-                exec_outcome.results,
-                config.clarification_threshold,
-                repair_attempted=bool(graph.repair_log),
+                exec_outcome.results, repair_attempted=bool(graph.repair_log)
             )
             if question is None:
                 break
-            if round_index >= config.clarification_limit:
+            if round_index >= CLARIFICATION_LIMIT:
                 outcome.best_effort = True
                 break
             answered = self._ask_user(state, question, clarifier, clock, outcome)
@@ -444,9 +416,6 @@ class Supervisor:
 
         # 7. Structural verification; failures count as internal rework.
         required = sorted({n.segment for n in graph.nodes.values() if n.segment})
-        base_segment = FLAG_BASE_SEGMENTS[state.flag]
-        if base_segment not in required and base_segment in segments:
-            required.append(base_segment)
         verdict = verify_output(segments, exec_outcome.trace, required, cited)
         outcome.verified = verdict.status
         if verdict.status == "fail":
@@ -494,7 +463,7 @@ class Supervisor:
         response = clarifier(question)
         if response is None:
             return False
-        clock.advance(self.config.clarify_user_delay_ms)
+        clock.advance(CLARIFY_USER_DELAY_MS)
         state.clarify_response = response
         return True
 

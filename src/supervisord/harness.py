@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .clock import VirtualClock
-from .couplet import SimulatedBackend, stable_seed
-from .engine import EngineConfig, Supervisor, detect_underspecified
+from .couplet import DETECT_MS_PER_FRAME, SimulatedBackend, stable_seed
+from .engine import CLARIFY_USER_DELAY_MS, EngineConfig, Supervisor, detect_underspecified
 from .errors import IncomparableReports, WorkloadSpecError
 from .memory import MemoryStore, whitespace_tokens
 from .routing import default_model_catalog, invocation_cost
@@ -60,6 +60,7 @@ POLICIES = ("centralized", "hierarchical", "monolithic")
 
 RESTART_CAP = 8
 SIM_USER_REPLY = "dates and totals please"
+MONO_MS_PER_PERCEPT = 2400  # end-to-end LLM vision per frame or attachment
 
 DEFAULT_FAILURE_INJECTION = {
     "yolo-detect": 0.08,
@@ -68,6 +69,11 @@ DEFAULT_FAILURE_INJECTION = {
     "pdf-parse": 0.08,
     "table-extract": 0.08,
 }
+
+
+def _check_rate(value, field_path: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+        raise WorkloadSpecError(f"{field_path} must be a number in [0,1]", field_path)
 
 
 @dataclass
@@ -103,16 +109,12 @@ class WorkloadSpec:
             )
         if any(v < 0 for v in self.category_mix.values()):
             raise WorkloadSpecError("category_mix proportions must be nonnegative", "category_mix")
-        if not (0.0 <= self.ambiguity_rate <= 1.0):
-            raise WorkloadSpecError("ambiguity_rate must lie in [0,1]", "ambiguity_rate")
-        if not (0.0 <= self.memory_hint_rate <= 1.0):
-            raise WorkloadSpecError("memory_hint_rate must lie in [0,1]", "memory_hint_rate")
+        _check_rate(self.ambiguity_rate, "ambiguity_rate")
+        _check_rate(self.memory_hint_rate, "memory_hint_rate")
+        if not isinstance(self.failure_injection, dict):
+            raise WorkloadSpecError("failure_injection must be an object", "failure_injection")
         for tool, rate in self.failure_injection.items():
-            if not (0.0 <= rate <= 1.0):
-                raise WorkloadSpecError(
-                    f"failure_injection[{tool}] must lie in [0,1]",
-                    f"failure_injection.{tool}",
-                )
+            _check_rate(rate, f"failure_injection.{tool}")
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "WorkloadSpec":
@@ -584,9 +586,6 @@ class PolicyConfig:
     parallel_enabled: bool = True
     memory_enabled: bool = True
     repair_enabled: bool = True
-    clarify_user_delay_ms: int = 12_000
-    cost_knob: CostKnob = CostKnob.TRAD_COUPLET
-    moe_width: int = 3
 
 
 def _sim_session(seed: int, policy: str, query_id: str) -> SessionMeta:
@@ -618,8 +617,6 @@ def _run_centralized(
         parallel_enabled=policy_cfg.parallel_enabled,
         memory_enabled=policy_cfg.memory_enabled,
         repair_enabled=policy_cfg.repair_enabled,
-        clarify_user_delay_ms=policy_cfg.clarify_user_delay_ms,
-        moe_width=policy_cfg.moe_width,
     )
     supervisor = Supervisor(engine_cfg)
     embedder = engine_cfg.embedder
@@ -638,7 +635,7 @@ def _run_centralized(
                 memory.add_turn(q.ground_truth.memory_hint, Modality.TEXT, embedder)
             state = QueryState(
                 user_query=q.text,
-                cost_knob=policy_cfg.cost_knob,
+                cost_knob=CostKnob.TRAD_COUPLET,
                 session=_sim_session(seed, "centralized", q.query_id),
                 attachments=[
                     Attachment(a.source_kind, a.source, a.declared_name, a.detected_modality, a.mime)
@@ -665,7 +662,7 @@ def _run_centralized(
             # Repair could not recover (budget exhausted or disabled): the
             # failure surfaces to the user, who asks again after a delay.
             clarifications += 1
-            total_tta += policy_cfg.clarify_user_delay_ms
+            total_tta += CLARIFY_USER_DELAY_MS
             internal += 1
         records.append(
             QueryRecord(
@@ -771,7 +768,7 @@ def _run_hierarchical(
                         (f.get("frames") for f in q.fixtures.values() if f.get("frames")), None
                     )
                     if frames:
-                        latency = 180 * int(frames)
+                        latency = DETECT_MS_PER_FRAME * int(frames)
                 attempt_ms += latency
                 spec_tool = registry.get(tool_id)
                 if tool_name == _HIER_SYNTH:
@@ -794,7 +791,7 @@ def _run_hierarchical(
 
         if q.ground_truth.ambiguous and correct:
             # user clarifies, then the predetermined pipeline restarts once more
-            tta += policy_cfg.clarify_user_delay_ms
+            tta += CLARIFY_USER_DELAY_MS
             rerun_ms = 0
             rerun_cost = Money(0)
             for stage_index, tool_name in enumerate(chain):
@@ -839,9 +836,9 @@ def _run_monolithic(
         latency = registry.sample_latency(strong_tool, stable_seed(seed, "mono", q.query_id))
         frames = next((f.get("frames") for f in q.fixtures.values() if f.get("frames")), None)
         if frames:
-            latency += 2400 * int(frames)  # end-to-end LLM vision per frame
+            latency += MONO_MS_PER_PERCEPT * int(frames)
         elif q.attachments:
-            latency += 2400 * len(q.attachments)
+            latency += MONO_MS_PER_PERCEPT * len(q.attachments)
         evidence_tokens = sum(f.get("tokens", 100) for f in q.fixtures.values())
         tokens = whitespace_tokens(q.text) + 4 * evidence_tokens + 500
         cost = invocation_cost(strong_model, tokens)
@@ -849,7 +846,7 @@ def _run_monolithic(
         rework_user = False
         if q.ground_truth.ambiguous:
             rework_user = True
-            tta += policy_cfg.clarify_user_delay_ms + latency
+            tta += CLARIFY_USER_DELAY_MS + latency
             cost = cost + invocation_cost(strong_model, tokens)
         records.append(
             QueryRecord(
@@ -860,7 +857,7 @@ def _run_monolithic(
                 rework_user=rework_user,
                 rework_internal=0,
                 cost_usd=cost.usd_str(),
-                work_ms=tta - (policy_cfg.clarify_user_delay_ms if rework_user else 0),
+                work_ms=tta - (CLARIFY_USER_DELAY_MS if rework_user else 0),
             )
         )
     return records
@@ -1062,6 +1059,8 @@ def load_workload_file(path: str) -> tuple[WorkloadSpec, Optional[list[Generated
         raise WorkloadSpecError("workload file must hold a JSON object", "$")
     if "queries" not in obj:
         return WorkloadSpec.from_json_dict(obj), None
+    if not isinstance(obj["queries"], list) or not obj["queries"]:
+        raise WorkloadSpecError("queries must be a nonempty array", "queries")
     queries = [_query_from_json(i, q) for i, q in enumerate(obj["queries"])]
     spec = WorkloadSpec(
         total_queries=len(queries),
@@ -1070,16 +1069,25 @@ def load_workload_file(path: str) -> tuple[WorkloadSpec, Optional[list[Generated
         ambiguity_rate=obj.get("ambiguity_rate", 0.0),
         memory_hint_rate=obj.get("memory_hint_rate", 0.0),
     )
+    spec.validate()
     return spec, queries
 
 
 def _query_from_json(index: int, obj: dict) -> GeneratedQuery:
     where = f"queries[{index}]"
+    if not isinstance(obj, dict):
+        raise WorkloadSpecError("query must be an object", where)
+    fixtures = obj.get("fixtures", {})
+    if not isinstance(fixtures, dict) or not all(isinstance(f, dict) for f in fixtures.values()):
+        raise WorkloadSpecError("fixtures must be an object of objects", f"{where}.fixtures")
+    category = obj.get("category", "general_qa")
+    if category not in CATEGORIES:
+        raise WorkloadSpecError(f"unknown category {category!r}", f"{where}.category")
     try:
         gt = obj["ground_truth"]
         return GeneratedQuery(
             query_id=obj.get("query_id", f"q{index:05d}"),
-            category=obj.get("category", "general_qa"),
+            category=category,
             text=obj["text"],
             attachments=[
                 Attachment(
@@ -1088,7 +1096,7 @@ def _query_from_json(index: int, obj: dict) -> GeneratedQuery:
                 )
                 for a in obj.get("attachments", [])
             ],
-            fixtures=obj.get("fixtures", {}),
+            fixtures=fixtures,
             ground_truth=GroundTruth(
                 expected_flag=ExecutionFlag(gt["expected_flag"]),
                 evidence_keys=frozenset(gt.get("evidence_keys", [])),

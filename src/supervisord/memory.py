@@ -29,6 +29,7 @@ DEFAULT_TOP_K = 6
 SHORT_TERM_TURNS = 5
 COMPRESSION_TRIGGER_TOKENS = 8000
 COMPRESSION_RATIO_BAND = (10.0, 15.0)
+CONTEXT_WEIGHTS = (0.6, 0.3, 0.1)  # short-term, relevant, compressed
 GRAM_CACHE_LIMIT = 16_384  # grams each embedder remembers before it starts over
 
 # Per-turn exponential decay rates by modality. The unknown modality is not
@@ -328,20 +329,16 @@ class MemoryStore:
 
     # --- context integration ----------------------------------------------------
 
-    def integrate_context(
-        self,
-        retrieved: Sequence[MemoryRecord],
-        weights: tuple[float, float, float] = (0.6, 0.3, 0.1),
-    ) -> ContextBundle:
+    def integrate_context(self, retrieved: Sequence[MemoryRecord]) -> ContextBundle:
         """Weighted short / relevant / compressed segments, in that fixed order."""
         short_text = "\n".join(r.content for r in self.short_term)
         relevant_text = "\n".join(r.content for r in retrieved)
         compressed_text = self.compressed.text if self.compressed else ""
         return ContextBundle(
             segments=(
-                ContextSegment("short", weights[0], short_text),
-                ContextSegment("relevant", weights[1], relevant_text),
-                ContextSegment("compressed", weights[2], compressed_text),
+                ContextSegment("short", CONTEXT_WEIGHTS[0], short_text),
+                ContextSegment("relevant", CONTEXT_WEIGHTS[1], relevant_text),
+                ContextSegment("compressed", CONTEXT_WEIGHTS[2], compressed_text),
             )
         )
 

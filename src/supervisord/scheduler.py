@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .couplet import PerceptualTask, TaskKind, stable_seed
+from .decomposition import FLAG_REQUIRED_MODALITIES
 from .errors import NoCapableTool, NodeFailure, PipelineFailed, UnplannableQuery
 from .routing import RoutingDecision
 from .state import (
@@ -28,11 +29,11 @@ from .state import (
 )
 from .tools import Requirement, ToolId, ToolRegistry
 
-DEFAULT_REPAIR_LIMIT = 2
-DEFAULT_CLARIFICATION_LIMIT = 3
+REPAIR_LIMIT = 2  # repairs per node before the pipeline fails
+CLARIFICATION_LIMIT = 3  # clarification rounds per query
 DEFAULT_CLARIFICATION_THRESHOLD = 0.5
-DEFAULT_FAILURE_CONFIDENCE = 0.35
-DEFAULT_MOE_WIDTH = 3
+FAILURE_CONFIDENCE = 0.35  # a result below this confidence counts as a failure
+MOE_WIDTH = 3  # experts in a mixture-of-experts graph
 
 # Task kind -> capability tag its node's tool must produce. OCR and native
 # parsing are distinct capabilities so scanned pages avoid native parsers.
@@ -179,7 +180,6 @@ def build_graph(
     registry: ToolRegistry,
     *,
     routing_decision: Optional[RoutingDecision] = None,
-    moe_width: int = DEFAULT_MOE_WIDTH,
 ) -> ExecutionGraph:
     """Build the flag-shaped execution graph for a reconciled query state.
 
@@ -224,13 +224,7 @@ def build_graph(
 
     if flag in (ExecutionFlag.AUDIO, ExecutionFlag.VISION, ExecutionFlag.DOCUMENT,
                 ExecutionFlag.IMAGEN):
-        modality_map = {
-            ExecutionFlag.AUDIO: (Modality.AUDIO,),
-            ExecutionFlag.VISION: (Modality.IMAGE,),
-            ExecutionFlag.DOCUMENT: (Modality.DOCUMENT, Modality.IMAGE),
-            ExecutionFlag.IMAGEN: (Modality.IMAGE,),
-        }
-        attachments = _attachments_by_modality(state, *modality_map[flag])
+        attachments = _attachments_by_modality(state, *FLAG_REQUIRED_MODALITIES[flag])
         if not attachments:
             raise UnplannableQuery(f"flag {flag.value} requires a matching attachment")
         segment = {
@@ -326,7 +320,7 @@ def build_graph(
             output_tags=frozenset({"answer_text"}),
             state=state,
         )
-        for i in range(moe_width):
+        for i in range(MOE_WIDTH):
             expert = graph.add_node(
                 GraphNode(f"expert{i}", match(expert_req), expert_req, role="model",
                           segment=f"expert_{i}")
@@ -411,21 +405,17 @@ class Scheduler:
     """Runs execution graphs under a virtual clock with bounded local repair.
 
     Capacity is one running node when `parallel_enabled` is off and unbounded
-    otherwise.
+    otherwise. With `repair_enabled` off, the first failure fails the pipeline.
     """
 
     def __init__(
         self,
         registry: ToolRegistry,
         *,
-        repair_limit: int = DEFAULT_REPAIR_LIMIT,
-        failure_confidence_threshold: float = DEFAULT_FAILURE_CONFIDENCE,
         repair_enabled: bool = True,
         parallel_enabled: bool = True,
     ):
         self.registry = registry
-        self.repair_limit = repair_limit
-        self.failure_confidence_threshold = failure_confidence_threshold
         self.repair_enabled = repair_enabled
         self.parallel_enabled = parallel_enabled
 
@@ -440,7 +430,7 @@ class Scheduler:
         node = graph.nodes[node_id]
         node.failed_tools.append(node.tool)
         node.status = "failed"
-        if not self.repair_enabled or node.repairs >= self.repair_limit:
+        if not self.repair_enabled or node.repairs >= REPAIR_LIMIT:
             raise PipelineFailed(
                 f"node {node_id} failed ({cause}) with repair budget exhausted"
             )
@@ -519,7 +509,7 @@ class Scheduler:
                     if invocation.latency_ms is not None
                     else self.registry.sample_latency(node.tool, attempt_seed)
                 )
-                failed = invocation.confidence < self.failure_confidence_threshold
+                failed = invocation.confidence < FAILURE_CONFIDENCE
                 cause = f"low confidence {invocation.confidence:.2f}" if failed else ""
             except NodeFailure as exc:
                 invocation = None

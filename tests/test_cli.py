@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from supervisord.harness import default_workload_spec, generate_workload, materialize_workload
 from supervisord.tools import default_registry, spec_to_json
 
 from supervisord.cli import (
@@ -238,6 +239,26 @@ class TestSimulate:
 
     def test_unknown_policy_exits_2(self, store, capsys):
         assert run_cli("simulate", "--policies", "psychic") == EXIT_WORKLOAD_SPEC
+
+    @pytest.mark.parametrize("corrupt,field", [
+        (lambda w: w["failure_injection"].update({"yolo-detect": "x"}),
+         "failure_injection.yolo-detect"),
+        (lambda w: w["failure_injection"].update({"yolo-detect": 7.0}),
+         "failure_injection.yolo-detect"),
+        (lambda w: w.update(queries=[]), "queries"),
+        (lambda w: w["queries"][0].update(fixtures=[]), "queries[0].fixtures"),
+        (lambda w: w["queries"][0].update(category="poetry"), "queries[0].category"),
+    ], ids=["rate-not-a-number", "rate-above-one", "no-queries", "fixtures-list",
+            "unknown-category"])
+    def test_invalid_materialized_workload_exits_2(self, store, tmp_path, capsys, corrupt, field):
+        spec = default_workload_spec(3, seed=3)
+        workload = materialize_workload(generate_workload(spec), spec)
+        corrupt(workload)
+        path = tmp_path / "frozen.json"
+        path.write_text(json.dumps(workload))
+        code = run_cli("--json", "simulate", str(path), "--policies", "centralized,hierarchical")
+        assert code == EXIT_WORKLOAD_SPEC
+        assert capsys.readouterr().err.startswith(f"error: workload spec invalid at {field}: ")
 
 
 class TestListings:

@@ -7,12 +7,9 @@ import pathlib
 import pytest
 
 from supervisord.couplet import (
-    BackendResult,
-    PerceptualEvidence,
     PerceptualTask,
     SimulatedBackend,
     TaskKind,
-    contextualize,
     contextualize_timeline,
     execute_perceptual,
     merge_timeline,
@@ -143,8 +140,8 @@ class TestContextualize:
 
     def test_overlap_tolerance_boundaries(self):
         detections = [{"label": "bag", "t_start": 10, "t_end": 12}]
-        inside = merge_timeline(detections, [{"word": "carry", "t": 13.0}], tolerance_s=1.0)
-        outside = merge_timeline(detections, [{"word": "carry", "t": 13.5}], tolerance_s=1.0)
+        inside = merge_timeline(detections, [{"word": "carry", "t": 13.0}])
+        outside = merge_timeline(detections, [{"word": "carry", "t": 13.5}])
         assert inside[0]["mentions"] == ["carry"]
         assert outside[0]["mentions"] == []
 
@@ -163,25 +160,6 @@ class TestContextualize:
         rendered = summarize_payload(TaskKind.EXTRACT_TABLES, payload, "extract the tables")
         assert rendered == (GOLDEN / "table_summary.txt").read_text().strip()
 
-    def test_kind_payload_mismatch(self):
-        task = PerceptualTask(TaskKind.TRANSCRIBE, {}, "a.mp3")
-        result = BackendResult(payload={"detections": []}, confidence=0.9)
-        with pytest.raises(EvidenceTypeError):
-            contextualize(task, result, "query")
-
-    def test_nondecreasing_transcript_enforced(self):
-        with pytest.raises(ValueError):
-            PerceptualEvidence(
-                kind=TaskKind.TRANSCRIBE,
-                payload={"transcript": [{"word": "b", "t": 5.0}, {"word": "a", "t": 1.0}]},
-                summary_text="x",
-                confidence=0.9,
-            )
-
-    def test_confidence_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            PerceptualEvidence(TaskKind.OCR, {"text_blocks": []}, "x", confidence=1.5)
-
     def test_pipeline_total_over_fixture_corpus(self):
         backend = SimulatedBackend({"a.pdf": {"text_blocks": ["hello"], "tables": []}})
         for query, modality in [
@@ -192,7 +170,6 @@ class TestContextualize:
             try:
                 task = parse_intent(query, modality, attachment_ref="a.pdf")
                 result = execute_perceptual(task, backend, seed=1)
-                evidence = contextualize(task, result, query)
-                assert evidence.summary_text
+                assert summarize_payload(task.kind, result.payload, query)
             except (AmbiguousIntent, NodeFailure, EvidenceTypeError):
                 pass  # typed errors are acceptable terminal states

@@ -10,6 +10,7 @@ import pytest
 from supervisord.clock import VirtualClock
 from supervisord.couplet import SimulatedBackend, TaskKind
 from supervisord.engine import (
+    CLARIFY_USER_DELAY_MS,
     EngineConfig,
     QueryOutcome,
     Supervisor,
@@ -163,7 +164,7 @@ class TestClarification:
             clarifier=lambda q: asked.append(q) or "a formal tone",
         )
         assert asked and outcome.clarifications_user == 1
-        assert outcome.tta_ms >= EngineConfig().clarify_user_delay_ms
+        assert outcome.tta_ms >= CLARIFY_USER_DELAY_MS
 
     def test_non_interactive_unanswered(self):
         state, outcome = run_query("Summarize this in the usual style", clarifier=None)

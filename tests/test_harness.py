@@ -168,11 +168,21 @@ _PERCEPTUAL_TOOLS = (
 
 
 class TestReportBytes:
-    """Centralized report bytes for a fixed small workload.
+    """Report bytes of each policy for a fixed small workload.
 
     A change that moves report numbers on purpose re-pins these digests and
     says so; any other change must leave them as they are.
     """
+
+    @staticmethod
+    def digest(policy, faults, policy_cfg=None):
+        spec = default_workload_spec(300)
+        if faults:
+            spec.failure_injection = {tool: 0.3 for tool in _PERCEPTUAL_TOOLS}
+            spec.ambiguity_rate = 0.6
+        report = run_policy(generate_workload(spec), policy, spec, policy_cfg)
+        doc = json.dumps(report.to_json_dict(), sort_keys=True, indent=1)
+        return hashlib.sha256(doc.encode()).hexdigest()
 
     @pytest.mark.parametrize("parallel_enabled,faults,expected", [
         (True, False, "5ea8f99b9fa1d14df8dd18e9bfc126b0592dfb5c67faee0d53579819cb10017c"),
@@ -180,16 +190,17 @@ class TestReportBytes:
         (True, True, "2a17de09ae7e524bad8f5301db08e9026e3f87d70f0bafc162da417c9c861412"),
     ])
     def test_centralized_report_digest(self, parallel_enabled, faults, expected):
-        spec = default_workload_spec(300)
-        if faults:
-            spec.failure_injection = {tool: 0.3 for tool in _PERCEPTUAL_TOOLS}
-            spec.ambiguity_rate = 0.6
-        report = run_policy(
-            generate_workload(spec), "centralized", spec,
-            PolicyConfig(parallel_enabled=parallel_enabled),
-        )
-        doc = json.dumps(report.to_json_dict(), sort_keys=True, indent=1)
-        assert hashlib.sha256(doc.encode()).hexdigest() == expected
+        policy_cfg = PolicyConfig(parallel_enabled=parallel_enabled)
+        assert self.digest("centralized", faults, policy_cfg) == expected
+
+    @pytest.mark.parametrize("policy,faults,expected", [
+        ("hierarchical", False, "1573d9fc1b00cccce1ca865d15b0bad28115e9006c13c276de3f52c62a907c51"),
+        ("hierarchical", True, "f8b58929d01686ff48b5f5bde16db462c7424d7e54ea89cd0a1c3cd17d3a2f20"),
+        ("monolithic", False, "6c119081b04a711547b14131ee3cd0f6318697732ccb3a0b29a116df6ede8f6c"),
+        ("monolithic", True, "f62631f472a1954a5be06e3337b48167637be96f2df0c4b0a379ca53bb5a8ad2"),
+    ])
+    def test_baseline_report_digest(self, policy, faults, expected):
+        assert self.digest(policy, faults) == expected
 
 
 class TestCompare:

@@ -155,7 +155,7 @@ class TestBuildGraphShapes:
 
     def test_moe_parallel_expertsding(self):
         state = make_state("gather expert perspectives")
-        graph = build_graph(ExecutionFlag.MOE, state, default_registry(), moe_width=3)
+        graph = build_graph(ExecutionFlag.MOE, state, default_registry())
         experts = [n for n in graph.nodes if n.startswith("expert")]
         assert len(experts) == 3
         assert all((e, "aggregate") in graph.edges for e in experts)
@@ -353,7 +353,7 @@ class TestRepair:
         registry = simple_registry(n_alternatives=5)
         graph = chain_graph(registry, {"a": None})
         backends = StubBackends(failures={("a", 0), ("a", 1), ("a", 2)})
-        scheduler = Scheduler(registry, repair_limit=2)
+        scheduler = Scheduler(registry)
         with pytest.raises(PipelineFailed):
             scheduler.execute(graph, VirtualClock(), backends, seed=1)
         assert len(graph.repair_log) == 2
@@ -370,7 +370,7 @@ class TestRepair:
         registry = simple_registry()
         graph = chain_graph(registry, {"a": None})
         backends = StubBackends(confidences={"a": 0.1})
-        scheduler = Scheduler(registry, repair_limit=0)
+        scheduler = Scheduler(registry, repair_enabled=False)
         with pytest.raises(PipelineFailed):
             scheduler.execute(graph, VirtualClock(), backends, seed=1)
 
