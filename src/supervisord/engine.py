@@ -540,20 +540,61 @@ def trace_path(store_root: str, session_id: str) -> str:
     return os.path.join(store_root, f"{session_id}.trace.jsonl")
 
 
+# The state file is a journal: this header line, then one snapshot line per save.
+STATE_JOURNAL_HEADER = b'{"format": "supervisord-state-journal", "version": 1}\n'
+# A save rewrites the journal instead of appending once the file has reached
+# this many times the length of the new snapshot line. That bounds disk use
+# and load time, and spreads the rewrite over the appends before it.
+STATE_JOURNAL_REWRITE_FACTOR = 64
+
+
 def save_state_file(store_root: str, state: QueryState) -> str:
-    """Write-then-rename so interrupts never leave a half-written state file."""
-    os.makedirs(store_root, exist_ok=True)
+    """Append the state to the session's state journal as one snapshot line.
+
+    Only the last byte is read, to see that the file ends on a complete line.
+    On a first save, over a file of earlier versions or a torn tail, and once
+    the journal has reached `STATE_JOURNAL_REWRITE_FACTOR` times the new
+    line's length, the header and the line are instead written to `.tmp` and
+    renamed into place.
+    """
     path = state_path(store_root, state.session.session_id)
+    line = serialize_state(state) + b"\n"
+    try:
+        with open(path, "r+b") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if 0 < end < STATE_JOURNAL_REWRITE_FACTOR * len(line):
+                fh.seek(end - 1)
+                if fh.read(1) == b"\n":
+                    fh.write(line)
+                    return path
+    except FileNotFoundError:
+        pass
+    os.makedirs(store_root, exist_ok=True)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(serialize_state(state))
+        fh.write(STATE_JOURNAL_HEADER + line)
     os.replace(tmp, path)
     return path
 
 
 def load_state_file(store_root: str, session_id: str) -> QueryState:
-    with open(state_path(store_root, session_id), "rb") as fh:
-        return deserialize_state(fh.read())
+    """The state of the journal's last complete snapshot line.
+
+    An unterminated last line is an interrupted append and is dropped. A file
+    with no newline is the one-document layout of earlier versions.
+    """
+    path = state_path(store_root, session_id)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.rfind(b"\n")
+    if end < 0:
+        return deserialize_state(data)
+    if not data.startswith(STATE_JOURNAL_HEADER):
+        raise CorruptState(f"malformed state file {path}: no state journal header")
+    start = data.rfind(b"\n", 0, end) + 1
+    if start < len(STATE_JOURNAL_HEADER):
+        raise CorruptState(f"malformed state file {path}: no complete snapshot line")
+    return deserialize_state(data[start:end])
 
 
 def append_trace_rows(store_root: str, session_id: str, rows: list[TraceRow]) -> str:

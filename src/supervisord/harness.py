@@ -1080,6 +1080,12 @@ def _query_from_json(index: int, obj: dict) -> GeneratedQuery:
     fixtures = obj.get("fixtures", {})
     if not isinstance(fixtures, dict) or not all(isinstance(f, dict) for f in fixtures.values()):
         raise WorkloadSpecError("fixtures must be an object of objects", f"{where}.fixtures")
+    for name, fixture in fixtures.items():
+        for key in ("frames", "tokens"):
+            value = fixture.get(key, 0)
+            if type(value) is not int or value < 0:
+                raise WorkloadSpecError(f"{key} must be a nonnegative integer, not {value!r}",
+                                        f"{where}.fixtures.{name}.{key}")
     category = obj.get("category", "general_qa")
     if category not in CATEGORIES:
         raise WorkloadSpecError(f"unknown category {category!r}", f"{where}.category")

@@ -260,6 +260,25 @@ class TestSimulate:
         assert code == EXIT_WORKLOAD_SPEC
         assert capsys.readouterr().err.startswith(f"error: workload spec invalid at {field}: ")
 
+    @pytest.mark.parametrize("key,value", [
+        ("tokens", "many"), ("tokens", -5), ("tokens", 120.0), ("frames", True), ("frames", "9"),
+    ])
+    def test_fixture_count_of_wrong_type_exits_2(self, store, tmp_path, capsys, key, value):
+        spec = default_workload_spec(3, seed=1)
+        workload = materialize_workload(generate_workload(spec), spec)
+        for query in workload["queries"]:
+            for fixture in query["fixtures"].values():
+                fixture[key] = value
+        path = tmp_path / "frozen.json"
+        path.write_text(json.dumps(workload))
+        code = run_cli("--json", "simulate", str(path), "--policies", "centralized,hierarchical")
+        assert code == EXIT_WORKLOAD_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: workload spec invalid at queries[0].fixtures.q00000.jpg.{key}: "
+        )
+        assert "Traceback" not in err
+
 
 class TestListings:
     def test_tools_list_json(self, store, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
 
 import pytest
@@ -11,14 +12,17 @@ from supervisord.clock import VirtualClock
 from supervisord.couplet import SimulatedBackend, TaskKind
 from supervisord.engine import (
     CLARIFY_USER_DELAY_MS,
+    STATE_JOURNAL_HEADER,
+    STATE_JOURNAL_REWRITE_FACTOR,
     EngineConfig,
     QueryOutcome,
     Supervisor,
     append_trace_rows,
     load_state_file,
     save_state_file,
+    state_path,
 )
-from supervisord.errors import BudgetExceeded
+from supervisord.errors import BudgetExceeded, CorruptState
 from supervisord.memory import MemoryStore
 from supervisord.scenarios import load_scenario, run_scenario
 from supervisord.state import (
@@ -30,6 +34,7 @@ from supervisord.state import (
     QueryState,
     SessionMeta,
     Subflag,
+    serialize_state,
 )
 
 
@@ -262,6 +267,73 @@ class TestPersistence:
         loaded = load_state_file(root, state.session.session_id)
         assert loaded.user_query == state.user_query
         assert loaded.session.cumulative_cost == state.session.cumulative_cost
+
+    @staticmethod
+    def journal_state(turn, query="what does the ünïcode chart show?"):
+        return QueryState(
+            user_query=f"{query} ({turn})", cost_knob=CostKnob.OPEN_SRC,
+            session=SessionMeta("0-" + "33" * 8, 0, Money(1_000 * turn), turn),
+            flag=ExecutionFlag.VISION if turn % 2 else None,
+        )
+
+    def test_state_journal_loads_the_last_complete_snapshot_at_every_cut(self, tmp_path):
+        root = str(tmp_path)
+        states = [self.journal_state(turn) for turn in (1, 2, 3)]
+        for state in states:
+            save_state_file(root, state)
+        path = state_path(root, states[0].session.session_id)
+        lines = [serialize_state(state) + b"\n" for state in states]
+        with open(path, "rb") as fh:
+            journal = fh.read()
+        assert journal == STATE_JOURNAL_HEADER + b"".join(lines)
+        first_end = len(STATE_JOURNAL_HEADER) + len(lines[0])
+        last_start = len(journal) - len(lines[2])
+        sid = states[0].session.session_id
+        for cut in range(len(journal)):
+            with open(path, "wb") as fh:
+                fh.write(journal[:cut])
+            if cut < first_end:  # inside the header or the first snapshot line
+                with pytest.raises(CorruptState):
+                    load_state_file(root, sid)
+                continue
+            expected = lines[0] if cut < last_start else lines[1]
+            assert serialize_state(load_state_file(root, sid)) + b"\n" == expected
+            if cut >= last_start:
+                save_state_file(root, states[2])
+                assert serialize_state(load_state_file(root, sid)) + b"\n" == lines[2]
+
+    def test_state_journal_rejects_a_bad_complete_line(self, tmp_path):
+        root = str(tmp_path)
+        state = self.journal_state(1)
+        path = save_state_file(root, state)
+        with open(path, "ab") as fh:
+            fh.write(b'{"version": 1, "state": \n')
+        with pytest.raises(CorruptState):
+            load_state_file(root, state.session.session_id)
+        with open(path, "wb") as fh:
+            fh.write(serialize_state(state) + b"\n" + serialize_state(state) + b"\n")
+        with pytest.raises(CorruptState, match="no state journal header"):
+            load_state_file(root, state.session.session_id)
+        with open(path, "wb") as fh:
+            fh.write(STATE_JOURNAL_HEADER + serialize_state(state))
+        with pytest.raises(CorruptState, match="no complete snapshot line"):
+            load_state_file(root, state.session.session_id)
+
+    def test_state_journal_is_rewritten_before_it_outgrows_its_bound(self, tmp_path):
+        root = str(tmp_path)
+        rewrites, previous = 0, 0
+        for turn in range(300):
+            state = self.journal_state(turn, "tell me more " * (1 + turn % 7))
+            path = save_state_file(root, state)
+            line = serialize_state(state) + b"\n"
+            size = os.path.getsize(path)
+            assert size <= (STATE_JOURNAL_REWRITE_FACTOR + 1) * len(line)
+            if size != previous + len(line):
+                assert size == len(STATE_JOURNAL_HEADER) + len(line)
+                rewrites += 1
+            previous = size
+            assert serialize_state(load_state_file(root, state.session.session_id)) + b"\n" == line
+        assert 2 < rewrites < 300 // 8
 
     def test_trace_jsonl_schema(self, tmp_path):
         state, outcome = run_query("what time is it in Tokyo")

@@ -1,4 +1,4 @@
-"""A 250-turn session, persisted every turn, pinned to its answers and memory journal.
+"""A 250-turn session, persisted every turn, pinned to its answers, memory journal and state.
 
 The inputs are the benchmark's session-long workload at seed 1, taken from
 `perfbench/workloads.py` (imported, not changed). Memory compresses once, near
@@ -44,6 +44,7 @@ def test_seed_1_session_long_answers_and_memory_file(tmp_path):
     knob = routing.select_tier("closed_src")
     store_root = str(tmp_path / "session")
     answers = []
+    saved = None
     for i, (text, names) in enumerate(turns):
         query = state.QueryState(
             user_query=text, cost_knob=knob, session=session,
@@ -60,6 +61,7 @@ def test_seed_1_session_long_answers_and_memory_file(tmp_path):
             continue
         answers.append(f"{i}:{outcome.answer_text}")
         engine.save_state_file(store_root, query)
+        saved = state.serialize_state(query)
         engine.save_session_memory(store_root, session_id, store)
 
     assert store.compressed is not None and 150 < store.compressed.source_end_turn < 250
@@ -84,3 +86,5 @@ def test_seed_1_session_long_answers_and_memory_file(tmp_path):
             expected.created_at_ms)
         assert np.array_equal(got.embedding, expected.embedding)
     assert restored._retrievable_tokens == store._retrievable_tokens
+    assert answers[-1].startswith(f"{len(turns) - 1}:")
+    assert state.serialize_state(engine.load_state_file(store_root, session_id)) == saved

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supervisord.cli import main
+from supervisord.engine import STATE_JOURNAL_HEADER, load_state_file, save_state_file
 from supervisord.errors import CorruptState, SizeExceeded, VersionMismatch
 from supervisord.state import (
     Attachment,
@@ -211,14 +212,41 @@ class TestOlderStateFiles:
         assert rewritten == _canonical(doc)
         assert serialize_state(deserialize_state(rewritten)) == rewritten
 
-    def test_inspect_reads_older_file(self, tmp_path, capsys):
+    def test_first_save_rewrites_older_file_as_journal(self, tmp_path):
         doc = _older_state_doc()
         sid = doc["state"]["session"]["session_id"]
-        (tmp_path / f"{sid}.state.json").write_bytes(_canonical(doc))
-        assert main(["--store-root", str(tmp_path), "--json", "inspect", sid]) == 0
+        del doc["state"]["trace"]
+        path = tmp_path / f"{sid}.state.json"
+        path.write_bytes(_canonical(doc))
+        state = load_state_file(str(tmp_path), sid)
+        assert serialize_state(state) == _canonical(doc)
+        state.session.turn_count += 1
+        save_state_file(str(tmp_path), state)
+        assert path.read_bytes() == STATE_JOURNAL_HEADER + serialize_state(state) + b"\n"
+
+    def test_inspect_reads_older_file(self, tmp_path, capsys, monkeypatch):
+        doc = _older_state_doc()
+        sid = doc["state"]["session"]["session_id"]
+        path = tmp_path / f"{sid}.state.json"
+        path.write_bytes(_canonical(doc))
+        store = ["--store-root", str(tmp_path)]
+        assert main([*store, "--json", "inspect", sid]) == 0
         shown = json.loads(capsys.readouterr().out)["state"]
         assert shown["turn_count"] == 3
         assert shown["cumulative_cost_usd"] == "0.012345"
+
+        monkeypatch.delenv("SUPERVISORD_BUDGET_USD", raising=False)
+        lines = iter(["what is the capital of france", ":quit"])
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+        assert main([*store, "session", "--session", sid]) == 0
+        capsys.readouterr()
+        header, snapshot = path.read_bytes().splitlines(keepends=True)
+        assert header == STATE_JOURNAL_HEADER and snapshot.endswith(b"\n")
+        assert main([*store, "--json", "inspect", sid]) == 0
+        shown = json.loads(capsys.readouterr().out)["state"]
+        assert shown["turn_count"] == 4
+        assert shown["user_query"] == "what is the capital of france"
+        assert float(shown["cumulative_cost_usd"]) > 0.012345
 
 
 _flags = st.none() | st.sampled_from(list(ExecutionFlag))
