@@ -207,10 +207,6 @@ def classify_flag_detail(
     return FlagDecision(flag=best, scores=scores)
 
 
-def classify_flag(query, modalities, rules=None) -> ExecutionFlag:
-    return classify_flag_detail(query, modalities, rules).flag
-
-
 def reconcile_flag(flag: ExecutionFlag, modalities: set[Modality]) -> ExecutionFlag:
     """Demote a modality flag to moe when no matching attachment exists."""
     required = FLAG_REQUIRED_MODALITIES.get(flag)

@@ -17,12 +17,12 @@ class SizeExceeded(SupervisorError):
     """Inline attachment payload exceeds the configured serialization limit."""
 
 
-class VersionMismatch(SupervisorError):
-    """Serialized state carries an unknown version tag."""
-
-
 class CorruptState(SupervisorError):
     """Serialized state is truncated or structurally invalid."""
+
+
+class VersionMismatch(CorruptState):
+    """Serialized state carries an unknown version tag."""
 
 
 # --- tool registry -----------------------------------------------------------

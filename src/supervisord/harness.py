@@ -38,23 +38,80 @@ from .state import (
 )
 from .tools import default_registry
 
-CATEGORIES: tuple[str, ...] = (
-    "text_reasoning",
-    "coding_assistance",
-    "analytical_mathematics",
-    "summarization_rewriting",
-    "general_qa",
-    "document_qa",
-    "ocr_extraction",
-    "table_extraction",
-    "vision_qa",
-    "object_detection",
-    "audio_transcription",
-    "audio_reasoning",
-    "video_analysis",
-    "mixed_retrieval",
-    "complex_orchestration",
+
+@dataclass(frozen=True)
+class Category:
+    """Everything the harness states about one task category.
+
+    `flag`, `evidence` and `segments` are the ground truth of its queries,
+    stated here rather than read from the engine's tables so that the engine
+    is judged against an independent statement. `stages` is its chain in the
+    hierarchical baseline, `extension` the file type of its attachments.
+    """
+
+    flag: ExecutionFlag
+    evidence: frozenset[str]
+    segments: frozenset[str]
+    stages: tuple[str, ...] = ()
+    extension: Optional[str] = None
+
+
+_TEXT_CATEGORY = Category(
+    ExecutionFlag.ROUTELLM, frozenset({"answer_text"}), frozenset({"answer"})
 )
+_EXTRACTION = frozenset({"extraction"})
+_DETECTIONS = frozenset({"detections"})
+_TRANSCRIPT = frozenset({"transcript"})
+
+# Row order is the generator's category order: shuffling and workload digests
+# depend on it.
+CATEGORY_TABLE: dict[str, Category] = {
+    "text_reasoning": _TEXT_CATEGORY,
+    "coding_assistance": _TEXT_CATEGORY,
+    "analytical_mathematics": _TEXT_CATEGORY,
+    "summarization_rewriting": _TEXT_CATEGORY,
+    "general_qa": _TEXT_CATEGORY,
+    "document_qa": Category(
+        ExecutionFlag.DOCUMENT, frozenset({"text_blocks"}), _EXTRACTION, ("pdf-parse",), "pdf"
+    ),
+    "ocr_extraction": Category(
+        ExecutionFlag.DOCUMENT, frozenset({"text_blocks"}), _EXTRACTION, ("tesseract-ocr",), "pdf"
+    ),
+    "table_extraction": Category(
+        ExecutionFlag.DOCUMENT, frozenset({"tables"}), _EXTRACTION, ("table-extract",), "xlsx"
+    ),
+    "vision_qa": Category(ExecutionFlag.VISION, _DETECTIONS, _DETECTIONS, ("yolo-detect",), "jpg"),
+    "object_detection": Category(
+        ExecutionFlag.VISION, _DETECTIONS, _DETECTIONS, ("yolo-detect",), "png"
+    ),
+    "audio_transcription": Category(
+        ExecutionFlag.AUDIO, _TRANSCRIPT, _TRANSCRIPT, ("whisper-transcribe",), "mp3"
+    ),
+    "audio_reasoning": Category(
+        ExecutionFlag.AUDIO, _TRANSCRIPT, _TRANSCRIPT, ("whisper-transcribe",), "wav"
+    ),
+    "video_analysis": Category(
+        ExecutionFlag.VIDEO,
+        frozenset({"detections", "transcript", "timeline"}),
+        frozenset({"timeline"}),
+        ("yolo-detect", "whisper-transcribe", "temporal-align"),
+        "mp4",
+    ),
+    "mixed_retrieval": Category(
+        ExecutionFlag.MOE,
+        frozenset({"answer_text", "aggregation"}),
+        frozenset({"answer"}),
+        ("slm-weak-invoke", "slm-weak-invoke", "slm-weak-invoke", "ensemble-aggregate"),
+    ),
+    "complex_orchestration": Category(
+        ExecutionFlag.COMPLEX,
+        frozenset({"tables", "synthesis"}),
+        frozenset({"synthesis", "part_0", "part_1", "part_2"}),
+        ("table-extract", "table-extract", "table-extract", "result-synthesize"),
+        "pdf",
+    ),
+}
+CATEGORIES: tuple[str, ...] = tuple(CATEGORY_TABLE)
 
 POLICIES = ("centralized", "hierarchical", "monolithic")
 
@@ -264,22 +321,6 @@ _TRANSCRIPT_WORDS = (
 _DETECTION_LABELS = ("sneakers", "laptop", "bottle", "backpack", "headphones", "monitor")
 
 
-def _category_flag(category: str) -> ExecutionFlag:
-    if category in _TEXT_TEMPLATES:
-        return ExecutionFlag.ROUTELLM
-    if category in ("document_qa", "ocr_extraction", "table_extraction"):
-        return ExecutionFlag.DOCUMENT
-    if category in ("vision_qa", "object_detection"):
-        return ExecutionFlag.VISION
-    if category in ("audio_transcription", "audio_reasoning"):
-        return ExecutionFlag.AUDIO
-    if category == "video_analysis":
-        return ExecutionFlag.VIDEO
-    if category == "mixed_retrieval":
-        return ExecutionFlag.MOE
-    return ExecutionFlag.COMPLEX
-
-
 def _make_fixture(category: str, rng: random.Random) -> dict:
     if category in ("document_qa", "ocr_extraction"):
         return {
@@ -368,7 +409,7 @@ def generate_workload(spec: WorkloadSpec) -> list[GeneratedQuery]:
         query_id = f"q{i:05d}"
         attachments: list[Attachment] = []
         fixtures: dict[str, dict] = {}
-
+        row = CATEGORY_TABLE[category]
         if category in _TEXT_TEMPLATES:
             if category == "text_reasoning" and not ambiguous and qrng.random() < 0.2:
                 text = _HARD_TEXT_TEMPLATE
@@ -377,80 +418,23 @@ def generate_workload(spec: WorkloadSpec) -> list[GeneratedQuery]:
             else:
                 bank = _TEXT_TEMPLATES[category]
                 text = bank[qrng.randrange(len(bank))]
-            gt = GroundTruth(
-                expected_flag=ExecutionFlag.ROUTELLM,
-                evidence_keys=frozenset({"answer_text"}),
-                required_segments=frozenset({"answer"}),
-                ambiguous=ambiguous,
-            )
         elif category == "mixed_retrieval":
             text = _MOE_AMBIGUOUS if ambiguous else _MOE_TEMPLATES[qrng.randrange(len(_MOE_TEMPLATES))]
-            gt = GroundTruth(
-                expected_flag=ExecutionFlag.MOE,
-                evidence_keys=frozenset({"answer_text", "aggregation"}),
-                required_segments=frozenset({"answer"}),
-                ambiguous=ambiguous,
-            )
         elif category == "complex_orchestration":
             text = _COMPLEX_AMBIGUOUS if ambiguous else _COMPLEX_TEMPLATE
             for j in range(3):
-                name = f"{query_id}_report{j}.pdf"
+                name = f"{query_id}_report{j}.{row.extension}"
                 attachments.append(
                     Attachment("path", name, declared_name=name,
                                detected_modality=Modality.DOCUMENT)
                 )
                 fixtures[name] = _make_fixture(category, qrng)
-            gt = GroundTruth(
-                expected_flag=ExecutionFlag.COMPLEX,
-                evidence_keys=frozenset({"tables", "synthesis"}),
-                required_segments=frozenset({"synthesis", "part_0", "part_1", "part_2"}),
-                ambiguous=ambiguous,
-            )
         else:
-            text = (
-                _AMBIGUOUS_PERCEPTUAL[category]
-                if ambiguous
-                else _PERCEPTUAL_TEMPLATES[category]
-            )
-            ext = {
-                "document_qa": "pdf",
-                "ocr_extraction": "pdf",
-                "table_extraction": "xlsx",
-                "vision_qa": "jpg",
-                "object_detection": "png",
-                "audio_transcription": "mp3",
-                "audio_reasoning": "wav",
-                "video_analysis": "mp4",
-            }[category]
+            text = _AMBIGUOUS_PERCEPTUAL[category] if ambiguous else _PERCEPTUAL_TEMPLATES[category]
             prefix = "scan_" if category == "ocr_extraction" else ""
-            name = f"{prefix}{query_id}.{ext}"
+            name = f"{prefix}{query_id}.{row.extension}"
             attachments.append(Attachment("path", name, declared_name=name))
             fixtures[name] = _make_fixture(category, qrng)
-            flag = _category_flag(category)
-            evidence = {
-                "document_qa": {"text_blocks"},
-                "ocr_extraction": {"text_blocks"},
-                "table_extraction": {"tables"},
-                "vision_qa": {"detections"},
-                "object_detection": {"detections"},
-                "audio_transcription": {"transcript"},
-                "audio_reasoning": {"transcript"},
-                "video_analysis": {"detections", "transcript", "timeline"},
-            }[category]
-            segment = {
-                ExecutionFlag.DOCUMENT: "extraction",
-                ExecutionFlag.VISION: "detections",
-                ExecutionFlag.AUDIO: "transcript",
-                ExecutionFlag.VIDEO: "timeline",
-            }[flag]
-            gt = GroundTruth(
-                expected_flag=flag,
-                evidence_keys=frozenset(evidence),
-                required_segments=frozenset({segment}),
-                ambiguous=ambiguous,
-            )
-        if hint_roll:
-            gt.memory_hint = _hint_for(text)
         queries.append(
             GeneratedQuery(
                 query_id=query_id,
@@ -458,7 +442,13 @@ def generate_workload(spec: WorkloadSpec) -> list[GeneratedQuery]:
                 text=text,
                 attachments=attachments,
                 fixtures=fixtures,
-                ground_truth=gt,
+                ground_truth=GroundTruth(
+                    expected_flag=row.flag,
+                    evidence_keys=row.evidence,
+                    required_segments=row.segments,
+                    ambiguous=ambiguous,
+                    memory_hint=_hint_for(text) if hint_roll else None,
+                ),
             )
         )
     return queries
@@ -684,43 +674,17 @@ def _work_ms(outcome) -> int:
     return sum(r.latency_ms or 0 for r in outcome.trace_rows if r.event == "done")
 
 
-# Fixed decision-tree baseline: every query runs the same stage sequence for
-# its category, strictly sequentially, with a mandatory coordination stage and
-# a strong-model synthesis at the end. No scored memory, no win prediction,
-# no local repair: any stage failure restarts the whole query.
-_HIER_CHAINS: dict[str, list[str]] = {
-    "text": [],
-    "document_native": ["pdf-parse"],
-    "document_scanned": ["tesseract-ocr"],
-    "document_tables": ["table-extract"],
-    "vision": ["yolo-detect"],
-    "audio": ["whisper-transcribe"],
-    "video": ["yolo-detect", "whisper-transcribe", "temporal-align"],
-    "moe": ["slm-weak-invoke", "slm-weak-invoke", "slm-weak-invoke", "ensemble-aggregate"],
-    "complex": ["table-extract", "table-extract", "table-extract", "result-synthesize"],
-}
-_HIER_OVERHEAD = ["complexity-analyze", "pipeline-coordinate", "memory-retrieve"]
+# Fixed decision-tree baseline: every query runs its category's `stages`
+# strictly sequentially, between a mandatory coordination stage and a
+# strong-model synthesis. No scored memory, no win prediction, no local
+# repair: any stage failure restarts the whole query.
+_HIER_OVERHEAD = ("complexity-analyze", "pipeline-coordinate", "memory-retrieve")
 _HIER_SYNTH = "llm-strong-invoke"
 
 
-def _hier_chain_key(category: str) -> str:
-    return {
-        "text_reasoning": "text",
-        "coding_assistance": "text",
-        "analytical_mathematics": "text",
-        "summarization_rewriting": "text",
-        "general_qa": "text",
-        "document_qa": "document_native",
-        "ocr_extraction": "document_scanned",
-        "table_extraction": "document_tables",
-        "vision_qa": "vision",
-        "object_detection": "vision",
-        "audio_transcription": "audio",
-        "audio_reasoning": "audio",
-        "video_analysis": "video",
-        "mixed_retrieval": "moe",
-        "complex_orchestration": "complex",
-    }[category]
+def _frames(q: GeneratedQuery) -> Optional[int]:
+    """Frame count of the query's video fixture, or None without one."""
+    return next((int(f["frames"]) for f in q.fixtures.values() if f.get("frames")), None)
 
 
 def _run_hierarchical(
@@ -735,76 +699,51 @@ def _run_hierarchical(
 
     records: list[QueryRecord] = []
     for q in queries:
-        chain = list(_HIER_OVERHEAD)
-        chain += _HIER_CHAINS[_hier_chain_key(q.category)]
-        chain.append(_HIER_SYNTH)
-
+        chain = (*_HIER_OVERHEAD, *CATEGORY_TABLE[q.category].stages, _HIER_SYNTH)
+        frames = _frames(q)
         evidence_tokens = sum(f.get("tokens", 100) for f in q.fixtures.values())
         synth_tokens = whitespace_tokens(q.text) + evidence_tokens + 300
 
+        def stage(index: int, tool_name: str, attempt: int | str) -> tuple[int, Money]:
+            """Latency and cost of one stage run; `attempt` keys its latency draw."""
+            if tool_name == "yolo-detect" and frames:
+                latency = DETECT_MS_PER_FRAME * frames
+            else:
+                latency = registry.sample_latency(
+                    tool_ids[tool_name], stable_seed(seed, "hier-lat", q.query_id, index, attempt)
+                )
+            if tool_name == _HIER_SYNTH:
+                return latency, invocation_cost(catalog_entry_strong, synth_tokens)
+            return latency, registry.get(tool_ids[tool_name]).cost.per_invocation
+
         tta = 0
-        work = 0
         cost = Money(0)
-        rework_user = False
         restarts = 0
         correct = False
-
-        if q.ground_truth.ambiguous:
-            rework_user = True  # the tree cannot self-serve ellipsis
-
         for attempt in range(RESTART_CAP + 1):
-            attempt_ms = 0
-            attempt_cost = Money(0)
-            failed = False
-            for stage_index, tool_name in enumerate(chain):
-                tool_id = tool_ids[tool_name]
+            for index, tool_name in enumerate(chain):
+                latency, stage_cost = stage(index, tool_name, attempt)
+                tta += latency
+                cost = cost + stage_cost
                 draw = random.Random(
-                    stable_seed(seed, "hier", q.query_id, tool_name, stage_index, attempt)
+                    stable_seed(seed, "hier", q.query_id, tool_name, index, attempt)
                 ).random()
-                latency_seed = stable_seed(seed, "hier-lat", q.query_id, stage_index, attempt)
-                latency = registry.sample_latency(tool_id, latency_seed)
-                if tool_name == "yolo-detect":
-                    frames = next(
-                        (f.get("frames") for f in q.fixtures.values() if f.get("frames")), None
-                    )
-                    if frames:
-                        latency = DETECT_MS_PER_FRAME * int(frames)
-                attempt_ms += latency
-                spec_tool = registry.get(tool_id)
-                if tool_name == _HIER_SYNTH:
-                    attempt_cost = attempt_cost + invocation_cost(
-                        catalog_entry_strong, synth_tokens
-                    )
-                else:
-                    attempt_cost = attempt_cost + spec_tool.cost.per_invocation
                 if draw < spec.failure_injection.get(tool_name, 0.0):
-                    failed = True
                     break
-            tta += attempt_ms
-            work += attempt_ms
-            cost = cost + attempt_cost
-            if failed:
-                restarts += 1
-                continue
-            correct = True
-            break
+            else:
+                correct = True
+                break
+            restarts += 1
 
+        work = tta
         if q.ground_truth.ambiguous and correct:
             # user clarifies, then the predetermined pipeline restarts once more
             tta += CLARIFY_USER_DELAY_MS
-            rerun_ms = 0
-            rerun_cost = Money(0)
-            for stage_index, tool_name in enumerate(chain):
-                latency_seed = stable_seed(seed, "hier-lat", q.query_id, stage_index, "clar")
-                latency = registry.sample_latency(tool_ids[tool_name], latency_seed)
-                rerun_ms += latency
-                if tool_name == _HIER_SYNTH:
-                    rerun_cost = rerun_cost + invocation_cost(catalog_entry_strong, synth_tokens)
-                else:
-                    rerun_cost = rerun_cost + registry.get(tool_ids[tool_name]).cost.per_invocation
-            tta += rerun_ms
-            work += rerun_ms
-            cost = cost + rerun_cost
+            for index, tool_name in enumerate(chain):
+                latency, stage_cost = stage(index, tool_name, "clar")
+                tta += latency
+                work += latency
+                cost = cost + stage_cost
 
         records.append(
             QueryRecord(
@@ -812,7 +751,8 @@ def _run_hierarchical(
                 category=q.category,
                 tta_ms=tta,
                 correct=correct,
-                rework_user=rework_user,
+                # the tree cannot self-serve ellipsis
+                rework_user=q.ground_truth.ambiguous,
                 rework_internal=restarts,
                 cost_usd=cost.usd_str(),
                 work_ms=work,
@@ -834,19 +774,18 @@ def _run_monolithic(
     records = []
     for q in queries:
         latency = registry.sample_latency(strong_tool, stable_seed(seed, "mono", q.query_id))
-        frames = next((f.get("frames") for f in q.fixtures.values() if f.get("frames")), None)
+        frames = _frames(q)
         if frames:
-            latency += MONO_MS_PER_PERCEPT * int(frames)
+            latency += MONO_MS_PER_PERCEPT * frames
         elif q.attachments:
             latency += MONO_MS_PER_PERCEPT * len(q.attachments)
         evidence_tokens = sum(f.get("tokens", 100) for f in q.fixtures.values())
         tokens = whitespace_tokens(q.text) + 4 * evidence_tokens + 500
         cost = invocation_cost(strong_model, tokens)
-        tta = latency
-        rework_user = False
+        tta = work = latency
         if q.ground_truth.ambiguous:
-            rework_user = True
             tta += CLARIFY_USER_DELAY_MS + latency
+            work += latency
             cost = cost + invocation_cost(strong_model, tokens)
         records.append(
             QueryRecord(
@@ -854,10 +793,10 @@ def _run_monolithic(
                 category=q.category,
                 tta_ms=tta,
                 correct=True,
-                rework_user=rework_user,
+                rework_user=q.ground_truth.ambiguous,
                 rework_internal=0,
                 cost_usd=cost.usd_str(),
-                work_ms=tta - (CLARIFY_USER_DELAY_MS if rework_user else 0),
+                work_ms=work,
             )
         )
     return records

@@ -14,7 +14,7 @@ from supervisord.clock import VirtualClock
 from supervisord.couplet import BackendResult
 from supervisord.decomposition import (
     FLAG_REQUIRED_MODALITIES,
-    classify_flag,
+    classify_flag_detail,
     reconcile_flag,
 )
 from supervisord.harness import (
@@ -344,7 +344,7 @@ def test_acceptance_5_decomposition_safety_and_fixture_accuracy():
     )
     assert len(rows) == 150
     correct = sum(
-        classify_flag(row["query"], {Modality(m) for m in row["modalities"]}).value
+        classify_flag_detail(row["query"], {Modality(m) for m in row["modalities"]}).flag.value
         == row["expected_flag"]
         for row in rows
     )

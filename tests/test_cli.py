@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from supervisord.engine import STATE_JOURNAL_HEADER
 from supervisord.harness import default_workload_spec, generate_workload, materialize_workload
 from supervisord.tools import default_registry, spec_to_json
 
@@ -98,6 +99,23 @@ class TestInspect:
         sid = json.loads(capsys.readouterr().out)["session_id"]
         (store / f"{sid}.state.json").write_text('{"version": 1, "state": ')
         assert run_cli("inspect", sid) == EXIT_CORRUPT_STATE
+
+    @pytest.mark.parametrize("layout", ["document", "journal"])
+    @pytest.mark.parametrize("command", ["inspect", "session"])
+    def test_unknown_state_version_exits_4_without_traceback(
+        self, store, capsys, monkeypatch, command, layout
+    ):
+        snapshot = '{"version":2,"state":{}}'
+        if layout == "journal":
+            snapshot = STATE_JOURNAL_HEADER.decode() + snapshot + "\n"
+        store.mkdir()
+        (store / "1-aa.state.json").write_text(snapshot)
+        monkeypatch.setattr("sys.stdin", io.StringIO(":quit\n"))
+        argv = ["inspect", "1-aa"] if command == "inspect" else ["session", "--session", "1-aa"]
+        assert run_cli(*argv) == EXIT_CORRUPT_STATE
+        err = capsys.readouterr().err
+        assert err.startswith("error: unsupported state version 2")
+        assert "Traceback" not in err
 
 
 def legacy_memory_text(journal_text):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from supervisord.decomposition import (
     FLAG_REQUIRED_MODALITIES,
-    classify_flag,
+    classify_flag_detail,
     detect_modality,
     modality_from_magic,
     reconcile_flag,
@@ -63,15 +63,16 @@ class TestDetectModality:
 
 class TestClassifyFlag:
     def test_audio_rule(self):
-        assert classify_flag("transcribe this recording", {Modality.AUDIO}) is ExecutionFlag.AUDIO
+        flag = classify_flag_detail("transcribe this recording", {Modality.AUDIO}).flag
+        assert flag is ExecutionFlag.AUDIO
 
     def test_text_only_routellm(self):
-        assert classify_flag("summarize this text", set()) is ExecutionFlag.ROUTELLM
+        assert classify_flag_detail("summarize this text", set()).flag is ExecutionFlag.ROUTELLM
 
     def test_multi_document_complex(self):
-        flag = classify_flag(
+        flag = classify_flag_detail(
             "compare these three reports and chart trends", {Modality.DOCUMENT}
-        )
+        ).flag
         assert flag is ExecutionFlag.COMPLEX
 
     def test_labeled_fixture_spot_checks(self):
@@ -85,7 +86,7 @@ class TestClassifyFlag:
         sample = rows[:: len(rows) // 10]
         for row in sample:
             modalities = {Modality(m) for m in row["modalities"]}
-            assert classify_flag(row["query"], modalities).value == row["expected_flag"]
+            assert classify_flag_detail(row["query"], modalities).flag.value == row["expected_flag"]
 
 
 class TestReconcileFlag:
@@ -124,7 +125,9 @@ def test_decomposition_under_400ms():
     ]
     start = time.perf_counter()
     modalities = {detect_modality(a) for a in attachments}
-    flag = reconcile_flag(classify_flag("transcribe this recording", modalities), modalities)
+    flag = reconcile_flag(
+        classify_flag_detail("transcribe this recording", modalities).flag, modalities
+    )
     elapsed_ms = (time.perf_counter() - start) * 1000
     assert flag is ExecutionFlag.AUDIO
     assert elapsed_ms < 400

@@ -8,9 +8,11 @@ import math
 
 import pytest
 
+from supervisord.couplet import DETECT_MS_PER_FRAME
 from supervisord.errors import IncomparableReports, WorkloadSpecError
 from supervisord.harness import (
     CATEGORIES,
+    CATEGORY_TABLE,
     MetricsReport,
     PolicyConfig,
     WorkloadSpec,
@@ -194,13 +196,23 @@ class TestReportBytes:
         assert self.digest("centralized", faults, policy_cfg) == expected
 
     @pytest.mark.parametrize("policy,faults,expected", [
-        ("hierarchical", False, "1573d9fc1b00cccce1ca865d15b0bad28115e9006c13c276de3f52c62a907c51"),
-        ("hierarchical", True, "f8b58929d01686ff48b5f5bde16db462c7424d7e54ea89cd0a1c3cd17d3a2f20"),
+        ("hierarchical", False, "3a5c96a5de77eac4842a106fb594c02910f8966b649da08f4d47f4e307a374f3"),
+        ("hierarchical", True, "306af6559e6fa8a823062e622c99bad1cffb5abb865b5e01b9eaf3343d5dc802"),
         ("monolithic", False, "6c119081b04a711547b14131ee3cd0f6318697732ccb3a0b29a116df6ede8f6c"),
         ("monolithic", True, "f62631f472a1954a5be06e3337b48167637be96f2df0c4b0a379ca53bb5a8ad2"),
     ])
     def test_baseline_report_digest(self, policy, faults, expected):
         assert self.digest(policy, faults) == expected
+
+    def test_comparison_digest(self):
+        spec = default_workload_spec(300)
+        queries = generate_workload(spec)
+        centralized = run_policy(queries, "centralized", spec)
+        hierarchical = run_policy(queries, "hierarchical", spec)
+        text = json.dumps(compare(centralized, hierarchical).to_json_dict(), sort_keys=True)
+        text += "\n" + per_query_delta_csv(centralized, hierarchical)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "14d0d02620f2d1ef2eb7d91e2413a9975e2a14384f08cda003bbebbff4d149a9"
 
 
 class TestCompare:
@@ -309,12 +321,28 @@ class TestMaterializedWorkload:
 
 class TestPolicyFairness:
     def test_hierarchical_stages_exist_in_registry(self):
-        from supervisord.harness import _HIER_CHAINS, _HIER_OVERHEAD, _HIER_SYNTH
+        from supervisord.harness import _HIER_OVERHEAD, _HIER_SYNTH
         from supervisord.tools import default_registry
 
         registry = default_registry()
         names = {registry.get(t).name for t in registry.all_ids()}
         used = set(_HIER_OVERHEAD) | {_HIER_SYNTH}
-        for chain in _HIER_CHAINS.values():
-            used.update(chain)
+        for category in CATEGORY_TABLE.values():
+            used.update(category.stages)
         assert used <= names
+
+    def test_clarification_rerun_scales_detection_with_frames(self):
+        # Both the answering attempt and the post-clarification re-run detect
+        # over every frame, so ten more frames cost twice ten frames of time.
+        mix = {c: 0.0 for c in CATEGORIES}
+        mix["video_analysis"] = 1.0
+        spec = WorkloadSpec(total_queries=1, category_mix=mix, seed=5,
+                            failure_injection={}, ambiguity_rate=1.0)
+        [query] = generate_workload(spec)
+        assert query.ground_truth.ambiguous
+        [fixture] = query.fixtures.values()
+        ttas = []
+        for frames in (6, 16):
+            fixture["frames"] = frames
+            ttas.append(run_policy([query], "hierarchical", spec).per_query[0].tta_ms)
+        assert ttas[1] - ttas[0] == 2 * 10 * DETECT_MS_PER_FRAME
