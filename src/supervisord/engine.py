@@ -37,7 +37,7 @@ from .memory import (
 from .routing import (
     ModelCatalog,
     RoutingDecision,
-    accumulate_cost,
+    charge,
     default_model_catalog,
     invocation_cost,
     route_strong_weak,
@@ -320,8 +320,8 @@ class Supervisor:
             mem_latency = config.registry.sample_latency(mem_tool, mem_seed)
             clock.advance(mem_latency)
             mem_cost = config.registry.get(mem_tool).cost.per_invocation
+            charge(state.session, mem_cost, config.budget_cap)
             total_cost = total_cost + mem_cost
-            state.session.add_cost(mem_cost)
             query_embedding = embed(state.user_query or " ", config.embedder)
             query_modality = next(iter(sorted(m.value for m in modalities)), "text")
             retrieved = memory_store.retrieve_relevant(
@@ -423,14 +423,8 @@ class Supervisor:
 
         # 8. Cost accounting (exact, budget-capped).
         for result in exec_outcome.results:
-            node = graph.nodes[result.node_id]
-            if node.role == "model":
-                entry = backends._model_entry(node)
-                accumulate_cost(state.session, result.tokens, entry, config.budget_cap)
-                total_cost = total_cost + result.cost
-            else:
-                state.session.add_cost(result.cost)
-                total_cost = total_cost + result.cost
+            charge(state.session, result.cost, config.budget_cap)
+            total_cost = total_cost + result.cost
         outcome.cost = total_cost
         outcome.repair_count = len(graph.repair_log)
         outcome.rework_internal += outcome.repair_count

@@ -695,7 +695,6 @@ def _run_hierarchical(
 ) -> list[QueryRecord]:
     registry = default_registry()
     catalog_entry_strong = default_model_catalog().strongest(CostKnob.CLOSED_SRC)
-    tool_ids = {registry.get(t).name: t for t in registry.all_ids()}
 
     records: list[QueryRecord] = []
     for q in queries:
@@ -706,15 +705,16 @@ def _run_hierarchical(
 
         def stage(index: int, tool_name: str, attempt: int | str) -> tuple[int, Money]:
             """Latency and cost of one stage run; `attempt` keys its latency draw."""
+            tool_id = registry.id_for_name(tool_name)
             if tool_name == "yolo-detect" and frames:
                 latency = DETECT_MS_PER_FRAME * frames
             else:
                 latency = registry.sample_latency(
-                    tool_ids[tool_name], stable_seed(seed, "hier-lat", q.query_id, index, attempt)
+                    tool_id, stable_seed(seed, "hier-lat", q.query_id, index, attempt)
                 )
             if tool_name == _HIER_SYNTH:
                 return latency, invocation_cost(catalog_entry_strong, synth_tokens)
-            return latency, registry.get(tool_ids[tool_name]).cost.per_invocation
+            return latency, registry.get(tool_id).cost.per_invocation
 
         tta = 0
         cost = Money(0)
@@ -725,10 +725,13 @@ def _run_hierarchical(
                 latency, stage_cost = stage(index, tool_name, attempt)
                 tta += latency
                 cost = cost + stage_cost
+                rate = spec.failure_injection.get(tool_name, 0.0)
+                if rate <= 0:  # random() is never below 0.0: no draw can fail
+                    continue
                 draw = random.Random(
                     stable_seed(seed, "hier", q.query_id, tool_name, index, attempt)
                 ).random()
-                if draw < spec.failure_injection.get(tool_name, 0.0):
+                if draw < rate:
                     break
             else:
                 correct = True

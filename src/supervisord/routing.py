@@ -236,8 +236,17 @@ def accumulate_cost(
     model: ModelCatalogEntry,
     budget_cap: Optional[Money] = None,
 ) -> SessionMeta:
-    """Add one invocation's cost to the session; freezes (raises) at the budget cap."""
-    amount = invocation_cost(model, token_count)
+    """Add one model invocation's cost to the session (see `charge`)."""
+    return charge(session, invocation_cost(model, token_count), budget_cap)
+
+
+def charge(
+    session: SessionMeta, amount: Money, budget_cap: Optional[Money] = None
+) -> SessionMeta:
+    """Add `amount` to the session; freezes (raises) at the budget cap.
+
+    A charge that would take the session total past the cap is not added.
+    """
     with _cost_lock:
         new_total = session.cumulative_cost + amount
         if budget_cap is not None and new_total > budget_cap:

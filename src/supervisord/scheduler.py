@@ -189,13 +189,24 @@ def build_graph(
 
     graph = ExecutionGraph()
 
-    def match(requirement: Requirement) -> ToolId:
+    def add(node_id: str, role: str, output_tag: str, inputs=(), tier=None, **fields) -> GraphNode:
+        """Add a node bound to the best-ranked tool for its requirement.
+
+        Raises UnplannableQuery, carrying the requirement, when no tool fits.
+        """
+        requirement = Requirement(
+            input_modalities=frozenset(inputs),
+            output_tags=frozenset({output_tag}),
+            tier=tier,
+            state=state,
+        )
         try:
-            return registry.match_tools(requirement)[0]
+            tool = registry.match_tools(requirement)[0]
         except NoCapableTool as exc:
             raise UnplannableQuery(str(exc), requirement=exc.requirement) from exc
+        return graph.add_node(GraphNode(node_id, tool, requirement, role, **fields))
 
-    def perceptual_node(node_id: str, att, segment: str, modalities=None) -> GraphNode:
+    def perceptual_node(node_id: str, att, segment: str) -> GraphNode:
         modality = att.detected_modality
         scanned = modality is Modality.IMAGE or (
             att.declared_name is not None and "scan" in att.declared_name.lower()
@@ -206,21 +217,8 @@ def build_graph(
             attachment_ref=_attachment_ref(att),
             scanned=scanned,
         )
-        requirement = Requirement(
-            input_modalities=frozenset(modalities or {modality}),
-            output_tags=frozenset({KIND_OUTPUT_TAGS[task.kind]}),
-            state=state,
-        )
-        return graph.add_node(
-            GraphNode(
-                node_id=node_id,
-                tool=match(requirement),
-                requirement=requirement,
-                role="perceptual",
-                task=task,
-                segment=segment,
-            )
-        )
+        return add(node_id, "perceptual", KIND_OUTPUT_TAGS[task.kind], {modality},
+                   task=task, segment=segment)
 
     if flag in (ExecutionFlag.AUDIO, ExecutionFlag.VISION, ExecutionFlag.DOCUMENT,
                 ExecutionFlag.IMAGEN):
@@ -238,125 +236,50 @@ def build_graph(
         else:
             # Several attachments of the same modality: independent branches
             # joined by a synthesis node.
-            synth_req = Requirement(output_tags=frozenset({"synthesis"}), state=state)
-            synth = graph.add_node(
-                GraphNode("synth", match(synth_req), synth_req, role="synthesize",
-                          segment="synthesis")
-            )
+            add("synth", "synthesize", "synthesis", segment="synthesis")
             for i, att in enumerate(attachments):
-                node = perceptual_node(f"p{i}", att, f"{segment}_{i}")
-                graph.add_edge(node.node_id, synth.node_id)
+                perceptual_node(f"p{i}", att, f"{segment}_{i}")
+                graph.add_edge(f"p{i}", "synth")
 
     elif flag is ExecutionFlag.VIDEO:
         videos = _attachments_by_modality(state, Modality.VIDEO)
         if not videos:
             raise UnplannableQuery("video flag requires a video attachment")
-        att = videos[0]
-        ref = _attachment_ref(att)
-        detect_req = Requirement(
-            input_modalities=frozenset({Modality.VIDEO}),
-            output_tags=frozenset({"detections"}),
-            state=state,
-        )
-        frames = graph.add_node(
-            GraphNode(
-                "frames", match(detect_req), detect_req, role="perceptual",
-                task=PerceptualTask(TaskKind.DETECT_OBJECTS, {"frame_interval_s": 1.0}, ref),
-                segment="detections",
-            )
-        )
-        audio_req = Requirement(
-            input_modalities=frozenset({Modality.VIDEO}),
-            output_tags=frozenset({"transcript"}),
-            state=state,
-        )
-        speech = graph.add_node(
-            GraphNode(
-                "speech", match(audio_req), audio_req, role="perceptual",
-                task=PerceptualTask(TaskKind.TRANSCRIBE, {"language": "auto"}, ref),
-                segment="transcript",
-            )
-        )
-        align_req = Requirement(output_tags=frozenset({"timeline"}), state=state)
-        align = graph.add_node(
-            GraphNode("align", match(align_req), align_req, role="align", segment="timeline")
-        )
-        graph.add_edge(frames.node_id, align.node_id)
-        graph.add_edge(speech.node_id, align.node_id)
+        ref = _attachment_ref(videos[0])
+        add("frames", "perceptual", "detections", {Modality.VIDEO}, segment="detections",
+            task=PerceptualTask(TaskKind.DETECT_OBJECTS, {"frame_interval_s": 1.0}, ref))
+        add("speech", "perceptual", "transcript", {Modality.VIDEO}, segment="transcript",
+            task=PerceptualTask(TaskKind.TRANSCRIBE, {"language": "auto"}, ref))
+        add("align", "align", "timeline", segment="timeline")
+        graph.add_edge("frames", "align")
+        graph.add_edge("speech", "align")
 
     elif flag is ExecutionFlag.ROUTELLM:
         if routing_decision is None:
             raise UnplannableQuery("routellm flag requires a routing decision")
-        route_req = Requirement(
-            input_modalities=frozenset({Modality.TEXT}),
-            output_tags=frozenset({"complexity_score"}),
-            state=state,
-        )
-        route = graph.add_node(
-            GraphNode("route", match(route_req), route_req, role="route")
-        )
-        invoke_req = Requirement(
-            input_modalities=frozenset({Modality.TEXT}),
-            output_tags=frozenset({"answer_text"}),
-            tier=_invoke_tier(routing_decision),
-            state=state,
-        )
-        invoke = graph.add_node(
-            GraphNode(
-                "invoke", match(invoke_req), invoke_req, role="model",
-                model_name=routing_decision.chosen_model, segment="answer",
-            )
-        )
-        graph.add_edge(route.node_id, invoke.node_id)
+        add("route", "route", "complexity_score", {Modality.TEXT})
+        add("invoke", "model", "answer_text", {Modality.TEXT}, _invoke_tier(routing_decision),
+            model_name=routing_decision.chosen_model, segment="answer")
+        graph.add_edge("route", "invoke")
 
     elif flag is ExecutionFlag.MOE:
-        agg_req = Requirement(output_tags=frozenset({"aggregation"}), state=state)
-        agg = graph.add_node(
-            GraphNode("aggregate", match(agg_req), agg_req, role="aggregate",
-                      segment="answer")
-        )
-        expert_req = Requirement(
-            input_modalities=frozenset({Modality.TEXT}),
-            output_tags=frozenset({"answer_text"}),
-            state=state,
-        )
+        add("aggregate", "aggregate", "aggregation", segment="answer")
         for i in range(MOE_WIDTH):
-            expert = graph.add_node(
-                GraphNode(f"expert{i}", match(expert_req), expert_req, role="model",
-                          segment=f"expert_{i}")
-            )
-            graph.add_edge(expert.node_id, agg.node_id)
+            add(f"expert{i}", "model", "answer_text", {Modality.TEXT}, segment=f"expert_{i}")
+            graph.add_edge(f"expert{i}", "aggregate")
 
     elif flag is ExecutionFlag.COMPLEX:
-        decomp_req = Requirement(
-            input_modalities=frozenset({Modality.TEXT}),
-            output_tags=frozenset({"complexity_score"}),
-            state=state,
-        )
-        decomp = graph.add_node(
-            GraphNode("decompose", match(decomp_req), decomp_req, role="decompose")
-        )
-        synth_req = Requirement(output_tags=frozenset({"synthesis"}), state=state)
-        synth = graph.add_node(
-            GraphNode("synth", match(synth_req), synth_req, role="synthesize",
-                      segment="synthesis")
-        )
-        subtasks = _complex_subtasks(state)
-        for i, (att, segment) in enumerate(subtasks):
+        add("decompose", "decompose", "complexity_score", {Modality.TEXT})
+        add("synth", "synthesize", "synthesis", segment="synthesis")
+        for i, (att, segment) in enumerate(_complex_subtasks(state)):
+            node_id = f"branch{i}"
             if att is not None:
-                node = perceptual_node(f"branch{i}", att, segment)
+                perceptual_node(node_id, att, segment)
             else:
                 # Text-only subtask runs on a lightweight model.
-                req = Requirement(
-                    input_modalities=frozenset({Modality.TEXT}),
-                    output_tags=frozenset({"answer_text"}),
-                    state=state,
-                )
-                node = graph.add_node(
-                    GraphNode(f"branch{i}", match(req), req, role="model", segment=segment)
-                )
-            graph.add_edge(decomp.node_id, node.node_id)
-            graph.add_edge(node.node_id, synth.node_id)
+                add(node_id, "model", "answer_text", {Modality.TEXT}, segment=segment)
+            graph.add_edge("decompose", node_id)
+            graph.add_edge(node_id, "synth")
     else:  # pragma: no cover - flag enum is closed
         raise UnplannableQuery(f"unsupported flag {flag}")
 

@@ -182,18 +182,18 @@ class ToolRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._by_id: dict[ToolId, ToolSpec] = {}
-        self._names: set[str] = set()
+        self._ids_by_name: dict[str, ToolId] = {}
         # (input modalities, output tags, tier) -> capable (tool_id, spec), ranked
         self._ranked: dict[tuple, list[tuple[ToolId, ToolSpec]]] = {}
 
     def register_tool(self, spec: ToolSpec) -> ToolId:
         spec.validate()
         with self._lock:
-            if spec.name in self._names:
+            if spec.name in self._ids_by_name:
                 raise DuplicateTool(f"tool {spec.name!r} already registered")
             tool_id = ToolId(f"t{len(self._by_id):03d}:{spec.name}")
             self._by_id[tool_id] = spec
-            self._names.add(spec.name)
+            self._ids_by_name[spec.name] = tool_id
             self._ranked.clear()
         return tool_id
 
@@ -204,10 +204,10 @@ class ToolRegistry:
             raise UnknownTool(f"no tool registered under {tool_id}") from None
 
     def id_for_name(self, name: str) -> ToolId:
-        for tool_id, spec in self._by_id.items():
-            if spec.name == name:
-                return tool_id
-        raise UnknownTool(f"no tool named {name!r}")
+        try:
+            return self._ids_by_name[name]
+        except KeyError:
+            raise UnknownTool(f"no tool named {name!r}") from None
 
     def __len__(self) -> int:
         return len(self._by_id)

@@ -24,6 +24,7 @@ from supervisord.engine import (
 )
 from supervisord.errors import BudgetExceeded, CorruptState
 from supervisord.memory import MemoryStore
+from supervisord.routing import select_tier
 from supervisord.scenarios import load_scenario, run_scenario
 from supervisord.state import (
     Attachment,
@@ -251,6 +252,29 @@ class TestAccounting:
         config = EngineConfig(seed=3, budget_cap=Money.from_usd("0.000001"))
         with pytest.raises(BudgetExceeded):
             run_query("what time is it in Tokyo", config=config)
+
+    @pytest.mark.parametrize("name", ["video-advertisement", "financial-analysis"])
+    def test_budget_cap_covers_every_node(self, name):
+        # Uncapped, these scenarios cost $0.011200 and $0.013826, mostly on
+        # perceptual and join nodes; the cap must stop them all the same.
+        scenario = load_scenario(name)
+        cap = Money.from_usd("0.001")
+        state = QueryState(
+            user_query=scenario.query,
+            cost_knob=select_tier(scenario.knob),
+            session=session(),
+            attachments=[Attachment("path", n, declared_name=n) for n in scenario.attachments],
+        )
+        with pytest.raises(BudgetExceeded):
+            Supervisor(EngineConfig(seed=7, budget_cap=cap)).process(
+                state,
+                memory_store=MemoryStore(),
+                perceptual_backend=SimulatedBackend(scenario.fixtures),
+                clarifier=lambda _q: scenario.clarify_reply,
+                clock=VirtualClock(),
+                query_id=f"scenario-{name}",
+            )
+        assert Money(0) < state.session.cumulative_cost <= cap
 
     def test_turn_count_increments(self):
         state, _ = run_query("hello")

@@ -54,9 +54,10 @@ class TestRegistration:
 
     def test_duplicate_name_rejected(self):
         registry = ToolRegistry()
-        registry.register_tool(spec("yolo-detect"))
+        first = registry.register_tool(spec("yolo-detect"))
         with pytest.raises(DuplicateTool):
             registry.register_tool(spec("yolo-detect"))
+        assert registry.id_for_name("yolo-detect") == first
 
     def test_inverted_latency_rejected(self):
         registry = ToolRegistry()
@@ -83,6 +84,9 @@ class TestRegistration:
         registry2 = ToolRegistry()
         with pytest.raises(UnknownTool):
             registry2.get(tool_id)
+        assert registry.id_for_name("a") == tool_id
+        with pytest.raises(UnknownTool):
+            registry2.id_for_name("a")
 
 
 class TestMatching:
