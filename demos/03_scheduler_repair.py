@@ -45,8 +45,8 @@ def run(failure_rates):
     )
     scheduler = Scheduler(config.registry)
     outcome = scheduler.execute(graph, VirtualClock(), backends, seed=4)
-    print(f"total latency: {outcome.total_latency_ms} ms "
-          f"(critical path through {sorted(outcome.critical_node_ids)})")
+    critical = sorted(n for n, r in graph.results.items() if r.critical)
+    print(f"total latency: {outcome.total_latency_ms} ms (critical path through {critical})")
     for row in outcome.trace:
         lat = f" {row.latency_ms}ms" if row.latency_ms else ""
         print(f"  t={row.ts:>6} {row.event:<9} {row.node_id:<7} {row.tool}{lat}")

@@ -6,8 +6,8 @@ Stable exit codes: 2 workload spec violation, bad config file (unreadable,
 not a JSON object, an unknown key or a value of the wrong type) or an
 unreadable input (tool or model catalog, flag rules, fixtures, workload file,
 budget amount), 3 unknown session, 4 corrupt state, memory or trace file,
-11 unplannable query, 12 budget exceeded, 20 clarification required in
-non-interactive mode.
+11 unplannable query, 12 budget exceeded (checked as each node finishes),
+13 pipeline failed, 20 clarification required in non-interactive mode.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ EXIT_UNKNOWN_SESSION = 3
 EXIT_CORRUPT_STATE = 4
 EXIT_UNPLANNABLE = 11
 EXIT_BUDGET = 12
+EXIT_PIPELINE_FAILED = 13
 EXIT_CLARIFICATION = 20
 
 # What a missing or malformed input file or value raises while it is parsed.
@@ -67,6 +68,15 @@ _INPUT_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError, In
                  DuplicateTool)
 
 T = TypeVar("T")
+
+
+def _pipeline_failed(outcome, session_id: str) -> int:
+    """Report a turn whose pipeline failed; its files are already saved."""
+    failed = [row for row in outcome.trace_rows if row.event == "failed"]
+    where = f" at node {failed[-1].node_id} ({failed[-1].tool})" if failed else ""
+    print(f"error: pipeline failed{where} with no repair left; session {session_id}",
+          file=sys.stderr)
+    return EXIT_PIPELINE_FAILED
 
 
 def _load_input(what: str, source: str, load: Callable[[str], T]) -> T:
@@ -233,6 +243,8 @@ def cmd_run(args) -> int:
             f"clarification needed: {state.clarify_question}",
         )
         return EXIT_CLARIFICATION
+    if outcome.failed:
+        return _pipeline_failed(outcome, session.session_id)
     payload = {
         "session_id": session.session_id,
         "flag": outcome.flag.value if outcome.flag else None,
@@ -331,12 +343,14 @@ def cmd_session(args) -> int:
         except BudgetExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BUDGET
-        print(outcome.answer_text)
-        marker = ", best effort" if outcome.best_effort else ""
-        print(f"  ({outcome.tta_ms} ms, ${outcome.cost.usd_str()}{marker})")
         save_state_file(cfg.store_root, state)
         save_session_memory(cfg.store_root, session.session_id, memory)
         append_trace_rows(cfg.store_root, session.session_id, outcome.trace_rows)
+        if outcome.failed:
+            return _pipeline_failed(outcome, session.session_id)
+        print(outcome.answer_text)
+        marker = ", best effort" if outcome.best_effort else ""
+        print(f"  ({outcome.tta_ms} ms, ${outcome.cost.usd_str()}{marker})")
     return 0
 
 

@@ -22,6 +22,7 @@ DEFAULT_FRAME_INTERVAL_S = 1.0
 DETECT_MS_PER_FRAME = 180
 TIMELINE_OVERLAP_TOLERANCE_S = 1.0
 CONFIDENCE_RANGE = (0.85, 0.98)  # unscripted fixture confidences are drawn from here
+PERCEPTUAL_MODALITIES = (Modality.IMAGE, Modality.AUDIO, Modality.VIDEO, Modality.DOCUMENT)
 
 
 class TaskKind(str, Enum):
@@ -111,7 +112,7 @@ def parse_intent(
     queries with no actionable verb raise AmbiguousIntent, which feeds the
     clarification hook.
     """
-    if modality not in (Modality.IMAGE, Modality.AUDIO, Modality.VIDEO, Modality.DOCUMENT):
+    if modality not in PERCEPTUAL_MODALITIES:
         raise ValueError(f"parse_intent requires a perceptual modality, got {modality}")
     q = query.lower()
     has_action = bool(

@@ -47,7 +47,6 @@ from .scheduler import (
     CLARIFICATION_LIMIT,
     ExecutionGraph,
     GraphNode,
-    NodeResult,
     Scheduler,
     TraceRow,
     build_graph,
@@ -247,14 +246,16 @@ class EngineBackends:
         return base
 
     def node_cost(self, node: GraphNode, invocation: couplet_mod.BackendResult) -> Money:
+        """Price a finished node and charge it to the session against the budget cap."""
         spec = self.config.registry.get(node.tool)
-        if node.role in ("model",):
-            entry = self._model_entry(node)
-            return invocation_cost(entry, invocation.tokens)
-        flat = spec.cost.per_invocation
-        if spec.cost.per_mtok.micros and invocation.tokens:
-            flat = flat + token_cost(spec.cost.per_mtok, invocation.tokens)
-        return flat
+        if node.role == "model":
+            cost = invocation_cost(self._model_entry(node), invocation.tokens)
+        else:
+            cost = spec.cost.per_invocation
+            if spec.cost.per_mtok.micros and invocation.tokens:
+                cost = cost + token_cost(spec.cost.per_mtok, invocation.tokens)
+        charge(self.state.session, cost, self.config.budget_cap)
+        return cost
 
 
 class Supervisor:
@@ -295,7 +296,7 @@ class Supervisor:
         backend = perceptual_backend or SimulatedBackend()
         outcome = QueryOutcome()
         t0 = clock.now_ms()
-        total_cost = Money(0)
+        cost_before = state.session.cumulative_cost
 
         # 1. Attachment decomposition.
         for att in state.attachments:
@@ -321,7 +322,6 @@ class Supervisor:
             clock.advance(mem_latency)
             mem_cost = config.registry.get(mem_tool).cost.per_invocation
             charge(state.session, mem_cost, config.budget_cap)
-            total_cost = total_cost + mem_cost
             query_embedding = embed(state.user_query or " ", config.embedder)
             query_modality = next(iter(sorted(m.value for m in modalities)), "text")
             retrieved = memory_store.retrieve_relevant(
@@ -368,66 +368,62 @@ class Supervisor:
                     state.flag, state, config.registry, routing_decision=routing_decision
                 )
             else:
+                graph = ExecutionGraph()  # nothing to run; the turn fails below
                 outcome.failed = True
-                outcome.tta_ms = clock.now_ms() - t0
-                return outcome
 
-        backends = EngineBackends(
-            graph, state, config, backend,
-            failure_rates=failure_rates, failure_seed=config.seed, query_id=query_id,
-        )
-        exec_outcome = None
-        for round_index in range(CLARIFICATION_LIMIT + 1):
-            try:
-                exec_outcome = self.scheduler.execute(
-                    graph, clock, backends, stable_seed(config.seed, query_seed, round_index),
-                    session_id=state.session.session_id,
-                )
-            except PipelineFailed as exc:
-                outcome.failed = True
-                outcome.trace_rows.extend(exc.trace)
-                outcome.repair_count = len(graph.repair_log)
-                outcome.tta_ms = clock.now_ms() - t0
-                outcome.cost = total_cost
-                return outcome
-            outcome.trace_rows.extend(exec_outcome.trace)
-            question = check_clarification(
-                exec_outcome.results, repair_attempted=bool(graph.repair_log)
+        if not outcome.failed:
+            backends = EngineBackends(
+                graph, state, config, backend,
+                failure_rates=failure_rates, failure_seed=config.seed, query_id=query_id,
             )
-            if question is None:
-                break
-            if round_index >= CLARIFICATION_LIMIT:
-                outcome.best_effort = True
-                break
-            answered = self._ask_user(state, question, clarifier, clock, outcome)
-            if not answered:
-                outcome.best_effort = True
-                break
-            self._refine_graph(graph, exec_outcome.results, state)
-        assert exec_outcome is not None
+            for round_index in range(CLARIFICATION_LIMIT + 1):
+                try:
+                    executed = self.scheduler.execute(
+                        graph, clock, backends, stable_seed(config.seed, query_seed, round_index),
+                        session_id=state.session.session_id,
+                    )
+                except PipelineFailed as exc:
+                    outcome.failed = True
+                    outcome.trace_rows.extend(exc.trace)
+                    break
+                outcome.trace_rows.extend(executed.trace)
+                question = check_clarification(
+                    graph.results.values(), repair_attempted=bool(graph.repair_log)
+                )
+                if question is None:
+                    break
+                if round_index >= CLARIFICATION_LIMIT:
+                    outcome.best_effort = True
+                    break
+                answered = self._ask_user(state, question, clarifier, clock, outcome)
+                if not answered:
+                    outcome.best_effort = True
+                    break
+                self._refine_graph(graph, state)
 
-        # 6. Assemble answer segments from node evidence.
-        segments, evidence_keys, cited = self._assemble(graph, exec_outcome.results, state)
-        outcome.segments = segments
-        outcome.evidence_keys = evidence_keys
-        outcome.answer_text = "\n".join(
-            f"[{name}] {text}" for name, text in segments.items()
-        )
+        if not outcome.failed:
+            # 6. Assemble answer segments from node evidence.
+            outcome.segments, outcome.evidence_keys, cited = self._assemble(graph, state)
+            outcome.answer_text = "\n".join(
+                f"[{name}] {text}" for name, text in outcome.segments.items()
+            )
 
-        # 7. Structural verification; failures count as internal rework.
-        required = sorted({n.segment for n in graph.nodes.values() if n.segment})
-        verdict = verify_output(segments, exec_outcome.trace, required, cited)
-        outcome.verified = verdict.status
-        if verdict.status == "fail":
-            outcome.rework_internal += 1
+            # 7. Structural verification against every round's trace; failures
+            # and repairs count as internal rework.
+            required = sorted({n.segment for n in graph.nodes.values() if n.segment})
+            verdict = verify_output(outcome.segments, outcome.trace_rows, required, cited)
+            outcome.verified = verdict.status
+            if verdict.status == "fail":
+                outcome.rework_internal += 1
+            outcome.rework_internal += len(graph.repair_log)
 
-        # 8. Cost accounting (exact, budget-capped).
-        for result in exec_outcome.results:
-            charge(state.session, result.cost, config.budget_cap)
-            total_cost = total_cost + result.cost
-        outcome.cost = total_cost
+        # 8. Accounting: every charge of the turn went through `charge` as it was
+        # incurred, so the turn's cost is the session's delta.
+        outcome.cost = state.session.cumulative_cost - cost_before
         outcome.repair_count = len(graph.repair_log)
-        outcome.rework_internal += outcome.repair_count
+        outcome.tta_ms = clock.now_ms() - t0
+        if outcome.failed:
+            return outcome
 
         # 9. Remember the turn.
         if config.memory_enabled:
@@ -440,7 +436,6 @@ class Supervisor:
             )
             memory_store.maybe_compress()
         state.session.turn_count += 1
-        outcome.tta_ms = clock.now_ms() - t0
         return outcome
 
     # -- helpers -------------------------------------------------------------------
@@ -474,10 +469,10 @@ class Supervisor:
                 return record.content
         return ""
 
-    def _refine_graph(self, graph: ExecutionGraph, results: list[NodeResult], state) -> None:
-        """Clarified queries re-run only the low-confidence node with focused
-        parameters; completed work is preserved."""
-        critical = [r for r in results if r.critical]
+    def _refine_graph(self, graph: ExecutionGraph, state) -> None:
+        """Clarified queries re-run the low-confidence node with focused
+        parameters, and everything downstream of it; other work is kept."""
+        critical = [r for r in graph.results.values() if r.critical]
         if not critical:
             return
         worst = min(critical, key=lambda r: (r.confidence, r.node_id))
@@ -492,14 +487,14 @@ class Supervisor:
             for name, value in (("targets", targets[:5]), ("refined", True)):
                 if name in schema:
                     node.task.parameters[name] = value
-        node.status = "pending"
+        graph.reset(node.node_id)
 
-    def _assemble(self, graph, results, state):
+    def _assemble(self, graph, state):
         segments: dict[str, str] = {}
         evidence_keys: set[str] = set()
         cited: dict[str, list[str]] = {}
-        for result in results:
-            node = graph.nodes[result.node_id]
+        for node_id, node in graph.nodes.items():
+            result = graph.results[node_id]
             payload = {k: v for k, v in result.output.items() if not k.startswith("_")}
             evidence_keys.update(k for k in payload if k not in ("targets", "clarify_hint"))
             if not node.segment:
@@ -511,7 +506,7 @@ class Supervisor:
             else:
                 text = payload.get("answer_text") or payload.get("synthesis") or ""
             segments[node.segment] = text
-            cited[node.segment] = [result.node_id]
+            cited[node.segment] = [node_id]
         return segments, evidence_keys, cited
 
 

@@ -77,11 +77,10 @@ class UnplannableQuery(SupervisorError):
 
 
 class PipelineFailed(SupervisorError):
-    """A node failed with no viable repair; carries partial results and trace."""
+    """A node failed with no viable repair; carries the execution's trace."""
 
-    def __init__(self, message: str, partial_results=None, trace=None):
+    def __init__(self, message: str, trace=None):
         super().__init__(message)
-        self.partial_results = partial_results or []
         self.trace = trace or []
 
 

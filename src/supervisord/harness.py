@@ -18,7 +18,7 @@ import io
 import json
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from .clock import VirtualClock
@@ -175,28 +175,12 @@ class WorkloadSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "WorkloadSpec":
-        spec = cls(
-            total_queries=obj.get("total_queries", 0),
-            category_mix=obj.get(
-                "category_mix", {c: 1.0 / len(CATEGORIES) for c in CATEGORIES}
-            ),
-            seed=obj.get("seed", 20260810),
-            failure_injection=obj.get("failure_injection", dict(DEFAULT_FAILURE_INJECTION)),
-            ambiguity_rate=obj.get("ambiguity_rate", 0.23),
-            memory_hint_rate=obj.get("memory_hint_rate", 0.85),
-        )
+        """The spec of a workload file; a key the file omits keeps its default,
+        except `total_queries`, which `validate` rejects unless given."""
+        held = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
+        spec = cls(**({"total_queries": 0} | held))
         spec.validate()
         return spec
-
-    def to_json_dict(self) -> dict:
-        return {
-            "total_queries": self.total_queries,
-            "category_mix": self.category_mix,
-            "seed": self.seed,
-            "failure_injection": self.failure_injection,
-            "ambiguity_rate": self.ambiguity_rate,
-            "memory_hint_rate": self.memory_hint_rate,
-        }
 
 
 @dataclass
@@ -1090,5 +1074,5 @@ def materialize_workload(queries: list[GeneratedQuery], spec: WorkloadSpec) -> d
     }
 
 
-def default_workload_spec(total_queries: int = 1000, seed: int = 20260810) -> WorkloadSpec:
+def default_workload_spec(total_queries: int = 1000, seed: int = WorkloadSpec.seed) -> WorkloadSpec:
     return WorkloadSpec(total_queries=total_queries, seed=seed)

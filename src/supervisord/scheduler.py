@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
-from .couplet import PerceptualTask, TaskKind, stable_seed
+from .couplet import PERCEPTUAL_MODALITIES, PerceptualTask, TaskKind, stable_seed
 from .decomposition import FLAG_REQUIRED_MODALITIES
 from .errors import NoCapableTool, NodeFailure, PipelineFailed, UnplannableQuery
 from .routing import RoutingDecision
@@ -109,12 +109,14 @@ class TraceRow:
 
 
 class ExecutionGraph:
-    """DAG of tool invocations with per-node status and a repair log."""
+    """DAG of tool invocations with per-node status, a repair log and the
+    results ledger: one result per done node, kept across executions."""
 
     def __init__(self):
         self.nodes: dict[str, GraphNode] = {}
         self.edges: list[tuple[str, str]] = []
         self.repair_log: list[RepairEvent] = []
+        self.results: dict[str, NodeResult] = {}  # node_id -> result, in completion order
         self._parents: dict[str, list[str]] = {}
         self._children: dict[str, list[str]] = {}
 
@@ -157,6 +159,14 @@ class ExecutionGraph:
 
     def done_count(self) -> int:
         return sum(1 for n in self.nodes.values() if n.status == "done")
+
+    def reset(self, node_id: str) -> None:
+        """Return a node and everything downstream of it to pending and drop
+        their results, so the next execution runs them again."""
+        self.nodes[node_id].status = "pending"
+        self.results.pop(node_id, None)
+        for child in self._children[node_id]:
+            self.reset(child)
 
 
 # --- graph construction -----------------------------------------------------------
@@ -301,10 +311,10 @@ def _invoke_tier(decision: RoutingDecision) -> Optional[CostKnob]:
 def _complex_subtasks(state: QueryState):
     """Split a complex query into enumerable subtasks (heuristic).
 
-    Attachments become per-attachment branches; with fewer than two
-    attachments, conjunction clauses become text subtasks.
+    Attachments of a perceptual modality become per-attachment branches;
+    with fewer than two, conjunction clauses become text subtasks.
     """
-    perceptual = [a for a in state.attachments if a.detected_modality]
+    perceptual = _attachments_by_modality(state, *PERCEPTUAL_MODALITIES)
     if len(perceptual) >= 2:
         return [(att, f"part_{i}") for i, att in enumerate(perceptual)]
     if len(perceptual) == 1:
@@ -318,10 +328,8 @@ def _complex_subtasks(state: QueryState):
 
 @dataclass
 class ExecutionOutcome:
-    results: list[NodeResult]
     total_latency_ms: int
     trace: list[TraceRow]
-    critical_node_ids: set[str] = field(default_factory=set)
 
 
 class Scheduler:
@@ -394,14 +402,17 @@ class Scheduler:
         allows; running nodes finish in (finish time, insertion) order and the
         clock advances to each finish. A repaired node becomes ready again
         under its original insertion index. Deterministic for a fixed seed.
-        Returns per-node results and the total virtual latency, which equals
-        the critical path when capacity is unbounded.
+        Each node is priced by `backends.node_cost` and recorded in
+        `graph.results` as it is done, flagged `critical` when it lies on this
+        call's longest dependency chain. Returns this call's trace and its
+        total virtual latency, which equals the critical path when capacity is
+        unbounded. Raises ValueError on a cyclic graph before anything runs.
         """
-        order = graph.topological_order()
+        graph.topological_order()
         start_ms = clock.now_ms()
-        results: dict[str, NodeResult] = {}
         trace: list[TraceRow] = []
         node_elapsed: dict[str, int] = {}
+        finished: dict[str, int] = {}  # node_id -> dependency finish, in completion order
         attempts: dict[str, tuple] = {}  # node_id -> (invocation, failed, cause)
         insertion = {node_id: i for i, node_id in enumerate(graph.nodes)}
         running: list[tuple[int, int, str]] = []  # (finish_ts, insertion, node_id)
@@ -464,7 +475,6 @@ class Scheduler:
                 try:
                     replacement = self.repair(graph, node_id, cause or "backend failure")
                 except PipelineFailed as exc:
-                    exc.partial_results = list(results.values())
                     exc.trace = trace
                     raise
                 trace.append(
@@ -475,7 +485,13 @@ class Scheduler:
             else:
                 node.status = "done"
                 cost = backends.node_cost(node, invocation)
-                results[node_id] = NodeResult(
+                # Finish along dependencies alone, as if every node had its own
+                # slot: a wait for the single slot in serial mode is not a chain.
+                finished[node_id] = node_elapsed[node_id] + max(
+                    (finished[p] for p in graph.parents(node_id) if p in finished),
+                    default=0,
+                )
+                graph.results[node_id] = NodeResult(
                     node_id=node_id,
                     output=invocation.payload,
                     confidence=invocation.confidence,
@@ -496,52 +512,26 @@ class Scheduler:
                         heapq.heappush(ready, (insertion[child], child))
             launch_ready(finish_ts)
 
-        outcome = ExecutionOutcome(
-            results=[results[n] for n in graph.nodes if n in results],
-            total_latency_ms=clock.now_ms() - start_ms,
-            trace=trace,
-        )
-        outcome.critical_node_ids = self._critical_nodes(graph, node_elapsed, order)
-        for result in outcome.results:
-            result.critical = result.node_id in outcome.critical_node_ids
-        return outcome
-
-    def _critical_nodes(
-        self, graph: ExecutionGraph, elapsed: dict[str, int], order: list[str]
-    ) -> set[str]:
-        """Nodes on (one of) the longest dependency chains."""
-        finish: dict[str, int] = {}
-        for node_id in order:
-            if node_id not in elapsed:
-                continue
-            start = max(
-                (finish[p] for p in graph.parents(node_id) if p in finish), default=0
-            )
-            finish[node_id] = start + elapsed[node_id]
-        if not finish:
-            return set()
-        total = max(finish.values())
+        # Critical path: from the first node with the latest dependency finish,
+        # walk back through the parents that finished when it started.
         critical: set[str] = set()
-
-        def walk_back(node_id: str) -> None:
+        latest = max(finished.values(), default=None)
+        stack = [n for n, ts in finished.items() if ts == latest][:1]
+        while stack:
+            node_id = stack.pop()
             critical.add(node_id)
-            start = finish[node_id] - elapsed[node_id]
-            for p in graph.parents(node_id):
-                if p in finish and finish[p] == start:
-                    walk_back(p)
-
-        for node_id, value in finish.items():
-            if value == total:
-                walk_back(node_id)
-                break
-        return critical
+            started = finished[node_id] - node_elapsed[node_id]
+            stack.extend(p for p in graph.parents(node_id) if finished.get(p) == started)
+        for node_id, result in graph.results.items():
+            result.critical = node_id in critical
+        return ExecutionOutcome(total_latency_ms=clock.now_ms() - start_ms, trace=trace)
 
 
 # --- clarification and verification ---------------------------------------------------
 
 
 def check_clarification(
-    results: list[NodeResult],
+    results: Iterable[NodeResult],
     threshold: float = DEFAULT_CLARIFICATION_THRESHOLD,
     *,
     repair_attempted: bool = False,

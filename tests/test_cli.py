@@ -8,7 +8,8 @@ import os
 
 import pytest
 
-from supervisord.engine import STATE_JOURNAL_HEADER
+from supervisord.engine import STATE_JOURNAL_HEADER, EngineBackends
+from supervisord.errors import NodeFailure
 from supervisord.harness import default_workload_spec, generate_workload, materialize_workload
 from supervisord.tools import default_registry, spec_to_json
 
@@ -16,6 +17,7 @@ from supervisord.cli import (
     EXIT_BUDGET,
     EXIT_CLARIFICATION,
     EXIT_CORRUPT_STATE,
+    EXIT_PIPELINE_FAILED,
     EXIT_UNKNOWN_SESSION,
     EXIT_UNPLANNABLE,
     EXIT_WORKLOAD_SPEC,
@@ -71,6 +73,36 @@ class TestRun:
     def test_budget_exceeded_exit_code(self, store, capsys):
         code = run_cli("run", "hello there", "--budget-usd", "0.0000005")
         assert code == EXIT_BUDGET
+
+    def test_failed_pipeline_exits_13_after_saving(self, store, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps({"memo.mp3": {"tool_failure": {
+            "whisper-transcribe": True, "audio-analyze": True}}}))
+        code = run_cli("--json", "run", "transcribe this recording", "--attach", "memo.mp3",
+                       "--fixtures", str(fixtures))
+        assert code == EXIT_PIPELINE_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: pipeline failed at node p0 (audio-analyze)")
+        sid = captured.err.split()[-1]
+        for suffix in ("state.json", "memory.json", "trace.jsonl"):
+            assert (store / f"{sid}.{suffix}").exists()
+
+    @pytest.mark.parametrize("other", ["blob.xyz", "notes.txt"])
+    def test_complex_query_skips_non_perceptual_attachment(self, store, tmp_path, capsys,
+                                                           other):
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text("{}")
+        code = run_cli(
+            "--json", "run",
+            "compare these three reports and chart trends, then plan a budget and "
+            "summarize risks",
+            "--attach", other, "--attach", "r.pdf", "--fixtures", str(fixtures),
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["flag"] == "complex"
+        assert "[part_0]" in payload["answer"] and "[part_1]" in payload["answer"]
 
     def test_state_files_persisted(self, store, capsys):
         run_cli("--json", "run", "hello there")
@@ -488,6 +520,21 @@ class TestSessionRepl:
         err = capsys.readouterr().err
         assert err.startswith("error: no capable tool for requirement")
         assert "Traceback" not in err
+
+    def test_failed_pipeline_turn_exits_13_after_saving(self, store, monkeypatch, capsys):
+        def failing(self, node, seed):
+            raise NodeFailure(f"backend down for {node.node_id}")
+
+        monkeypatch.setattr(EngineBackends, "run_node", failing)
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello there\nsecond turn\n"))
+        code = run_cli("session")
+        assert code == EXIT_PIPELINE_FAILED
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: pipeline failed at node route")
+        assert "Traceback" not in captured.err
+        sid = captured.err.split()[-1]
+        assert (store / f"{sid}.state.json").exists()
+        assert (store / f"{sid}.trace.jsonl").exists()
 
     def test_six_turns_memory_window(self, store, monkeypatch, capsys):
         queries = [f"question number {i} about topic {i}" for i in range(6)]

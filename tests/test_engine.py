@@ -7,11 +7,13 @@ import os
 import socket
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supervisord.clock import VirtualClock
 from supervisord.couplet import SimulatedBackend, TaskKind
 from supervisord.engine import (
     CLARIFY_USER_DELAY_MS,
+    EngineBackends,
     STATE_JOURNAL_HEADER,
     STATE_JOURNAL_REWRITE_FACTOR,
     EngineConfig,
@@ -22,10 +24,11 @@ from supervisord.engine import (
     save_state_file,
     state_path,
 )
-from supervisord.errors import BudgetExceeded, CorruptState
+from supervisord.errors import BudgetExceeded, CorruptState, SupervisorError
 from supervisord.memory import MemoryStore
 from supervisord.routing import select_tier
-from supervisord.scenarios import load_scenario, run_scenario
+from supervisord.scenarios import SCENARIO_FILES, Scenario, load_scenario, run_scenario
+from supervisord.scheduler import Scheduler
 from supervisord.state import (
     Attachment,
     CostKnob,
@@ -37,6 +40,10 @@ from supervisord.state import (
     Subflag,
     serialize_state,
 )
+
+
+_PERCEPTUAL_TOOLS = ("whisper-transcribe", "audio-analyze", "yolo-detect", "vision-analyze",
+                     "clip-embed", "tesseract-ocr", "pdf-parse", "table-extract")
 
 
 def session(sid="0-" + "22" * 8):
@@ -279,6 +286,160 @@ class TestAccounting:
     def test_turn_count_increments(self):
         state, _ = run_query("hello")
         assert state.session.turn_count == 1
+
+
+def done_cost(outcome) -> Money:
+    """Sum of `cost_usd` over the outcome's `done` trace rows, memory row included."""
+    rows = [r for r in outcome.trace_rows if r.event == "done"]
+    return sum((Money.from_usd(r.cost_usd) for r in rows), Money(0))
+
+
+class RecordingScheduler(Scheduler):
+    """Keeps the last graph it executed, so a test can read its results ledger."""
+
+    graph = None
+
+    def execute(self, graph, *args, **kwargs):
+        self.graph = graph
+        return super().execute(graph, *args, **kwargs)
+
+
+def run_scenario_turn(scenario, config=None, failure_rates=None, meta=None):
+    """Run a scenario like `run_scenario`; returns (state, outcome, executed graph)."""
+    supervisor = Supervisor(config or EngineConfig(seed=7))
+    scheduler = supervisor.scheduler = RecordingScheduler(
+        supervisor.config.registry,
+        repair_enabled=supervisor.config.repair_enabled,
+        parallel_enabled=supervisor.config.parallel_enabled,
+    )
+    state = QueryState(
+        user_query=scenario.query,
+        cost_knob=select_tier(scenario.knob),
+        session=meta or session(),
+        attachments=[Attachment("path", n, declared_name=n) for n in scenario.attachments],
+    )
+    outcome = supervisor.process(
+        state,
+        memory_store=MemoryStore(),
+        perceptual_backend=SimulatedBackend(scenario.fixtures),
+        clarifier=(lambda _q: scenario.clarify_reply) if scenario.clarify_reply else None,
+        clock=VirtualClock(),
+        query_id=f"scenario-{scenario.name}",
+        failure_rates=failure_rates,
+    )
+    return state, outcome, scheduler.graph
+
+
+class TestCostConservation:
+    """One results ledger per graph and one charge per finished node: the turn's
+    cost, the session's delta and the `done` trace rows always agree."""
+
+    def test_clarified_answer_covers_every_node(self):
+        # The clarification refines p0; synth, downstream of it, must re-run
+        # too, and the answer must keep p1's result from the first round.
+        scenario = load_scenario("handwritten-notes")
+        scenario.attachments.append("typed_page.png")
+        scenario.fixtures["typed_page.png"] = {"text_blocks": ["Agenda: budget review"]}
+        state, outcome, graph = run_scenario_turn(scenario)
+        assert outcome.clarifications_user == 1
+        assert sorted(outcome.segments) == ["extraction_0", "extraction_1", "synthesis"]
+        assert outcome.verified == "pass"
+        assert set(graph.results) == set(graph.nodes)
+        assert outcome.cost == Money.from_usd("0.017348")
+        assert outcome.cost == done_cost(outcome) == state.session.cumulative_cost
+
+    def test_failed_pipeline_charges_completed_work(self):
+        scenario = load_scenario("video-advertisement")
+        failing = {"yolo-detect": 1.0, "vision-analyze": 1.0, "clip-embed": 1.0}
+        state, outcome, _ = run_scenario_turn(scenario, failure_rates=failing)
+        assert outcome.failed
+        # whisper-transcribe finished at $0.004000 before frames ran out of tools.
+        assert outcome.cost == Money.from_usd("0.004200")
+        assert outcome.cost == done_cost(outcome) == state.session.cumulative_cost
+
+    def test_budget_cap_stops_at_the_first_node_that_crosses_it(self, monkeypatch):
+        # speech finishes first, at $0.004000 against a $0.001 cap; the
+        # run must stop there, before align is ever launched.
+        launched = []
+        run_node = EngineBackends.run_node
+
+        def counting(self, node, seed):
+            launched.append(node.node_id)
+            return run_node(self, node, seed)
+
+        monkeypatch.setattr(EngineBackends, "run_node", counting)
+        cap = Money.from_usd("0.001")
+        config = EngineConfig(seed=7, budget_cap=cap)
+        scenario = load_scenario("video-advertisement")
+        with pytest.raises(BudgetExceeded, match="0.004200 would exceed"):
+            run_scenario_turn(scenario, config=config)
+        assert launched == ["frames", "speech"]
+
+    def test_bundled_scenarios_conserve_cost(self):
+        for name in SCENARIO_FILES:
+            state, outcome, graph = run_scenario_turn(load_scenario(name))
+            assert not outcome.failed, name
+            assert set(graph.results) == set(graph.nodes), name
+            assert outcome.cost == done_cost(outcome) == state.session.cumulative_cost, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        query=st.sampled_from([
+            "transcribe this recording",
+            "what objects are in this image",
+            "Analyze this document",
+            "extract the tables from this report",
+            "What products are shown in this video? Provide timestamps.",
+            "compare these reports and chart trends, then plan a budget and summarize risks",
+            "what time is it in Tokyo",
+            "Summarize this in the usual style",
+        ]),
+        names=st.lists(
+            st.sampled_from(["memo.mp3", "photo.png", "notes_scan.png", "report.pdf",
+                             "ad.mp4", "blob.xyz"]),
+            max_size=3, unique=True,
+        ),
+        confidences=st.dictionaries(
+            st.sampled_from(_PERCEPTUAL_TOOLS), st.floats(0.0, 1.0), max_size=3
+        ),
+        failure_rates=st.dictionaries(
+            st.sampled_from(_PERCEPTUAL_TOOLS), st.sampled_from([0.0, 0.3, 1.0]), max_size=3
+        ),
+        reply=st.one_of(st.none(), st.sampled_from(["dates and names", "the totals"])),
+        cap_micros=st.one_of(st.none(), st.integers(0, 40_000)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_path_conserves_cost(
+        self, query, names, confidences, failure_rates, reply, cap_micros, seed
+    ):
+        fixtures = {
+            name: {
+                "text_blocks": ["line one", "line two"],
+                "transcript": [{"word": "hello", "t": 0.5, "conf": 0.9}],
+                "detections": [{"label": "shoe", "t_start": 1, "t_end": 2, "conf": 0.9}],
+                "frames": 3,
+                "tool_confidence": confidences,
+            }
+            for name in names
+        }
+        scenario = Scenario("property", query, "trad_couplet", names, fixtures, reply)
+        cap = None if cap_micros is None else Money(cap_micros)
+        meta = session()
+        try:
+            _, outcome, graph = run_scenario_turn(
+                scenario, EngineConfig(seed=seed, budget_cap=cap), failure_rates, meta
+            )
+        except SupervisorError:
+            # A refused charge is never added, so the cap holds on this path too.
+            assert cap is None or meta.cumulative_cost <= cap
+            return
+        assert isinstance(outcome, QueryOutcome)
+        assert outcome.cost == meta.cumulative_cost == done_cost(outcome)
+        assert cap is None or outcome.cost <= cap
+        if not outcome.failed:
+            assert set(graph.results) == set(graph.nodes)
+            segments = {n.segment for n in graph.nodes.values() if n.segment}
+            assert segments == set(outcome.segments)
 
 
 class TestPersistence:

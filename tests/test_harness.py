@@ -189,7 +189,7 @@ class TestReportBytes:
     @pytest.mark.parametrize("parallel_enabled,faults,expected", [
         (True, False, "5ea8f99b9fa1d14df8dd18e9bfc126b0592dfb5c67faee0d53579819cb10017c"),
         (False, False, "e2597bdeea4161cf47b77abcd532d36162f6cbbd7daa559b3d13108e0a7ed257"),
-        (True, True, "2a17de09ae7e524bad8f5301db08e9026e3f87d70f0bafc162da417c9c861412"),
+        (True, True, "df2e02e04f8c2da8ba572d1bbfc7fe998b556eab692376f833d133c0e9022594"),
     ])
     def test_centralized_report_digest(self, parallel_enabled, faults, expected):
         policy_cfg = PolicyConfig(parallel_enabled=parallel_enabled)

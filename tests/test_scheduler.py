@@ -255,6 +255,18 @@ class TestExecuteCriticalPath:
         outcome = scheduler.execute(graph, VirtualClock(), backends, seed=1)
         assert outcome.total_latency_ms == 800
 
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_critical_path_is_longest_dependency_chain(self, parallel):
+        # Serially, b waits for a's slot and finishes last, yet the longest
+        # dependency chain into join still runs through a.
+        registry = simple_registry()
+        graph = graph_of(registry, ["a", "b", "join"], [("a", "join"), ("b", "join")])
+        backends = StubBackends({"a": 300, "b": 100, "join": 10})
+        scheduler = Scheduler(registry, parallel_enabled=parallel)
+        outcome = scheduler.execute(graph, VirtualClock(), backends, seed=1)
+        assert outcome.total_latency_ms == (310 if parallel else 410)
+        assert {n for n, r in graph.results.items() if r.critical} == {"a", "join"}
+
 
 def graph_of(registry, nodes, edges):
     requirement = Requirement(output_tags=frozenset({"ok"}))
@@ -345,9 +357,8 @@ class TestRepair:
         for node_id in ("left", "right"):
             graph.add_node(GraphNode(node_id, tool, requirement, role="perceptual"))
         backends = StubBackends({"left": 50, "right": 400}, failures={("right", 0)})
-        outcome = Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
-        left = next(r for r in outcome.results if r.node_id == "left")
-        assert left.latency_ms == 50  # untouched by the right-node repair
+        Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
+        assert graph.results["left"].latency_ms == 50  # untouched by the right-node repair
 
     def test_repair_budget_exhaustion(self):
         registry = simple_registry(n_alternatives=5)
