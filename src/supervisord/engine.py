@@ -13,7 +13,8 @@ import os
 import random
 import secrets
 import time
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import couplet as couplet_mod
@@ -224,7 +225,7 @@ class EngineBackends:
                 tokens=40,
             )
         else:  # pragma: no cover - roles are closed
-            raise NodeFailure(f"no backend for role {node.role}", retriable=False)
+            raise NodeFailure(f"no backend for role {node.role}")
         stored = dict(result.payload)
         stored["_confidence"] = result.confidence
         self.payloads[node.node_id] = stored
@@ -362,14 +363,22 @@ class Supervisor:
                 state.flag, state, config.registry, routing_decision=routing_decision
             )
         except AmbiguousIntent as exc:
+            # Take the answer given earlier this turn, else ask, and build once
+            # more from the query and the answer together. A turn that is still
+            # ambiguous has nothing to run and fails below.
+            graph = ExecutionGraph()
             question = f"I could not pin down the task ({exc.missing}). What exactly should I do?"
-            if self._ask_user(state, question, clarifier, clock, outcome):
-                graph = build_graph(
-                    state.flag, state, config.registry, routing_decision=routing_decision
+            if state.clarify_response is not None or self._ask_user(
+                state, question, clarifier, clock, outcome
+            ):
+                clarified = replace(
+                    state, user_query=f"{state.user_query} {state.clarify_response}"
                 )
-            else:
-                graph = ExecutionGraph()  # nothing to run; the turn fails below
-                outcome.failed = True
+                with suppress(AmbiguousIntent):
+                    graph = build_graph(
+                        state.flag, clarified, config.registry, routing_decision=routing_decision
+                    )
+            outcome.failed = not graph.nodes
 
         if not outcome.failed:
             backends = EngineBackends(
@@ -423,6 +432,7 @@ class Supervisor:
         outcome.repair_count = len(graph.repair_log)
         outcome.tta_ms = clock.now_ms() - t0
         if outcome.failed:
+            outcome.verified = "fail"
             return outcome
 
         # 9. Remember the turn.

@@ -87,10 +87,6 @@ class PipelineFailed(SupervisorError):
 class NodeFailure(SupervisorError):
     """A backend invocation failed; handled by the scheduler's repair path."""
 
-    def __init__(self, message: str, retriable: bool = True):
-        super().__init__(message)
-        self.retriable = retriable
-
 
 class AmbiguousIntent(SupervisorError):
     """Intent parsing could not produce a schema-valid perceptual task."""

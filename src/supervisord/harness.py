@@ -522,16 +522,6 @@ class MetricsReport:
             "per_query": [r.to_json_dict() for r in self.per_query],
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MetricsReport":
-        return cls(
-            policy=obj["policy"],
-            workload_digest=obj["workload_digest"],
-            seed=obj["seed"],
-            per_query=[QueryRecord(**r) for r in obj["per_query"]],
-            aggregates=obj["aggregates"],
-        )
-
     def render_table(self) -> str:
         a = self.aggregates
         rows = [

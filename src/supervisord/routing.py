@@ -92,7 +92,6 @@ class RoutingDecision:
     win_probability: float
     chosen_model: str
     subflag: Optional[Subflag] = None
-    fallback_used: bool = False
 
     def __post_init__(self):
         if (self.route == "weak") != (self.subflag is not None):
@@ -141,25 +140,11 @@ def route_strong_weak(
     catalog: Optional[ModelCatalog] = None,
     tier: CostKnob = CostKnob.CLOSED_SRC,
 ) -> RoutingDecision:
-    """Strong/weak routing with subflag dispatch; strict inequality at the threshold.
-
-    A failing win predictor degrades to a weak/general decision rather than
-    blocking the query.
-    """
+    """Strong/weak routing with subflag dispatch; strict inequality at the threshold."""
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
     catalog = catalog or default_model_catalog()
-    try:
-        probability = float(wpm(embedder(query)))
-    except Exception:
-        model = catalog.weak_model(Subflag.GENERAL, tier)
-        return RoutingDecision(
-            route="weak",
-            win_probability=0.0,
-            chosen_model=model.model_name,
-            subflag=Subflag.GENERAL,
-            fallback_used=True,
-        )
+    probability = float(wpm(embedder(query)))
     if probability > threshold:
         model = catalog.strongest(tier)
         return RoutingDecision(
@@ -230,16 +215,6 @@ def invocation_cost(model: ModelCatalogEntry, token_count: int) -> Money:
 _cost_lock = threading.Lock()
 
 
-def accumulate_cost(
-    session: SessionMeta,
-    token_count: int,
-    model: ModelCatalogEntry,
-    budget_cap: Optional[Money] = None,
-) -> SessionMeta:
-    """Add one model invocation's cost to the session (see `charge`)."""
-    return charge(session, invocation_cost(model, token_count), budget_cap)
-
-
 def charge(
     session: SessionMeta, amount: Money, budget_cap: Optional[Money] = None
 ) -> SessionMeta:
@@ -273,8 +248,11 @@ def entry_from_json(obj: dict) -> ModelCatalogEntry:
 
 
 def load_model_catalog(path: str) -> ModelCatalog:
+    """Read a catalog file; a price outside its tier's band raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return ModelCatalog([entry_from_json(o) for o in json.load(fh)])
+        catalog = ModelCatalog([entry_from_json(o) for o in json.load(fh)])
+    catalog.check_tier_bands()
+    return catalog
 
 
 _default_catalog_cache: Optional[ModelCatalog] = None

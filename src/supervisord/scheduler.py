@@ -31,7 +31,7 @@ from .tools import Requirement, ToolId, ToolRegistry
 
 REPAIR_LIMIT = 2  # repairs per node before the pipeline fails
 CLARIFICATION_LIMIT = 3  # clarification rounds per query
-DEFAULT_CLARIFICATION_THRESHOLD = 0.5
+CLARIFICATION_THRESHOLD = 0.5  # critical-path confidence below this asks the user
 FAILURE_CONFIDENCE = 0.35  # a result below this confidence counts as a failure
 MOE_WIDTH = 3  # experts in a mixture-of-experts graph
 
@@ -531,25 +531,20 @@ class Scheduler:
 
 
 def check_clarification(
-    results: Iterable[NodeResult],
-    threshold: float = DEFAULT_CLARIFICATION_THRESHOLD,
-    *,
-    repair_attempted: bool = False,
+    results: Iterable[NodeResult], *, repair_attempted: bool = False
 ) -> Optional[str]:
     """Emit a clarification question when critical-path confidence is low.
 
     Only fires after a repair has been attempted: the engine first tries to
     self-serve, then asks.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError("threshold must lie in (0, 1)")
     if not repair_attempted:
         return None
     critical = [r for r in results if r.critical]
     if not critical:
         return None
     worst = min(critical, key=lambda r: (r.confidence, r.node_id))
-    if worst.confidence >= threshold:
+    if worst.confidence >= CLARIFICATION_THRESHOLD:
         return None
     subject = worst.output.get("clarify_hint") if isinstance(worst.output, dict) else None
     if subject:
@@ -564,10 +559,6 @@ def check_clarification(
 class VerificationVerdict:
     status: str  # "pass" | "fail"
     reasons: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
 
 def verify_output(

@@ -28,8 +28,9 @@ from supervisord.harness import (
 from supervisord.memory import MemoryRecord, MemoryStore, score_memory
 from supervisord.routing import (
     TIER_PRICE_BANDS,
-    accumulate_cost,
+    charge,
     default_model_catalog,
+    invocation_cost,
 )
 from supervisord.scenarios import load_scenario, run_scenario
 from supervisord.scheduler import ExecutionGraph, GraphNode, Scheduler
@@ -308,7 +309,7 @@ def test_acceptance_4_cost_exactness_and_tier_bands():
             model_name="fixture", tier=CostKnob.CLOSED_SRC, subflag_affinity=None,
             cost_per_mtok=Money.from_usd(per_mtok), per_request_fee=Money.from_usd(fee),
         )
-        accumulate_cost(session, tokens, entry)
+        charge(session, invocation_cost(entry, tokens))
         assert session.cumulative_cost.usd_str() == expected_total
 
     for entry in catalog.entries:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+from importlib import resources
 
 import pytest
 
@@ -448,6 +449,31 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read ")
         assert "Traceback" not in err
+
+    # couplet-slm-coding is a trad_couplet model; that band is $0.15-$0.25/MTok.
+    @pytest.mark.parametrize("price, code", [
+        ("0.15", 0), ("0.25", 0), ("0.14", EXIT_WORKLOAD_SPEC), ("9.99", EXIT_WORKLOAD_SPEC),
+    ])
+    def test_model_price_outside_its_tier_band_exits_2(self, store, tmp_path, capsys,
+                                                       price, code):
+        entries = json.loads(
+            resources.files("supervisord.data").joinpath("models.json").read_text("utf-8")
+        )
+        assert entries[0]["model_name"] == "couplet-slm-coding"
+        entries[0]["cost_per_mtok_usd"] = price
+        catalog = tmp_path / "models.json"
+        catalog.write_text(json.dumps(entries))
+        try:
+            result = run_cli("--models", str(catalog), "models", "list")
+        except SystemExit as exc:
+            result = exc.code
+        assert result == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == (
+                f"error: cannot read model catalog {catalog}: couplet-slm-coding: "
+                f"{float(price):.6f}/MTok outside the trad_couplet band\n"
+            )
 
     @pytest.mark.parametrize("precondition",
                              ["has_attachment(foo)", "has_attachment", "always(text)"])

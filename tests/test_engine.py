@@ -7,7 +7,7 @@ import os
 import socket
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supervisord.clock import VirtualClock
 from supervisord.couplet import SimulatedBackend, TaskKind
@@ -24,7 +24,7 @@ from supervisord.engine import (
     save_state_file,
     state_path,
 )
-from supervisord.errors import BudgetExceeded, CorruptState, SupervisorError
+from supervisord.errors import BudgetExceeded, CorruptState, UnplannableQuery
 from supervisord.memory import MemoryStore
 from supervisord.routing import select_tier
 from supervisord.scenarios import SCENARIO_FILES, Scenario, load_scenario, run_scenario
@@ -223,6 +223,31 @@ class TestClarification:
         assert len(frames) > 1
         assert all("targets" not in params for params in frames)
 
+    # "you know" alone is no underspecification marker, so only the intent
+    # parse asks; "like last time" is one, so the answer comes before the parse.
+    @pytest.mark.parametrize("query", ["you know", "you know, like last time"])
+    def test_answered_ambiguous_intent_builds_from_query_and_answer(self, query):
+        asked = []
+        _, outcome = run_query(
+            query, [Attachment("path", "photo.png", declared_name="photo.png")],
+            clarifier=lambda q: asked.append(q) or "identify the red car",
+        )
+        assert len(asked) == outcome.clarifications_user == 1
+        assert not outcome.failed and outcome.verified == "pass"
+        assert list(outcome.segments) == ["detections"]
+
+    def test_still_ambiguous_after_the_answer_fails_the_turn(self):
+        config = EngineConfig(seed=3)
+        registry = config.registry
+        memory_fee = registry.get(registry.id_for_name("memory-retrieve")).cost.per_invocation
+        state, outcome = run_query(
+            "you know, like last time",
+            [Attachment("path", "photo.png", declared_name="photo.png")],
+            config=config, clarifier=lambda q: "the red car",
+        )
+        assert outcome.failed and outcome.verified == "fail"
+        assert outcome.cost == memory_fee == state.session.cumulative_cost
+
 
 class TestRepairAndEscalation:
     def test_injected_failure_repairs_locally(self):
@@ -352,7 +377,7 @@ class TestCostConservation:
         scenario = load_scenario("video-advertisement")
         failing = {"yolo-detect": 1.0, "vision-analyze": 1.0, "clip-embed": 1.0}
         state, outcome, _ = run_scenario_turn(scenario, failure_rates=failing)
-        assert outcome.failed
+        assert outcome.failed and outcome.verified == "fail"
         # whisper-transcribe finished at $0.004000 before frames ran out of tools.
         assert outcome.cost == Money.from_usd("0.004200")
         assert outcome.cost == done_cost(outcome) == state.session.cumulative_cost
@@ -383,6 +408,8 @@ class TestCostConservation:
             assert outcome.cost == done_cost(outcome) == state.session.cumulative_cost, name
 
     @settings(max_examples=60, deadline=None)
+    @example(query="you know, like last time", names=["photo.png"], confidences={},
+             failure_rates={}, reply="the red car", cap_micros=None, seed=0)
     @given(
         query=st.sampled_from([
             "transcribe this recording",
@@ -393,6 +420,7 @@ class TestCostConservation:
             "compare these reports and chart trends, then plan a budget and summarize risks",
             "what time is it in Tokyo",
             "Summarize this in the usual style",
+            "you know, like last time",
         ]),
         names=st.lists(
             st.sampled_from(["memo.mp3", "photo.png", "notes_scan.png", "report.pdf",
@@ -405,7 +433,9 @@ class TestCostConservation:
         failure_rates=st.dictionaries(
             st.sampled_from(_PERCEPTUAL_TOOLS), st.sampled_from([0.0, 0.3, 1.0]), max_size=3
         ),
-        reply=st.one_of(st.none(), st.sampled_from(["dates and names", "the totals"])),
+        reply=st.one_of(st.none(), st.sampled_from(
+            ["dates and names", "the totals", "identify the red car", "the red car"]
+        )),
         cap_micros=st.one_of(st.none(), st.integers(0, 40_000)),
         seed=st.integers(0, 2**16),
     )
@@ -429,13 +459,15 @@ class TestCostConservation:
             _, outcome, graph = run_scenario_turn(
                 scenario, EngineConfig(seed=seed, budget_cap=cap), failure_rates, meta
             )
-        except SupervisorError:
-            # A refused charge is never added, so the cap holds on this path too.
+        except (BudgetExceeded, UnplannableQuery):
+            # The typed errors `run` maps to exit codes. A refused charge is
+            # never added, so the cap holds on this path too.
             assert cap is None or meta.cumulative_cost <= cap
             return
         assert isinstance(outcome, QueryOutcome)
         assert outcome.cost == meta.cumulative_cost == done_cost(outcome)
         assert cap is None or outcome.cost <= cap
+        assert not outcome.failed or outcome.verified != "pass"
         if not outcome.failed:
             assert set(graph.results) == set(graph.nodes)
             segments = {n.segment for n in graph.nodes.values() if n.segment}

@@ -13,7 +13,6 @@ from supervisord.errors import IncomparableReports, WorkloadSpecError
 from supervisord.harness import (
     CATEGORIES,
     CATEGORY_TABLE,
-    MetricsReport,
     PolicyConfig,
     WorkloadSpec,
     compare,
@@ -109,13 +108,6 @@ class TestRunPolicy:
         _, _, centralized, hierarchical = small_run
         assert centralized.check_self_consistency()
         assert hierarchical.check_self_consistency()
-
-    def test_report_json_round_trip(self, small_run):
-        _, _, centralized, _ = small_run
-        doc = json.dumps(centralized.to_json_dict(), sort_keys=True)
-        back = MetricsReport.from_json_dict(json.loads(doc))
-        assert back.check_self_consistency()
-        assert back.aggregates == centralized.aggregates
 
     def test_parallel_branch_gap(self, small_run):
         spec, queries, centralized, hierarchical = small_run

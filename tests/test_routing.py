@@ -9,7 +9,7 @@ from supervisord.errors import BudgetExceeded
 from supervisord.routing import (
     ModelCatalogEntry,
     TIER_PRICE_BANDS,
-    accumulate_cost,
+    charge,
     classify_subflag,
     default_model_catalog,
     invocation_cost,
@@ -50,15 +50,6 @@ class TestRouteStrongWeak:
         queries = ["a", "fix this bug", "prove this theorem", "summarize"]
         decisions = [route_strong_weak(q, lambda x: (), lambda f: 0.0) for q in queries]
         assert all(d.route == "weak" for d in decisions)
-
-    def test_scorer_failure_degrades_to_general(self):
-        def broken(features):
-            raise RuntimeError("wpm offline")
-
-        decision = route_strong_weak("whatever", lambda q: (), broken)
-        assert decision.route == "weak"
-        assert decision.subflag is Subflag.GENERAL
-        assert decision.fallback_used is True
 
     def test_weak_model_respects_tier(self):
         decision = route_strong_weak(
@@ -116,27 +107,28 @@ def entry(mtok="2.50", fee="0", tier=CostKnob.CLOSED_SRC):
 class TestCostAccounting:
     def test_one_million_tokens_at_2_50(self):
         session = SessionMeta("0-" + "00" * 8, 0)
-        accumulate_cost(session, 1_000_000, entry("2.50"))
+        charge(session, invocation_cost(entry("2.50"), 1_000_000))
         assert session.cumulative_cost == Money.from_usd("2.50")
 
     def test_zero_tokens_zero_fee(self):
         session = SessionMeta("0-" + "00" * 8, 0)
-        accumulate_cost(session, 0, entry("2.50"))
+        charge(session, invocation_cost(entry("2.50"), 0))
         assert session.cumulative_cost == Money(0)
 
     def test_fractional_example_exact(self):
         # 400k tokens at $0.15/MTok plus a $0.001 fee is exactly $0.061.
         session = SessionMeta("0-" + "00" * 8, 0)
-        accumulate_cost(session, 400_000, entry("0.15", "0.001"))
+        charge(session, invocation_cost(entry("0.15", "0.001"), 400_000))
         assert session.cumulative_cost == Money.from_usd("0.061")
         assert session.cumulative_cost.usd_str() == "0.061000"
 
     def test_budget_cap_freezes_session(self):
         session = SessionMeta("0-" + "00" * 8, 0)
-        accumulate_cost(session, 1_000_000, entry("2.50"), budget_cap=Money.from_usd("3.00"))
+        cost, cap = invocation_cost(entry("2.50"), 1_000_000), Money.from_usd("3.00")
+        charge(session, cost, cap)
         before = session.cumulative_cost
         with pytest.raises(BudgetExceeded):
-            accumulate_cost(session, 1_000_000, entry("2.50"), budget_cap=Money.from_usd("3.00"))
+            charge(session, cost, cap)
         assert session.cumulative_cost == before  # frozen, not corrupted
 
     @settings(max_examples=50, deadline=None)
@@ -145,12 +137,12 @@ class TestCostAccounting:
         model = entry("0.15", "0.001")
         a = SessionMeta("0-" + "00" * 8, 0)
         for count in token_counts:
-            accumulate_cost(a, count, model)
+            charge(a, invocation_cost(model, count))
         shuffled = list(token_counts)
         rng.shuffle(shuffled)
         b = SessionMeta("0-" + "00" * 8, 0)
         for count in shuffled:
-            accumulate_cost(b, count, model)
+            charge(b, invocation_cost(model, count))
         assert a.cumulative_cost == b.cumulative_cost
 
     def test_negative_tokens_rejected(self):

@@ -413,10 +413,6 @@ class TestClarification:
             "I notice this is handwritten. What specific information are you looking for?"
         )
 
-    def test_threshold_bounds(self):
-        with pytest.raises(ValueError):
-            check_clarification([], threshold=1.5)
-
 
 class TestVerifyOutput:
     def trace(self):
@@ -429,7 +425,7 @@ class TestVerifyOutput:
 
     def test_complete_single_segment_passes(self):
         verdict = verify_output({"answer": "42"}, self.trace(), ["answer"])
-        assert verdict.passed
+        assert verdict.status == "pass"
 
     def test_citation_of_unknown_node_fails(self):
         verdict = verify_output(
