@@ -5,8 +5,8 @@ virtual clock, prints the comparison table, and checks the ablation
 directions (parallelism, memory, repair).
 """
 
+from supervisord.engine import EngineConfig
 from supervisord.harness import (
-    PolicyConfig,
     compare,
     default_workload_spec,
     generate_workload,
@@ -39,9 +39,9 @@ print("\nablations (centralized engine with one mechanism removed):")
 base_tta = reports["centralized"].aggregates["tta_mean_ms"]
 base_rework = reports["centralized"].aggregates["rework_rate"]
 for label, cfg in [
-    ("parallel execution off", PolicyConfig(parallel_enabled=False)),
-    ("memory retrieval off", PolicyConfig(memory_enabled=False)),
-    ("local repair off", PolicyConfig(repair_enabled=False)),
+    ("parallel execution off", EngineConfig(parallel_enabled=False)),
+    ("memory retrieval off", EngineConfig(memory_enabled=False)),
+    ("local repair off", EngineConfig(repair_enabled=False)),
 ]:
     ablated = run_policy(queries, "centralized", spec, cfg, seed=9)
     tta = ablated.aggregates["tta_mean_ms"]

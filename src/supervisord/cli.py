@@ -1,13 +1,17 @@
 """Command-line entry points.
 
 Commands: run, session, simulate, inspect, tools list, models list.
-Config precedence: flags > environment (SUPERVISORD_*) > config file > defaults.
-Stable exit codes: 2 workload spec violation, bad config file (unreadable,
-not a JSON object, an unknown key or a value of the wrong type) or an
-unreadable input (tool or model catalog, flag rules, fixtures, workload file,
-budget amount), 3 unknown session, 4 corrupt state, memory or trace file,
-11 unplannable query, 12 budget exceeded (checked as each node finishes),
-13 pipeline failed, 20 clarification required in non-interactive mode.
+Settings (`SETTINGS`): flags > environment (SUPERVISORD_*) > config file >
+defaults. `run`, `session` and `simulate` build one EngineConfig from them;
+`simulate` runs every policy on it, without the budget.
+Commands raise typed errors; `main` maps them to stable exit codes
+(`EXIT_CODES`): 2 workload spec violation, unknown policy, bad config file
+(unreadable, not a JSON object, an unknown key or a value of the wrong type)
+or an unreadable input (tool or model catalog, flag rules, fixtures, workload
+file, budget amount), 3 unknown session, 4 corrupt state, memory or trace
+file, 11 unplannable query or a tool catalog without a tool the engine or a
+baseline names, 12 budget exceeded (checked as each node finishes). Commands
+return 13 pipeline failed and 20 clarification required in non-interactive mode.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, TypeVar
 
 from .couplet import SimulatedBackend
+from .decomposition import load_flag_rules
 from .engine import (
     EngineConfig,
     Supervisor,
@@ -35,13 +40,16 @@ from .errors import (
     BudgetExceeded,
     CorruptState,
     DuplicateTool,
+    InvalidInput,
     InvalidSpec,
+    SupervisorError,
+    UnknownSession,
+    UnknownTool,
     UnplannableQuery,
     WorkloadSpecError,
 )
 from .harness import (
     POLICIES,
-    PolicyConfig,
     compare,
     default_workload_spec,
     generate_workload,
@@ -63,6 +71,17 @@ EXIT_BUDGET = 12
 EXIT_PIPELINE_FAILED = 13
 EXIT_CLARIFICATION = 20
 
+# The code `main` returns, after printing `error: <message>`, for each typed
+# error a command raises. A subclass takes its base's code.
+EXIT_CODES: dict[type[SupervisorError], int] = {
+    InvalidInput: EXIT_WORKLOAD_SPEC,
+    UnknownSession: EXIT_UNKNOWN_SESSION,
+    CorruptState: EXIT_CORRUPT_STATE,
+    UnplannableQuery: EXIT_UNPLANNABLE,
+    UnknownTool: EXIT_UNPLANNABLE,
+    BudgetExceeded: EXIT_BUDGET,
+}
+
 # What a missing or malformed input file or value raises while it is parsed.
 _INPUT_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError, InvalidSpec,
                  DuplicateTool)
@@ -80,12 +99,11 @@ def _pipeline_failed(outcome, session_id: str) -> int:
 
 
 def _load_input(what: str, source: str, load: Callable[[str], T]) -> T:
-    """Return `load(source)`; an input that cannot be read or parsed exits 2."""
+    """Return `load(source)`; an input that cannot be read or parsed raises InvalidInput."""
     try:
         return load(source)
     except _INPUT_ERRORS as exc:
-        print(f"error: cannot read {what} {source}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_WORKLOAD_SPEC)
+        raise InvalidInput(f"cannot read {what} {source}: {exc}") from exc
 
 
 def _load_json(path: str):
@@ -93,32 +111,43 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+# Setting -> (the type a config file must give it, its environment variable).
+# The key names the setting in the config file, its flag and `CliConfig`.
+SETTINGS: dict[str, tuple[type, Optional[str]]] = {
+    "store_root": (str, "SUPERVISORD_STORE_ROOT"),
+    "tools": (str, None),
+    "models": (str, None),
+    "flag_rules": (str, None),
+    "seed": (int, None),
+    "budget_usd": (str, "SUPERVISORD_BUDGET_USD"),
+}
+_TYPE_NAMES = {str: "a string", int: "an integer"}
+
+
 @dataclass
 class CliConfig:
     store_root: str = "./supervisord-store"
-    tools_path: Optional[str] = None
-    models_path: Optional[str] = None
-    flag_rules_path: Optional[str] = None
+    tools: Optional[str] = None
+    models: Optional[str] = None
+    flag_rules: Optional[str] = None
     seed: int = 0
     budget_usd: Optional[str] = None
 
     def registry(self) -> ToolRegistry:
-        if not self.tools_path:
+        if not self.tools:
             return default_registry()
-        return _load_input("tool catalog", self.tools_path, load_catalog)
+        return _load_input("tool catalog", self.tools, load_catalog)
 
     def catalog(self) -> ModelCatalog:
-        if not self.models_path:
+        if not self.models:
             return default_model_catalog()
-        return _load_input("model catalog", self.models_path, load_model_catalog)
+        return _load_input("model catalog", self.models, load_model_catalog)
 
     def engine_config(self) -> EngineConfig:
         budget = _load_input("budget", self.budget_usd, Money.from_usd) if self.budget_usd else None
-        flag_rules = None
-        if self.flag_rules_path:
-            from .decomposition import load_flag_rules
-
-            flag_rules = _load_input("flag rules", self.flag_rules_path, load_flag_rules)
+        flag_rules = (
+            _load_input("flag rules", self.flag_rules, load_flag_rules) if self.flag_rules else None
+        )
         return EngineConfig(
             registry=self.registry(),
             catalog=self.catalog(),
@@ -128,56 +157,29 @@ class CliConfig:
         )
 
 
-# Config-file key -> (required type, its name in the error message).
-CONFIG_FILE_TYPES = {
-    "store_root": (str, "a string"),
-    "tools": (str, "a string"),
-    "models": (str, "a string"),
-    "flag_rules": (str, "a string"),
-    "seed": (int, "an integer"),
-    "budget_usd": (str, "a string"),
-}
+def _config_file(path: str) -> dict:
+    values = _load_input("config file", path, _load_json)
+    if not isinstance(values, dict):
+        raise InvalidInput("config file must hold a JSON object")
+    unknown = sorted(set(values) - set(SETTINGS))
+    if unknown:
+        raise InvalidInput(f"unknown config key {unknown[0]!r}")
+    for key, value in sorted(values.items()):
+        expected = SETTINGS[key][0]
+        if not isinstance(value, expected) or isinstance(value, bool):
+            raise InvalidInput(f"config key {key!r} must be {_TYPE_NAMES[expected]}")
+    return values
 
 
 def resolve_config(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig()
-    if getattr(args, "config", None):
-        file_cfg = _load_input("config file", args.config, _load_json)
-        if not isinstance(file_cfg, dict):
-            print("error: config file must hold a JSON object", file=sys.stderr)
-            sys.exit(2)
-        unknown = sorted(set(file_cfg) - set(CONFIG_FILE_TYPES))
-        if unknown:
-            print(f"error: unknown config key {unknown[0]!r}", file=sys.stderr)
-            sys.exit(2)
-        for key, value in sorted(file_cfg.items()):
-            expected, name = CONFIG_FILE_TYPES[key]
-            if not isinstance(value, expected) or isinstance(value, bool):
-                print(f"error: config key {key!r} must be {name}", file=sys.stderr)
-                sys.exit(2)
-        cfg.store_root = file_cfg.get("store_root", cfg.store_root)
-        cfg.tools_path = file_cfg.get("tools", cfg.tools_path)
-        cfg.models_path = file_cfg.get("models", cfg.models_path)
-        cfg.flag_rules_path = file_cfg.get("flag_rules", cfg.flag_rules_path)
-        cfg.seed = file_cfg.get("seed", cfg.seed)
-        cfg.budget_usd = file_cfg.get("budget_usd", cfg.budget_usd)
-    if os.environ.get("SUPERVISORD_STORE_ROOT"):
-        cfg.store_root = os.environ["SUPERVISORD_STORE_ROOT"]
-    if os.environ.get("SUPERVISORD_BUDGET_USD"):
-        cfg.budget_usd = os.environ["SUPERVISORD_BUDGET_USD"]
-    if getattr(args, "store_root", None):
-        cfg.store_root = args.store_root
-    if getattr(args, "tools", None):
-        cfg.tools_path = args.tools
-    if getattr(args, "models", None):
-        cfg.models_path = args.models
-    if getattr(args, "flag_rules", None):
-        cfg.flag_rules_path = args.flag_rules
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "budget_usd", None):
-        cfg.budget_usd = args.budget_usd
-    return cfg
+    """Each setting from its flag, else its environment variable, else the config
+    file, else its default. An empty flag or environment value counts as unset."""
+    values = _config_file(args.config) if args.config else {}
+    for key, (_, env_var) in SETTINGS.items():
+        for value in (os.environ.get(env_var) if env_var else None, getattr(args, key, None)):
+            if value not in (None, ""):
+                values[key] = value
+    return CliConfig(**values)
 
 
 def _attachment_from_arg(arg: str) -> Attachment:
@@ -208,8 +210,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def cmd_run(args) -> int:
     cfg = resolve_config(args)
-    engine_cfg = cfg.engine_config()
-    supervisor = Supervisor(engine_cfg)
+    supervisor = Supervisor(cfg.engine_config())
     session = supervisor.new_session()
     state = QueryState(
         user_query=args.query,
@@ -219,20 +220,13 @@ def cmd_run(args) -> int:
     )
     memory = MemoryStore()
     backend = SimulatedBackend(_load_fixtures(args.fixtures))
-    try:
-        outcome = supervisor.process(
-            state,
-            memory_store=memory,
-            perceptual_backend=backend,
-            clarifier=None,  # non-interactive: emit the question and exit 20
-            query_id=session.session_id,
-        )
-    except UnplannableQuery as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNPLANNABLE
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    outcome = supervisor.process(
+        state,
+        memory_store=memory,
+        perceptual_backend=backend,
+        clarifier=None,  # non-interactive: emit the question and exit 20
+        query_id=session.session_id,
+    )
     save_state_file(cfg.store_root, state)
     save_session_memory(cfg.store_root, session.session_id, memory)
     trace_file = append_trace_rows(cfg.store_root, session.session_id, outcome.trace_rows)
@@ -276,25 +270,16 @@ def _ask_stdin(question: str) -> Optional[str]:
 
 def cmd_session(args) -> int:
     cfg = resolve_config(args)
-    engine_cfg = cfg.engine_config()
-    supervisor = Supervisor(engine_cfg)
+    supervisor = Supervisor(cfg.engine_config())
     if args.session:
         try:
             state = load_state_file(cfg.store_root, args.session)
         except FileNotFoundError:
-            print(f"error: unknown session {args.session!r}", file=sys.stderr)
-            return EXIT_UNKNOWN_SESSION
-        except CorruptState as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CORRUPT_STATE
+            raise UnknownSession(f"unknown session {args.session!r}") from None
         session = state.session
     else:
         session = supervisor.new_session()
-    try:
-        memory = load_session_memory(cfg.store_root, session.session_id)
-    except CorruptState as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CORRUPT_STATE
+    memory = load_session_memory(cfg.store_root, session.session_id)
     backend = SimulatedBackend(_load_fixtures(args.fixtures))
     print(f"session {session.session_id} (:cost :memory :summary :quit)")
     while True:
@@ -329,20 +314,13 @@ def cmd_session(args) -> int:
             session=session,
             attachments=[],
         )
-        try:
-            outcome = supervisor.process(
-                state,
-                memory_store=memory,
-                perceptual_backend=backend,
-                clarifier=_ask_stdin,
-                query_id=f"{session.session_id}:{session.turn_count}",
-            )
-        except UnplannableQuery as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_UNPLANNABLE
-        except BudgetExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
+        outcome = supervisor.process(
+            state,
+            memory_store=memory,
+            perceptual_backend=backend,
+            clarifier=_ask_stdin,
+            query_id=f"{session.session_id}:{session.turn_count}",
+        )
         save_state_file(cfg.store_root, state)
         save_session_memory(cfg.store_root, session.session_id, memory)
         append_trace_rows(cfg.store_root, session.session_id, outcome.trace_rows)
@@ -372,20 +350,20 @@ def cmd_simulate(args) -> int:
                 spec.seed = cfg.seed
             spec.validate()
     except WorkloadSpecError as exc:
-        print(f"error: workload spec invalid at {exc.field_path}: {exc}", file=sys.stderr)
-        return EXIT_WORKLOAD_SPEC
+        raise InvalidInput(f"workload spec invalid at {exc.field_path}: {exc}") from exc
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     for policy in policies:
         if policy not in POLICIES:
-            print(f"error: unknown policy {policy!r}", file=sys.stderr)
-            return EXIT_WORKLOAD_SPEC
+            raise InvalidInput(f"unknown policy {policy!r}")
+    # A budget caps one session's spend; simulate compares the policies uncapped.
+    config = replace(cfg, budget_usd=None).engine_config()
     if queries is None:
         queries = generate_workload(spec)
     out_dir = args.out or cfg.store_root
     os.makedirs(out_dir, exist_ok=True)
     reports = []
     for policy in policies:
-        report = run_policy(queries, policy, spec, PolicyConfig(), seed=cfg.seed)
+        report = run_policy(queries, policy, spec, config, seed=cfg.seed)
         reports.append(report)
         path = os.path.join(out_dir, f"report-{policy}.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -420,15 +398,10 @@ def cmd_inspect(args) -> int:
     cfg = resolve_config(args)
     sid = args.session_id
     if not os.path.exists(state_path(cfg.store_root, sid)):
-        print(f"error: unknown session {sid!r} under {cfg.store_root}", file=sys.stderr)
-        return EXIT_UNKNOWN_SESSION
-    try:
-        state = load_state_file(cfg.store_root, sid)
-        memory = load_session_memory(cfg.store_root, sid)
-        rows = load_trace_rows(cfg.store_root, sid)
-    except CorruptState as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CORRUPT_STATE
+        raise UnknownSession(f"unknown session {sid!r} under {cfg.store_root}")
+    state = load_state_file(cfg.store_root, sid)
+    memory = load_session_memory(cfg.store_root, sid)
+    rows = load_trace_rows(cfg.store_root, sid)
     if args.json:
         print(json.dumps({
             "state": {
@@ -560,7 +533,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for error, code in EXIT_CODES.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

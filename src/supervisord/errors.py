@@ -112,3 +112,13 @@ class WorkloadSpecError(SupervisorError):
     def __init__(self, message: str, field_path: str = ""):
         super().__init__(message)
         self.field_path = field_path
+
+
+# --- command line ------------------------------------------------------------
+
+class InvalidInput(SupervisorError):
+    """A config file, catalog, fixtures file, workload or option value is unusable."""
+
+
+class UnknownSession(SupervisorError):
+    """No saved session under the given id."""

@@ -18,7 +18,7 @@ import io
 import json
 import random
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
 from .clock import VirtualClock
@@ -26,7 +26,7 @@ from .couplet import DETECT_MS_PER_FRAME, SimulatedBackend, stable_seed
 from .engine import CLARIFY_USER_DELAY_MS, EngineConfig, Supervisor, detect_underspecified
 from .errors import IncomparableReports, WorkloadSpecError
 from .memory import MemoryStore, whitespace_tokens
-from .routing import default_model_catalog, invocation_cost
+from .routing import invocation_cost
 from .state import (
     Attachment,
     CostKnob,
@@ -36,7 +36,6 @@ from .state import (
     QueryState,
     SessionMeta,
 )
-from .tools import default_registry
 
 
 @dataclass(frozen=True)
@@ -543,13 +542,9 @@ class MetricsReport:
 # --- policies -----------------------------------------------------------------------
 
 
-@dataclass
-class PolicyConfig:
-    """Engine/ablation switches shared by one simulation run."""
-
-    parallel_enabled: bool = True
-    memory_enabled: bool = True
-    repair_enabled: bool = True
+# Policies run on the run's EngineConfig. The old name stays because the
+# benchmark workloads construct `PolicyConfig()` and pass it positionally.
+PolicyConfig = EngineConfig
 
 
 def _sim_session(seed: int, policy: str, query_id: str) -> SessionMeta:
@@ -573,17 +568,12 @@ def _is_correct(outcome, gt: GroundTruth) -> bool:
 def _run_centralized(
     queries: list[GeneratedQuery],
     spec: WorkloadSpec,
-    policy_cfg: PolicyConfig,
+    config: EngineConfig,
     seed: int,
 ) -> list[QueryRecord]:
-    engine_cfg = EngineConfig(
-        seed=seed,
-        parallel_enabled=policy_cfg.parallel_enabled,
-        memory_enabled=policy_cfg.memory_enabled,
-        repair_enabled=policy_cfg.repair_enabled,
-    )
-    supervisor = Supervisor(engine_cfg)
-    embedder = engine_cfg.embedder
+    config = replace(config, seed=seed)
+    supervisor = Supervisor(config)
+    embedder = config.embedder
     records: list[QueryRecord] = []
     for q in queries:
         total_tta = 0
@@ -664,11 +654,11 @@ def _frames(q: GeneratedQuery) -> Optional[int]:
 def _run_hierarchical(
     queries: list[GeneratedQuery],
     spec: WorkloadSpec,
-    policy_cfg: PolicyConfig,
+    config: EngineConfig,
     seed: int,
 ) -> list[QueryRecord]:
-    registry = default_registry()
-    catalog_entry_strong = default_model_catalog().strongest(CostKnob.CLOSED_SRC)
+    registry = config.registry
+    catalog_entry_strong = config.catalog.strongest(CostKnob.CLOSED_SRC)
 
     records: list[QueryRecord] = []
     for q in queries:
@@ -741,12 +731,12 @@ def _run_hierarchical(
 def _run_monolithic(
     queries: list[GeneratedQuery],
     spec: WorkloadSpec,
-    policy_cfg: PolicyConfig,
+    config: EngineConfig,
     seed: int,
 ) -> list[QueryRecord]:
-    registry = default_registry()
+    registry = config.registry
     strong_tool = registry.id_for_name("llm-strong-invoke")
-    strong_model = default_model_catalog().strongest(CostKnob.CLOSED_SRC)
+    strong_model = config.catalog.strongest(CostKnob.CLOSED_SRC)
 
     records = []
     for q in queries:
@@ -783,19 +773,22 @@ def run_policy(
     queries: list[GeneratedQuery],
     policy: str,
     spec: WorkloadSpec,
-    policy_cfg: Optional[PolicyConfig] = None,
+    config: Optional[EngineConfig] = None,
     seed: int = 0,
 ) -> MetricsReport:
-    """Execute one policy over a generated workload and aggregate metrics."""
+    """Execute one policy over a generated workload and aggregate metrics.
+
+    Every policy takes its tools and models from `config`; the centralized
+    engine also takes its flag rules and switches. `seed` replaces `config.seed`.
+    """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    policy_cfg = policy_cfg or PolicyConfig()
     runner = {
         "centralized": _run_centralized,
         "hierarchical": _run_hierarchical,
         "monolithic": _run_monolithic,
     }[policy]
-    records = runner(queries, spec, policy_cfg, seed)
+    records = runner(queries, spec, config or EngineConfig(), seed)
     report = MetricsReport(
         policy=policy,
         workload_digest=workload_digest(queries),

@@ -248,10 +248,16 @@ def entry_from_json(obj: dict) -> ModelCatalogEntry:
 
 
 def load_model_catalog(path: str) -> ModelCatalog:
-    """Read a catalog file; a price outside its tier's band raises ValueError."""
+    """Read a catalog file. A price outside its tier's band raises ValueError;
+    a tier without a strong entry or a subflag without a model raises
+    LookupError, since routing and the baselines look both up."""
     with open(path, "r", encoding="utf-8") as fh:
         catalog = ModelCatalog([entry_from_json(o) for o in json.load(fh)])
     catalog.check_tier_bands()
+    for tier in CostKnob:
+        catalog.strongest(tier)
+    for subflag in Subflag:
+        catalog.weak_model(subflag)
     return catalog
 
 

@@ -19,6 +19,7 @@ SCENARIO_FILES = {
     "video-advertisement": "case_video_ad.json",
     "handwritten-notes": "case_handwritten.json",
 }
+SCENARIO_SEED = 7
 
 
 @dataclass
@@ -48,11 +49,8 @@ def load_scenario(name: str) -> Scenario:
     )
 
 
-def run_scenario(
-    scenario: Scenario, config: Optional[EngineConfig] = None, seed: int = 7
-) -> QueryOutcome:
-    config = config or EngineConfig(seed=seed)
-    supervisor = Supervisor(config)
+def run_scenario(scenario: Scenario) -> QueryOutcome:
+    supervisor = Supervisor(EngineConfig(seed=SCENARIO_SEED))
     state = QueryState(
         user_query=scenario.query,
         cost_knob=select_tier(scenario.knob),

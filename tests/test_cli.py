@@ -9,9 +9,15 @@ from importlib import resources
 
 import pytest
 
+from supervisord import cli, errors
 from supervisord.engine import STATE_JOURNAL_HEADER, EngineBackends
 from supervisord.errors import NodeFailure
-from supervisord.harness import default_workload_spec, generate_workload, materialize_workload
+from supervisord.harness import (
+    _HARD_TEXT_TEMPLATE,
+    default_workload_spec,
+    generate_workload,
+    materialize_workload,
+)
 from supervisord.tools import default_registry, spec_to_json
 
 from supervisord.cli import (
@@ -369,10 +375,7 @@ class TestConfigPrecedence:
     def test_unknown_config_key_rejected(self, tmp_path, capsys, key):
         config_file = tmp_path / "cfg.json"
         config_file.write_text(json.dumps({"seed": 1, key: 4}))
-        args = build_parser().parse_args(["--config", str(config_file), "tools", "list"])
-        with pytest.raises(SystemExit) as exc:
-            resolve_config(args)
-        assert exc.value.code == 2
+        assert run_cli("--config", str(config_file), "tools", "list") == 2
         assert capsys.readouterr().err.strip() == f"error: unknown config key {key!r}"
 
     @pytest.mark.parametrize("content, message", [
@@ -385,10 +388,7 @@ class TestConfigPrecedence:
         config_file = tmp_path / "cfg.json"
         if content is not None:
             config_file.write_text(content)
-        args = build_parser().parse_args(["--config", str(config_file), "tools", "list"])
-        with pytest.raises(SystemExit) as exc:
-            resolve_config(args)
-        assert exc.value.code == 2
+        assert run_cli("--config", str(config_file), "tools", "list") == 2
         assert capsys.readouterr().err.startswith(message)
 
     @pytest.mark.parametrize("key, value, type_name", [
@@ -405,19 +405,15 @@ class TestConfigPrecedence:
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value, type_name):
         config_file = tmp_path / "cfg.json"
         config_file.write_text(json.dumps({key: value}))
-        args = build_parser().parse_args(["--config", str(config_file), "tools", "list"])
-        with pytest.raises(SystemExit) as exc:
-            resolve_config(args)
-        assert exc.value.code == 2
+        assert run_cli("--config", str(config_file), "tools", "list") == 2
         assert capsys.readouterr().err.strip() == f"error: config key {key!r} must be {type_name}"
 
     def test_bad_seed_type_stops_simulate(self, tmp_path, capsys):
         config_file = tmp_path / "cfg.json"
         config_file.write_text(json.dumps({"seed": "abc"}))
-        with pytest.raises(SystemExit) as exc:
-            run_cli("--config", str(config_file), "simulate", "--queries", "20",
-                    "--out", str(tmp_path / "out"))
-        assert exc.value.code == 2
+        code = run_cli("--config", str(config_file), "simulate", "--queries", "20",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
         assert not (tmp_path / "out").exists()
 
 
@@ -443,9 +439,7 @@ class TestUnreadableInputs:
             path.write_text(content)
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*[a.replace("{path}", str(path)) for a in argv])
-        assert exc.value.code == EXIT_WORKLOAD_SPEC
+        assert run_cli(*[a.replace("{path}", str(path)) for a in argv]) == EXIT_WORKLOAD_SPEC
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read ")
         assert "Traceback" not in err
@@ -486,10 +480,9 @@ class TestUnreadableInputs:
                 entry["preconditions"] = [precondition]
         catalog = tmp_path / "tools.json"
         catalog.write_text(json.dumps(entries))
-        with pytest.raises(SystemExit) as exc:
-            run_cli("--tools", str(catalog), "run", "detect the objects in this photo",
-                    "--attach", "p.jpg")
-        assert exc.value.code == EXIT_WORKLOAD_SPEC
+        code = run_cli("--tools", str(catalog), "run", "detect the objects in this photo",
+                       "--attach", "p.jpg")
+        assert code == EXIT_WORKLOAD_SPEC
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read tool catalog {catalog}: ")
         assert "Traceback" not in err
@@ -570,3 +563,123 @@ class TestSessionRepl:
         assert code == 0
         output = capsys.readouterr().out
         assert "short-term window (5 of last 6 turns)" in output
+
+
+def bundled(name):
+    return json.loads(resources.files("supervisord.data").joinpath(name).read_text("utf-8"))
+
+
+def write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def simulate(tmp_path, capsys, name, *flags, policies="centralized,hierarchical"):
+    """Run a 30-query `simulate`; returns its stdout and each report file's text."""
+    out = tmp_path / name
+    code = run_cli(*flags, "--json", "--seed", "5", "simulate", "--queries", "30",
+                   "--policies", policies, "--out", str(out))
+    assert code == 0
+    stdout = capsys.readouterr().out
+    return stdout, {p: (out / f"report-{p}.json").read_text() for p in policies.split(",")}
+
+
+def aggregates(report_text):
+    return json.loads(report_text)["aggregates"]
+
+
+class TestSimulateUsesTheGivenCatalogs:
+    def test_slower_tools_slow_both_policies(self, store, tmp_path, capsys):
+        entries = bundled("tools.json")
+        for entry in entries:
+            entry["latency_ms"] = {k: 10 * v for k, v in entry["latency_ms"].items()}
+        tools = write_json(tmp_path / "tools.json", entries)
+        _, base = simulate(tmp_path, capsys, "base")
+        _, slow = simulate(tmp_path, capsys, "slow", "--tools", tools)
+        for policy in ("centralized", "hierarchical"):
+            before = aggregates(base[policy])["tta_median_ms"]
+            assert aggregates(slow[policy])["tta_median_ms"] > 5 * before, policy
+
+    def test_cheaper_strong_model_lowers_hierarchical_cost(self, store, tmp_path, capsys):
+        entries = bundled("models.json")
+        for entry in entries:
+            if entry["model_name"] == "gpt-4o":
+                entry["cost_per_mtok_usd"] = "2.50"
+        models = write_json(tmp_path / "models.json", entries)
+        _, base = simulate(tmp_path, capsys, "base", policies="hierarchical")
+        _, cheap = simulate(tmp_path, capsys, "cheap", "--models", models,
+                            policies="hierarchical")
+        before = float(aggregates(base["hierarchical"])["mean_cost_usd"])
+        assert float(aggregates(cheap["hierarchical"])["mean_cost_usd"]) < before
+
+    def test_flag_rules_reach_the_centralized_engine(self, store, tmp_path, capsys):
+        rules = bundled("flag_rules.json")
+        rules["moe"]["keywords"] = []  # expert brainstorms now classify as text queries
+        path = write_json(tmp_path / "rules.json", rules)
+        _, base = simulate(tmp_path, capsys, "base", policies="centralized")
+        _, other = simulate(tmp_path, capsys, "other", "--flag-rules", path,
+                            policies="centralized")
+        assert aggregates(other["centralized"])["accuracy"] < 1.0
+        assert aggregates(base["centralized"])["accuracy"] == 1.0
+
+    @pytest.mark.parametrize("budget", ["0.000001", "abc"])
+    def test_budget_never_applies(self, store, tmp_path, monkeypatch, capsys, budget):
+        base = simulate(tmp_path, capsys, "base")
+        monkeypatch.setenv("SUPERVISORD_BUDGET_USD", budget)
+        assert simulate(tmp_path, capsys, "budget") == base
+
+
+class TestCatalogGaps:
+    @pytest.mark.parametrize("missing, argv", [
+        ("memory-retrieve", ["run", "hello there"]),
+        ("memory-retrieve", ["simulate", "--queries", "5", "--policies", "centralized"]),
+        ("pipeline-coordinate", ["simulate", "--queries", "5", "--policies", "hierarchical"]),
+    ], ids=["run", "simulate-centralized", "simulate-hierarchical"])
+    def test_tool_catalog_without_a_named_tool_exits_11(self, store, tmp_path, capsys,
+                                                        missing, argv):
+        entries = [e for e in bundled("tools.json") if e["name"] != missing]
+        tools = write_json(tmp_path / "tools.json", entries)
+        assert run_cli("--tools", tools, *argv) == EXIT_UNPLANNABLE
+        assert capsys.readouterr().err == f"error: no tool named {missing!r}\n"
+
+    @pytest.mark.parametrize("drop, query, message", [
+        (lambda e: e["subflag_affinity"] == "general", "hello there",
+         "catalog has no model with affinity general"),
+        (lambda e: e["model_name"] == "gpt-4o", _HARD_TEXT_TEMPLATE,
+         "catalog has no strong entry for tier closed_src"),
+    ], ids=["no-general-model", "no-closed-strong-model"])
+    def test_model_catalog_with_a_gap_exits_2(self, store, tmp_path, capsys,
+                                              drop, query, message):
+        models = write_json(tmp_path / "models.json",
+                            [e for e in bundled("models.json") if not drop(e)])
+        assert run_cli("--models", models, "run", query) == EXIT_WORKLOAD_SPEC
+        assert capsys.readouterr().err == f"error: cannot read model catalog {models}: {message}\n"
+
+
+# Typed errors that never reach `main`: each is handled where it is raised, or
+# wrapped in an error that `cli.EXIT_CODES` maps.
+HANDLED_BEFORE_A_COMMAND = (
+    (errors.NodeFailure, "the scheduler repairs the node or fails the pipeline"),
+    (errors.PipelineFailed, "the engine ends the turn failed; run and session exit 13"),
+    (errors.NoCapableTool, "the scheduler raises UnplannableQuery or PipelineFailed instead"),
+    (errors.AmbiguousIntent, "the engine asks the user, else ends the turn failed"),
+    (errors.DimensionMismatch, "load_memory wraps it in CorruptState"),
+    (errors.DuplicateTool, "a catalog that cannot load raises InvalidInput"),
+    (errors.InvalidSpec, "a catalog that cannot load raises InvalidInput"),
+    (errors.WorkloadSpecError, "simulate wraps it in InvalidInput with its field path"),
+    (errors.IncomparableReports, "simulate compares reports over one workload"),
+    (errors.SizeExceeded, "the CLI attaches paths and URLs, never inline bytes"),
+    (errors.EmbeddingUnavailable, "the bundled hashing embedder cannot fail"),
+    (errors.EvidenceTypeError, "every task kind the engine builds has a handler"),
+)
+
+
+def test_every_error_has_an_exit_code_or_a_handler():
+    handled = {error for error, _ in HANDLED_BEFORE_A_COMMAND}
+    for error in vars(errors).values():
+        if not isinstance(error, type) or not issubclass(error, errors.SupervisorError):
+            continue
+        if error is errors.SupervisorError:
+            continue
+        mapped = any(issubclass(error, base) for base in cli.EXIT_CODES)
+        assert mapped != (error in handled), error.__name__
