@@ -152,6 +152,8 @@ class FlagRule:
     multi_step_bonus: float = 0.0
 
 
+_NO_RULE = FlagRule()  # what a flag missing from the rules table scores by
+
 _MULTI_STEP_MARKERS = (
     " and then ", " then ", "after that", "first,", "second,", "finally",
     "two ", "three ", "four ", "five ", "1.", "2.", "3.",
@@ -173,7 +175,7 @@ def score_flags(
     q = query.lower()
     scores: dict[ExecutionFlag, float] = {}
     for flag in FLAG_PRECEDENCE:
-        rule = rules.get(flag, FlagRule())
+        rule = rules.get(flag, _NO_RULE)
         score = rule.base
         score += rule.keyword_weight * sum(1 for kw in rule.keywords if kw in q)
         if rule.bonus_modalities and any(m in modalities for m in rule.bonus_modalities):

@@ -111,6 +111,11 @@ class QueryOutcome:
     repair_count: int = 0
 
 
+def _draw_confidence(seed: int, low: float, high: float) -> float:
+    # Seeded only by the roles that report a drawn confidence.
+    return round(random.Random(stable_seed(seed, "conf")).uniform(low, high), 4)
+
+
 class EngineBackends:
     """Binds graph nodes to backends; holds completed payloads so join nodes
     (temporal alignment, aggregation, synthesis) can read their parents."""
@@ -162,7 +167,6 @@ class EngineBackends:
         tool_name = node.tool.value.split(":", 1)[1]
         attempt = len(node.failed_tools)
         self._maybe_inject_failure(node, attempt, tool_name)
-        rng = random.Random(stable_seed(seed, "conf"))
         if node.role == "perceptual":
             result = couplet_mod.execute_perceptual(
                 node.task, self.perceptual, seed, tool_name=tool_name
@@ -182,19 +186,19 @@ class EngineBackends:
                 "synthesis": text, "answer_text": text,
             }
             result = couplet_mod.BackendResult(
-                payload=payload, confidence=round(rng.uniform(0.85, 0.98), 4),
+                payload=payload, confidence=_draw_confidence(seed, 0.85, 0.98),
                 tokens=tokens,
             )
         elif node.role == "route":
             result = couplet_mod.BackendResult(
                 payload={"complexity_score": 1.0},
-                confidence=round(rng.uniform(0.9, 0.99), 4),
+                confidence=_draw_confidence(seed, 0.9, 0.99),
                 tokens=whitespace_tokens(self.state.user_query),
             )
         elif node.role == "decompose":
             result = couplet_mod.BackendResult(
                 payload={"complexity_score": 1.0, "subtask_count": len(self.graph.nodes) - 2},
-                confidence=round(rng.uniform(0.9, 0.99), 4),
+                confidence=_draw_confidence(seed, 0.9, 0.99),
                 tokens=whitespace_tokens(self.state.user_query),
             )
         elif node.role == "align":
@@ -207,7 +211,7 @@ class EngineBackends:
             timeline, summary = contextualize_timeline(detections, transcript)
             result = couplet_mod.BackendResult(
                 payload={"timeline": timeline, "timeline_summary": summary},
-                confidence=round(rng.uniform(0.85, 0.98), 4),
+                confidence=_draw_confidence(seed, 0.85, 0.98),
                 tokens=60,
             )
         elif node.role == "aggregate":
@@ -323,11 +327,13 @@ class Supervisor:
             clock.advance(mem_latency)
             mem_cost = config.registry.get(mem_tool).cost.per_invocation
             charge(state.session, mem_cost, config.budget_cap)
-            query_embedding = embed(state.user_query or " ", config.embedder)
-            query_modality = next(iter(sorted(m.value for m in modalities)), "text")
-            retrieved = memory_store.retrieve_relevant(
-                query_embedding, Modality(query_modality)
-            )
+            retrieved = []
+            if memory_store.full_history:  # an empty store can only retrieve []
+                query_embedding = embed(state.user_query or " ", config.embedder)
+                query_modality = next(iter(sorted(m.value for m in modalities)), "text")
+                retrieved = memory_store.retrieve_relevant(
+                    query_embedding, Modality(query_modality)
+                )
             state.context = memory_store.integrate_context(retrieved)
             outcome.trace_rows.append(TraceRow(
                 ts=clock.now_ms(), session_id=state.session.session_id,

@@ -1,7 +1,7 @@
 """Layered conversation memory with per-modality scoring.
 
 Layers: a five-turn short-term ring (O(1) access), the append-only full
-history, the last retrieval result, and an optional compressed summary.
+history, and an optional compressed summary.
 Every record carries its modality. Retrieval ranks the uncompressed history
 exactly on cosine similarity, exponential recency decay at its modality's
 rate, and a modality-match bonus: a vectorized prefilter over append-only
@@ -74,7 +74,8 @@ class HashingEmbedder:
             raise ValueError("embedding dimension must be at least 2")
         self.dimension = dimension
         self.seed = seed
-        self._slots: dict[str, tuple[int, float]] = {}  # gram -> (bucket, sign)
+        # gram -> bucket for sign +1, dimension + bucket for sign -1
+        self._slots: dict[str, int] = {}
 
     def _grams(self, text: str) -> list[str]:
         tokens = text.lower().split()
@@ -82,27 +83,24 @@ class HashingEmbedder:
         grams.extend(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
         return grams
 
-    def _slot(self, gram: str) -> tuple[int, float]:
+    def _slot(self, gram: str) -> int:
         # A slot depends on the gram alone, so threads that race on the dict
         # at worst hash a gram twice.
         digest = hashlib.blake2b(f"{self.seed}|{gram}".encode("utf-8"), digest_size=8).digest()
         value = int.from_bytes(digest, "big")
-        slot = (value % self.dimension, 1.0 if (value >> 62) & 1 else -1.0)
+        slot = value % self.dimension + (0 if (value >> 62) & 1 else self.dimension)
         if len(self._slots) >= GRAM_CACHE_LIMIT:
             self._slots.clear()
         self._slots[gram] = slot
         return slot
 
     def embed(self, text: str) -> np.ndarray:
-        slots = self._slots
-        pairs = [slots.get(gram) or self._slot(gram) for gram in self._grams(text)]
-        if pairs:
-            # Every addend is +-1.0, so each bucket sum is an exact integer in
-            # any order: bincount gives the bytes of a sequential `+=` loop.
-            buckets, signs = zip(*pairs)
-            vec = np.bincount(buckets, weights=signs, minlength=self.dimension)
-        else:
-            vec = np.zeros(self.dimension, dtype=np.float64)
+        slots, dim = self._slots, self.dimension
+        index = [s if (s := slots.get(g)) is not None else self._slot(g) for g in self._grams(text)]
+        # Every addend is +-1, so each bucket is an exact integer: the +1 count
+        # less the -1 count gives the bytes of a sequential float `+=` loop.
+        counts = np.bincount(np.array(index, dtype=np.intp), minlength=2 * dim)
+        vec = (counts[:dim] - counts[dim:]).astype(np.float64)
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             anchor = int.from_bytes(
@@ -196,7 +194,6 @@ class MemoryStore:
         self.decay_rates = decay_rates or DEFAULT_DECAY_RATES
         self.full_history: list[MemoryRecord] = []
         self.short_term: deque[MemoryRecord] = deque(maxlen=SHORT_TERM_TURNS)
-        self.relevant_cache: list[MemoryRecord] = []
         self.compressed: Optional[CompressedSummary] = None
         self._write_lock = threading.Lock()
         self._journal_mark: Optional[tuple] = None  # what save_memory last wrote, and where
@@ -323,9 +320,7 @@ class MemoryStore:
             for rec in candidates
         ]
         scored.sort(key=lambda item: item[:3])
-        result = [rec for *_, rec in scored[:k]]
-        self.relevant_cache = result
-        return result
+        return [rec for *_, rec in scored[:k]]
 
     # --- context integration ----------------------------------------------------
 

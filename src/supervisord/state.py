@@ -52,7 +52,8 @@ class Money:
         return Decimal(self.micros) / MICROS_PER_USD
 
     def usd_str(self) -> str:
-        return f"{self.usd():.6f}"
+        whole, frac = divmod(abs(self.micros), MICROS_PER_USD)
+        return f"{'-' if self.micros < 0 else ''}{whole}.{frac:06d}"
 
     def __add__(self, other: "Money") -> "Money":
         return Money(self.micros + other.micros)

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import json
 import time
+from importlib import resources
 
 from hypothesis import given, settings, strategies as st
 
 from supervisord.decomposition import (
     FLAG_REQUIRED_MODALITIES,
+    FlagRule,
     classify_flag_detail,
     detect_modality,
+    load_flag_rules,
     modality_from_magic,
     reconcile_flag,
+    score_flags,
 )
-from supervisord.state import Attachment, ExecutionFlag, Modality
+from supervisord.state import FLAG_PRECEDENCE, Attachment, ExecutionFlag, Modality
 
 
 class TestDetectModality:
@@ -76,17 +81,36 @@ class TestClassifyFlag:
         assert flag is ExecutionFlag.COMPLEX
 
     def test_labeled_fixture_spot_checks(self):
-        import json
-        from importlib import resources
-
-        rows = json.loads(
-            resources.files("supervisord.data").joinpath("labeled_queries.json").read_text()
-        )
+        rows = labeled_queries()
         assert len(rows) == 150
         sample = rows[:: len(rows) // 10]
         for row in sample:
             modalities = {Modality(m) for m in row["modalities"]}
             assert classify_flag_detail(row["query"], modalities).flag.value == row["expected_flag"]
+
+    def test_partial_rules_table_scores_missing_flags_zero(self, tmp_path):
+        bundled = json.loads(bundled_text("flag_rules.json"))
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({k: bundled[k] for k in ("audio", "moe")}))
+        partial = load_flag_rules(str(path))
+        filled = {flag: partial.get(flag, FlagRule()) for flag in FLAG_PRECEDENCE}
+        assert len(partial) == 2
+        for row in labeled_queries():
+            modalities = {Modality(m) for m in row["modalities"]}
+            scores = score_flags(row["query"], modalities, partial)
+            assert all(scores[flag] == 0.0 for flag in FLAG_PRECEDENCE if flag not in partial)
+            expected = score_flags(row["query"], modalities, filled)
+            assert scores == expected
+            best = max(FLAG_PRECEDENCE, key=lambda f: (expected[f], -FLAG_PRECEDENCE.index(f)))
+            assert classify_flag_detail(row["query"], modalities, rules=partial).flag is best
+
+
+def bundled_text(name: str) -> str:
+    return resources.files("supervisord.data").joinpath(name).read_text("utf-8")
+
+
+def labeled_queries() -> list[dict]:
+    return json.loads(bundled_text("labeled_queries.json"))
 
 
 class TestReconcileFlag:

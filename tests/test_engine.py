@@ -24,8 +24,13 @@ from supervisord.engine import (
     save_state_file,
     state_path,
 )
-from supervisord.errors import BudgetExceeded, CorruptState, UnplannableQuery
-from supervisord.memory import MemoryStore
+from supervisord.errors import (
+    BudgetExceeded,
+    CorruptState,
+    EmbeddingUnavailable,
+    UnplannableQuery,
+)
+from supervisord.memory import HashingEmbedder, MemoryStore
 from supervisord.routing import select_tier
 from supervisord.scenarios import SCENARIO_FILES, Scenario, load_scenario, run_scenario
 from supervisord.scheduler import Scheduler
@@ -311,6 +316,71 @@ class TestAccounting:
     def test_turn_count_increments(self):
         state, _ = run_query("hello")
         assert state.session.turn_count == 1
+
+
+class CountingEmbedder(HashingEmbedder):
+    def __init__(self, fail: bool = False):
+        super().__init__()
+        self.calls, self.fail = 0, fail
+
+    def embed(self, text):
+        self.calls += 1
+        if self.fail:
+            raise RuntimeError("embedding service down")
+        return super().embed(text)
+
+
+class CountingStore(MemoryStore):
+    retrieves = 0
+
+    def retrieve_relevant(self, *args, **kwargs):
+        self.retrieves += 1
+        return super().retrieve_relevant(*args, **kwargs)
+
+
+def memory_fee() -> Money:
+    registry = EngineConfig().registry
+    return registry.get(registry.id_for_name("memory-retrieve")).cost.per_invocation
+
+
+class TestEmptyStore:
+    """An empty store can only retrieve []: step 3 embeds nothing for it."""
+
+    QUERY = "what time is it in Tokyo"
+
+    def test_first_turn_embeds_only_the_turn_it_remembers(self):
+        embedder, store = CountingEmbedder(), CountingStore()
+        config = EngineConfig(seed=3, embedder=embedder)
+        run_query(self.QUERY, config=config, memory=store)
+        assert (embedder.calls, store.retrieves, store.turn_count) == (1, 0, 1)
+        run_query(self.QUERY, config=config, memory=store)
+        assert (embedder.calls, store.retrieves, store.turn_count) == (3, 1, 2)
+
+    def test_first_turn_keeps_the_memory_row_and_fee(self):
+        state, outcome = run_query(self.QUERY)
+        memory_row = outcome.trace_rows[0]
+        assert (memory_row.node_id, memory_row.tool) == ("memory", "memory-retrieve")
+        assert memory_row.cost_usd == memory_fee().usd_str()
+        assert [seg.text for seg in state.context.segments] == ["", "", ""]
+
+    def test_failing_embedder_raises_on_both_turns(self):
+        fee = memory_fee()
+        config = EngineConfig(seed=3, embedder=CountingEmbedder(fail=True))
+        store = MemoryStore()
+        first = QueryState(user_query=self.QUERY, cost_knob=CostKnob.TRAD_COUPLET,
+                           session=session())
+        # The first turn retrieves nothing, runs its graph, and fails to
+        # remember the turn in step 9.
+        with pytest.raises(EmbeddingUnavailable):
+            Supervisor(config).process(first, memory_store=store, query_id="t0")
+        assert first.session.cumulative_cost > fee and store.turn_count == 0
+        store.add_turn("Q: earlier\nA: earlier", Modality.TEXT, HashingEmbedder())
+        second = QueryState(user_query=self.QUERY, cost_knob=CostKnob.TRAD_COUPLET,
+                            session=session())
+        # With a record to rank, step 3 embeds the query and fails after the fee.
+        with pytest.raises(EmbeddingUnavailable):
+            Supervisor(config).process(second, memory_store=store, query_id="t1")
+        assert second.session.cumulative_cost == fee and store.turn_count == 1
 
 
 def done_cost(outcome) -> Money:

@@ -6,9 +6,10 @@ import base64
 import json
 import random
 import re
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supervisord.cli import main
 from supervisord.engine import STATE_JOURNAL_HEADER, load_state_file, save_state_file
@@ -313,3 +314,16 @@ class TestMoney:
 
     def test_usd_str_resolution(self):
         assert Money(61_000).usd_str() == "0.061000"
+
+    # Negative amounts occur in `compare` deltas.
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.integers(-999_999, 999_999), st.integers(-10**15, 10**15)))
+    @example(0)
+    @example(1)
+    @example(-1)
+    @example(999_999)
+    @example(-999_999)
+    @example(10**15)
+    @example(-10**15)
+    def test_usd_str_matches_the_decimal_quotient(self, micros):
+        assert Money(micros).usd_str() == f"{Decimal(micros) / 1_000_000:.6f}"
