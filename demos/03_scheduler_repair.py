@@ -41,7 +41,7 @@ def run(failure_rates):
     graph = build_graph(ExecutionFlag.VIDEO, state, config.registry)
     backends = EngineBackends(
         graph, state, config, SimulatedBackend(fixtures),
-        failure_rates=failure_rates, failure_seed=4, query_id="demo",
+        failure_rates=failure_rates, query_id="demo",
     )
     scheduler = Scheduler(config.registry)
     outcome = scheduler.execute(graph, VirtualClock(), backends, seed=4)

@@ -342,9 +342,9 @@ def cmd_simulate(args) -> int:
         if args.workload:
             spec, queries = _load_input("workload", args.workload, load_workload_file)
         else:
-            spec = default_workload_spec(args.queries)
+            spec = default_workload_spec()
         if queries is None:
-            if args.queries and args.workload:
+            if args.queries is not None:  # a spec file's size stands unless overridden
                 spec.total_queries = args.queries
             if cfg.seed:
                 spec.seed = cfg.seed
@@ -510,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run policy simulation over a workload")
     p_sim.add_argument("workload", nargs="?", help="workload spec JSON (default: built-in)")
     p_sim.add_argument("--policies", default="centralized,hierarchical")
-    p_sim.add_argument("--queries", type=int, default=1000)
+    p_sim.add_argument("--queries", type=int, help="queries to generate (default: spec's or 1000)")
     p_sim.add_argument("--out", help="output directory for reports")
     p_sim.set_defaults(func=cmd_simulate)
 

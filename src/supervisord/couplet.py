@@ -19,6 +19,7 @@ from .errors import AmbiguousIntent, EvidenceTypeError, NodeFailure
 from .state import Modality
 
 DEFAULT_FRAME_INTERVAL_S = 1.0
+DEFAULT_FIXTURE_TOKENS = 120  # evidence tokens charged for a fixture that states none
 DETECT_MS_PER_FRAME = 180
 TIMELINE_OVERLAP_TOLERANCE_S = 1.0
 CONFIDENCE_RANGE = (0.85, 0.98)  # unscripted fixture confidences are drawn from here
@@ -85,7 +86,9 @@ class BackendResult:
 
 # --- intent parsing -------------------------------------------------------------
 
-_VAGUE_MARKERS = ("the usual", "as before", "as discussed", "like last time", "you know")
+# Phrases that point at earlier context; the engine resolves them from memory or asks.
+UNDERSPEC_MARKERS = ("the usual", "as before", "as discussed", "like last time")
+_VAGUE_MARKERS = UNDERSPEC_MARKERS + ("you know",)
 _GENERATE_RE = re.compile(r"\b(draw|render|sketch)\b|generate an image|create an image|make an image")
 _DETECT_RE = re.compile(r"\b(what|identify|detect|shown|objects|count|recognize|products)\b")
 _EMBED_RE = re.compile(r"\b(embed|similar|similarity|nearest)\b")
@@ -246,7 +249,7 @@ class SimulatedBackend:
             raise EvidenceTypeError(f"unsupported task kind {task.kind}")
         if "clarify_hint" in fixture:
             payload["clarify_hint"] = fixture["clarify_hint"]
-        tokens = fixture.get("tokens", 120)
+        tokens = fixture.get("tokens", DEFAULT_FIXTURE_TOKENS)
         return BackendResult(
             payload=payload,
             confidence=self._confidence(fixture, tool_name, task, rng),

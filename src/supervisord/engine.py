@@ -70,7 +70,6 @@ from .tools import ToolRegistry, default_registry
 
 CLARIFY_USER_DELAY_MS = 12_000  # virtual time a user takes to answer a question
 ANSWER_TOKENS = 150  # tokens a model node is charged for its answer
-UNDERSPEC_MARKERS = ("the usual", "as before", "as discussed", "like last time")
 
 _EXPERT_SUBFLAG_ORDER = (
     Subflag.GENERAL,
@@ -117,8 +116,9 @@ def _draw_confidence(seed: int, low: float, high: float) -> float:
 
 
 class EngineBackends:
-    """Binds graph nodes to backends; holds completed payloads so join nodes
-    (temporal alignment, aggregation, synthesis) can read their parents."""
+    """Binds graph nodes to backends. Join nodes (temporal alignment,
+    aggregation, synthesis) read their parents' outputs and confidences from
+    the graph's results ledger: a node launches only once its parents are done."""
 
     def __init__(
         self,
@@ -127,7 +127,6 @@ class EngineBackends:
         config: EngineConfig,
         perceptual: SimulatedBackend,
         failure_rates: Optional[dict[str, float]] = None,
-        failure_seed: int = 0,
         query_id: str = "",
     ):
         self.graph = graph
@@ -135,16 +134,14 @@ class EngineBackends:
         self.config = config
         self.perceptual = perceptual
         self.failure_rates = failure_rates or {}
-        self.failure_seed = failure_seed
         self.query_id = query_id
-        self.payloads: dict[str, dict] = {}
 
     def _maybe_inject_failure(self, node: GraphNode, attempt: int, tool_name: str) -> None:
         rate = self.failure_rates.get(tool_name, 0.0)
         if rate <= 0:
             return
         draw = random.Random(
-            stable_seed(self.failure_seed, self.query_id, node.node_id, attempt)
+            stable_seed(self.config.seed, self.query_id, node.node_id, attempt)
         ).random()
         if draw < rate:
             raise NodeFailure(f"injected failure on {tool_name}")
@@ -172,11 +169,9 @@ class EngineBackends:
                 node.task, self.perceptual, seed, tool_name=tool_name
             )
         elif node.role in ("model", "synthesize"):
-            parent_payloads = [
-                self.payloads[p] for p in self.graph.parents(node.node_id)
-                if p in self.payloads
-            ]
-            text = self._render_model_answer(node, parent_payloads)
+            results = self.graph.results
+            parent_outputs = [results[p].output for p in self.graph.parents(node.node_id)]
+            text = self._render_model_answer(node, parent_outputs)
             tokens = (
                 whitespace_tokens(self.state.user_query)
                 + self._context_tokens()
@@ -204,7 +199,7 @@ class EngineBackends:
         elif node.role == "align":
             detections, transcript = [], []
             for parent in self.graph.parents(node.node_id):
-                payload = self.payloads.get(parent, {})
+                payload = self.graph.results[parent].output
                 detections.extend(payload.get("detections", []))
                 transcript.extend(payload.get("transcript", []))
             transcript.sort(key=lambda w: w["t"])
@@ -216,12 +211,11 @@ class EngineBackends:
             )
         elif node.role == "aggregate":
             best_text, best_conf = "", -1.0
-            for parent in sorted(self.graph.parents(node.node_id)):
-                payload = self.payloads.get(parent, {})
-                conf = payload.get("_confidence", 0.0)
-                if payload.get("answer_text") and conf > best_conf:
-                    best_conf = conf
-                    best_text = payload["answer_text"]
+            for parent_id in sorted(self.graph.parents(node.node_id)):
+                parent = self.graph.results[parent_id]
+                if parent.output.get("answer_text") and parent.confidence > best_conf:
+                    best_conf = parent.confidence
+                    best_text = parent.output["answer_text"]
             result = couplet_mod.BackendResult(
                 payload={"aggregation": "confidence-weighted selection",
                          "answer_text": best_text or "No expert produced an answer."},
@@ -230,14 +224,11 @@ class EngineBackends:
             )
         else:  # pragma: no cover - roles are closed
             raise NodeFailure(f"no backend for role {node.role}")
-        stored = dict(result.payload)
-        stored["_confidence"] = result.confidence
-        self.payloads[node.node_id] = stored
         return result
 
-    def _render_model_answer(self, node: GraphNode, parent_payloads: list[dict]) -> str:
+    def _render_model_answer(self, node: GraphNode, parent_outputs: list[dict]) -> str:
         evidence_bits = []
-        for payload in parent_payloads:
+        for payload in parent_outputs:
             for key in ("answer_text", "timeline_summary", "synthesis"):
                 if payload.get(key):
                     evidence_bits.append(str(payload[key]))
@@ -247,7 +238,7 @@ class EngineBackends:
         if evidence_bits:
             base += " | " + " | ".join(evidence_bits[:4])
         if node.role == "synthesize":
-            return f"Synthesis across {len(parent_payloads)} branch(es). {base}"
+            return f"Synthesis across {len(parent_outputs)} branch(es). {base}"
         return base
 
     def node_cost(self, node: GraphNode, invocation: couplet_mod.BackendResult) -> Money:
@@ -312,6 +303,8 @@ class Supervisor:
             for a in state.attachments
             if a.detected_modality and a.detected_modality is not Modality.UNKNOWN
         }
+        primary = Modality(min((m.value for m in modalities), default="text"))
+        marker = detect_underspecified(state.user_query)
 
         # 2. Flag classification plus safety reconciliation.
         decision = classify_flag_detail(state.user_query, modalities, rules=config.flag_rules)
@@ -330,19 +323,15 @@ class Supervisor:
             retrieved = []
             if memory_store.full_history:  # an empty store can only retrieve []
                 query_embedding = embed(state.user_query or " ", config.embedder)
-                query_modality = next(iter(sorted(m.value for m in modalities)), "text")
-                retrieved = memory_store.retrieve_relevant(
-                    query_embedding, Modality(query_modality)
-                )
+                retrieved = memory_store.retrieve_relevant(query_embedding, primary)
             state.context = memory_store.integrate_context(retrieved)
             outcome.trace_rows.append(TraceRow(
                 ts=clock.now_ms(), session_id=state.session.session_id,
                 node_id="memory", tool="memory-retrieve", event="done",
                 latency_ms=mem_latency, cost_usd=mem_cost.usd_str(), confidence=1.0,
             ))
-            resolution_text = self._self_serve_resolution(state, memory_store, retrieved)
+            resolution_text = self._self_serve_resolution(state, marker, memory_store, retrieved)
 
-        marker = detect_underspecified(state.user_query)
         if marker and not resolution_text and state.clarify_response is None:
             question = (
                 f"Could you spell out what {marker!r} refers to here? "
@@ -389,7 +378,7 @@ class Supervisor:
         if not outcome.failed:
             backends = EngineBackends(
                 graph, state, config, backend,
-                failure_rates=failure_rates, failure_seed=config.seed, query_id=query_id,
+                failure_rates=failure_rates, query_id=query_id,
             )
             for round_index in range(CLARIFICATION_LIMIT + 1):
                 try:
@@ -443,10 +432,9 @@ class Supervisor:
 
         # 9. Remember the turn.
         if config.memory_enabled:
-            primary = next(iter(sorted(m.value for m in modalities)), "text")
             memory_store.add_turn(
                 f"Q: {state.user_query}\nA: {outcome.answer_text[:400]}",
-                Modality(primary),
+                primary,
                 config.embedder,
                 created_at_ms=clock.now_ms(),
             )
@@ -472,11 +460,10 @@ class Supervisor:
         state.clarify_response = response
         return True
 
-    def _self_serve_resolution(self, state, memory_store, retrieved) -> str:
-        marker = detect_underspecified(state.user_query)
+    def _self_serve_resolution(self, state, marker, memory_store, retrieved) -> str:
         if not marker:
             return ""
-        pool = list(memory_store.short_term) + list(retrieved)
+        pool = memory_store.short_term + retrieved
         for record in pool:
             if marker in record.content.lower() and record.content != state.user_query:
                 # A prior turn explains the elliptical reference; fold it in.
@@ -510,8 +497,7 @@ class Supervisor:
         evidence_keys: set[str] = set()
         cited: dict[str, list[str]] = {}
         for node_id, node in graph.nodes.items():
-            result = graph.results[node_id]
-            payload = {k: v for k, v in result.output.items() if not k.startswith("_")}
+            payload = graph.results[node_id].output
             evidence_keys.update(k for k in payload if k not in ("targets", "clarify_hint"))
             if not node.segment:
                 continue
@@ -528,7 +514,7 @@ class Supervisor:
 
 def detect_underspecified(query: str) -> Optional[str]:
     q = query.lower()
-    for marker in UNDERSPEC_MARKERS:
+    for marker in couplet_mod.UNDERSPEC_MARKERS:
         if marker in q:
             return marker
     return None
@@ -637,11 +623,11 @@ def load_trace_rows(store_root: str, session_id: str) -> list[dict]:
     return rows
 
 
-def load_session_memory(store_root: str, session_id: str, **kwargs) -> MemoryStore:
+def load_session_memory(store_root: str, session_id: str) -> MemoryStore:
     path = memory_path(store_root, session_id)
     if os.path.exists(path):
-        return load_memory(path, **kwargs)
-    return MemoryStore(**kwargs)
+        return load_memory(path)
+    return MemoryStore()
 
 
 def save_session_memory(store_root: str, session_id: str, store: MemoryStore) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
 from .clock import VirtualClock
-from .couplet import DETECT_MS_PER_FRAME, SimulatedBackend, stable_seed
+from .couplet import DEFAULT_FIXTURE_TOKENS, DETECT_MS_PER_FRAME, SimulatedBackend, stable_seed
 from .engine import CLARIFY_USER_DELAY_MS, EngineConfig, Supervisor, detect_underspecified
 from .errors import IncomparableReports, WorkloadSpecError
 from .memory import MemoryStore, whitespace_tokens
@@ -146,6 +146,8 @@ class WorkloadSpec:
     memory_hint_rate: float = 0.85
 
     def validate(self) -> None:
+        if isinstance(self.total_queries, bool) or not isinstance(self.total_queries, int):
+            raise WorkloadSpecError("total_queries must be an integer", "total_queries")
         if self.total_queries <= 0:
             raise WorkloadSpecError("total_queries must be positive", "total_queries")
         missing = set(CATEGORIES) - set(self.category_mix)
@@ -664,7 +666,7 @@ def _run_hierarchical(
     for q in queries:
         chain = (*_HIER_OVERHEAD, *CATEGORY_TABLE[q.category].stages, _HIER_SYNTH)
         frames = _frames(q)
-        evidence_tokens = sum(f.get("tokens", 100) for f in q.fixtures.values())
+        evidence_tokens = sum(f.get("tokens", DEFAULT_FIXTURE_TOKENS) for f in q.fixtures.values())
         synth_tokens = whitespace_tokens(q.text) + evidence_tokens + 300
 
         def stage(index: int, tool_name: str, attempt: int | str) -> tuple[int, Money]:
@@ -746,7 +748,7 @@ def _run_monolithic(
             latency += MONO_MS_PER_PERCEPT * frames
         elif q.attachments:
             latency += MONO_MS_PER_PERCEPT * len(q.attachments)
-        evidence_tokens = sum(f.get("tokens", 100) for f in q.fixtures.values())
+        evidence_tokens = sum(f.get("tokens", DEFAULT_FIXTURE_TOKENS) for f in q.fixtures.values())
         tokens = whitespace_tokens(q.text) + 4 * evidence_tokens + 500
         cost = invocation_cost(strong_model, tokens)
         tta = work = latency

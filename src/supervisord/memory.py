@@ -1,7 +1,7 @@
 """Layered conversation memory with per-modality scoring.
 
-Layers: a five-turn short-term ring (O(1) access), the append-only full
-history, and an optional compressed summary.
+Layers: the append-only full history, its last five turns as the
+short-term window, and an optional compressed summary.
 Every record carries its modality. Retrieval ranks the uncompressed history
 exactly on cosine similarity, exponential recency decay at its modality's
 rate, and a modality-match bonus: a vectorized prefilter over append-only
@@ -15,7 +15,6 @@ import json
 import math
 import os
 import threading
-from collections import deque
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -193,7 +192,6 @@ class MemoryStore:
         self.weights = weights
         self.decay_rates = decay_rates or DEFAULT_DECAY_RATES
         self.full_history: list[MemoryRecord] = []
-        self.short_term: deque[MemoryRecord] = deque(maxlen=SHORT_TERM_TURNS)
         self.compressed: Optional[CompressedSummary] = None
         self._write_lock = threading.Lock()
         self._journal_mark: Optional[tuple] = None  # what save_memory last wrote, and where
@@ -206,6 +204,11 @@ class MemoryStore:
     @property
     def turn_count(self) -> int:
         return len(self.full_history)
+
+    @property
+    def short_term(self) -> list[MemoryRecord]:
+        """The last `SHORT_TERM_TURNS` records of the history, oldest first."""
+        return self.full_history[-SHORT_TERM_TURNS:]
 
     def store(self, record: MemoryRecord) -> "MemoryStore":
         if record.embedding.shape != (self.dimension,):
@@ -224,7 +227,6 @@ class MemoryStore:
             self._turns[n] = record.turn_index
             self._codes[n] = _MODALITY_CODES[record.modality]
             self.full_history.append(record)
-            self.short_term.append(record)
             if self.compressed is None or record.turn_index > self.compressed.source_end_turn:
                 self._retrievable_tokens += whitespace_tokens(record.content)
         return self

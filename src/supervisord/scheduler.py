@@ -50,16 +50,17 @@ KIND_OUTPUT_TAGS: dict[TaskKind, str] = {
 
 @dataclass
 class GraphNode:
+    """One tool invocation; `len(failed_tools)` is its attempt number and its repairs so far."""
+
     node_id: str
     tool: ToolId
     requirement: Requirement
-    role: str  # perceptual | model | route | align | aggregate | decompose | synthesize | overhead
+    role: str  # perceptual | model | route | align | aggregate | decompose | synthesize
     task: Optional[PerceptualTask] = None
     model_name: Optional[str] = None
     segment: Optional[str] = None  # answer segment this node feeds
-    status: str = "pending"  # pending | running | done | failed | repaired
+    done: bool = False  # its result is in the graph's ledger
     failed_tools: list[ToolId] = field(default_factory=list)
-    repairs: int = 0
 
 
 @dataclass
@@ -109,8 +110,8 @@ class TraceRow:
 
 
 class ExecutionGraph:
-    """DAG of tool invocations with per-node status, a repair log and the
-    results ledger: one result per done node, kept across executions."""
+    """DAG of tool invocations with a repair log and the results ledger: one
+    result per done node, kept across executions."""
 
     def __init__(self):
         self.nodes: dict[str, GraphNode] = {}
@@ -158,12 +159,12 @@ class ExecutionGraph:
         return order
 
     def done_count(self) -> int:
-        return sum(1 for n in self.nodes.values() if n.status == "done")
+        return sum(n.done for n in self.nodes.values())
 
     def reset(self, node_id: str) -> None:
-        """Return a node and everything downstream of it to pending and drop
-        their results, so the next execution runs them again."""
-        self.nodes[node_id].status = "pending"
+        """Mark a node and everything downstream of it not done and drop their
+        results, so the next execution runs them again."""
+        self.nodes[node_id].done = False
         self.results.pop(node_id, None)
         for child in self._children[node_id]:
             self.reset(child)
@@ -292,8 +293,6 @@ def build_graph(
             graph.add_edge(node_id, "synth")
     else:  # pragma: no cover - flag enum is closed
         raise UnplannableQuery(f"unsupported flag {flag}")
-
-    graph.topological_order()
     return graph
 
 
@@ -355,13 +354,13 @@ class Scheduler:
     def repair(self, graph: ExecutionGraph, node_id: str, cause: str) -> ToolId:
         """Swap the failed node's tool for the next-ranked capable alternative.
 
-        Completed nodes keep their status and results; exhausting alternatives
-        or the per-node repair budget raises PipelineFailed.
+        Completed nodes keep their results. Exhausting the alternatives, or a
+        node's `REPAIR_LIMIT` repairs over every execution of the graph, raises
+        PipelineFailed.
         """
         node = graph.nodes[node_id]
         node.failed_tools.append(node.tool)
-        node.status = "failed"
-        if not self.repair_enabled or node.repairs >= REPAIR_LIMIT:
+        if not self.repair_enabled or len(node.failed_tools) > REPAIR_LIMIT:
             raise PipelineFailed(
                 f"node {node_id} failed ({cause}) with repair budget exhausted"
             )
@@ -373,8 +372,6 @@ class Scheduler:
             ) from None
         replacement = ranked[0]
         node.tool = replacement
-        node.repairs += 1
-        node.status = "repaired"
         graph.repair_log.append(
             RepairEvent(
                 failed_node=node_id,
@@ -418,19 +415,18 @@ class Scheduler:
         running: list[tuple[int, int, str]] = []  # (finish_ts, insertion, node_id)
         # Unfinished parents per node; a node is ready once its count is zero.
         waiting = {
-            node_id: sum(graph.nodes[p].status != "done" for p in graph.parents(node_id))
+            node_id: sum(not graph.nodes[p].done for p in graph.parents(node_id))
             for node_id in graph.nodes
         }
         # Heap of (insertion, node_id); built in insertion order, so already a heap.
         ready: list[tuple[int, str]] = [
             (insertion[node_id], node_id)
             for node_id, node in graph.nodes.items()
-            if node.status != "done" and waiting[node_id] == 0
+            if not node.done and waiting[node_id] == 0
         ]
 
         def launch(node_id: str, at_ms: int) -> None:
             node = graph.nodes[node_id]
-            node.status = "running"
             attempt_seed = stable_seed(seed, node_id, len(node.failed_tools))
             trace.append(
                 TraceRow(ts=at_ms, session_id=session_id, node_id=node_id,
@@ -483,7 +479,7 @@ class Scheduler:
                 )
                 heapq.heappush(ready, (insertion[node_id], node_id))
             else:
-                node.status = "done"
+                node.done = True
                 cost = backends.node_cost(node, invocation)
                 # Finish along dependencies alone, as if every node had its own
                 # slot: a wait for the single slot in serial mode is not a chain.
@@ -508,7 +504,7 @@ class Scheduler:
                 )
                 for child in graph.children(node_id):
                     waiting[child] -= 1
-                    if waiting[child] == 0 and graph.nodes[child].status != "done":
+                    if waiting[child] == 0 and not graph.nodes[child].done:
                         heapq.heappush(ready, (insertion[child], child))
             launch_ready(finish_ts)
 

@@ -20,7 +20,7 @@ from .errors import CorruptState, SizeExceeded, VersionMismatch
 
 STATE_VERSION = 1
 
-# Inline attachment payloads above this size must be path/URL references.
+# Inline attachment data above this size must be path/URL references.
 DEFAULT_MAX_INLINE_BYTES = 64 * 1024 * 1024
 
 MICROS_PER_USD = 1_000_000
@@ -151,7 +151,7 @@ class Attachment:
     """One attached input: a URL, a local path, or inline bytes."""
 
     source_kind: str  # "url" | "path" | "bytes"
-    source: Any  # str for url/path, bytes for inline payloads
+    source: Any  # str for url/path, bytes for inline data
     declared_name: Optional[str] = None
     detected_modality: Optional[Modality] = None
     mime: Optional[str] = None

@@ -294,6 +294,36 @@ class TestSimulate:
         assert code == EXIT_WORKLOAD_SPEC
         assert "category_mix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, expected", [([], 30), (["--queries", "12"], 12)],
+                             ids=["spec-size", "flag-overrides"])
+    def test_spec_file_size_unless_queries_given(self, store, tmp_path, capsys, flags, expected):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"total_queries": 30, "seed": 3}))
+        out_dir = tmp_path / "r"
+        code = run_cli("--json", "simulate", str(path), *flags,
+                       "--policies", "centralized,hierarchical", "--out", str(out_dir))
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["queries"] for r in payload["reports"]] == [expected, expected]
+        report = json.loads((out_dir / "report-centralized.json").read_text())
+        assert len(report["per_query"]) == expected
+
+    @pytest.mark.parametrize("value", [2.5, True, "30"])
+    @pytest.mark.parametrize("flags", [[], ["--queries", "0"]], ids=["no-flag", "queries-0"])
+    def test_spec_file_total_queries_not_an_integer_exits_2(self, store, tmp_path, capsys,
+                                                            value, flags):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"total_queries": value}))
+        assert run_cli("simulate", str(path), *flags, "--policies", "centralized") \
+            == EXIT_WORKLOAD_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith("error: workload spec invalid at total_queries: ")
+        assert "Traceback" not in err
+
+    def test_zero_queries_without_a_file_exits_2(self, store, capsys):
+        assert run_cli("simulate", "--queries", "0") == EXIT_WORKLOAD_SPEC
+        assert capsys.readouterr().err.startswith("error: workload spec invalid at total_queries")
+
     def test_unknown_policy_exits_2(self, store, capsys):
         assert run_cli("simulate", "--policies", "psychic") == EXIT_WORKLOAD_SPEC
 

@@ -181,7 +181,7 @@ def test_graph_shape(name):
     assert shape == nodes
     assert graph.edges == edges
     assert all(n.requirement.state is state for n in graph.nodes.values())
-    assert all(n.status == "pending" and n.repairs == 0 for n in graph.nodes.values())
+    assert all(not n.done and not n.failed_tools for n in graph.nodes.values())
 
 
 def test_no_capable_tool_carries_requirement():

@@ -310,6 +310,32 @@ class TestMaterializedWorkload:
         report_b = run_policy(loaded_queries, "hierarchical", loaded_spec, seed=2)
         assert report_a.aggregates == report_b.aggregates
 
+    def test_fixture_without_tokens_costs_every_policy_the_same_default(self, tmp_path):
+        from supervisord.harness import POLICIES, load_workload_file, materialize_workload
+
+        spec = default_workload_spec(30, seed=3)
+        workload = materialize_workload(generate_workload(spec), spec)
+        fixtures = [f for q in workload["queries"] for f in q["fixtures"].values()]
+        assert fixtures
+        costs = []
+        for tokens in (None, 120, 100):
+            for fixture in fixtures:
+                fixture.pop("tokens", None)
+                if tokens is not None:
+                    fixture["tokens"] = tokens
+            path = tmp_path / f"tokens-{tokens}.json"
+            path.write_text(json.dumps(workload))
+            loaded_spec, loaded = load_workload_file(str(path))
+            costs.append({
+                policy: [r.cost_usd for r in run_policy(loaded, policy, loaded_spec, seed=2).per_query]
+                for policy in POLICIES
+            })
+        unstated, stated_default, stated_other = costs
+        for policy in ("hierarchical", "monolithic"):
+            assert unstated[policy] == stated_default[policy], policy
+            assert unstated[policy] != stated_other[policy], policy  # tokens are charged
+        assert unstated["centralized"] == stated_default["centralized"]
+
 
 class TestPolicyFairness:
     def test_hierarchical_stages_exist_in_registry(self):

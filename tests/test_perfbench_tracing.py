@@ -1,8 +1,10 @@
-"""`perfbench/tracing.py` (imported, not changed) patches only attributes that exist.
+"""The benchmark's own modules (imported, not changed) still run against the package.
 
-`Tracer.install` wraps functions at the names the engine looks up. If a
-refactor moves one of them, `perfbench/run.py --trace 1` breaks; this test
-fails first, without running a round.
+`perfbench/tracing.py` patches only attributes that exist: `Tracer.install`
+wraps functions at the names the engine looks up, so if a refactor moves one
+of them, `perfbench/run.py --trace 1` breaks and the first test fails without
+running a round. `perfbench/workloads.py` calls the package by name too; the
+smoke test runs two small rounds of each workload.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from supervisord import couplet, engine, harness, memory, scheduler, tools
 
@@ -20,10 +24,11 @@ OWNERS = (
 )
 
 
-def load_tracing():
-    name = "perfbench_tracing"
+def load_perfbench(module_name: str):
+    name = f"perfbench_{module_name}"
     if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "tracing.py")
+        path = ROOT / "perfbench" / f"{module_name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
         module = sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     return sys.modules[name]
@@ -35,7 +40,7 @@ def namespaces() -> list[dict]:
 
 def test_install_wraps_existing_attributes_and_restore_puts_them_back():
     before = namespaces()
-    tracer = load_tracing().Tracer()
+    tracer = load_perfbench("tracing").Tracer()
     try:
         tracer.install()
         during = namespaces()
@@ -54,3 +59,15 @@ def test_install_wraps_existing_attributes_and_restore_puts_them_back():
     for owner, old, new in zip(OWNERS, before, after):
         assert new.keys() == old.keys(), owner
         assert all(new[attr] is old[attr] for attr in old), owner
+
+
+@pytest.mark.parametrize("name", ["sim-mix", "sim-faults", "session-long"])
+def test_workload_rounds_run_clean_and_repeat(name, tmp_path, monkeypatch):
+    workloads = load_perfbench("workloads")
+    monkeypatch.setattr(workloads, "SIM_QUERIES", 45)
+    monkeypatch.setattr(workloads, "SESSION_TURNS", 20)
+    workload = workloads.make(name, 1, str(tmp_path / name))
+    workload.prepare()
+    first, second = workload.run_round(), workload.run_round()
+    assert first.failed == 0 and second.failed == 0
+    assert first.ops > 0 and first.fingerprints == second.fingerprints

@@ -176,6 +176,17 @@ class TestBuildGraphShapes:
         with pytest.raises(ValueError):
             graph.topological_order()
 
+    def test_execute_rejects_a_cycle_before_any_node_runs(self):
+        registry = simple_registry()
+        graph = chain_graph(registry, {"src": 1, "a": 1, "b": 1})
+        graph.add_edge("b", "a")
+        ran = []
+        backends = StubBackends()
+        backends.run_node = lambda node, seed: ran.append(node.node_id)
+        with pytest.raises(ValueError):
+            Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
+        assert ran == [] and not graph.results
+
 
 class TestExecuteCriticalPath:
     def test_three_parallel_nodes_max(self):
@@ -340,7 +351,7 @@ class TestRepair:
         assert graph.repair_log[0].preserved_nodes == 1
         events = [(r.node_id, r.event) for r in outcome.trace]
         assert ("b", "failed") in events and ("b", "repaired") in events
-        assert graph.nodes["a"].status == "done"
+        assert graph.nodes["a"].done
 
     def test_preserved_count_after_four_of_five(self):
         registry = simple_registry()
@@ -368,6 +379,19 @@ class TestRepair:
         with pytest.raises(PipelineFailed):
             scheduler.execute(graph, VirtualClock(), backends, seed=1)
         assert len(graph.repair_log) == 2
+
+    def test_repair_budget_carries_across_a_reset(self):
+        registry = simple_registry(n_alternatives=5)
+        graph = chain_graph(registry, {"a": None})
+        backends = StubBackends(failures={("a", 0), ("a", 1)})
+        scheduler = Scheduler(registry)
+        scheduler.execute(graph, VirtualClock(), backends, seed=1)
+        assert "a" in graph.results and len(graph.repair_log) == 2
+        graph.reset("a")  # as a clarification round does
+        backends.failures.add(("a", 2))
+        with pytest.raises(PipelineFailed):
+            scheduler.execute(graph, VirtualClock(), backends, seed=2)
+        assert len(graph.repair_log) == 2 and "a" not in graph.results
 
     def test_no_alternative_tool_fails_pipeline(self):
         registry = simple_registry(n_alternatives=1)
