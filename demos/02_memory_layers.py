@@ -46,4 +46,4 @@ for segment in bundle.segments:
 # force a summary (normally triggered above 8,000 history tokens)
 store.maybe_compress(force=True, on_event=lambda msg: print(f"\ncompression: {msg}"))
 print(f"compressed summary: {store.compressed.text[:100]}")
-print(f"retrievable records after compression: {len(store._retrievable())}")
+print(f"retrievable records after compression: {store.retrievable_count}")

@@ -343,6 +343,11 @@ def cmd_simulate(args) -> int:
             spec, queries = _load_input("workload", args.workload, load_workload_file)
         else:
             spec = default_workload_spec()
+        if queries is not None and args.queries is not None:
+            raise InvalidInput(
+                f"{args.workload} holds {len(queries)} materialized queries; "
+                "--queries applies only to a workload spec"
+            )
         if queries is None:
             if args.queries is not None:  # a spec file's size stands unless overridden
                 spec.total_queries = args.queries

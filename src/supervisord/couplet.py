@@ -189,7 +189,7 @@ def parse_intent(
 
 def stable_seed(*parts) -> int:
     """64-bit seed derived from the parts' text; stable across processes."""
-    text = "|".join(str(p) for p in parts)
+    text = "|".join(map(str, parts))
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
 

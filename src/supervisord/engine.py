@@ -320,8 +320,9 @@ class Supervisor:
             clock.advance(mem_latency)
             mem_cost = config.registry.get(mem_tool).cost.per_invocation
             charge(state.session, mem_cost, config.budget_cap)
-            retrieved = []
-            if memory_store.full_history:  # an empty store can only retrieve []
+            if memory_store.retrievable_count < 2:  # nothing to rank, so no query vector
+                retrieved = memory_store.retrievable()
+            else:
                 query_embedding = embed(state.user_query or " ", config.embedder)
                 retrieved = memory_store.retrieve_relevant(query_embedding, primary)
             state.context = memory_store.integrate_context(retrieved)

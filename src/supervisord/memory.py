@@ -6,6 +6,11 @@ Every record carries its modality. Retrieval ranks the uncompressed history
 exactly on cosine similarity, exponential recency decay at its modality's
 rate, and a modality-match bonus: a vectorized prefilter over append-only
 rows picks the candidates, and the scalar `score_memory` ranks them.
+
+A turn stored by `add_turn` is embedded when it is first ranked or saved (or
+its `embedding` is read), not when it is stored; a pool of at most one
+record is returned unranked, so a store that is never ranked or saved
+computes no embedding at all.
 """
 
 from __future__ import annotations
@@ -129,14 +134,46 @@ def embed(content: str, embedder) -> np.ndarray:
 # --- records and scoring --------------------------------------------------------
 
 
+class _Unembedded:
+    """The embedder of a turn stored before anything read its vector."""
+
+    __slots__ = ("embedder",)
+
+    def __init__(self, embedder):
+        self.embedder = embedder
+
+
+class _EmbeddingField:
+    """`MemoryRecord.embedding`: holds a vector, or an `_Unembedded` that the
+    first read replaces with `embed(content, embedder)`."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            raise AttributeError(self.name)  # so the dataclass field has no default
+        value = record.__dict__[self.name]
+        if isinstance(value, _Unembedded):
+            value = record.__dict__[self.name] = embed(record.content, value.embedder)
+        return value
+
+    def __set__(self, record, value):
+        record.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class MemoryRecord:
-    """One stored turn; frozen, so its journal line, written once, stays exact."""
+    """One stored turn; frozen, so its journal line, written once, stays exact.
+
+    The `embedding` of a turn stored by `MemoryStore.add_turn` is computed
+    when it is first read.
+    """
 
     record_id: str
     content: str
     modality: Modality
-    embedding: np.ndarray
+    embedding: np.ndarray = _EmbeddingField()
     turn_index: int
     created_at_ms: int = 0
 
@@ -195,11 +232,13 @@ class MemoryStore:
         self.compressed: Optional[CompressedSummary] = None
         self._write_lock = threading.Lock()
         self._journal_mark: Optional[tuple] = None  # what save_memory last wrote, and where
-        self._retrievable_tokens = 0  # whitespace tokens of _retrievable(), see maybe_compress
+        self._retrievable_tokens = 0  # whitespace tokens of retrievable(), see maybe_compress
+        self._retrievable_count = 0  # len(retrievable()), kept as records arrive
         # Rows parallel to full_history, grown by doubling; see retrieve_relevant.
         self._embeddings = np.zeros((16, dimension), dtype=np.float64)
         self._turns = np.zeros(16, dtype=np.int64)
         self._codes = np.zeros(16, dtype=np.int8)
+        self._unfilled: list[int] = []  # rows whose record had no vector when stored
 
     @property
     def turn_count(self) -> int:
@@ -217,19 +256,27 @@ class MemoryStore:
                 f"({self.dimension},)"
             )
         with self._write_lock:
-            n = len(self.full_history)
-            if n == len(self._turns):  # full: double the rows
-                self._embeddings, self._turns, self._codes = (
-                    np.concatenate([rows, np.zeros_like(rows)])
-                    for rows in (self._embeddings, self._turns, self._codes)
-                )
-            self._embeddings[n] = record.embedding
-            self._turns[n] = record.turn_index
-            self._codes[n] = _MODALITY_CODES[record.modality]
-            self.full_history.append(record)
-            if self.compressed is None or record.turn_index > self.compressed.source_end_turn:
-                self._retrievable_tokens += whitespace_tokens(record.content)
+            self._append(record)
         return self
+
+    def _append(self, record: MemoryRecord) -> None:
+        # The caller holds _write_lock.
+        n = len(self.full_history)
+        if n == len(self._turns):  # full: double the rows
+            self._embeddings, self._turns, self._codes = (
+                np.concatenate([rows, np.zeros_like(rows)])
+                for rows in (self._embeddings, self._turns, self._codes)
+            )
+        if isinstance(record.__dict__["embedding"], _Unembedded):
+            self._unfilled.append(n)
+        else:
+            self._embeddings[n] = record.embedding
+        self._turns[n] = record.turn_index
+        self._codes[n] = _MODALITY_CODES[record.modality]
+        self.full_history.append(record)
+        if self.compressed is None or record.turn_index > self.compressed.source_end_turn:
+            self._retrievable_tokens += whitespace_tokens(record.content)
+            self._retrievable_count += 1
 
     def add_turn(
         self,
@@ -238,26 +285,46 @@ class MemoryStore:
         embedder,
         created_at_ms: int = 0,
     ) -> MemoryRecord:
-        record = MemoryRecord(
-            record_id=f"m{len(self.full_history):06d}",
-            content=content,
-            modality=modality,
-            embedding=embed(content, embedder),
-            turn_index=len(self.full_history) + 1,
-            created_at_ms=created_at_ms,
-        )
-        self.store(record)
+        """Store a turn; `embedder` embeds it when it is first ranked or saved.
+
+        Raises `DimensionMismatch` at once if the embedder's dimension is not
+        the store's. The id and turn index are taken under the write lock, so
+        turns added from several threads get distinct ones.
+        """
+        if embedder.dimension != self.dimension:
+            raise DimensionMismatch(
+                f"embedder dimension {embedder.dimension}, store expects {self.dimension}"
+            )
+        with self._write_lock:
+            n = len(self.full_history)
+            record = MemoryRecord(
+                record_id=f"m{n:06d}",
+                content=content,
+                modality=modality,
+                embedding=_Unembedded(embedder),
+                turn_index=n + 1,
+                created_at_ms=created_at_ms,
+            )
+            self._append(record)
         return record
 
-    def _retrievable(self) -> list[MemoryRecord]:
+    def retrievable(self) -> list[MemoryRecord]:
+        """The records retrieval picks from: those past the compressed summary."""
         # Compressed turns are represented by the summary, not retrieved raw.
         if self.compressed is None:
             return list(self.full_history)
         cutoff = self.compressed.source_end_turn
         return [r for r in self.full_history if r.turn_index > cutoff]
 
-    def _recount_retrievable_tokens(self) -> None:
-        self._retrievable_tokens = sum(whitespace_tokens(r.content) for r in self._retrievable())
+    @property
+    def retrievable_count(self) -> int:
+        """`len(retrievable())`, without building the list."""
+        return self._retrievable_count
+
+    def _recount_retrievable(self) -> None:
+        pool = self.retrievable()
+        self._retrievable_count = len(pool)
+        self._retrievable_tokens = sum(whitespace_tokens(r.content) for r in pool)
 
     def retrieve_relevant(
         self,
@@ -268,17 +335,27 @@ class MemoryStore:
     ) -> list[MemoryRecord]:
         """Top-k retrievable records by exact score, newest-first on ties.
 
-        numpy scores every row approximately; only the rows that can reach
-        the top k are scored again with `score_memory` and ranked.
+        A pool of at most one record is returned as it is, unranked, and reads
+        no vector. Otherwise the rows of records not embedded yet are filled
+        first; numpy scores every row approximately, and only the rows that
+        can reach the top k are scored again with `score_memory` and ranked.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
+        if self._retrievable_count < 2:
+            return self.retrievable()
+        with self._write_lock:
+            # Under the lock, so a concurrent store() cannot double the rows
+            # between the read of the arrays and the write of a row.
+            for i in self._unfilled:
+                self._embeddings[i] = self.full_history[i].embedding
+            self._unfilled.clear()
+            n = len(self.full_history)  # every row below n is filled
         now = self.turn_count + 1 if now_turn is None else now_turn
-        n = len(self.full_history)  # store() writes a row before it appends the record
         turns = self._turns[:n]
         pool = turns > self.compressed.source_end_turn if self.compressed else None
         if (n if pool is None else int(pool.sum())) <= k:
-            candidates = self._retrievable()
+            candidates = self.retrievable()
         else:
             # A record's approximate score a and exact score s differ by at
             # most e, far below 1e-12: embeddings are unit vectors and the
@@ -355,7 +432,7 @@ class MemoryStore:
         """
         if not force and self._retrievable_tokens <= COMPRESSION_TRIGGER_TOKENS:
             return self
-        candidates = self._retrievable()
+        candidates = self.retrievable()
         if not candidates:
             return self
         source_text = "\n".join(r.content for r in candidates)
@@ -381,7 +458,7 @@ class MemoryStore:
             source_end_turn=candidates[-1].turn_index,
             ratio=ratio,
         )
-        self._recount_retrievable_tokens()
+        self._recount_retrievable()
         return self
 
 
@@ -542,5 +619,5 @@ def load_memory(path: str, **store_kwargs) -> MemoryStore:
         raise CorruptState(f"{source}: {exc}") from exc
     if compressed:
         store.compressed = compressed
-        store._recount_retrievable_tokens()
+        store._recount_retrievable()
     return store

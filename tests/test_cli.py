@@ -347,6 +347,19 @@ class TestSimulate:
         assert code == EXIT_WORKLOAD_SPEC
         assert capsys.readouterr().err.startswith(f"error: workload spec invalid at {field}: ")
 
+    def test_queries_flag_with_materialized_workload_exits_2(self, store, tmp_path, capsys):
+        spec = default_workload_spec(3, seed=3)
+        path = tmp_path / "frozen.json"
+        path.write_text(json.dumps(materialize_workload(generate_workload(spec), spec)))
+        out_dir = tmp_path / "r"
+        code = run_cli("simulate", str(path), "--queries", "1", "--policies", "centralized",
+                       "--out", str(out_dir))
+        assert code == EXIT_WORKLOAD_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "holds 3 materialized queries" in err
+        assert "--queries applies only to a workload spec" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("key,value", [
         ("tokens", "many"), ("tokens", -5), ("tokens", 120.0), ("frames", True), ("frames", "9"),
     ])

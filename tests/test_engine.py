@@ -30,7 +30,7 @@ from supervisord.errors import (
     EmbeddingUnavailable,
     UnplannableQuery,
 )
-from supervisord.memory import HashingEmbedder, MemoryStore
+from supervisord.memory import HashingEmbedder, MemoryStore, save_memory
 from supervisord.routing import select_tier
 from supervisord.scenarios import SCENARIO_FILES, Scenario, load_scenario, run_scenario
 from supervisord.scheduler import Scheduler
@@ -344,17 +344,21 @@ def memory_fee() -> Money:
 
 
 class TestEmptyStore:
-    """An empty store can only retrieve []: step 3 embeds nothing for it."""
+    """A pool of at most one record is returned unranked: step 3 embeds no
+    query for it, and a stored turn is embedded at its first ranking or save."""
 
     QUERY = "what time is it in Tokyo"
 
-    def test_first_turn_embeds_only_the_turn_it_remembers(self):
+    def test_turns_embed_only_when_a_pool_is_ranked(self):
         embedder, store = CountingEmbedder(), CountingStore()
         config = EngineConfig(seed=3, embedder=embedder)
-        run_query(self.QUERY, config=config, memory=store)
-        assert (embedder.calls, store.retrieves, store.turn_count) == (1, 0, 1)
-        run_query(self.QUERY, config=config, memory=store)
-        assert (embedder.calls, store.retrieves, store.turn_count) == (3, 1, 2)
+        counts = []
+        for _ in range(4):
+            run_query(self.QUERY, config=config, memory=store)
+            counts.append((embedder.calls, store.retrieves, store.turn_count))
+        # Turn 3 ranks two records: the query and both stored turns are
+        # embedded; turn 4 adds the query and the third turn.
+        assert counts == [(0, 0, 1), (0, 0, 2), (3, 1, 3), (5, 2, 4)]
 
     def test_first_turn_keeps_the_memory_row_and_fee(self):
         state, outcome = run_query(self.QUERY)
@@ -363,24 +367,36 @@ class TestEmptyStore:
         assert memory_row.cost_usd == memory_fee().usd_str()
         assert [seg.text for seg in state.context.segments] == ["", "", ""]
 
-    def test_failing_embedder_raises_on_both_turns(self):
+    def test_failing_embedder_raises_at_first_ranking_and_at_save(self, tmp_path):
         fee = memory_fee()
         config = EngineConfig(seed=3, embedder=CountingEmbedder(fail=True))
         store = MemoryStore()
-        first = QueryState(user_query=self.QUERY, cost_knob=CostKnob.TRAD_COUPLET,
+        path = str(tmp_path / "s.memory.json")
+        save_memory(store, path)
+        written, mark = open(path, "rb").read(), store._journal_mark
+        # Turns 1 and 2 rank nothing, so they are answered and stored.
+        for query_id in ("t0", "t1"):
+            state = QueryState(user_query=self.QUERY, cost_knob=CostKnob.TRAD_COUPLET,
+                               session=session())
+            outcome = Supervisor(config).process(state, memory_store=store,
+                                                 query_id=query_id)
+            assert outcome.answer_text and not outcome.failed
+        assert store.turn_count == 2
+        # Saving must encode the two turns; it fails before writing a byte.
+        with pytest.raises(EmbeddingUnavailable):
+            save_memory(store, path)
+        assert open(path, "rb").read() == written and store._journal_mark == mark
+        # Turn 3 ranks two records and fails after the fee.
+        third = QueryState(user_query=self.QUERY, cost_knob=CostKnob.TRAD_COUPLET,
                            session=session())
-        # The first turn retrieves nothing, runs its graph, and fails to
-        # remember the turn in step 9.
         with pytest.raises(EmbeddingUnavailable):
-            Supervisor(config).process(first, memory_store=store, query_id="t0")
-        assert first.session.cumulative_cost > fee and store.turn_count == 0
-        store.add_turn("Q: earlier\nA: earlier", Modality.TEXT, HashingEmbedder())
-        second = QueryState(user_query=self.QUERY, cost_knob=CostKnob.TRAD_COUPLET,
-                            session=session())
-        # With a record to rank, step 3 embeds the query and fails after the fee.
+            Supervisor(config).process(third, memory_store=store, query_id="t2")
+        assert third.session.cumulative_cost == fee and store.turn_count == 2
+        # A first save to a new path leaves no file behind.
+        fresh = str(tmp_path / "fresh.memory.json")
         with pytest.raises(EmbeddingUnavailable):
-            Supervisor(config).process(second, memory_store=store, query_id="t1")
-        assert second.session.cumulative_cost == fee and store.turn_count == 1
+            save_memory(store, fresh)
+        assert not os.path.exists(fresh) and not os.path.exists(fresh + ".tmp")
 
 
 def done_cost(outcome) -> Money:

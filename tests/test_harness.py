@@ -8,7 +8,9 @@ import math
 
 import pytest
 
+from supervisord import harness
 from supervisord.couplet import DETECT_MS_PER_FRAME
+from supervisord.engine import EngineConfig
 from supervisord.errors import IncomparableReports, WorkloadSpecError
 from supervisord.harness import (
     CATEGORIES,
@@ -23,6 +25,7 @@ from supervisord.harness import (
     throughput_from_report,
     workload_digest,
 )
+from supervisord.memory import HashingEmbedder, MemoryStore
 from supervisord.state import ExecutionFlag
 
 
@@ -153,6 +156,31 @@ class TestRunPolicy:
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
+
+    def test_centralized_run_embeds_and_ranks_nothing(self, monkeypatch):
+        # Each query's store is dropped unread, and none holds two records.
+        class CountingEmbedder(HashingEmbedder):
+            calls = 0
+
+            def embed(self, text):
+                CountingEmbedder.calls += 1
+                return super().embed(text)
+
+        class CountingStore(MemoryStore):
+            retrieves = 0
+
+            def retrieve_relevant(self, *args, **kwargs):
+                CountingStore.retrieves += 1
+                return super().retrieve_relevant(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "MemoryStore", CountingStore)
+        spec = default_workload_spec(200)
+        queries = generate_workload(spec)
+        assert any(q.ground_truth.memory_hint for q in queries)
+        report = run_policy(queries, "centralized", spec,
+                            EngineConfig(embedder=CountingEmbedder()), seed=5)
+        assert report.aggregates["queries"] == 200
+        assert (CountingEmbedder.calls, CountingStore.retrieves) == (0, 0)
 
 
 _PERCEPTUAL_TOOLS = (

@@ -11,6 +11,7 @@ import random
 import sys
 import tempfile
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -442,7 +443,7 @@ class TestCompression:
 
     def test_running_token_total_matches_recount(self, tmp_path):
         def recount(store):
-            return sum(whitespace_tokens(r.content) for r in store._retrievable())
+            return sum(whitespace_tokens(r.content) for r in store.retrievable())
 
         rng = random.Random(5)
         embedder = HashingEmbedder()
@@ -784,3 +785,129 @@ class TestJournal:
         path.write_bytes(data)
         with pytest.raises(CorruptState, match="malformed memory file"):
             load_memory(str(path))
+
+
+_lazy_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _contents, st.sampled_from(list(Modality))),
+        st.tuples(st.just("retrieve"), _contents, st.sampled_from(list(Modality)),
+                  st.integers(1, 6)),
+        st.tuples(st.just("compress")),
+        st.tuples(st.just("save")),
+    ),
+    max_size=40,
+)
+
+
+class TestLazyEmbedding:
+    """A turn stored by `add_turn` is embedded on first read; nothing else differs
+    from a store that was handed every vector up front."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ops=_lazy_ops)
+    def test_lazy_store_equals_eager_store(self, ops):
+        embedder = HashingEmbedder(dimension=8)
+        lazy, eager = MemoryStore(dimension=8), MemoryStore(dimension=8)
+        with tempfile.TemporaryDirectory() as root:
+            for op in ops + [("save",)]:
+                if op[0] == "add":
+                    n, created = eager.turn_count, eager.turn_count * 7
+                    lazy.add_turn(op[1], op[2], embedder, created_at_ms=created)
+                    eager.store(MemoryRecord(f"m{n:06d}", op[1], op[2], embed(op[1], embedder),
+                                             n + 1, created))
+                elif op[0] == "retrieve":
+                    query = embed(op[1] or " ", embedder)
+                    got, expected = (
+                        [r.record_id for r in s.retrieve_relevant(query, op[2], k=op[3])]
+                        for s in (lazy, eager)
+                    )
+                    assert got == expected
+                elif op[0] == "compress":
+                    lazy.maybe_compress(force=True)
+                    eager.maybe_compress(force=True)
+                else:
+                    save_memory(lazy, f"{root}/lazy.memory.json")
+                    save_memory(eager, f"{root}/eager.memory.json")
+                    with open(f"{root}/lazy.memory.json", "rb") as a, \
+                            open(f"{root}/eager.memory.json", "rb") as b:
+                        assert a.read() == b.read()
+        assert [r.embedding.tobytes() for r in lazy.full_history] == [
+            r.embedding.tobytes() for r in eager.full_history]
+
+    def test_store_and_first_rankings_embed_only_what_they_rank(self):
+        embedder = mock.Mock(wraps=HashingEmbedder(), dimension=64)
+        store = MemoryStore()
+        first = store.add_turn("alpha beta", Modality.TEXT, embedder)
+        query = HashingEmbedder().embed("alpha")
+        assert store.retrieve_relevant(query, Modality.TEXT) == [first]
+        assert embedder.embed.call_count == 0  # a pool of one is returned unranked
+        store.add_turn("gamma delta", Modality.IMAGE, embedder)
+        store.retrieve_relevant(query, Modality.TEXT)
+        assert embedder.embed.call_count == 2
+        store.retrieve_relevant(query, Modality.TEXT)
+        assert embedder.embed.call_count == 2  # each record once
+
+    def test_dimension_mismatch_raises_at_add_turn(self):
+        store = MemoryStore(dimension=64)
+        with pytest.raises(DimensionMismatch):
+            store.add_turn("x", Modality.TEXT, HashingEmbedder(dimension=32))
+        assert store.turn_count == 0
+
+    def test_threads_fill_rows_while_others_add(self):
+        # Rounds on fresh stores, so the rows double often while retrievers
+        # fill them; a row written outside the lock is lost in a doubling.
+        query = HashingEmbedder().embed("turn 7 of adder")
+        embedders = [HashingEmbedder(), HashingEmbedder()]
+        deadline = time.monotonic() + 2.0
+        rounds = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            while rounds < 3 or time.monotonic() < deadline:
+                rounds += 1
+                store = MemoryStore()
+                for i in range(2):
+                    store.add_turn(f"seed turn {i}", Modality.TEXT, embedders[0])
+                done, errors = threading.Event(), []
+
+                def add(a):
+                    try:
+                        for i in range(70):
+                            store.add_turn(f"turn {i} of adder {a} " + "w " * (i % 7),
+                                           list(Modality)[i % len(Modality)], embedders[a])
+                    except Exception as exc:  # surfaced by the assertion below
+                        errors.append(exc)
+
+                def retrieve():
+                    try:
+                        while not done.is_set():
+                            store.retrieve_relevant(query, Modality.TEXT, k=3)
+                    except Exception as exc:
+                        errors.append(exc)
+
+                adders = [threading.Thread(target=add, args=(a,)) for a in range(2)]
+                retrievers = [threading.Thread(target=retrieve)
+                              for _ in range(min(32, 2 * (os.cpu_count() or 2)))]
+                try:
+                    for thread in retrievers + adders:
+                        thread.start()
+                    for thread in adders:
+                        thread.join(timeout=60)
+                finally:
+                    done.set()
+                    for thread in retrievers:
+                        thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in adders + retrievers)
+                assert errors == []
+                n = store.turn_count
+                assert n == 142
+                assert len({r.record_id for r in store.full_history}) == n
+                unfilled = set(store._unfilled)
+                for i in range(n):
+                    if i not in unfilled:
+                        assert store._embeddings[i].tobytes() == \
+                            store.full_history[i].embedding.tobytes(), (rounds, i)
+        finally:
+            sys.setswitchinterval(interval)
+        got = store.retrieve_relevant(query, Modality.TEXT, k=6)
+        assert got == brute_force_topk(store, query, Modality.TEXT, 6, n + 1)
