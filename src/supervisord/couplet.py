@@ -3,13 +3,15 @@
 Specialized perception runs behind a small typed surface: a rule-based intent
 parser emits a schema-valid task, a simulated fixture backend executes it,
 and a deterministic template renders the raw payload as a natural-language
-summary. Video detections and narration merge into one timeline.
+summary. Video detections and narration merge into one timeline. The module
+also holds the simulator's key hashes: `stable_seed` and the counter-based
+draw `keyed_uniform` that every simulated latency, failure and confidence
+uses.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -193,6 +195,17 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
+def keyed_uniform(*parts) -> float:
+    """Uniform draw in [0, 1) keyed by the parts: the top 53 bits of
+    `stable_seed(*parts)` times 2**-53.
+
+    A counter-based draw: the key's hash is the number, so no generator is
+    seeded and a draw depends on its key alone. Simulated draws are keyed by
+    (run seed, query id, site, purpose, attempt); see docs/policies.md.
+    """
+    return (stable_seed(*parts) >> 11) * 2.0**-53
+
+
 class SimulatedBackend:
     """Deterministic backend reading scripted fixtures keyed by attachment reference.
 
@@ -204,19 +217,20 @@ class SimulatedBackend:
     def __init__(self, fixtures: Optional[dict[str, dict]] = None):
         self.fixtures = fixtures or {}
 
-    def _confidence(self, fixture: dict, tool_name: str, task: PerceptualTask, rng: random.Random) -> float:
+    def _confidence(self, fixture: dict, tool_name: str, task: PerceptualTask, seed: int) -> float:
         refined = bool(task.parameters.get("targets")) or bool(task.parameters.get("refined"))
         if refined and tool_name in fixture.get("refined_confidence", {}):
             return float(fixture["refined_confidence"][tool_name])
         if tool_name in fixture.get("tool_confidence", {}):
             return float(fixture["tool_confidence"][tool_name])
-        return round(rng.uniform(*CONFIDENCE_RANGE), 4)
+        low, high = CONFIDENCE_RANGE
+        u = keyed_uniform(seed, task.source, task.kind.value, tool_name, "confidence")
+        return round(low + (high - low) * u, 4)
 
     def invoke(self, task: PerceptualTask, seed: int, tool_name: str = "") -> BackendResult:
         fixture = self.fixtures.get(task.source, {})
         if fixture.get("tool_failure", {}).get(tool_name):
             raise NodeFailure(f"{tool_name} scripted failure on {task.source}")
-        rng = random.Random(stable_seed(seed, task.source, task.kind.value, tool_name))
         latency: Optional[int] = None
         payload: dict[str, Any]
         if task.kind is TaskKind.DETECT_OBJECTS:
@@ -252,7 +266,7 @@ class SimulatedBackend:
         tokens = fixture.get("tokens", DEFAULT_FIXTURE_TOKENS)
         return BackendResult(
             payload=payload,
-            confidence=self._confidence(fixture, tool_name, task, rng),
+            confidence=self._confidence(fixture, tool_name, task, seed),
             latency_ms=latency,
             tokens=int(tokens),
         )

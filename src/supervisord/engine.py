@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import secrets
 import time
 from contextlib import suppress
@@ -19,7 +18,13 @@ from typing import Callable, Optional
 
 from . import couplet as couplet_mod
 from .clock import VirtualClock
-from .couplet import SimulatedBackend, contextualize_timeline, stable_seed, summarize_payload
+from .couplet import (
+    SimulatedBackend,
+    contextualize_timeline,
+    keyed_uniform,
+    stable_seed,
+    summarize_payload,
+)
 from .decomposition import (
     classify_flag_detail,
     detect_modality,
@@ -111,8 +116,8 @@ class QueryOutcome:
 
 
 def _draw_confidence(seed: int, low: float, high: float) -> float:
-    # Seeded only by the roles that report a drawn confidence.
-    return round(random.Random(stable_seed(seed, "conf")).uniform(low, high), 4)
+    # Drawn only by the roles that report a drawn confidence.
+    return round(low + (high - low) * keyed_uniform(seed, "confidence"), 4)
 
 
 class EngineBackends:
@@ -140,9 +145,16 @@ class EngineBackends:
         rate = self.failure_rates.get(tool_name, 0.0)
         if rate <= 0:
             return
-        draw = random.Random(
-            stable_seed(self.config.seed, self.query_id, node.node_id, attempt)
-        ).random()
+        # Keyed like the hierarchical baseline's stage draw: the tool and its
+        # occurrence in the plan, so both policies share one draw per query.
+        occurrence = 0
+        for other in self.graph.nodes.values():
+            if other is node:
+                break
+            occurrence += other.tool == node.tool
+        draw = keyed_uniform(
+            self.config.seed, self.query_id, tool_name, occurrence, "failure", attempt
+        )
         if draw < rate:
             raise NodeFailure(f"injected failure on {tool_name}")
 
@@ -314,9 +326,10 @@ class Supervisor:
         # 3. Memory: retrieve, integrate, self-serve underspecified parameters.
         resolution_text = ""
         if config.memory_enabled:
-            mem_seed = stable_seed(config.seed, query_id, "memory")
             mem_tool = config.registry.id_for_name("memory-retrieve")
-            mem_latency = config.registry.sample_latency(mem_tool, mem_seed)
+            mem_latency = config.registry.sample_latency(
+                mem_tool, keyed_uniform(config.seed, query_id, "memory", "latency")
+            )
             clock.advance(mem_latency)
             mem_cost = config.registry.get(mem_tool).cost.per_invocation
             charge(state.session, mem_cost, config.budget_cap)
@@ -384,7 +397,8 @@ class Supervisor:
             for round_index in range(CLARIFICATION_LIMIT + 1):
                 try:
                     executed = self.scheduler.execute(
-                        graph, clock, backends, stable_seed(config.seed, query_seed, round_index),
+                        graph, clock, backends,
+                        stable_seed(config.seed, query_id, query_seed, round_index),
                         session_id=state.session.session_id,
                     )
                 except PipelineFailed as exc:

@@ -5,6 +5,12 @@ runs them under three orchestration policies (centralized engine, fixed
 decision-tree hierarchical baseline, monolithic strong-model baseline) on the
 virtual clock, and reports TTA, rework, cost, accuracy, and throughput.
 
+Only the workload generator seeds a `random.Random`. A policy run draws each
+latency and failure with `couplet.keyed_uniform`, keyed by the run seed and
+the query, and both the centralized engine and the hierarchical baseline key
+a failure by (query and restart, tool, occurrence of the tool, attempt), so
+the two policies fail on the same draws (docs/policies.md, "Random draws").
+
 The shipped default configuration is calibrated so the hierarchical baseline
 exhibits roughly 23% user rework; the comparison validates the orchestration
 mechanism under that calibration, not any external corpus.
@@ -22,7 +28,13 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
 from .clock import VirtualClock
-from .couplet import DEFAULT_FIXTURE_TOKENS, DETECT_MS_PER_FRAME, SimulatedBackend, stable_seed
+from .couplet import (
+    DEFAULT_FIXTURE_TOKENS,
+    DETECT_MS_PER_FRAME,
+    SimulatedBackend,
+    keyed_uniform,
+    stable_seed,
+)
 from .engine import CLARIFY_USER_DELAY_MS, EngineConfig, Supervisor, detect_underspecified
 from .errors import IncomparableReports, WorkloadSpecError
 from .memory import MemoryStore, whitespace_tokens
@@ -665,18 +677,21 @@ def _run_hierarchical(
     records: list[QueryRecord] = []
     for q in queries:
         chain = (*_HIER_OVERHEAD, *CATEGORY_TABLE[q.category].stages, _HIER_SYNTH)
+        # A stage's site is its tool and that tool's occurrence in the chain,
+        # as a centralized node's failure draw is keyed.
+        sites = [(tool, chain[:index].count(tool)) for index, tool in enumerate(chain)]
         frames = _frames(q)
         evidence_tokens = sum(f.get("tokens", DEFAULT_FIXTURE_TOKENS) for f in q.fixtures.values())
         synth_tokens = whitespace_tokens(q.text) + evidence_tokens + 300
 
-        def stage(index: int, tool_name: str, attempt: int | str) -> tuple[int, Money]:
-            """Latency and cost of one stage run; `attempt` keys its latency draw."""
+        def stage(run_key: str, tool_name: str, occurrence: int) -> tuple[int, Money]:
+            """Latency and cost of one stage run; `run_key` keys its latency draw."""
             tool_id = registry.id_for_name(tool_name)
             if tool_name == "yolo-detect" and frames:
                 latency = DETECT_MS_PER_FRAME * frames
             else:
                 latency = registry.sample_latency(
-                    tool_id, stable_seed(seed, "hier-lat", q.query_id, index, attempt)
+                    tool_id, keyed_uniform(seed, run_key, tool_name, occurrence, "latency", 0)
                 )
             if tool_name == _HIER_SYNTH:
                 return latency, invocation_cost(catalog_entry_strong, synth_tokens)
@@ -686,17 +701,17 @@ def _run_hierarchical(
         cost = Money(0)
         restarts = 0
         correct = False
-        for attempt in range(RESTART_CAP + 1):
-            for index, tool_name in enumerate(chain):
-                latency, stage_cost = stage(index, tool_name, attempt)
+        for restart in range(RESTART_CAP + 1):
+            run_key = f"{q.query_id}#r{restart}"
+            for tool_name, occurrence in sites:
+                latency, stage_cost = stage(run_key, tool_name, occurrence)
                 tta += latency
                 cost = cost + stage_cost
                 rate = spec.failure_injection.get(tool_name, 0.0)
-                if rate <= 0:  # random() is never below 0.0: no draw can fail
+                if rate <= 0:  # a draw is never below 0.0: no draw can fail
                     continue
-                draw = random.Random(
-                    stable_seed(seed, "hier", q.query_id, tool_name, index, attempt)
-                ).random()
+                # The centralized engine's key for the same tool on the same run.
+                draw = keyed_uniform(seed, run_key, tool_name, occurrence, "failure", 0)
                 if draw < rate:
                     break
             else:
@@ -708,8 +723,8 @@ def _run_hierarchical(
         if q.ground_truth.ambiguous and correct:
             # user clarifies, then the predetermined pipeline restarts once more
             tta += CLARIFY_USER_DELAY_MS
-            for index, tool_name in enumerate(chain):
-                latency, stage_cost = stage(index, tool_name, "clar")
+            for tool_name, occurrence in sites:
+                latency, stage_cost = stage(f"{q.query_id}#clar", tool_name, occurrence)
                 tta += latency
                 work += latency
                 cost = cost + stage_cost
@@ -742,7 +757,9 @@ def _run_monolithic(
 
     records = []
     for q in queries:
-        latency = registry.sample_latency(strong_tool, stable_seed(seed, "mono", q.query_id))
+        latency = registry.sample_latency(
+            strong_tool, keyed_uniform(seed, q.query_id, "mono", "latency")
+        )
         frames = _frames(q)
         if frames:
             latency += MONO_MS_PER_PERCEPT * frames

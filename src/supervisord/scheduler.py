@@ -16,7 +16,13 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
-from .couplet import PERCEPTUAL_MODALITIES, PerceptualTask, TaskKind, stable_seed
+from .couplet import (
+    PERCEPTUAL_MODALITIES,
+    PerceptualTask,
+    TaskKind,
+    keyed_uniform,
+    stable_seed,
+)
 from .decomposition import FLAG_REQUIRED_MODALITIES
 from .errors import NoCapableTool, NodeFailure, PipelineFailed, UnplannableQuery
 from .routing import RoutingDecision
@@ -434,18 +440,15 @@ class Scheduler:
             )
             try:
                 invocation = backends.run_node(node, attempt_seed)
-                latency = (
-                    invocation.latency_ms
-                    if invocation.latency_ms is not None
-                    else self.registry.sample_latency(node.tool, attempt_seed)
-                )
+                latency = invocation.latency_ms
                 failed = invocation.confidence < FAILURE_CONFIDENCE
                 cause = f"low confidence {invocation.confidence:.2f}" if failed else ""
             except NodeFailure as exc:
-                invocation = None
-                latency = self.registry.sample_latency(node.tool, attempt_seed)
-                failed = True
-                cause = str(exc)
+                invocation, latency, failed, cause = None, None, True, str(exc)
+            if latency is None:
+                latency = self.registry.sample_latency(
+                    node.tool, keyed_uniform(attempt_seed, "latency")
+                )
             node_elapsed[node_id] = node_elapsed.get(node_id, 0) + int(latency)
             heapq.heappush(running, (at_ms + int(latency), insertion[node_id], node_id))
             attempts[node_id] = (invocation, failed, cause)

@@ -1,16 +1,17 @@
 """Typed tool registry: specifications, capability matching, latency priors.
 
 Tools declare what they consume (modalities), what they produce (output tags),
-the predicates that must hold before invocation, and a bounded latency prior.
-Matching filters on capability coverage and ranks by (expected latency,
-expected cost, name) once per requirement shape, then checks preconditions
-against the query state on every call.
+the predicates that must hold before invocation, and a bounded latency prior
+that maps a uniform draw in [0, 1) to a latency; the caller supplies the draw
+(`couplet.keyed_uniform`). Matching filters on capability coverage and ranks
+by (expected latency, expected cost, name) once per requirement shape, then
+checks preconditions against the query state on every call.
 """
 
 from __future__ import annotations
 
 import json
-import random
+import math
 import re
 import threading
 from dataclasses import dataclass, field
@@ -59,13 +60,18 @@ class LatencyPrior:
         # supported shapes share the same mean.
         return (self.min_ms + self.max_ms) / 2.0
 
-    def sample(self, seed: int) -> int:
-        rng = random.Random(seed)
-        if self.shape == "triangular":
-            value = int(round(rng.triangular(self.min_ms, self.max_ms)))
+    def sample(self, u: float) -> int:
+        """The latency at uniform `u` in [0, 1): an integer uniform takes
+        `min + floor(u * (max - min + 1))`, a triangular one the rounded
+        inverse CDF with the mode at the midpoint. Both rise with `u`."""
+        low, high = self.min_ms, self.max_ms
+        if self.shape == "triangular" and u < 0.5:
+            value = round(low + (high - low) * math.sqrt(u / 2.0))
+        elif self.shape == "triangular":
+            value = round(high - (high - low) * math.sqrt((1.0 - u) / 2.0))
         else:
-            value = rng.randint(self.min_ms, self.max_ms)
-        return min(max(value, self.min_ms), self.max_ms)
+            value = low + math.floor(u * (high - low + 1))
+        return min(max(value, low), high)
 
 
 @dataclass(frozen=True)
@@ -252,9 +258,10 @@ class ToolRegistry:
             )
         return matched
 
-    def sample_latency(self, tool_id: ToolId, seed: int) -> int:
-        """Deterministic latency draw (ms) from the tool's declared prior."""
-        return self.get(tool_id).latency_prior.sample(seed)
+    def sample_latency(self, tool_id: ToolId, u: float) -> int:
+        """Latency (ms) of the tool's declared prior at uniform `u` in [0, 1),
+        typically a `couplet.keyed_uniform` draw."""
+        return self.get(tool_id).latency_prior.sample(u)
 
 
 # --- catalog files -----------------------------------------------------------

@@ -12,8 +12,10 @@ from supervisord.couplet import (
     TaskKind,
     contextualize_timeline,
     execute_perceptual,
+    keyed_uniform,
     merge_timeline,
     parse_intent,
+    stable_seed,
     summarize_payload,
 )
 from supervisord.errors import AmbiguousIntent, EvidenceTypeError, NodeFailure
@@ -123,6 +125,25 @@ class TestSimulatedBackend:
         task = PerceptualTask(TaskKind.PARSE_PDF, {}, "a.pdf")
         with pytest.raises(NodeFailure):
             backend.invoke(task, 1, tool_name="pdf-parse")
+
+
+class TestKeyedUniform:
+    def test_pinned_value(self):
+        # Fixed bytes of blake2b: the same key draws the same number in every process.
+        key = (1, "q00001#r0", "yolo-detect", 0, "failure", 0)
+        assert stable_seed(*key) == 0xBDA2F13750590875
+        assert keyed_uniform(*key) == (0xBDA2F13750590875 >> 11) / 2**53 == 0.7407675514262771
+
+    def test_in_unit_interval_and_spread(self):
+        draws = [keyed_uniform("spread", i) for i in range(4000)]
+        assert all(0.0 <= u < 1.0 for u in draws)
+        # Each tenth of [0, 1) holds about 400 draws.
+        counts = [sum(1 for u in draws if k / 10 <= u < (k + 1) / 10) for k in range(10)]
+        assert all(300 <= c <= 500 for c in counts)
+
+    def test_distinct_keys_distinct_draws(self):
+        assert keyed_uniform(1, "q1", "latency") != keyed_uniform(1, "q2", "latency")
+        assert keyed_uniform(1, "q1", "latency") != keyed_uniform(1, "q1", "failure")
 
 
 class TestContextualize:

@@ -5,13 +5,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
+import statistics
+from collections import defaultdict
 
 import pytest
 
 from supervisord import harness
 from supervisord.couplet import DETECT_MS_PER_FRAME
-from supervisord.engine import EngineConfig
-from supervisord.errors import IncomparableReports, WorkloadSpecError
+from supervisord.engine import EngineBackends, EngineConfig, Supervisor
+from supervisord.errors import IncomparableReports, NodeFailure, WorkloadSpecError
 from supervisord.harness import (
     CATEGORIES,
     CATEGORY_TABLE,
@@ -206,21 +209,22 @@ class TestReportBytes:
         doc = json.dumps(report.to_json_dict(), sort_keys=True, indent=1)
         return hashlib.sha256(doc.encode()).hexdigest()
 
+    # Test ids leave the digest out, so a re-pin keeps each test's name.
     @pytest.mark.parametrize("parallel_enabled,faults,expected", [
-        (True, False, "5ea8f99b9fa1d14df8dd18e9bfc126b0592dfb5c67faee0d53579819cb10017c"),
-        (False, False, "e2597bdeea4161cf47b77abcd532d36162f6cbbd7daa559b3d13108e0a7ed257"),
-        (True, True, "df2e02e04f8c2da8ba572d1bbfc7fe998b556eab692376f833d133c0e9022594"),
-    ])
+        (True, False, "2cfe1eb856c7127f39da2ecf1dfefd042373c7aa6c0cfc21a32dc7f68bff3050"),
+        (False, False, "24a61bae350bd0651b4e5cfd36006581e8d620b80fd9bc584151bf93acff2edf"),
+        (True, True, "a7b0de94fa41cfc3de5a1c70e6c887fc81f10a5e8b87fa6bd43ab17b0e7477dc"),
+    ], ids=["parallel", "serial", "parallel-faults"])
     def test_centralized_report_digest(self, parallel_enabled, faults, expected):
         policy_cfg = PolicyConfig(parallel_enabled=parallel_enabled)
         assert self.digest("centralized", faults, policy_cfg) == expected
 
     @pytest.mark.parametrize("policy,faults,expected", [
-        ("hierarchical", False, "3a5c96a5de77eac4842a106fb594c02910f8966b649da08f4d47f4e307a374f3"),
-        ("hierarchical", True, "306af6559e6fa8a823062e622c99bad1cffb5abb865b5e01b9eaf3343d5dc802"),
-        ("monolithic", False, "6c119081b04a711547b14131ee3cd0f6318697732ccb3a0b29a116df6ede8f6c"),
-        ("monolithic", True, "f62631f472a1954a5be06e3337b48167637be96f2df0c4b0a379ca53bb5a8ad2"),
-    ])
+        ("hierarchical", False, "6302efe277a14ef41720e2806d9e25bae751dcd7e5b0d6bd37f22e397cda3498"),
+        ("hierarchical", True, "a06e94a9dba884907cb8d6b9a3d7936288cabba90aa6542f811fb4fc1f807a9d"),
+        ("monolithic", False, "8c17b7fc941ae437abdb07e9a9c21666421b8e28e83f3af3a95d279d1c87e5e8"),
+        ("monolithic", True, "0b378a3300fd6cbc7054f1c2b81818bf206b80a2d318a1feb121b0b0fb6dd273"),
+    ], ids=["hierarchical", "hierarchical-faults", "monolithic", "monolithic-faults"])
     def test_baseline_report_digest(self, policy, faults, expected):
         assert self.digest(policy, faults) == expected
 
@@ -232,7 +236,7 @@ class TestReportBytes:
         text = json.dumps(compare(centralized, hierarchical).to_json_dict(), sort_keys=True)
         text += "\n" + per_query_delta_csv(centralized, hierarchical)
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "14d0d02620f2d1ef2eb7d91e2413a9975e2a14384f08cda003bbebbff4d149a9"
+        assert digest == "d990cd7d84ee14f054e92b23a1f2abb5dd017e9fcbb99ad238b6e98aaa389a8d"
 
 
 class TestCompare:
@@ -292,20 +296,98 @@ class TestThroughput:
 
 class TestMonotoneDamage:
     def test_hierarchical_tta_nondecreasing_in_failure_rate(self):
+        # A raised rate only adds failing draws, so each query restarts at
+        # least as often and never turns correct. One query's TTA may still
+        # fall: a restart that now fails at an earlier stage costs less.
         spec = default_workload_spec(150, seed=19)
         spec.ambiguity_rate = 0.0
         queries = generate_workload(spec)
-        previous = None
-        for rate in (0.0, 0.05, 0.15, 0.3):
-            spec.failure_injection = {t: rate for t in (
-                "yolo-detect", "whisper-transcribe", "tesseract-ocr", "pdf-parse",
-                "table-extract",
-            )}
-            report = run_policy(queries, "hierarchical", spec, seed=3)
-            ttas = {r.query_id: r.tta_ms for r in report.per_query}
-            if previous is not None:
-                assert all(ttas[i] >= previous[i] for i in ttas)
-            previous = ttas
+        for seed in range(1, 13):
+            previous = None
+            for rate in (0.0, 0.05, 0.15, 0.3):
+                spec.failure_injection = {t: rate for t in (
+                    "yolo-detect", "whisper-transcribe", "tesseract-ocr", "pdf-parse",
+                    "table-extract",
+                )}
+                report = run_policy(queries, "hierarchical", spec, seed=seed)
+                records = {r.query_id: r for r in report.per_query}
+                mean_tta = statistics.fmean(r.tta_ms for r in report.per_query)
+                if previous is not None:
+                    before, previous_mean = previous
+                    for query_id, r in records.items():
+                        assert r.rework_internal >= before[query_id].rework_internal
+                        assert before[query_id].correct or not r.correct
+                    assert mean_tta > previous_mean, (seed, rate)
+                previous = records, mean_tta
+
+
+class TestSeedTree:
+    """Every simulated draw is keyed by the query it belongs to."""
+
+    def test_node_latencies_vary_across_queries(self, monkeypatch):
+        rows = []
+        process = Supervisor.process
+
+        def recording(self, state, **kwargs):
+            outcome = process(self, state, **kwargs)
+            rows.append(outcome.trace_rows)
+            return outcome
+
+        monkeypatch.setattr(Supervisor, "process", recording)
+        spec = default_workload_spec(1000)
+        run_policy(generate_workload(spec), "centralized", spec, seed=1)
+        first_attempts = defaultdict(list)  # (node id, tool) -> latencies
+        for trace in rows:
+            failed = {r.node_id for r in trace if r.event == "failed"}
+            for r in trace:
+                if r.event == "done" and r.node_id not in failed:
+                    first_attempts[r.node_id, r.tool].append(r.latency_ms)
+        frequent = {site: set(v) for site, v in first_attempts.items() if len(v) >= 20}
+        assert len(frequent) >= 10
+        assert [site for site, values in frequent.items() if len(values) < 2] == []
+
+    def test_failure_draws_are_common_to_both_policies(self, monkeypatch):
+        # Only yolo-detect fails, so a hierarchical query restarts exactly when
+        # its restart-0 draw fails.
+        centralized_failed = set()
+        inject = EngineBackends._maybe_inject_failure
+
+        def recording(self, node, attempt, tool_name):
+            try:
+                inject(self, node, attempt, tool_name)
+            except NodeFailure:
+                query_id, restart = self.query_id.split("#")
+                if restart == "r0" and attempt == 0:
+                    centralized_failed.add(query_id)
+                raise
+
+        monkeypatch.setattr(EngineBackends, "_maybe_inject_failure", recording)
+        spec = default_workload_spec(1000)
+        spec.failure_injection = {"yolo-detect": 0.3}
+        queries = generate_workload(spec)
+        run_policy(queries, "centralized", spec, seed=1)
+        hierarchical = run_policy(queries, "hierarchical", spec, seed=1)
+        hierarchical_failed = {r.query_id for r in hierarchical.per_query if r.rework_internal}
+        assert len(hierarchical_failed) >= 30
+        assert centralized_failed == hierarchical_failed
+
+
+class TestNoSeededGenerator:
+    @pytest.mark.parametrize("policy", ["centralized", "hierarchical", "monolithic"])
+    def test_run_policy_seeds_no_generator(self, policy, monkeypatch):
+        spec = default_workload_spec(200)
+        spec.failure_injection = {tool: 0.3 for tool in _PERCEPTUAL_TOOLS}
+        queries = generate_workload(spec)
+        seedings = []
+        seed = random.Random.seed
+
+        def counting(self, *args, **kwargs):
+            seedings.append(args)
+            return seed(self, *args, **kwargs)
+
+        monkeypatch.setattr(random.Random, "seed", counting)
+        run_policy(queries, policy, spec, seed=1)
+        assert seedings == []
 
 
 class TestWeakFractionCalibration:

@@ -21,8 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ANSWERS_SHA256 = "5264b9b9ab20ea700d2d0114e1a22e0b8ce67bf45b66ff1bf69a402790df6292"
 # The same store written in the one-line layout of earlier versions.
-LEGACY_MEMORY_FILE_SHA256 = "d77617aa51d2592b9d2db0a4596a27e2efe54c4d68f39fccf7ca9098f7cb43cf"
-MEMORY_FILE_SHA256 = "2551a4e40a798686899d93612fdb28e96c615d8533a830e8d1cda6f9e5cd4300"
+LEGACY_MEMORY_FILE_SHA256 = "1dc8abee491aab01610a94c54de1af5cd78f346abdefe108f43ddbc788e5ed56"
+MEMORY_FILE_SHA256 = "ec3414a7006e13ece551c01f211275e8023423bc74c0544c4bcb3e5301f8ed1a"
 
 
 def load_workloads():

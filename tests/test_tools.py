@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from supervisord.couplet import keyed_uniform
 from supervisord.errors import DuplicateTool, InvalidSpec, NoCapableTool, UnknownTool
 from supervisord.state import (
     Attachment,
@@ -257,34 +258,62 @@ class TestMatchMemo:
         assert len(registry.match_tools(requirement)) == 40
 
 
+# Uniforms at both ends of [0, 1) and on a grid between them.
+_U_GRID = [0.0, *(i / 64 for i in range(1, 64)), 1.0 - 2.0**-53]
+
+
 class TestLatencySampling:
     def test_memory_tool_band(self):
         registry = default_registry()
         memory_id = registry.id_for_name("memory-retrieve")
-        for seed in range(500):
-            assert 50 <= registry.sample_latency(memory_id, seed) <= 150
+        draws = {registry.sample_latency(memory_id, keyed_uniform("band", i)) for i in range(500)}
+        assert min(draws) >= 50 and max(draws) <= 150
+        assert len(draws) > 50  # keyed draws spread over the band
 
     def test_point_mass_prior(self):
         registry = ToolRegistry()
         tool_id = registry.register_tool(spec("fixed", latency=(100, 100)))
-        assert registry.sample_latency(tool_id, 3) == 100
+        for u in _U_GRID:
+            assert registry.sample_latency(tool_id, u) == 100
+            assert LatencyPrior(100, 100, shape="triangular").sample(u) == 100
 
     def test_same_seed_same_sample(self):
         registry = default_registry()
         tool_id = registry.id_for_name("yolo-detect")
-        assert registry.sample_latency(tool_id, 99) == registry.sample_latency(tool_id, 99)
+        assert registry.sample_latency(tool_id, keyed_uniform(99)) == registry.sample_latency(
+            tool_id, keyed_uniform(99)
+        )
 
     def test_samples_within_bounds_all_defaults(self):
         registry = default_registry()
         for tool_id in registry.all_ids():
             prior = registry.get(tool_id).latency_prior
-            for seed in range(200):
-                assert prior.min_ms <= registry.sample_latency(tool_id, seed) <= prior.max_ms
+            for u in _U_GRID:
+                assert prior.min_ms <= registry.sample_latency(tool_id, u) <= prior.max_ms
 
     def test_triangular_within_bounds(self):
         prior = LatencyPrior(100, 300, shape="triangular")
-        for seed in range(500):
-            assert 100 <= prior.sample(seed) <= 300
+        values = [prior.sample(u) for u in _U_GRID]
+        assert values[0] == 100 and values[-1] == 300
+        assert all(100 <= v <= 300 for v in values)
+
+    @pytest.mark.parametrize("shape", ["uniform", "triangular"])
+    def test_sample_rises_with_the_uniform(self, shape):
+        prior = LatencyPrior(7, 19, shape=shape)
+        values = [prior.sample(u) for u in _U_GRID]
+        assert values == sorted(values)
+        assert values[0] == 7 and values[-1] == 19
+
+    def test_integer_draw_is_floor_of_scaled_uniform(self):
+        prior = LatencyPrior(10, 13)  # four values, each a quarter of [0, 1)
+        assert [prior.sample(u) for u in (0.0, 0.2499, 0.25, 0.5, 0.75, 1.0 - 2.0**-53)] == [
+            10, 10, 11, 12, 13, 13,
+        ]
+
+    def test_triangular_mode_at_midpoint(self):
+        prior = LatencyPrior(100, 300, shape="triangular")
+        assert prior.sample(0.5) == 200
+        assert prior.sample(0.125) == 150  # CDF at 150: 50**2 / (200 * 100)
 
 
 class TestDefaultCatalog:
