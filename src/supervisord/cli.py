@@ -225,7 +225,7 @@ def cmd_run(args) -> int:
         memory_store=memory,
         perceptual_backend=backend,
         clarifier=None,  # non-interactive: emit the question and exit 20
-        query_id=session.session_id,
+        query_id=json.dumps([args.query, args.attach or []]),  # same query, same draws
     )
     save_state_file(cfg.store_root, state)
     save_session_memory(cfg.store_root, session.session_id, memory)

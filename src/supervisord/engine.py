@@ -196,16 +196,12 @@ class EngineBackends:
                 payload=payload, confidence=_draw_confidence(seed, 0.85, 0.98),
                 tokens=tokens,
             )
-        elif node.role == "route":
+        elif node.role in ("route", "decompose"):
+            payload = {"complexity_score": 1.0}
+            if node.role == "decompose":
+                payload["subtask_count"] = len(self.graph.nodes) - 2
             result = couplet_mod.BackendResult(
-                payload={"complexity_score": 1.0},
-                confidence=_draw_confidence(seed, 0.9, 0.99),
-                tokens=whitespace_tokens(self.state.user_query),
-            )
-        elif node.role == "decompose":
-            result = couplet_mod.BackendResult(
-                payload={"complexity_score": 1.0, "subtask_count": len(self.graph.nodes) - 2},
-                confidence=_draw_confidence(seed, 0.9, 0.99),
+                payload=payload, confidence=_draw_confidence(seed, 0.9, 0.99),
                 tokens=whitespace_tokens(self.state.user_query),
             )
         elif node.role == "align":
@@ -575,12 +571,20 @@ def save_state_file(store_root: str, state: QueryState) -> str:
                     return path
     except FileNotFoundError:
         pass
-    os.makedirs(store_root, exist_ok=True)
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with _creating_root(store_root, lambda: open(tmp, "wb")) as fh:
         fh.write(STATE_JOURNAL_HEADER + line)
     os.replace(tmp, path)
     return path
+
+
+def _creating_root(store_root: str, write):
+    """`write()`; if it finds `store_root` missing, create it and write again."""
+    try:
+        return write()
+    except FileNotFoundError:
+        os.makedirs(store_root, exist_ok=True)
+        return write()
 
 
 def load_state_file(store_root: str, session_id: str) -> QueryState:
@@ -609,10 +613,9 @@ def append_trace_rows(store_root: str, session_id: str, rows: list[TraceRow]) ->
     An unterminated last line, left by an interrupted append, is cut off
     first: readers drop it, and the new rows must not run on from it.
     """
-    os.makedirs(store_root, exist_ok=True)
     path = trace_path(store_root, session_id)
     data = "".join(json.dumps(row.to_json_dict(), sort_keys=True) + "\n" for row in rows)
-    with open(path, "a+b") as fh:
+    with _creating_root(store_root, lambda: open(path, "a+b")) as fh:
         end = fh.seek(0, os.SEEK_END)
         if end:
             fh.seek(end - 1)
@@ -646,7 +649,6 @@ def load_session_memory(store_root: str, session_id: str) -> MemoryStore:
 
 
 def save_session_memory(store_root: str, session_id: str, store: MemoryStore) -> str:
-    os.makedirs(store_root, exist_ok=True)
     path = memory_path(store_root, session_id)
-    save_memory(store, path)
+    _creating_root(store_root, lambda: save_memory(store, path))
     return path

@@ -4,13 +4,15 @@ Layers: the append-only full history, its last five turns as the
 short-term window, and an optional compressed summary.
 Every record carries its modality. Retrieval ranks the uncompressed history
 exactly on cosine similarity, exponential recency decay at its modality's
-rate, and a modality-match bonus: a vectorized prefilter over append-only
-rows picks the candidates, and the scalar `score_memory` ranks them.
+rate, and a modality-match bonus: a vectorized prefilter over rows built at
+the store's first ranking picks the candidates, and the scalar `score_memory`
+ranks them.
 
 A turn stored by `add_turn` is embedded when it is first ranked or saved (or
 its `embedding` is read), not when it is stored; a pool of at most one
 record is returned unranked, so a store that is never ranked or saved
-computes no embedding at all.
+computes no embedding and builds no rows. numpy is imported at the first
+embedding, ranking or memory-file load, so `simulate` never loads it.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ import math
 import os
 import threading
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import CorruptState, DimensionMismatch, EmbeddingUnavailable
 from .state import ContextBundle, ContextSegment, Modality, parse_jsonl
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_EMBEDDING_DIM = 64
 DEFAULT_TOP_K = 6
@@ -99,6 +102,7 @@ class HashingEmbedder:
         return slot
 
     def embed(self, text: str) -> np.ndarray:
+        import numpy as np
         slots, dim = self._slots, self.dimension
         index = [s if (s := slots.get(g)) is not None else self._slot(g) for g in self._grams(text)]
         # Every addend is +-1, so each bucket is an exact integer: the +1 count
@@ -117,6 +121,7 @@ class HashingEmbedder:
 
 def embed(content: str, embedder) -> np.ndarray:
     """Embed text via the configured backend; output is unit-normalized."""
+    import numpy as np
     try:
         raw = np.asarray(embedder.embed(content), dtype=np.float64)
     except Exception as exc:
@@ -189,7 +194,7 @@ def score_memory(
     """Weighted sum of cosine similarity, exponential recency, and modality match."""
     weights.validate()
     rates = decay_rates or DEFAULT_DECAY_RATES
-    similarity = float(np.dot(record.embedding, query_embedding))
+    similarity = float(record.embedding.dot(query_embedding))  # np.dot, needing no import
     age = max(0, now_turn - record.turn_index)
     recency = math.exp(-rates[record.modality] * age)
     match = 1.0 if record.modality == query_modality else 0.0
@@ -234,11 +239,9 @@ class MemoryStore:
         self._journal_mark: Optional[tuple] = None  # what save_memory last wrote, and where
         self._retrievable_tokens = 0  # whitespace tokens of retrievable(), see maybe_compress
         self._retrievable_count = 0  # len(retrievable()), kept as records arrive
-        # Rows parallel to full_history, grown by doubling; see retrieve_relevant.
-        self._embeddings = np.zeros((16, dimension), dtype=np.float64)
-        self._turns = np.zeros(16, dtype=np.int64)
-        self._codes = np.zeros(16, dtype=np.int8)
-        self._unfilled: list[int] = []  # rows whose record had no vector when stored
+        # Rows of full_history[:_filled], built by ranking; see retrieve_relevant.
+        self._embeddings = self._turns = self._codes = None
+        self._filled = 0
 
     @property
     def turn_count(self) -> int:
@@ -261,18 +264,6 @@ class MemoryStore:
 
     def _append(self, record: MemoryRecord) -> None:
         # The caller holds _write_lock.
-        n = len(self.full_history)
-        if n == len(self._turns):  # full: double the rows
-            self._embeddings, self._turns, self._codes = (
-                np.concatenate([rows, np.zeros_like(rows)])
-                for rows in (self._embeddings, self._turns, self._codes)
-            )
-        if isinstance(record.__dict__["embedding"], _Unembedded):
-            self._unfilled.append(n)
-        else:
-            self._embeddings[n] = record.embedding
-        self._turns[n] = record.turn_index
-        self._codes[n] = _MODALITY_CODES[record.modality]
         self.full_history.append(record)
         if self.compressed is None or record.turn_index > self.compressed.source_end_turn:
             self._retrievable_tokens += whitespace_tokens(record.content)
@@ -285,7 +276,8 @@ class MemoryStore:
         embedder,
         created_at_ms: int = 0,
     ) -> MemoryRecord:
-        """Store a turn; `embedder` embeds it when it is first ranked or saved.
+        """Store a turn; `embedder` embeds it, and its ranking row is written,
+        when it is first ranked or saved: storing loads no numpy.
 
         Raises `DimensionMismatch` at once if the embedder's dimension is not
         the store's. The id and turn index are taken under the write lock, so
@@ -336,21 +328,35 @@ class MemoryStore:
         """Top-k retrievable records by exact score, newest-first on ties.
 
         A pool of at most one record is returned as it is, unranked, and reads
-        no vector. Otherwise the rows of records not embedded yet are filled
-        first; numpy scores every row approximately, and only the rows that
+        no vector. Otherwise numpy is imported and the rows of the records
+        stored since the last ranking are written (the first ranking allocates
+        them); numpy scores every row approximately, and only the rows that
         can reach the top k are scored again with `score_memory` and ranked.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         if self._retrievable_count < 2:
             return self.retrievable()
+        import numpy as np
+        history = self.full_history
         with self._write_lock:
-            # Under the lock, so a concurrent store() cannot double the rows
+            # Under the lock, so another ranking cannot double the rows
             # between the read of the arrays and the write of a row.
-            for i in self._unfilled:
-                self._embeddings[i] = self.full_history[i].embedding
-            self._unfilled.clear()
-            n = len(self.full_history)  # every row below n is filled
+            n = len(history)
+            if self._turns is None:
+                self._embeddings = np.zeros((16, self.dimension), dtype=np.float64)
+                self._turns = np.zeros(16, dtype=np.int64)
+                self._codes = np.zeros(16, dtype=np.int8)
+            while len(self._turns) < n:  # full: double the rows
+                self._embeddings, self._turns, self._codes = (
+                    np.concatenate([rows, np.zeros_like(rows)])
+                    for rows in (self._embeddings, self._turns, self._codes)
+                )
+            for i in range(self._filled, n):
+                self._embeddings[i] = history[i].embedding
+                self._turns[i] = history[i].turn_index
+                self._codes[i] = _MODALITY_CODES[history[i].modality]
+            self._filled = n
         now = self.turn_count + 1 if now_turn is None else now_turn
         turns = self._turns[:n]
         pool = turns > self.compressed.source_end_turn if self.compressed else None
@@ -385,7 +391,6 @@ class MemoryStore:
                 keep = np.ones(n, dtype=bool) if pool is None else pool
             else:
                 keep = approx >= np.partition(approx, n - k)[n - k] - PREFILTER_SLACK
-            history = self.full_history
             candidates = [history[i] for i in np.flatnonzero(keep).tolist()]
         scored = [
             (
@@ -551,6 +556,7 @@ def save_memory(store: MemoryStore, path: str) -> None:
 
 
 def _decode_record(obj: dict) -> MemoryRecord:
+    import numpy as np
     return MemoryRecord(
         record_id=obj["record_id"],
         content=obj["content"],

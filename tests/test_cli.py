@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import shutil
 from importlib import resources
 
 import pytest
@@ -54,6 +55,18 @@ class TestRun:
         assert payload["flag"] == "routellm"
         assert float(payload["cost_usd"]) > 0
         assert os.path.exists(payload["trace_path"])
+
+    def test_seed_and_query_fix_the_draws(self, store, capsys):
+        def run(seed, *attach):
+            argv = [a for name in attach for a in ("--attach", name)]
+            assert run_cli("--json", "--seed", str(seed), "run", "hello there", *argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            return payload["tta_ms"], payload["cost_usd"]
+
+        first = run(7)
+        assert run(7) == first
+        assert run(8)[0] != first[0]
+        assert run(7, "notes.txt")[0] != first[0]
 
     def test_audio_fixture_run(self, store, tmp_path, capsys):
         fixtures = {"a.mp3": {"transcript": [{"word": "hi", "t": 0.0, "conf": 0.9}]}}
@@ -188,6 +201,28 @@ def session_with_turns(monkeypatch, capsys, *turns):
     monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{t}\n" for t in turns)))
     assert run_cli("session") == 0
     return capsys.readouterr().out.split()[1]
+
+
+class TestSessionSaves:
+    def test_store_root_removed_between_turns(self, store, capsys, monkeypatch):
+        class RemovingStdin(io.StringIO):
+            def readline(self, *args):
+                line = super().readline(*args)
+                if line.startswith("what is"):
+                    shutil.rmtree(store)
+                return line
+
+        monkeypatch.setattr("sys.stdin", RemovingStdin("hello there\nwhat is the capital of france\n"))
+        assert run_cli("session") == 0
+        sid = capsys.readouterr().out.split()[1]
+        assert not (store / f"{sid}.memory.json.tmp").exists()
+        records = (store / f"{sid}.memory.json").read_text().splitlines()[1:]
+        assert [json.loads(line)["record_id"] for line in records] == ["m000000", "m000001"]
+        assert run_cli("--json", "inspect", sid) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["state"]["turn_count"] == payload["memory"]["turns"] == 2
+        assert payload["state"]["user_query"] == "what is the capital of france"
+        assert {row["session_id"] for row in payload["trace"]} == {sid}
 
 
 class TestCorruptMemory:

@@ -21,6 +21,7 @@ from supervisord.engine import (
     Supervisor,
     append_trace_rows,
     load_state_file,
+    save_session_memory,
     save_state_file,
     state_path,
 )
@@ -637,6 +638,23 @@ class TestPersistence:
             previous = size
             assert serialize_state(load_state_file(root, state.session.session_id)) + b"\n" == line
         assert 2 < rewrites < 300 // 8
+
+    @pytest.mark.parametrize("save", ["state", "memory", "trace"])
+    def test_save_creates_a_missing_store_root(self, tmp_path, save):
+        memory = MemoryStore()
+        state, outcome = run_query("what time is it in Tokyo", memory=memory)
+        sid = state.session.session_id
+        write = {
+            "state": lambda root: save_state_file(root, state),
+            "memory": lambda root: save_session_memory(root, sid, memory),
+            "trace": lambda root: append_trace_rows(root, sid, outcome.trace_rows),
+        }[save]
+        present, missing = tmp_path / "present", tmp_path / "missing" / "root"
+        present.mkdir()
+        with open(write(str(present)), "rb") as fh:
+            expected = fh.read()
+        with open(write(str(missing)), "rb") as fh:
+            assert fh.read() == expected
 
     def test_trace_jsonl_schema(self, tmp_path):
         state, outcome = run_query("what time is it in Tokyo")

@@ -5,9 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 import statistics
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -388,6 +392,31 @@ class TestNoSeededGenerator:
         monkeypatch.setattr(random.Random, "seed", counting)
         run_policy(queries, policy, spec, seed=1)
         assert seedings == []
+
+
+class TestSimulateLoadsNoNumpy:
+    def test_policies_and_simulate_leave_numpy_unimported(self, tmp_path):
+        # A fresh interpreter, since this one has imported numpy for other tests.
+        script = "\n".join([
+            "import sys",
+            "from supervisord.cli import main",
+            "from supervisord.harness import default_workload_spec, generate_workload, run_policy",
+            "spec = default_workload_spec(200)",
+            "queries = generate_workload(spec)",
+            "for policy in ('centralized', 'hierarchical', 'monolithic'):",
+            "    run_policy(queries, policy, spec, seed=1)",
+            "out = sys.argv[1]",
+            "assert main(['--store-root', out, 'simulate', '--queries', '50', '--out', out]) == 0",
+            "print('numpy' in sys.modules)",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(harness.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestWeakFractionCalibration:

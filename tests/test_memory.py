@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supervisord import memory
 from supervisord.errors import CorruptState, DimensionMismatch, EmbeddingUnavailable
@@ -834,6 +834,47 @@ class TestLazyEmbedding:
         assert [r.embedding.tobytes() for r in lazy.full_history] == [
             r.embedding.tobytes() for r in eager.full_history]
 
+    @settings(max_examples=60, deadline=None)
+    @given(unranked=st.integers(0, 40), ops=st.lists(st.one_of(
+        st.tuples(st.just("add"), _contents, st.sampled_from(list(Modality))),
+        st.tuples(st.just("store"), _contents, st.sampled_from(list(Modality))),
+        st.tuples(st.just("compress")),
+        st.tuples(st.just("retrieve"), _contents, st.sampled_from(list(Modality)),
+                  st.integers(1, 6)),
+    ), max_size=40))
+    @example(unranked=20, ops=[("retrieve", "turn 3", Modality.TEXT, 6),
+                               ("add", "one more", Modality.IMAGE),
+                               ("retrieve", "one more", Modality.IMAGE, 2)])
+    def test_rankings_match_oracle_while_rows_grow(self, unranked, ops):
+        # The rows are built at the first ranking, which may come after more
+        # turns than the first allocation holds, and extended by later ones.
+        embedder = HashingEmbedder(dimension=8)
+        store = MemoryStore(dimension=8)
+        for i in range(unranked):
+            store.add_turn(f"turn {i} " + "w " * (i % 5), list(Modality)[i % len(Modality)],
+                           embedder)
+        for op in ops + [("retrieve", "turn", Modality.TEXT, 6)]:
+            n = store.turn_count
+            if op[0] == "add":
+                store.add_turn(op[1], op[2], embedder)
+            elif op[0] == "store":
+                store.store(MemoryRecord(f"s{n:06d}", op[1], op[2], embed(op[1] or " ", embedder),
+                                         n + 1))
+            elif op[0] == "compress":
+                store.maybe_compress(force=True)
+            else:
+                query = embed(op[1] or " ", embedder)
+                after = store.compressed.source_end_turn if store.compressed else 0
+                assert store.retrieve_relevant(query, op[2], k=op[3]) == brute_force_topk(
+                    store, query, op[2], op[3], n + 1, after_turn=after)
+                if store.retrievable_count >= 2:
+                    assert store._filled == n  # a ranking writes every row
+                for i in range(store._filled):
+                    record = store.full_history[i]
+                    assert store._embeddings[i].tobytes() == record.embedding.tobytes()
+                    assert store._turns[i] == record.turn_index
+                    assert store._codes[i] == list(Modality).index(record.modality)
+
     def test_store_and_first_rankings_embed_only_what_they_rank(self):
         embedder = mock.Mock(wraps=HashingEmbedder(), dimension=64)
         store = MemoryStore()
@@ -855,7 +896,8 @@ class TestLazyEmbedding:
 
     def test_threads_fill_rows_while_others_add(self):
         # Rounds on fresh stores, so the rows double often while retrievers
-        # fill them; a row written outside the lock is lost in a doubling.
+        # fill them; a row written outside the lock is lost in a doubling,
+        # and every row below the filled count must hold its record's vector.
         query = HashingEmbedder().embed("turn 7 of adder")
         embedders = [HashingEmbedder(), HashingEmbedder()]
         deadline = time.monotonic() + 2.0
@@ -902,11 +944,10 @@ class TestLazyEmbedding:
                 n = store.turn_count
                 assert n == 142
                 assert len({r.record_id for r in store.full_history}) == n
-                unfilled = set(store._unfilled)
-                for i in range(n):
-                    if i not in unfilled:
-                        assert store._embeddings[i].tobytes() == \
-                            store.full_history[i].embedding.tobytes(), (rounds, i)
+                assert store._filled <= n
+                for i in range(store._filled):
+                    assert store._embeddings[i].tobytes() == \
+                        store.full_history[i].embedding.tobytes(), (rounds, i)
         finally:
             sys.setswitchinterval(interval)
         got = store.retrieve_relevant(query, Modality.TEXT, k=6)
