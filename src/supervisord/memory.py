@@ -276,11 +276,12 @@ class MemoryStore:
         embedder,
         created_at_ms: int = 0,
     ) -> MemoryRecord:
-        """Store a turn; `embedder` embeds it, and its ranking row is written,
-        when it is first ranked or saved: storing loads no numpy.
+        """Store a turn; `embedder` embeds it when it is first ranked or saved.
 
-        Raises `DimensionMismatch` at once if the embedder's dimension is not
-        the store's. The id and turn index are taken under the write lock, so
+        Its ranking row is built at its first ranking, and storing imports no
+        numpy, so `simulate`, which never ranks or saves, loads neither. Raises
+        `DimensionMismatch` at once if the embedder's dimension is not the
+        store's. The id and turn index are taken under the write lock, so
         turns added from several threads get distinct ones.
         """
         if embedder.dimension != self.dimension:
