@@ -130,7 +130,7 @@ class CliConfig:
     tools: Optional[str] = None
     models: Optional[str] = None
     flag_rules: Optional[str] = None
-    seed: int = 0
+    seed: Optional[int] = None  # when given, simulate's workload seed too
     budget_usd: Optional[str] = None
 
     def registry(self) -> ToolRegistry:
@@ -151,7 +151,7 @@ class CliConfig:
         return EngineConfig(
             registry=self.registry(),
             catalog=self.catalog(),
-            seed=self.seed,
+            seed=self.seed or 0,
             budget_cap=budget,
             flag_rules=flag_rules,
         )
@@ -245,7 +245,6 @@ def cmd_run(args) -> int:
         "answer": outcome.answer_text,
         "tta_ms": outcome.tta_ms,
         "cost_usd": outcome.cost.usd_str(),
-        "verified": outcome.verified,
         "trace_path": trace_file,
     }
     text = (
@@ -319,7 +318,7 @@ def cmd_session(args) -> int:
             memory_store=memory,
             perceptual_backend=backend,
             clarifier=_ask_stdin,
-            query_id=f"{session.session_id}:{session.turn_count}",
+            query_id=json.dumps([session.turn_count, line]),  # same turn, same draws
         )
         save_state_file(cfg.store_root, state)
         save_session_memory(cfg.store_root, session.session_id, memory)
@@ -351,7 +350,7 @@ def cmd_simulate(args) -> int:
         if queries is None:
             if args.queries is not None:  # a spec file's size stands unless overridden
                 spec.total_queries = args.queries
-            if cfg.seed:
+            if cfg.seed is not None:
                 spec.seed = cfg.seed
             spec.validate()
     except WorkloadSpecError as exc:
@@ -368,7 +367,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     reports = []
     for policy in policies:
-        report = run_policy(queries, policy, spec, config, seed=cfg.seed)
+        report = run_policy(queries, policy, spec, config, seed=config.seed)
         reports.append(report)
         path = os.path.join(out_dir, f"report-{policy}.json")
         with open(path, "w", encoding="utf-8") as fh:

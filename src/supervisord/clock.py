@@ -13,8 +13,8 @@ from __future__ import annotations
 class VirtualClock:
     """Simulated time source advancing by explicit deltas (milliseconds)."""
 
-    def __init__(self, start_ms: int = 0):
-        self._now_ms = int(start_ms)
+    def __init__(self):
+        self._now_ms = 0
 
     def now_ms(self) -> int:
         return self._now_ms

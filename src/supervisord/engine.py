@@ -1,7 +1,7 @@
 """The supervisor: one query end to end.
 
 decompose -> route -> build graph -> execute (repair, clarification) ->
-verify -> account -> remember. Policy simulation and the CLI both drive this
+assemble -> account -> remember. Policy simulation and the CLI both drive this
 class; everything nondeterministic flows from explicit seeds so fixed-seed
 runs reproduce identical traces byte for byte.
 """
@@ -57,7 +57,6 @@ from .scheduler import (
     TraceRow,
     build_graph,
     check_clarification,
-    verify_output,
 )
 from .state import (
     ExecutionFlag,
@@ -110,7 +109,6 @@ class QueryOutcome:
     rework_internal: int = 0
     best_effort: bool = False
     failed: bool = False
-    verified: str = "pass"
     trace_rows: list[TraceRow] = field(default_factory=list)
     repair_count: int = 0
 
@@ -290,16 +288,14 @@ class Supervisor:
         memory_store: MemoryStore,
         perceptual_backend: Optional[SimulatedBackend] = None,
         clarifier: Optional[Callable[[str], Optional[str]]] = None,
-        clock=None,
         query_seed: int = 0,
         failure_rates: Optional[dict[str, float]] = None,
         query_id: str = "",
     ) -> QueryOutcome:
         config = self.config
-        clock = clock or VirtualClock()
+        clock = VirtualClock()
         backend = perceptual_backend or SimulatedBackend()
         outcome = QueryOutcome()
-        t0 = clock.now_ms()
         cost_before = state.session.cumulative_cost
 
         # 1. Attachment decomposition.
@@ -417,31 +413,23 @@ class Supervisor:
                 self._refine_graph(graph, state)
 
         if not outcome.failed:
-            # 6. Assemble answer segments from node evidence.
-            outcome.segments, outcome.evidence_keys, cited = self._assemble(graph, state)
+            # 6. Assemble answer segments from node evidence; repairs count as
+            # internal rework.
+            outcome.segments, outcome.evidence_keys = self._assemble(graph, state)
             outcome.answer_text = "\n".join(
                 f"[{name}] {text}" for name, text in outcome.segments.items()
             )
-
-            # 7. Structural verification against every round's trace; failures
-            # and repairs count as internal rework.
-            required = sorted({n.segment for n in graph.nodes.values() if n.segment})
-            verdict = verify_output(outcome.segments, outcome.trace_rows, required, cited)
-            outcome.verified = verdict.status
-            if verdict.status == "fail":
-                outcome.rework_internal += 1
             outcome.rework_internal += len(graph.repair_log)
 
-        # 8. Accounting: every charge of the turn went through `charge` as it was
+        # 7. Accounting: every charge of the turn went through `charge` as it was
         # incurred, so the turn's cost is the session's delta.
         outcome.cost = state.session.cumulative_cost - cost_before
         outcome.repair_count = len(graph.repair_log)
-        outcome.tta_ms = clock.now_ms() - t0
+        outcome.tta_ms = clock.now_ms()  # the turn's clock starts at 0
         if outcome.failed:
-            outcome.verified = "fail"
             return outcome
 
-        # 9. Remember the turn.
+        # 8. Remember the turn.
         if config.memory_enabled:
             memory_store.add_turn(
                 f"Q: {state.user_query}\nA: {outcome.answer_text[:400]}",
@@ -506,7 +494,6 @@ class Supervisor:
     def _assemble(self, graph, state):
         segments: dict[str, str] = {}
         evidence_keys: set[str] = set()
-        cited: dict[str, list[str]] = {}
         for node_id, node in graph.nodes.items():
             payload = graph.results[node_id].output
             evidence_keys.update(k for k in payload if k not in ("targets", "clarify_hint"))
@@ -519,8 +506,7 @@ class Supervisor:
             else:
                 text = payload.get("answer_text") or payload.get("synthesis") or ""
             segments[node.segment] = text
-            cited[node.segment] = [node_id]
-        return segments, evidence_keys, cited
+        return segments, evidence_keys
 
 
 def detect_underspecified(query: str) -> Optional[str]:

@@ -77,11 +77,10 @@ class UnplannableQuery(SupervisorError):
 
 
 class PipelineFailed(SupervisorError):
-    """A node failed with no viable repair; carries the execution's trace."""
+    """A node failed with no viable repair; `Scheduler.execute` attaches the
+    execution's trace rows as `trace`."""
 
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
+    trace = ()
 
 
 class NodeFailure(SupervisorError):

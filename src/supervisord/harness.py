@@ -27,7 +27,6 @@ import statistics
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
-from .clock import VirtualClock
 from .couplet import (
     DEFAULT_FIXTURE_TOKENS,
     DETECT_MS_PER_FRAME,
@@ -597,7 +596,6 @@ def _run_centralized(
         internal = 0
         outcome = None
         for restart in range(RESTART_CAP + 1):
-            clock = VirtualClock()
             memory = MemoryStore()
             if q.ground_truth.memory_hint:
                 memory.add_turn(q.ground_truth.memory_hint, Modality.TEXT, embedder)
@@ -615,7 +613,6 @@ def _run_centralized(
                 memory_store=memory,
                 perceptual_backend=SimulatedBackend(q.fixtures),
                 clarifier=lambda question: SIM_USER_REPLY,
-                clock=clock,
                 query_seed=restart,
                 failure_rates=spec.failure_injection,
                 query_id=f"{q.query_id}#r{restart}",
@@ -942,12 +939,10 @@ def per_query_delta_csv(candidate: MetricsReport, baseline: MetricsReport) -> st
 
 # --- throughput -----------------------------------------------------------------------
 
+THROUGHPUT_WORKERS = 16  # size of the worker pool the concurrent sessions share
 
-def throughput_from_report(
-    report: MetricsReport,
-    parallel_sessions: int,
-    workers: int = 16,
-) -> float:
+
+def throughput_from_report(report: MetricsReport, parallel_sessions: int) -> float:
     """Queries per simulated second with concurrent sessions over a shared pool.
 
     Fluid model: the makespan is bounded below by both total worker occupancy
@@ -963,7 +958,7 @@ def throughput_from_report(
     session_spans = [0] * parallel_sessions
     for i, rec in enumerate(records):
         session_spans[i % parallel_sessions] += rec.tta_ms
-    makespan_ms = max(total_work_ms / workers, max(session_spans))
+    makespan_ms = max(total_work_ms / THROUGHPUT_WORKERS, max(session_spans))
     if makespan_ms <= 0:
         return 0.0
     return len(records) * 1000.0 / makespan_ms

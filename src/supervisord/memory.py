@@ -62,6 +62,9 @@ class ScoreWeights:
             raise ValueError("score weights must be nonnegative")
 
 
+DEFAULT_SCORE_WEIGHTS = ScoreWeights()
+
+
 def whitespace_tokens(text: str) -> int:
     return len(text.split())
 
@@ -120,7 +123,11 @@ class HashingEmbedder:
 
 
 def embed(content: str, embedder) -> np.ndarray:
-    """Embed text via the configured backend; output is unit-normalized."""
+    """Embed text via the configured backend; output is unit-normalized.
+
+    A backend that fails, or returns a vector of the wrong shape or of a zero
+    or non-finite norm, raises `EmbeddingUnavailable`.
+    """
     import numpy as np
     try:
         raw = np.asarray(embedder.embed(content), dtype=np.float64)
@@ -131,8 +138,8 @@ def embed(content: str, embedder) -> np.ndarray:
             f"backend returned shape {raw.shape}, expected ({embedder.dimension},)"
         )
     norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise EmbeddingUnavailable("backend returned a zero vector")
+    if not 0.0 < norm < math.inf:  # also false for a NaN norm
+        raise EmbeddingUnavailable(f"backend returned a vector of norm {norm}")
     return raw / norm
 
 
@@ -188,7 +195,7 @@ def score_memory(
     query_embedding: np.ndarray,
     query_modality: Modality,
     now_turn: int,
-    weights: ScoreWeights = ScoreWeights(),
+    weights: ScoreWeights = DEFAULT_SCORE_WEIGHTS,
     decay_rates: Optional[dict[Modality, float]] = None,
 ) -> float:
     """Weighted sum of cosine similarity, exponential recency, and modality match."""
@@ -224,15 +231,11 @@ PREFILTER_SLACK = 1e-9
 class MemoryStore:
     """Layered memory for one session."""
 
-    def __init__(
-        self,
-        dimension: int = DEFAULT_EMBEDDING_DIM,
-        weights: ScoreWeights = ScoreWeights(),
-        decay_rates: Optional[dict[Modality, float]] = None,
-    ):
+    weights = DEFAULT_SCORE_WEIGHTS
+    decay_rates = DEFAULT_DECAY_RATES
+
+    def __init__(self, dimension: int = DEFAULT_EMBEDDING_DIM):
         self.dimension = dimension
-        self.weights = weights
-        self.decay_rates = decay_rates or DEFAULT_DECAY_RATES
         self.full_history: list[MemoryRecord] = []
         self.compressed: Optional[CompressedSummary] = None
         self._write_lock = threading.Lock()
@@ -324,7 +327,6 @@ class MemoryStore:
         query_embedding: np.ndarray,
         query_modality: Modality,
         k: int = DEFAULT_TOP_K,
-        now_turn: Optional[int] = None,
     ) -> list[MemoryRecord]:
         """Top-k retrievable records by exact score, newest-first on ties.
 
@@ -358,7 +360,7 @@ class MemoryStore:
                 self._turns[i] = history[i].turn_index
                 self._codes[i] = _MODALITY_CODES[history[i].modality]
             self._filled = n
-        now = self.turn_count + 1 if now_turn is None else now_turn
+        now = self.turn_count + 1
         turns = self._turns[:n]
         pool = turns > self.compressed.source_end_turn if self.compressed else None
         if (n if pool is None else int(pool.sum())) <= k:
@@ -374,10 +376,9 @@ class MemoryStore:
             # at least k records have a >= A; one record x is in both sets,
             # so A <= a(x) <= s(r) + e <= a(r) + 2e. Every record of the
             # exact top k therefore has a(r) >= A - PREFILTER_SLACK.
-            rates = self.decay_rates or DEFAULT_DECAY_RATES
             codes = self._codes[:n]
             w = self.weights
-            rate = np.array([rates.get(m, np.nan) for m in _MODALITIES])
+            rate = np.array([self.decay_rates[m] for m in _MODALITIES])
             match = np.array([1.0 if m == query_modality else 0.0 for m in _MODALITIES])
             approx = (
                 w.similarity * np.einsum("ij,j->i", self._embeddings[:n], query_embedding)
@@ -386,12 +387,7 @@ class MemoryStore:
             )
             if pool is not None:
                 approx[~pool] = -np.inf
-            if np.isnan(approx).any():
-                # A modality missing from the rate table, or a NaN query:
-                # leave the whole pool to score_memory, as before.
-                keep = np.ones(n, dtype=bool) if pool is None else pool
-            else:
-                keep = approx >= np.partition(approx, n - k)[n - k] - PREFILTER_SLACK
+            keep = approx >= np.partition(approx, n - k)[n - k] - PREFILTER_SLACK
             candidates = [history[i] for i in np.flatnonzero(keep).tolist()]
         scored = [
             (
@@ -576,7 +572,7 @@ def _journal_header(line: bytes) -> Optional[dict]:
     return header if isinstance(header, dict) and header.get("format") == JOURNAL_FORMAT else None
 
 
-def load_memory(path: str, **store_kwargs) -> MemoryStore:
+def load_memory(path: str) -> MemoryStore:
     """Rehydrate a store from a journal or from an older one-line file.
 
     A journal's unterminated last line is an interrupted append and is
@@ -618,7 +614,7 @@ def load_memory(path: str, **store_kwargs) -> MemoryStore:
         ) if comp else None
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise CorruptState(f"{source}: {exc}") from exc
-    store = MemoryStore(dimension=dimension, **store_kwargs)
+    store = MemoryStore(dimension=dimension)
     try:
         for record in records:
             store.store(record)

@@ -1,9 +1,9 @@
 """Cost-tier selection, strong/weak routing, and exact session cost accounting.
 
-Text-only queries are scored by a win predictor (default: a logistic function
-of transparent query features, coefficients published in the docs); scores
-strictly above the threshold route to the tier's strongest model, everything
-else to a subflag-matched lightweight model. All money flows through integer
+Text-only queries are scored by a fixed logistic function of transparent
+query features (coefficients published in the docs); scores strictly above
+the threshold route to the tier's strongest model, everything else to a
+subflag-matched lightweight model. All money flows through integer
 micro-dollars so session accounting is exact at 10^-6 USD.
 """
 
@@ -15,7 +15,7 @@ import re
 import threading
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BudgetExceeded
 from .state import CostKnob, Money, SessionMeta, Subflag, money_div_rounded
@@ -133,19 +133,14 @@ def logistic_win_scorer(features: Sequence[float]) -> float:
 
 def route_strong_weak(
     query: str,
-    embedder: Callable[[str], Sequence[float]] = route_features,
-    wpm: Callable[[Sequence[float]], float] = logistic_win_scorer,
-    threshold: float = DEFAULT_WIN_THRESHOLD,
     *,
     catalog: Optional[ModelCatalog] = None,
     tier: CostKnob = CostKnob.CLOSED_SRC,
 ) -> RoutingDecision:
     """Strong/weak routing with subflag dispatch; strict inequality at the threshold."""
-    if not (0.0 < threshold < 1.0):
-        raise ValueError("threshold must lie in (0, 1)")
     catalog = catalog or default_model_catalog()
-    probability = float(wpm(embedder(query)))
-    if probability > threshold:
+    probability = float(logistic_win_scorer(route_features(query)))
+    if probability > DEFAULT_WIN_THRESHOLD:
         model = catalog.strongest(tier)
         return RoutingDecision(
             route="strong", win_probability=probability, chosen_model=model.model_name

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .clock import VirtualClock
 from .couplet import SimulatedBackend
 from .engine import EngineConfig, QueryOutcome, Supervisor
 from .memory import MemoryStore
@@ -63,6 +62,5 @@ def run_scenario(scenario: Scenario) -> QueryOutcome:
         memory_store=MemoryStore(),
         perceptual_backend=SimulatedBackend(scenario.fixtures),
         clarifier=clarifier,
-        clock=VirtualClock(),
         query_id=f"scenario-{scenario.name}",
     )

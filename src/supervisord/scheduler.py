@@ -1,5 +1,5 @@
 """Execution graphs: flag-shaped DAG construction, virtual-clock execution,
-local repair, clarification checks, and structural output verification.
+local repair, and clarification checks.
 
 Execution is one event loop under a virtual clock. Independent branches run
 concurrently, so total latency equals the longest dependency chain of node
@@ -526,7 +526,7 @@ class Scheduler:
         return ExecutionOutcome(total_latency_ms=clock.now_ms() - start_ms, trace=trace)
 
 
-# --- clarification and verification ---------------------------------------------------
+# --- clarification ---------------------------------------------------------------------
 
 
 def check_clarification(
@@ -552,32 +552,3 @@ def check_clarification(
         f"Confidence is low on the {worst.tool_name} output. "
         f"What specific information are you looking for?"
     )
-
-
-@dataclass
-class VerificationVerdict:
-    status: str  # "pass" | "fail"
-    reasons: list[str] = field(default_factory=list)
-
-
-def verify_output(
-    answer_segments: dict[str, str],
-    trace: list[TraceRow],
-    required_segments: list[str],
-    cited_nodes: Optional[dict[str, list[str]]] = None,
-) -> VerificationVerdict:
-    """Structural verification: every required segment answered, every cited
-    evidence node present in the trace."""
-    reasons = []
-    for segment in required_segments:
-        if not answer_segments.get(segment, "").strip():
-            reasons.append(f"missing answer segment {segment!r}")
-    if cited_nodes:
-        trace_ids = {row.node_id for row in trace}
-        for segment, nodes in cited_nodes.items():
-            for node_id in nodes:
-                if node_id not in trace_ids:
-                    reasons.append(
-                        f"segment {segment!r} cites node {node_id!r} absent from trace"
-                    )
-    return VerificationVerdict("fail" if reasons else "pass", reasons)

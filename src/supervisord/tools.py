@@ -81,8 +81,8 @@ class ToolCost:
     per_invocation: Money = field(default_factory=Money)
     per_mtok: Money = field(default_factory=Money)
 
-    def expected_micros(self, tokens: int = NOMINAL_TOKENS) -> int:
-        return self.per_invocation.micros + (self.per_mtok.micros * tokens) // 1_000_000
+    def expected_micros(self) -> int:
+        return self.per_invocation.micros + (self.per_mtok.micros * NOMINAL_TOKENS) // 1_000_000
 
 
 # Closed predicate vocabulary evaluated against the current QueryState.

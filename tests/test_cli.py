@@ -322,6 +322,21 @@ class TestSimulate:
         assert outputs[0] == outputs[2]
         assert outputs[1] == outputs[3]
 
+    def test_a_given_seed_sets_the_workload_seed_even_0(self, store, tmp_path, capsys):
+        def digest(spec_seed, *flags):
+            path = write_json(tmp_path / "spec.json", {"total_queries": 30, "seed": spec_seed})
+            out = tmp_path / "r"
+            assert run_cli(*flags, "simulate", path, "--policies", "centralized",
+                           "--out", str(out)) == 0
+            capsys.readouterr()
+            return json.loads((out / "report-centralized.json").read_text())["workload_digest"]
+
+        config = write_json(tmp_path / "config.json", {"seed": 0})
+        seed_0 = digest(0)
+        assert digest(11) != seed_0
+        assert digest(11, "--seed", "0") == digest(11, "--config", config) == seed_0
+        assert digest(11, "--seed", "5") == digest(5)
+
     def test_invalid_spec_exits_2_with_field(self, store, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"total_queries": 10, "category_mix": {"vision_qa": 1.0}}))
@@ -578,6 +593,20 @@ class TestSessionRepl:
         cost_lines = [line for line in output.splitlines() if line.startswith("  (")]
         assert len(cost_lines) == 1
         assert cost_lines[0].endswith(")") and "best effort" not in cost_lines[0]
+
+    def test_seed_makes_a_new_session_repeatable(self, store, tmp_path, monkeypatch, capsys):
+        def turn_lines(root):
+            monkeypatch.setenv("SUPERVISORD_STORE_ROOT", str(tmp_path / root))
+            monkeypatch.setattr(
+                "sys.stdin", io.StringIO("hello there\nwhat is the capital of france\n")
+            )
+            assert run_cli("--seed", "7", "session") == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("  (")]
+
+        first = turn_lines("a")
+        assert len(first) == 2
+        assert turn_lines("b") == first
 
     def test_session_resume_unknown(self, store):
         assert run_cli("session", "--session", "0-missing") == EXIT_UNKNOWN_SESSION

@@ -278,7 +278,7 @@ class TestThroughput:
         spec = default_workload_spec(50, seed=14)
         queries = generate_workload(spec)
         report = run_policy(queries, "centralized", spec, seed=3)
-        qps = throughput_from_report(report, parallel_sessions=1, workers=10_000)
+        qps = throughput_from_report(report, parallel_sessions=1)
         mean_tta = report.aggregates["tta_mean_ms"]
         assert qps == pytest.approx(1000.0 / mean_tta, rel=1e-9)
 
@@ -286,7 +286,7 @@ class TestThroughput:
         spec = default_workload_spec(120, seed=14)
         queries = generate_workload(spec)
         report = run_policy(queries, "centralized", spec, seed=3)
-        values = [throughput_from_report(report, s, workers=64) for s in (1, 2, 4, 8)]
+        values = [throughput_from_report(report, s) for s in (1, 2, 4, 8)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_centralized_outpaces_hierarchical_at_64_sessions(self):

@@ -64,6 +64,17 @@ class TestEmbedder:
         with pytest.raises(EmbeddingUnavailable):
             embed("x", Broken())
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_rejected(self, value):
+        class NonFinite:
+            dimension = 4
+
+            def embed(self, text):
+                return [1.0, value, 0.0, 0.0]
+
+        with pytest.raises(EmbeddingUnavailable):
+            embed("x", NonFinite())
+
 
 def reference_embed(text, dimension=64, seed=0):
     """The embedder's formula without a gram cache: one blake2b per gram, added in order."""
@@ -260,7 +271,8 @@ class TestRetrieval:
         assert result == brute_force_topk(store, query, Modality.TEXT, 6, store.turn_count + 1)
 
     def test_equal_scores_newer_first(self):
-        store = MemoryStore(weights=ScoreWeights(1.0, 0.0, 0.0))
+        store = MemoryStore()
+        store.weights = ScoreWeights(1.0, 0.0, 0.0)
         embedder = HashingEmbedder()
         record(store, "same text", embedder=embedder)
         record(store, "same text", embedder=embedder)
@@ -277,8 +289,9 @@ class TestRetrieval:
         rng = random.Random(3)
         words = "red green blue cyan magenta".split()
         texts = [" ".join(rng.choices(words, k=4)) for _ in range(40)]
-        base = MemoryStore(weights=ScoreWeights(0.5, 0.3, 0.2))
-        scaled = MemoryStore(weights=ScoreWeights(1.5, 0.9, 0.6))
+        base, scaled = MemoryStore(), MemoryStore()
+        base.weights = ScoreWeights(0.5, 0.3, 0.2)
+        scaled.weights = ScoreWeights(1.5, 0.9, 0.6)
         for text in texts:
             record(base, text, embedder=embedder)
             record(scaled, text, embedder=embedder)
@@ -292,8 +305,8 @@ class TestRetrieval:
             MemoryStore().retrieve_relevant(HashingEmbedder().embed("q"), Modality.TEXT, k=0)
 
 
-def filled_store(n, seed, **store_kwargs):
-    store = MemoryStore(**store_kwargs)
+def filled_store(n, seed):
+    store = MemoryStore()
     embedder = HashingEmbedder()
     rng = random.Random(seed)
     words = "alpha beta gamma delta epsilon zeta eta theta".split()
@@ -317,7 +330,8 @@ def assert_matches_oracle(store, after_turn=0):
 
 class TestRetrievalPrefilter:
     def test_exact_ties_rank_newest_first(self):
-        store = MemoryStore(decay_rates={m: 0.0 for m in Modality})
+        store = MemoryStore()
+        store.decay_rates = {m: 0.0 for m in Modality}
         vec = HashingEmbedder().embed("the same words")
         for i in range(20):
             store.store(MemoryRecord(f"m{i:06d}", "the same words", Modality.TEXT, vec, i + 1))
@@ -631,9 +645,7 @@ class TestPersistence:
         path = tmp_path / "old.memory.json"
         path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
-        weights = ScoreWeights(0.6, 0.3, 0.1)
-        loaded = load_memory(str(path), weights=weights)
-        assert loaded.weights == weights
+        loaded = load_memory(str(path))
         assert loaded.turn_count == 12
         assert loaded.compressed == CompressedSummary("turns one to four", 1, 4, 12.0)
         assert [r.record_id for r in loaded.short_term] == [
@@ -651,7 +663,7 @@ class TestPersistence:
         header = json.loads(journal_lines(resaved)[0])
         assert header == {"dimension": 8, "format": "supervisord-memory-journal", "version": 1}
         assert b"index_kind" not in resaved.read_bytes()
-        assert_same_store(load_memory(str(resaved), weights=weights), loaded)
+        assert_same_store(load_memory(str(resaved)), loaded)
 
 
 _contents = st.one_of(

@@ -1,4 +1,4 @@
-"""Scheduler: graph shapes, critical-path execution, repair, verification."""
+"""Scheduler: graph shapes, critical-path execution, repair, clarification."""
 
 from __future__ import annotations
 
@@ -15,10 +15,8 @@ from supervisord.scheduler import (
     GraphNode,
     NodeResult,
     Scheduler,
-    TraceRow,
     build_graph,
     check_clarification,
-    verify_output,
 )
 from supervisord.state import (
     Attachment,
@@ -436,23 +434,3 @@ class TestClarification:
         assert question == (
             "I notice this is handwritten. What specific information are you looking for?"
         )
-
-
-class TestVerifyOutput:
-    def trace(self):
-        return [TraceRow(ts=0, session_id="s", node_id="p0", tool="t", event="done")]
-
-    def test_missing_segment_fails(self):
-        verdict = verify_output({"detections": "cat"}, self.trace(), ["detections", "timeline"])
-        assert verdict.status == "fail"
-        assert any("timeline" in r for r in verdict.reasons)
-
-    def test_complete_single_segment_passes(self):
-        verdict = verify_output({"answer": "42"}, self.trace(), ["answer"])
-        assert verdict.status == "pass"
-
-    def test_citation_of_unknown_node_fails(self):
-        verdict = verify_output(
-            {"answer": "42"}, self.trace(), ["answer"], cited_nodes={"answer": ["ghost"]}
-        )
-        assert verdict.status == "fail"
