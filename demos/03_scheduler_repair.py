@@ -41,6 +41,7 @@ def run(failure_rates):
     graph = build_graph(ExecutionFlag.VIDEO, state, config.registry)
     backends = EngineBackends(
         graph, state, config, SimulatedBackend(fixtures),
+        context_tokens=0,  # the state holds no memory context
         failure_rates=failure_rates, query_id="demo",
     )
     scheduler = Scheduler(config.registry)

@@ -8,7 +8,6 @@ runs reproduce identical traces byte for byte.
 
 from __future__ import annotations
 
-import json
 import os
 import secrets
 import time
@@ -129,6 +128,7 @@ class EngineBackends:
         state: QueryState,
         config: EngineConfig,
         perceptual: SimulatedBackend,
+        context_tokens: int,
         failure_rates: Optional[dict[str, float]] = None,
         query_id: str = "",
     ):
@@ -138,6 +138,10 @@ class EngineBackends:
         self.perceptual = perceptual
         self.failure_rates = failure_rates or {}
         self.query_id = query_id
+        self.query_tokens = whitespace_tokens(state.user_query)
+        # What a model node reads: the query and the turn's context, whose
+        # count the caller takes once per turn.
+        self.prompt_tokens = self.query_tokens + context_tokens
 
     def _maybe_inject_failure(self, node: GraphNode, attempt: int, tool_name: str) -> None:
         rate = self.failure_rates.get(tool_name, 0.0)
@@ -167,9 +171,6 @@ class EngineBackends:
             return catalog.weak_model(subflag, tier)
         return catalog.weak_model(Subflag.GENERAL, tier)
 
-    def _context_tokens(self) -> int:
-        return whitespace_tokens(self.state.context.text())
-
     def run_node(self, node: GraphNode, seed: int) -> couplet_mod.BackendResult:
         tool_name = node.tool.value.split(":", 1)[1]
         attempt = len(node.failed_tools)
@@ -182,11 +183,7 @@ class EngineBackends:
             results = self.graph.results
             parent_outputs = [results[p].output for p in self.graph.parents(node.node_id)]
             text = self._render_model_answer(node, parent_outputs)
-            tokens = (
-                whitespace_tokens(self.state.user_query)
-                + self._context_tokens()
-                + ANSWER_TOKENS
-            )
+            tokens = self.prompt_tokens + ANSWER_TOKENS
             payload = {"answer_text": text} if node.role == "model" else {
                 "synthesis": text, "answer_text": text,
             }
@@ -200,7 +197,7 @@ class EngineBackends:
                 payload["subtask_count"] = len(self.graph.nodes) - 2
             result = couplet_mod.BackendResult(
                 payload=payload, confidence=_draw_confidence(seed, 0.9, 0.99),
-                tokens=whitespace_tokens(self.state.user_query),
+                tokens=self.query_tokens,
             )
         elif node.role == "align":
             detections, transcript = [], []
@@ -261,7 +258,7 @@ class EngineBackends:
 
 
 class Supervisor:
-    """Centralized orchestration engine for one session at a time."""
+    """Centralized orchestration engine for one session at a time, on one thread."""
 
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config or EngineConfig()
@@ -331,12 +328,15 @@ class Supervisor:
                 query_embedding = embed(state.user_query or " ", config.embedder)
                 retrieved = memory_store.retrieve_relevant(query_embedding, primary)
             state.context = memory_store.integrate_context(retrieved)
+            context_tokens = memory_store.context_tokens(retrieved)
             outcome.trace_rows.append(TraceRow(
                 ts=clock.now_ms(), session_id=state.session.session_id,
                 node_id="memory", tool="memory-retrieve", event="done",
                 latency_ms=mem_latency, cost_usd=mem_cost.usd_str(), confidence=1.0,
             ))
             resolution_text = self._self_serve_resolution(state, marker, memory_store, retrieved)
+        else:
+            context_tokens = whitespace_tokens(state.context.text())
 
         if marker and not resolution_text and state.clarify_response is None:
             question = (
@@ -383,7 +383,7 @@ class Supervisor:
 
         if not outcome.failed:
             backends = EngineBackends(
-                graph, state, config, backend,
+                graph, state, config, backend, context_tokens,
                 failure_rates=failure_rates, query_id=query_id,
             )
             for round_index in range(CLARIFICATION_LIMIT + 1):
@@ -600,7 +600,7 @@ def append_trace_rows(store_root: str, session_id: str, rows: list[TraceRow]) ->
     first: readers drop it, and the new rows must not run on from it.
     """
     path = trace_path(store_root, session_id)
-    data = "".join(json.dumps(row.to_json_dict(), sort_keys=True) + "\n" for row in rows)
+    data = "".join(row.to_json_line() for row in rows)
     with _creating_root(store_root, lambda: open(path, "a+b")) as fh:
         end = fh.seek(0, os.SEEK_END)
         if end:

@@ -13,6 +13,9 @@ its `embedding` is read), not when it is stored; a pool of at most one
 record is returned unranked, so a store that is never ranked or saved
 computes no embedding and builds no rows. numpy is imported at the first
 embedding, ranking or memory-file load, so `simulate` never loads it.
+
+A `MemoryStore` belongs to one thread: nothing in it is locked, and a
+`HashingEmbedder` shared between threads may race on its gram cache.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import hashlib
 import json
 import math
 import os
-import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import CorruptState, DimensionMismatch, EmbeddingUnavailable
@@ -94,8 +96,6 @@ class HashingEmbedder:
         return grams
 
     def _slot(self, gram: str) -> int:
-        # A slot depends on the gram alone, so threads that race on the dict
-        # at worst hash a gram twice.
         digest = hashlib.blake2b(f"{self.seed}|{gram}".encode("utf-8"), digest_size=8).digest()
         value = int.from_bytes(digest, "big")
         slot = value % self.dimension + (0 if (value >> 62) & 1 else self.dimension)
@@ -188,6 +188,10 @@ class MemoryRecord:
     embedding: np.ndarray = _EmbeddingField()
     turn_index: int
     created_at_ms: int = 0
+    tokens: int = field(init=False, repr=False, compare=False)  # whitespace_tokens(content)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", whitespace_tokens(self.content))
 
 
 def score_memory(
@@ -238,10 +242,10 @@ class MemoryStore:
         self.dimension = dimension
         self.full_history: list[MemoryRecord] = []
         self.compressed: Optional[CompressedSummary] = None
-        self._write_lock = threading.Lock()
         self._journal_mark: Optional[tuple] = None  # what save_memory last wrote, and where
         self._retrievable_tokens = 0  # whitespace tokens of retrievable(), see maybe_compress
         self._retrievable_count = 0  # len(retrievable()), kept as records arrive
+        self._summary_tokens = 0  # whitespace tokens of compressed.text
         # Rows of full_history[:_filled], built by ranking; see retrieve_relevant.
         self._embeddings = self._turns = self._codes = None
         self._filled = 0
@@ -261,15 +265,13 @@ class MemoryStore:
                 f"record embedding has shape {record.embedding.shape}, store expects "
                 f"({self.dimension},)"
             )
-        with self._write_lock:
-            self._append(record)
+        self._append(record)
         return self
 
     def _append(self, record: MemoryRecord) -> None:
-        # The caller holds _write_lock.
         self.full_history.append(record)
         if self.compressed is None or record.turn_index > self.compressed.source_end_turn:
-            self._retrievable_tokens += whitespace_tokens(record.content)
+            self._retrievable_tokens += record.tokens
             self._retrievable_count += 1
 
     def add_turn(
@@ -284,24 +286,22 @@ class MemoryStore:
         Its ranking row is built at its first ranking, and storing imports no
         numpy, so `simulate`, which never ranks or saves, loads neither. Raises
         `DimensionMismatch` at once if the embedder's dimension is not the
-        store's. The id and turn index are taken under the write lock, so
-        turns added from several threads get distinct ones.
+        store's.
         """
         if embedder.dimension != self.dimension:
             raise DimensionMismatch(
                 f"embedder dimension {embedder.dimension}, store expects {self.dimension}"
             )
-        with self._write_lock:
-            n = len(self.full_history)
-            record = MemoryRecord(
-                record_id=f"m{n:06d}",
-                content=content,
-                modality=modality,
-                embedding=_Unembedded(embedder),
-                turn_index=n + 1,
-                created_at_ms=created_at_ms,
-            )
-            self._append(record)
+        n = len(self.full_history)
+        record = MemoryRecord(
+            record_id=f"m{n:06d}",
+            content=content,
+            modality=modality,
+            embedding=_Unembedded(embedder),
+            turn_index=n + 1,
+            created_at_ms=created_at_ms,
+        )
+        self._append(record)
         return record
 
     def retrievable(self) -> list[MemoryRecord]:
@@ -320,7 +320,7 @@ class MemoryStore:
     def _recount_retrievable(self) -> None:
         pool = self.retrievable()
         self._retrievable_count = len(pool)
-        self._retrievable_tokens = sum(whitespace_tokens(r.content) for r in pool)
+        self._retrievable_tokens = sum(r.tokens for r in pool)
 
     def retrieve_relevant(
         self,
@@ -342,24 +342,21 @@ class MemoryStore:
             return self.retrievable()
         import numpy as np
         history = self.full_history
-        with self._write_lock:
-            # Under the lock, so another ranking cannot double the rows
-            # between the read of the arrays and the write of a row.
-            n = len(history)
-            if self._turns is None:
-                self._embeddings = np.zeros((16, self.dimension), dtype=np.float64)
-                self._turns = np.zeros(16, dtype=np.int64)
-                self._codes = np.zeros(16, dtype=np.int8)
-            while len(self._turns) < n:  # full: double the rows
-                self._embeddings, self._turns, self._codes = (
-                    np.concatenate([rows, np.zeros_like(rows)])
-                    for rows in (self._embeddings, self._turns, self._codes)
-                )
-            for i in range(self._filled, n):
-                self._embeddings[i] = history[i].embedding
-                self._turns[i] = history[i].turn_index
-                self._codes[i] = _MODALITY_CODES[history[i].modality]
-            self._filled = n
+        n = len(history)
+        if self._turns is None:
+            self._embeddings = np.zeros((16, self.dimension), dtype=np.float64)
+            self._turns = np.zeros(16, dtype=np.int64)
+            self._codes = np.zeros(16, dtype=np.int8)
+        while len(self._turns) < n:  # full: double the rows
+            self._embeddings, self._turns, self._codes = (
+                np.concatenate([rows, np.zeros_like(rows)])
+                for rows in (self._embeddings, self._turns, self._codes)
+            )
+        for i in range(self._filled, n):
+            self._embeddings[i] = history[i].embedding
+            self._turns[i] = history[i].turn_index
+            self._codes[i] = _MODALITY_CODES[history[i].modality]
+        self._filled = n
         now = self.turn_count + 1
         turns = self._turns[:n]
         pool = turns > self.compressed.source_end_turn if self.compressed else None
@@ -418,6 +415,15 @@ class MemoryStore:
             )
         )
 
+    def context_tokens(self, retrieved: Sequence[MemoryRecord]) -> int:
+        """`whitespace_tokens(self.integrate_context(retrieved).text())`, from the
+        counts kept per record and for the summary: the context joins its parts
+        with newlines, which neither merge nor make tokens."""
+        tokens = self._summary_tokens
+        for record in (*self.short_term, *retrieved):
+            tokens += record.tokens
+        return tokens
+
     # --- compression -------------------------------------------------------------
 
     def maybe_compress(
@@ -445,9 +451,9 @@ class MemoryStore:
             if on_event:
                 on_event(f"compression failed, history retained: {exc}")
             return self
-        in_tokens = whitespace_tokens(source_text)
-        out_tokens = max(1, whitespace_tokens(summary_text))
-        ratio = in_tokens / out_tokens
+        in_tokens = self._retrievable_tokens
+        summary_tokens = whitespace_tokens(summary_text)
+        ratio = in_tokens / max(1, summary_tokens)
         if on_event:
             low, high = COMPRESSION_RATIO_BAND
             status = "within" if low <= ratio <= high else "outside"
@@ -460,6 +466,7 @@ class MemoryStore:
             source_end_turn=candidates[-1].turn_index,
             ratio=ratio,
         )
+        self._summary_tokens += summary_tokens  # the newline before it adds none
         self._recount_retrievable()
         return self
 
@@ -518,38 +525,37 @@ def save_memory(store: MemoryStore, path: str) -> None:
     save after `load_memory`) the whole journal is written to `path.tmp` and
     renamed into place.
     """
-    with store._write_lock:
-        records, compressed = store.full_history, store.compressed
-        # (path, (device, inode, size), records written, summary written)
-        mark = store._journal_mark
-        append = mark is not None and mark[0] == path and _file_identity(path) == mark[1]
-        if append:
-            _, (device, inode, size), start, written_summary = mark
-            lines = []
-        else:
-            start, written_summary = 0, None
-            header = {"dimension": store.dimension, "format": JOURNAL_FORMAT,
-                      "version": JOURNAL_VERSION}
-            lines = [json.dumps(header, sort_keys=True) + "\n"]
-        lines.extend(_encode_record(r) + "\n" for r in records[start:])
-        if compressed != written_summary:
-            summary = asdict(compressed) if compressed else None
-            lines.append(json.dumps({"compressed": summary}, sort_keys=True) + "\n")
-        data = "".join(lines).encode("utf-8")
-        if append:
-            if data:
-                with open(path, "ab") as fh:
-                    fh.write(data)
-            identity = (device, inode, size + len(data))
-        else:
-            tmp = f"{path}.tmp"
-            with open(tmp, "wb") as fh:
+    records, compressed = store.full_history, store.compressed
+    # (path, (device, inode, size), records written, summary written)
+    mark = store._journal_mark
+    append = mark is not None and mark[0] == path and _file_identity(path) == mark[1]
+    if append:
+        _, (device, inode, size), start, written_summary = mark
+        lines = []
+    else:
+        start, written_summary = 0, None
+        header = {"dimension": store.dimension, "format": JOURNAL_FORMAT,
+                  "version": JOURNAL_VERSION}
+        lines = [json.dumps(header, sort_keys=True) + "\n"]
+    lines.extend(_encode_record(r) + "\n" for r in records[start:])
+    if compressed != written_summary:
+        summary = asdict(compressed) if compressed else None
+        lines.append(json.dumps({"compressed": summary}, sort_keys=True) + "\n")
+    data = "".join(lines).encode("utf-8")
+    if append:
+        if data:
+            with open(path, "ab") as fh:
                 fh.write(data)
-                st = os.fstat(fh.fileno())
-            os.replace(tmp, path)
-            identity = (st.st_dev, st.st_ino, len(data))
-        summary_copy = replace(compressed) if compressed else None
-        store._journal_mark = (path, identity, len(records), summary_copy)
+        identity = (device, inode, size + len(data))
+    else:
+        tmp = f"{path}.tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            st = os.fstat(fh.fileno())
+        os.replace(tmp, path)
+        identity = (st.st_dev, st.st_ino, len(data))
+    summary_copy = replace(compressed) if compressed else None
+    store._journal_mark = (path, identity, len(records), summary_copy)
 
 
 def _decode_record(obj: dict) -> MemoryRecord:
@@ -622,5 +628,6 @@ def load_memory(path: str) -> MemoryStore:
         raise CorruptState(f"{source}: {exc}") from exc
     if compressed:
         store.compressed = compressed
+        store._summary_tokens = whitespace_tokens(compressed.text)
         store._recount_retrievable()
     return store

@@ -4,7 +4,8 @@ Text-only queries are scored by a fixed logistic function of transparent
 query features (coefficients published in the docs); scores strictly above
 the threshold route to the tier's strongest model, everything else to a
 subflag-matched lightweight model. All money flows through integer
-micro-dollars so session accounting is exact at 10^-6 USD.
+micro-dollars so session accounting is exact at 10^-6 USD. A session, and the
+`Supervisor` that charges it, belong to one thread: `charge` takes no lock.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
@@ -207,9 +207,6 @@ def invocation_cost(model: ModelCatalogEntry, token_count: int) -> Money:
     return token_cost(model.cost_per_mtok, token_count) + model.per_request_fee
 
 
-_cost_lock = threading.Lock()
-
-
 def charge(
     session: SessionMeta, amount: Money, budget_cap: Optional[Money] = None
 ) -> SessionMeta:
@@ -217,14 +214,13 @@ def charge(
 
     A charge that would take the session total past the cap is not added.
     """
-    with _cost_lock:
-        new_total = session.cumulative_cost + amount
-        if budget_cap is not None and new_total > budget_cap:
-            raise BudgetExceeded(
-                f"session {session.session_id}: {new_total.usd_str()} would exceed "
-                f"budget cap {budget_cap.usd_str()}"
-            )
-        session.add_cost(amount)
+    new_total = session.cumulative_cost + amount
+    if budget_cap is not None and new_total > budget_cap:
+        raise BudgetExceeded(
+            f"session {session.session_id}: {new_total.usd_str()} would exceed "
+            f"budget cap {budget_cap.usd_str()}"
+        )
+    session.add_cost(amount)
     return session
 
 

@@ -13,7 +13,10 @@ preserved.
 from __future__ import annotations
 
 import heapq
+import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Optional
 
 from .couplet import (
@@ -102,17 +105,31 @@ class TraceRow:
     cost_usd: Optional[str] = None
     confidence: Optional[float] = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ts": self.ts,
-            "session_id": self.session_id,
-            "node_id": self.node_id,
-            "tool": self.tool,
-            "event": self.event,
-            "latency_ms": self.latency_ms,
-            "cost_usd": self.cost_usd,
-            "confidence": self.confidence,
-        }
+    def to_json_line(self) -> str:
+        """The row's trace-log line: what `json.dumps` writes for a dict of
+        the eight fields with `sort_keys=True`, and a newline."""
+        v = _json_value
+        return (
+            f'{{"confidence": {v(self.confidence)}, "cost_usd": {v(self.cost_usd)}, '
+            f'"event": {v(self.event)}, "latency_ms": {v(self.latency_ms)}, '
+            f'"node_id": {v(self.node_id)}, "session_id": {v(self.session_id)}, '
+            f'"tool": {v(self.tool)}, "ts": {v(self.ts)}}}\n'
+        )
+
+
+def _json_value(value) -> str:
+    """`json.dumps(value, sort_keys=True)`, without building an encoder for a
+    value of exactly `str`, `int` or finite `float` type, or `None`."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and -math.inf < value < math.inf:  # json spells NaN and infinities
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    return json.dumps(value, sort_keys=True)
 
 
 class ExecutionGraph:

@@ -5,7 +5,8 @@ the predicates that must hold before invocation, and a bounded latency prior
 that maps a uniform draw in [0, 1) to a latency; the caller supplies the draw
 (`couplet.keyed_uniform`). Matching filters on capability coverage and ranks
 by (expected latency, expected cost, name) once per requirement shape, then
-checks preconditions against the query state on every call.
+checks preconditions against the query state on every call. A `ToolRegistry`
+belongs to one thread: registration and the ranking memo take no lock.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -183,10 +183,9 @@ class Requirement:
 
 
 class ToolRegistry:
-    """Registry with serialized registration and snapshot-pure matching."""
+    """Registry of tool specs; matching memoizes a ranking per requirement shape."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._by_id: dict[ToolId, ToolSpec] = {}
         self._ids_by_name: dict[str, ToolId] = {}
         # (input modalities, output tags, tier) -> capable (tool_id, spec), ranked
@@ -194,13 +193,12 @@ class ToolRegistry:
 
     def register_tool(self, spec: ToolSpec) -> ToolId:
         spec.validate()
-        with self._lock:
-            if spec.name in self._ids_by_name:
-                raise DuplicateTool(f"tool {spec.name!r} already registered")
-            tool_id = ToolId(f"t{len(self._by_id):03d}:{spec.name}")
-            self._by_id[tool_id] = spec
-            self._ids_by_name[spec.name] = tool_id
-            self._ranked.clear()
+        if spec.name in self._ids_by_name:
+            raise DuplicateTool(f"tool {spec.name!r} already registered")
+        tool_id = ToolId(f"t{len(self._by_id):03d}:{spec.name}")
+        self._by_id[tool_id] = spec
+        self._ids_by_name[spec.name] = tool_id
+        self._ranked.clear()
         return tool_id
 
     def get(self, tool_id: ToolId) -> ToolSpec:
@@ -238,12 +236,11 @@ class ToolRegistry:
     ) -> list[ToolId]:
         """Rank capable tools ascending by (expected latency, expected cost, name)."""
         key = (requirement.input_modalities, requirement.output_tags, requirement.tier)
-        with self._lock:
-            if not self._by_id:
-                raise NoCapableTool("registry is empty", requirement)
-            ranked = self._ranked.get(key)
-            if ranked is None:
-                ranked = self._ranked[key] = self._rank_capable(requirement)
+        if not self._by_id:
+            raise NoCapableTool("registry is empty", requirement)
+        ranked = self._ranked.get(key)
+        if ranked is None:
+            ranked = self._ranked[key] = self._rank_capable(requirement)
         excluded = set(exclude)
         state = requirement.state
         matched = [

@@ -125,8 +125,8 @@ def test_acceptance_1_round_trip_and_determinism():
     bytes_b = json.dumps(report_b.to_json_dict(), sort_keys=True)
     assert bytes_a == bytes_b
 
-    trace_a = [r.to_json_dict() for r in run_scenario(load_scenario("video-advertisement")).trace_rows]
-    trace_b = [r.to_json_dict() for r in run_scenario(load_scenario("video-advertisement")).trace_rows]
+    trace_a = [r.to_json_line() for r in run_scenario(load_scenario("video-advertisement")).trace_rows]
+    trace_b = [r.to_json_line() for r in run_scenario(load_scenario("video-advertisement")).trace_rows]
     assert trace_a == trace_b
     budget.check()
     _report(1, "round-trip and determinism",

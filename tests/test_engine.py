@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from supervisord.couplet import SimulatedBackend, TaskKind
 from supervisord.engine import (
+    ANSWER_TOKENS,
     CLARIFY_USER_DELAY_MS,
     EngineBackends,
     STATE_JOURNAL_HEADER,
@@ -31,12 +32,21 @@ from supervisord.errors import (
     EmbeddingUnavailable,
     UnplannableQuery,
 )
-from supervisord.memory import HashingEmbedder, MemoryStore, save_memory
+from supervisord.memory import (
+    COMPRESSION_TRIGGER_TOKENS,
+    HashingEmbedder,
+    MemoryStore,
+    load_memory,
+    save_memory,
+    whitespace_tokens,
+)
 from supervisord.routing import select_tier
 from supervisord.scenarios import SCENARIO_FILES, Scenario, load_scenario, run_scenario
 from supervisord.scheduler import Scheduler
 from supervisord.state import (
     Attachment,
+    ContextBundle,
+    ContextSegment,
     CostKnob,
     ExecutionFlag,
     Modality,
@@ -150,7 +160,7 @@ class TestDeterminism:
     def test_same_seed_identical_trace(self):
         def run():
             _, outcome = run_query("summarize this text")
-            return json.dumps([r.to_json_dict() for r in outcome.trace_rows], sort_keys=True)
+            return "".join(r.to_json_line() for r in outcome.trace_rows)
 
         assert run() == run()
 
@@ -417,6 +427,113 @@ class TestEmptyStore:
         with pytest.raises(EmbeddingUnavailable):
             Supervisor(config).process(third, memory_store=store, query_id="t2")
         assert third.session.cumulative_cost == memory_fee() and store.turn_count == 2
+
+
+class TestPromptTokens:
+    """A turn counts its prompt tokens once, from the counts the store keeps,
+    and the count is the whitespace tokens of the query and of the context."""
+
+    QUERIES = (
+        "summarize the quarterly revenue figures for the board",
+        "what time is it in Tokyo",
+        "rewrite   this\tparagraph\u2028so it reads better\n",
+        "solve 3x + 7 = 22 step by step",
+        "as discussed, send the usual report",
+    )
+    # Contents whose whitespace is not single spaces, and an empty one.
+    ODD_CONTENTS = ("alpha\tbeta  gamma\u2028delta\n", "", "  lead and trail  ", "x\x1cy\u3000z")
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """(prompt tokens counted, tokens of query and context text) per model node."""
+        seen = []
+        original = EngineBackends.run_node
+
+        def run_node(backends, node, seed):
+            result = original(backends, node, seed)
+            if node.role in ("model", "synthesize"):
+                state = backends.state
+                expected = (whitespace_tokens(state.user_query)
+                            + whitespace_tokens(state.context.text()))
+                seen.append((backends.prompt_tokens, expected))
+                assert result.tokens == expected + ANSWER_TOKENS
+            return result
+
+        monkeypatch.setattr(EngineBackends, "run_node", run_node)
+        return seen
+
+    def turns(self, checks, store, count, config=None, start=0):
+        supervisor = Supervisor(config or EngineConfig(seed=3))
+        states = []
+        for i in range(start, start + count):
+            before = len(checks)
+            state = QueryState(user_query=self.QUERIES[i % len(self.QUERIES)],
+                               cost_knob=CostKnob.TRAD_COUPLET, session=session())
+            outcome = supervisor.process(state, memory_store=store, query_id=f"t{i}")
+            assert not outcome.failed and len(checks) > before
+            states.append(state)
+        assert all(counted == expected for counted, expected in checks)
+        return states
+
+    def filled_store(self, records):
+        store = MemoryStore()
+        for i in range(records):
+            store.add_turn(self.ODD_CONTENTS[i % len(self.ODD_CONTENTS)] + f" turn {i}",
+                           Modality.TEXT, HashingEmbedder())
+        return store
+
+    def test_empty_store(self, checks):
+        store = MemoryStore()
+        (state,) = self.turns(checks, store, 1)
+        assert state.context.text() == ""
+        assert checks == [(whitespace_tokens(self.QUERIES[0]),) * 2]
+
+    def test_forced_compression(self, checks):
+        store = self.filled_store(9)
+        self.turns(checks, store, 3)
+        store.maybe_compress(force=True)
+        states = self.turns(checks, store, 6, start=3)
+        assert store.compressed.text in states[0].context.text()
+
+    def test_triggered_compression_after_a_forced_one(self, checks):
+        store = self.filled_store(4)
+        store.maybe_compress(force=True)
+        first_summary = store.compressed.text
+        filler = " ".join(["word"] * 300)
+        while store._retrievable_tokens < COMPRESSION_TRIGGER_TOKENS - 100:
+            store.add_turn(filler, Modality.TEXT, HashingEmbedder())
+        for i in range(40):
+            self.turns(checks, store, 1, start=i)
+            if store.compressed.text != first_summary:
+                break
+        assert store.compressed.text.startswith(first_summary + "\n")
+        states = self.turns(checks, store, 3, start=40)
+        assert store.compressed.text in states[-1].context.text()
+
+    def test_resumed_compressed_store(self, checks, tmp_path):
+        store = self.filled_store(12)
+        store.maybe_compress(force=True)
+        self.turns(checks, store, 2)
+        path = str(tmp_path / "s.memory.json")
+        save_memory(store, path)
+        loaded = load_memory(path)
+        states = self.turns(checks, loaded, 4, start=2)
+        assert loaded.compressed.text in states[0].context.text()
+
+    def test_memory_disabled(self, checks):
+        config = EngineConfig(seed=3, memory_enabled=False)
+        self.turns(checks, MemoryStore(), 2, config=config)
+        assert checks[0][0] == whitespace_tokens(self.QUERIES[0])
+        supervisor = Supervisor(config)
+        for i, text in enumerate(self.ODD_CONTENTS):
+            state = QueryState(user_query=self.QUERIES[i], cost_knob=CostKnob.TRAD_COUPLET,
+                               session=session())
+            state.context = ContextBundle(segments=(
+                ContextSegment("short", 0.6, text), ContextSegment("relevant", 0.3, "a b\nc"),
+            ))
+            supervisor.process(state, memory_store=MemoryStore(), query_id=f"d{i}")
+        assert len(checks) > 2
+        assert all(counted == expected for counted, expected in checks)
 
 
 def done_cost(outcome) -> Money:

@@ -1,4 +1,5 @@
-"""A 250-turn session, persisted every turn, pinned to its answers, memory journal and state.
+"""A 250-turn session, persisted every turn, pinned to its answers and to the
+memory journal, trace log and state journal it leaves.
 
 The inputs are the benchmark's session-long workload at seed 1, taken from
 `perfbench/workloads.py` (imported, not changed). Memory compresses once, near
@@ -23,6 +24,8 @@ ANSWERS_SHA256 = "5264b9b9ab20ea700d2d0114e1a22e0b8ce67bf45b66ff1bf69a402790df62
 # The same store written in the one-line layout of earlier versions.
 LEGACY_MEMORY_FILE_SHA256 = "1dc8abee491aab01610a94c54de1af5cd78f346abdefe108f43ddbc788e5ed56"
 MEMORY_FILE_SHA256 = "ec3414a7006e13ece551c01f211275e8023423bc74c0544c4bcb3e5301f8ed1a"
+TRACE_FILE_SHA256 = "43c142171d95c72283441cd4b4790b44af657162bb4d6f1b82d0b20e32b0bafa"
+STATE_FILE_SHA256 = "5eb1d54af637c09d8a90a1524c9da8fe034a23090f25cf8fffb82fda4ee866ad"
 
 
 def load_workloads():
@@ -63,12 +66,17 @@ def test_seed_1_session_long_answers_and_memory_file(tmp_path):
         engine.save_state_file(store_root, query)
         saved = state.serialize_state(query)
         engine.save_session_memory(store_root, session_id, store)
+        engine.append_trace_rows(store_root, session_id, outcome.trace_rows)
 
     assert store.compressed is not None and 150 < store.compressed.source_end_turn < 250
     digest = hashlib.sha256("\n".join(answers).encode("utf-8")).hexdigest()
     assert digest == ANSWERS_SHA256
     memory_file = Path(memory.memory_path(store_root, session_id)).read_bytes()
     assert hashlib.sha256(memory_file).hexdigest() == MEMORY_FILE_SHA256
+    trace_file = Path(engine.trace_path(store_root, session_id)).read_bytes()
+    state_file = Path(engine.state_path(store_root, session_id)).read_bytes()
+    assert hashlib.sha256(trace_file).hexdigest() == TRACE_FILE_SHA256
+    assert hashlib.sha256(state_file).hexdigest() == STATE_FILE_SHA256
     header, *lines = [json.loads(line) for line in memory_file.splitlines()]
     legacy = {
         "compressed": [obj["compressed"] for obj in lines if "compressed" in obj][-1],

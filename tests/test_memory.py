@@ -8,10 +8,7 @@ import json
 import math
 import os
 import random
-import sys
 import tempfile
-import threading
-import time
 from unittest import mock
 
 import numpy as np
@@ -125,32 +122,6 @@ class TestEmbedderGramCache:
         embedder = HashingEmbedder()
         embedder.embed(text)
         assert len(embedder._slots) == 59
-
-
-    def test_threads_sharing_one_embedder(self):
-        texts = [" ".join(f"w{(i * 7 + j) % 50}" for j in range(12)) for i in range(40)]
-        expected = {text: reference_embed(text) for text in texts}
-        embedder = HashingEmbedder()
-        wrong = []
-
-        def work(offset):
-            for text in texts[offset:] + texts[:offset]:
-                if not np.array_equal(embedder.embed(text), expected[text]):
-                    wrong.append(text)
-
-        threads = [threading.Thread(target=work, args=(5 * i,)) for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with mock.patch.object(memory, "GRAM_CACHE_LIMIT", 16):
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
 
 
 def record(store, text, modality=Modality.TEXT, embedder=None):
@@ -905,62 +876,3 @@ class TestLazyEmbedding:
         with pytest.raises(DimensionMismatch):
             store.add_turn("x", Modality.TEXT, HashingEmbedder(dimension=32))
         assert store.turn_count == 0
-
-    def test_threads_fill_rows_while_others_add(self):
-        # Rounds on fresh stores, so the rows double often while retrievers
-        # fill them; a row written outside the lock is lost in a doubling,
-        # and every row below the filled count must hold its record's vector.
-        query = HashingEmbedder().embed("turn 7 of adder")
-        embedders = [HashingEmbedder(), HashingEmbedder()]
-        deadline = time.monotonic() + 2.0
-        rounds = 0
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            while rounds < 3 or time.monotonic() < deadline:
-                rounds += 1
-                store = MemoryStore()
-                for i in range(2):
-                    store.add_turn(f"seed turn {i}", Modality.TEXT, embedders[0])
-                done, errors = threading.Event(), []
-
-                def add(a):
-                    try:
-                        for i in range(70):
-                            store.add_turn(f"turn {i} of adder {a} " + "w " * (i % 7),
-                                           list(Modality)[i % len(Modality)], embedders[a])
-                    except Exception as exc:  # surfaced by the assertion below
-                        errors.append(exc)
-
-                def retrieve():
-                    try:
-                        while not done.is_set():
-                            store.retrieve_relevant(query, Modality.TEXT, k=3)
-                    except Exception as exc:
-                        errors.append(exc)
-
-                adders = [threading.Thread(target=add, args=(a,)) for a in range(2)]
-                retrievers = [threading.Thread(target=retrieve)
-                              for _ in range(min(32, 2 * (os.cpu_count() or 2)))]
-                try:
-                    for thread in retrievers + adders:
-                        thread.start()
-                    for thread in adders:
-                        thread.join(timeout=60)
-                finally:
-                    done.set()
-                    for thread in retrievers:
-                        thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in adders + retrievers)
-                assert errors == []
-                n = store.turn_count
-                assert n == 142
-                assert len({r.record_id for r in store.full_history}) == n
-                assert store._filled <= n
-                for i in range(store._filled):
-                    assert store._embeddings[i].tobytes() == \
-                        store.full_history[i].embedding.tobytes(), (rounds, i)
-        finally:
-            sys.setswitchinterval(interval)
-        got = store.retrieve_relevant(query, Modality.TEXT, k=6)
-        assert got == brute_force_topk(store, query, Modality.TEXT, 6, n + 1)

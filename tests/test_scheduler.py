@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from supervisord.clock import VirtualClock
 from supervisord.couplet import BackendResult
@@ -15,6 +18,7 @@ from supervisord.scheduler import (
     GraphNode,
     NodeResult,
     Scheduler,
+    TraceRow,
     build_graph,
     check_clarification,
 )
@@ -434,3 +438,60 @@ class TestClarification:
         assert question == (
             "I notice this is handwritten. What specific information are you looking for?"
         )
+
+
+def row_dict(row: TraceRow) -> dict:
+    """The trace log's object for a row, as the log was written before rows
+    were encoded field by field."""
+    return {
+        "ts": row.ts,
+        "session_id": row.session_id,
+        "node_id": row.node_id,
+        "tool": row.tool,
+        "event": row.event,
+        "latency_ms": row.latency_ms,
+        "cost_usd": row.cost_usd,
+        "confidence": row.confidence,
+    }
+
+
+_STRINGS = st.one_of(
+    st.sampled_from(['"', "\\", 'a "quoted" \\path\\', "\x00\x1f\x7f\t\n\r\b\f",
+                     "\u2028\u2029", "caf\u00e9 \u4e2d", "\U0001f600", "\ud800", ""]),
+    st.text(st.characters(codec=None, categories=None)),  # surrogates included
+)
+_INTS = st.one_of(st.sampled_from([0, -1, -(2**63), 2**64, 10**30]), st.integers())
+_FLOATS = st.one_of(
+    st.sampled_from([0.1, 1e-7, 1e16, -0.0, 1.0, 0.95, float("nan"), float("inf"), -float("inf")]),
+    st.floats(),
+)
+_VALUES = st.one_of(
+    _STRINGS, _INTS, _FLOATS, st.none(), st.booleans(), st.floats().map(np.float64),
+)
+_FIELDS = ("ts", "session_id", "node_id", "tool", "event", "latency_ms", "cost_usd", "confidence")
+
+
+class TestTraceLine:
+    """`TraceRow.to_json_line` writes the bytes `json.dumps` writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries({name: _VALUES for name in _FIELDS}))
+    @example(dict(ts=1, session_id="s", node_id="n0", tool="yolo-detect", event="done",
+                  latency_ms=None, cost_usd=None, confidence=None))
+    @example(dict(ts=0, session_id="\u2028", node_id="", tool="\U0001f600", event='"\\',
+                  latency_ms=-5, cost_usd="0.000150", confidence=1))
+    @example(dict(ts=True, session_id="s", node_id="n", tool="t", event="done",
+                  latency_ms=2**70, cost_usd=None, confidence=np.float64(0.1)))
+    def test_line_matches_json_dumps(self, fields):
+        row = TraceRow(**fields)
+        assert row.to_json_line() == json.dumps(row_dict(row), sort_keys=True) + "\n"
+
+    def test_scheduler_rows_match_json_dumps(self):
+        registry = simple_registry()
+        graph = chain_graph(registry, {"a": None, "b": None})
+        backends = StubBackends({"a": 100}, failures={("b", 0)}, confidences={"a": 0.8125})
+        outcome = Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1,
+                                              session_id="0-" + "ab" * 8)
+        assert {row.event for row in outcome.trace} >= {"start", "done", "failed", "repaired"}
+        for row in outcome.trace:
+            assert row.to_json_line() == json.dumps(row_dict(row), sort_keys=True) + "\n"

@@ -2,11 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-import sys
-import threading
-import time
-
 import pytest
 
 from supervisord.couplet import keyed_uniform
@@ -210,52 +205,6 @@ class TestMatchMemo:
         with pytest.raises(NoCapableTool):
             registry.match_tools(requirement, exclude=ids.values())
         assert registry.match_tools(requirement) == [ids["a"], ids["b"], ids["c"]]
-
-    def test_matching_while_registering_sees_every_tool(self):
-        @dataclasses.dataclass(frozen=True)
-        class SlowPrior(LatencyPrior):  # widens the window between ranking and memoizing
-            def mean_ms(self):
-                time.sleep(0.0002)
-                return super().mean_ms()
-
-        registry = ToolRegistry()
-        requirement = Requirement(output_tags=frozenset({"detections"}))
-        stop = threading.Event()
-        unsorted, counts, crashed = [], [], []
-
-        def match_until_stopped():
-            while not stop.is_set():
-                try:
-                    ranked = registry.match_tools(requirement)
-                except NoCapableTool:
-                    continue
-                except Exception as exc:  # reported by the assertion below
-                    crashed.append(exc)
-                    return
-                keys = [(registry.get(t).latency_prior.mean_ms(), registry.get(t).name)
-                        for t in ranked]
-                if keys != sorted(keys):
-                    unsorted.append(keys)
-
-        threads = [threading.Thread(target=match_until_stopped) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for i in range(40):
-                registry.register_tool(dataclasses.replace(
-                    spec(f"tool{i:02d}"), latency_prior=SlowPrior(100 + (37 * i) % 500, 700)))
-                counts.append(len(registry.match_tools(requirement)))
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=30)
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert crashed == [] and unsorted == []
-        assert counts == list(range(1, 41))  # no stale memo survives a registration
-        assert len(registry.match_tools(requirement)) == 40
 
 
 # Uniforms at both ends of [0, 1) and on a grid between them.
