@@ -28,13 +28,10 @@ from .decomposition import load_flag_rules
 from .engine import (
     EngineConfig,
     Supervisor,
-    append_trace_rows,
-    load_session_memory,
-    load_state_file,
+    load_session,
     load_trace_rows,
     save_session_memory,
-    save_state_file,
-    state_path,
+    save_turn,
 )
 from .errors import (
     BudgetExceeded,
@@ -227,9 +224,7 @@ def cmd_run(args) -> int:
         clarifier=None,  # non-interactive: emit the question and exit 20
         query_id=json.dumps([args.query, args.attach or []]),  # same query, same draws
     )
-    save_state_file(cfg.store_root, state)
-    save_session_memory(cfg.store_root, session.session_id, memory)
-    trace_file = append_trace_rows(cfg.store_root, session.session_id, outcome.trace_rows)
+    trace_file = save_turn(cfg.store_root, state, memory, outcome)
     if outcome.clarifications_user and state.clarify_response is None:
         _emit(
             args,
@@ -271,14 +266,10 @@ def cmd_session(args) -> int:
     cfg = resolve_config(args)
     supervisor = Supervisor(cfg.engine_config())
     if args.session:
-        try:
-            state = load_state_file(cfg.store_root, args.session)
-        except FileNotFoundError:
-            raise UnknownSession(f"unknown session {args.session!r}") from None
+        state, memory = load_session(cfg.store_root, args.session)
         session = state.session
     else:
-        session = supervisor.new_session()
-    memory = load_session_memory(cfg.store_root, session.session_id)
+        session, memory = supervisor.new_session(), MemoryStore()
     backend = SimulatedBackend(_load_fixtures(args.fixtures))
     print(f"session {session.session_id} (:cost :memory :summary :quit)")
     while True:
@@ -320,9 +311,7 @@ def cmd_session(args) -> int:
             clarifier=_ask_stdin,
             query_id=json.dumps([session.turn_count, line]),  # same turn, same draws
         )
-        save_state_file(cfg.store_root, state)
-        save_session_memory(cfg.store_root, session.session_id, memory)
-        append_trace_rows(cfg.store_root, session.session_id, outcome.trace_rows)
+        save_turn(cfg.store_root, state, memory, outcome)
         if outcome.failed:
             return _pipeline_failed(outcome, session.session_id)
         print(outcome.answer_text)
@@ -401,10 +390,7 @@ def cmd_simulate(args) -> int:
 def cmd_inspect(args) -> int:
     cfg = resolve_config(args)
     sid = args.session_id
-    if not os.path.exists(state_path(cfg.store_root, sid)):
-        raise UnknownSession(f"unknown session {sid!r} under {cfg.store_root}")
-    state = load_state_file(cfg.store_root, sid)
-    memory = load_session_memory(cfg.store_root, sid)
+    state, memory = load_session(cfg.store_root, sid)
     rows = load_trace_rows(cfg.store_root, sid)
     if args.json:
         print(json.dumps({

@@ -3,7 +3,10 @@
 decompose -> route -> build graph -> execute (repair, clarification) ->
 assemble -> account -> remember. Policy simulation and the CLI both drive this
 class; everything nondeterministic flows from explicit seeds so fixed-seed
-runs reproduce identical traces byte for byte.
+runs reproduce identical traces byte for byte. A session persists across
+processes: `save_turn` saves a processed turn to the session's state journal,
+memory journal and trace log, and `load_session` reads its state and memory
+back.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .decomposition import (
     detect_modality,
     reconcile_flag,
 )
-from .errors import AmbiguousIntent, CorruptState, NodeFailure, PipelineFailed
+from .errors import AmbiguousIntent, CorruptState, NodeFailure, PipelineFailed, UnknownSession
 from .memory import (
     HashingEmbedder,
     MemoryStore,
@@ -56,6 +59,7 @@ from .scheduler import (
     TraceRow,
     build_graph,
     check_clarification,
+    weakest_critical,
 )
 from .state import (
     ExecutionFlag,
@@ -68,6 +72,7 @@ from .state import (
     parse_jsonl,
     serialize_state,
     deserialize_state,
+    write_jsonl,
 )
 from .tools import ToolRegistry, default_registry
 
@@ -474,10 +479,9 @@ class Supervisor:
     def _refine_graph(self, graph: ExecutionGraph, state) -> None:
         """Clarified queries re-run the low-confidence node with focused
         parameters, and everything downstream of it; other work is kept."""
-        critical = [r for r in graph.results.values() if r.critical]
-        if not critical:
+        worst = weakest_critical(graph.results.values())
+        if worst is None:
             return
-        worst = min(critical, key=lambda r: (r.confidence, r.node_id))
         node = graph.nodes[worst.node_id]
         if node.task is not None and state.clarify_response:
             stop = {"and", "the", "for", "with", "please", "from", "about"}
@@ -537,40 +541,20 @@ STATE_JOURNAL_REWRITE_FACTOR = 64
 
 
 def save_state_file(store_root: str, state: QueryState) -> str:
-    """Append the state to the session's state journal as one snapshot line.
+    """Save the state to the session's state journal as one snapshot line.
 
-    Only the last byte is read, to see that the file ends on a complete line.
-    On a first save, over a file of earlier versions or a torn tail, and once
-    the journal has reached `STATE_JOURNAL_REWRITE_FACTOR` times the new
-    line's length, the header and the line are instead written to `.tmp` and
-    renamed into place.
+    The line is appended while the journal is shorter than
+    `STATE_JOURNAL_REWRITE_FACTOR` times its length; otherwise the journal is
+    rewritten as the header and the line (`state.write_jsonl`).
     """
     path = state_path(store_root, state.session.session_id)
     line = serialize_state(state) + b"\n"
-    try:
-        with open(path, "r+b") as fh:
-            end = fh.seek(0, os.SEEK_END)
-            if 0 < end < STATE_JOURNAL_REWRITE_FACTOR * len(line):
-                fh.seek(end - 1)
-                if fh.read(1) == b"\n":
-                    fh.write(line)
-                    return path
-    except FileNotFoundError:
-        pass
-    tmp = f"{path}.tmp"
-    with _creating_root(store_root, lambda: open(tmp, "wb")) as fh:
-        fh.write(STATE_JOURNAL_HEADER + line)
-    os.replace(tmp, path)
+    write_jsonl(
+        path, line,
+        lambda st: st.st_size < STATE_JOURNAL_REWRITE_FACTOR * len(line),
+        lambda _: STATE_JOURNAL_HEADER + line,
+    )
     return path
-
-
-def _creating_root(store_root: str, write):
-    """`write()`; if it finds `store_root` missing, create it and write again."""
-    try:
-        return write()
-    except FileNotFoundError:
-        os.makedirs(store_root, exist_ok=True)
-        return write()
 
 
 def load_state_file(store_root: str, session_id: str) -> QueryState:
@@ -594,21 +578,11 @@ def load_state_file(store_root: str, session_id: str) -> QueryState:
 
 
 def append_trace_rows(store_root: str, session_id: str, rows: list[TraceRow]) -> str:
-    """Append one JSON line per row.
-
-    An unterminated last line, left by an interrupted append, is cut off
-    first: readers drop it, and the new rows must not run on from it.
-    """
+    """Append one JSON line per row; a torn last line, which readers drop, is
+    not kept (`state.write_jsonl`)."""
     path = trace_path(store_root, session_id)
-    data = "".join(row.to_json_line() for row in rows)
-    with _creating_root(store_root, lambda: open(path, "a+b")) as fh:
-        end = fh.seek(0, os.SEEK_END)
-        if end:
-            fh.seek(end - 1)
-            if fh.read(1) != b"\n":
-                fh.seek(0)
-                fh.truncate(fh.read().rfind(b"\n") + 1)
-        fh.write(data.encode("utf-8"))
+    data = "".join(row.to_json_line() for row in rows).encode("utf-8")
+    write_jsonl(path, data, lambda _: True, lambda kept: kept + data)
     return path
 
 
@@ -627,14 +601,31 @@ def load_trace_rows(store_root: str, session_id: str) -> list[dict]:
     return rows
 
 
-def load_session_memory(store_root: str, session_id: str) -> MemoryStore:
-    path = memory_path(store_root, session_id)
-    if os.path.exists(path):
-        return load_memory(path)
-    return MemoryStore()
-
-
 def save_session_memory(store_root: str, session_id: str, store: MemoryStore) -> str:
     path = memory_path(store_root, session_id)
-    _creating_root(store_root, lambda: save_memory(store, path))
+    save_memory(store, path)
     return path
+
+
+def save_turn(
+    store_root: str, state: QueryState, memory: MemoryStore, outcome: QueryOutcome
+) -> str:
+    """Save a processed turn: its state, then the session's memory, then its
+    trace rows. Returns the trace log's path."""
+    session_id = state.session.session_id
+    save_state_file(store_root, state)
+    save_session_memory(store_root, session_id, memory)
+    return append_trace_rows(store_root, session_id, outcome.trace_rows)
+
+
+def load_session(store_root: str, session_id: str) -> tuple[QueryState, MemoryStore]:
+    """The session's last saved state and its memory (empty if it has none).
+
+    Raises `UnknownSession` when the session has no state file.
+    """
+    try:
+        state = load_state_file(store_root, session_id)
+    except FileNotFoundError:
+        raise UnknownSession(f"unknown session {session_id!r} under {store_root}") from None
+    path = memory_path(store_root, session_id)
+    return state, load_memory(path) if os.path.exists(path) else MemoryStore()

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import CorruptState, DimensionMismatch, EmbeddingUnavailable
-from .state import ContextBundle, ContextSegment, Modality, parse_jsonl
+from .state import ContextBundle, ContextSegment, Modality, parse_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     import numpy as np
@@ -508,52 +508,34 @@ def _encode_record(r: MemoryRecord) -> str:
     )
 
 
-def _file_identity(path: str) -> Optional[tuple[int, int, int]]:
-    try:
-        st = os.stat(path)
-    except FileNotFoundError:
-        return None
-    return st.st_dev, st.st_ino, st.st_size
-
-
 def save_memory(store: MemoryStore, path: str) -> None:
-    """Persist the store at `path` as a JSON Lines journal.
+    """Persist the store at `path` as a JSON Lines journal (`state.write_jsonl`).
 
-    If `path` is still the file this store last wrote, the records stored
-    since then, and the summary if it changed, are appended to it. Otherwise
-    (a first save, another path, a file removed or replaced since, the first
-    save after `load_memory`) the whole journal is written to `path.tmp` and
-    renamed into place.
+    If `path` is still the file this store last wrote (same device, inode and
+    size), the records stored since then, and the summary if it changed, are
+    appended to it. Otherwise (a first save, another path, a file removed or
+    replaced since, the first save after `load_memory`) the whole journal is
+    rewritten.
     """
     records, compressed = store.full_history, store.compressed
+    header = {"dimension": store.dimension, "format": JOURNAL_FORMAT, "version": JOURNAL_VERSION}
+
+    def encode(start: int, written_summary: Optional[CompressedSummary]) -> bytes:
+        lines = [_encode_record(r) + "\n" for r in records[start:]]
+        if compressed != written_summary:
+            summary = asdict(compressed) if compressed else None
+            lines.append(json.dumps({"compressed": summary}, sort_keys=True) + "\n")
+        return "".join(lines).encode("utf-8")
+
     # (path, (device, inode, size), records written, summary written)
     mark = store._journal_mark
-    append = mark is not None and mark[0] == path and _file_identity(path) == mark[1]
-    if append:
-        _, (device, inode, size), start, written_summary = mark
-        lines = []
-    else:
-        start, written_summary = 0, None
-        header = {"dimension": store.dimension, "format": JOURNAL_FORMAT,
-                  "version": JOURNAL_VERSION}
-        lines = [json.dumps(header, sort_keys=True) + "\n"]
-    lines.extend(_encode_record(r) + "\n" for r in records[start:])
-    if compressed != written_summary:
-        summary = asdict(compressed) if compressed else None
-        lines.append(json.dumps({"compressed": summary}, sort_keys=True) + "\n")
-    data = "".join(lines).encode("utf-8")
-    if append:
-        if data:
-            with open(path, "ab") as fh:
-                fh.write(data)
-        identity = (device, inode, size + len(data))
-    else:
-        tmp = f"{path}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            st = os.fstat(fh.fileno())
-        os.replace(tmp, path)
-        identity = (st.st_dev, st.st_ino, len(data))
+    ours = mark is not None and mark[0] == path
+    identity = write_jsonl(
+        path,
+        encode(mark[2], mark[3]) if ours else b"",
+        lambda st: ours and (st.st_dev, st.st_ino, st.st_size) == mark[1],
+        lambda _: (json.dumps(header, sort_keys=True) + "\n").encode("utf-8") + encode(0, None),
+    )
     summary_copy = replace(compressed) if compressed else None
     store._journal_mark = (path, identity, len(records), summary_copy)
 

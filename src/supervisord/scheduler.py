@@ -153,8 +153,14 @@ class ExecutionGraph:
         return node
 
     def add_edge(self, producer: str, consumer: str) -> None:
+        """Raises ValueError for an unknown node or an edge that closes a cycle."""
         if producer not in self.nodes or consumer not in self.nodes:
             raise ValueError(f"edge references unknown node: {producer} -> {consumer}")
+        downstream = [consumer]
+        for node_id in downstream:  # grows while it is walked
+            if node_id == producer:
+                raise ValueError(f"edge {producer} -> {consumer} closes a dependency cycle")
+            downstream.extend(c for c in self._children[node_id] if c not in downstream)
         self.edges.append((producer, consumer))
         self._children[producer].append(consumer)
         self._parents[consumer].append(producer)
@@ -164,22 +170,6 @@ class ExecutionGraph:
 
     def children(self, node_id: str) -> list[str]:
         return self._children[node_id]
-
-    def topological_order(self) -> list[str]:
-        """Kahn order: sources in insertion order, then children as they free up.
-
-        Raises ValueError when the edges contain a cycle.
-        """
-        indegree = {n: len(parents) for n, parents in self._parents.items()}
-        order = [n for n in self.nodes if indegree[n] == 0]
-        for node_id in order:  # `order` grows while it is walked
-            for child in self._children[node_id]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    order.append(child)
-        if len(order) < len(self.nodes):
-            raise ValueError("execution graph contains a dependency cycle")
-        return order
 
     def done_count(self) -> int:
         return sum(n.done for n in self.nodes.values())
@@ -426,9 +416,8 @@ class Scheduler:
         `graph.results` as it is done, flagged `critical` when it lies on this
         call's longest dependency chain. Returns this call's trace and its
         total virtual latency, which equals the critical path when capacity is
-        unbounded. Raises ValueError on a cyclic graph before anything runs.
+        unbounded.
         """
-        graph.topological_order()
         start_ms = clock.now_ms()
         trace: list[TraceRow] = []
         node_elapsed: dict[str, int] = {}
@@ -546,6 +535,14 @@ class Scheduler:
 # --- clarification ---------------------------------------------------------------------
 
 
+def weakest_critical(results: Iterable[NodeResult]) -> Optional[NodeResult]:
+    """The critical-path result of lowest confidence, the smaller node id on a
+    tie; None when no result is critical."""
+    return min(
+        (r for r in results if r.critical), key=lambda r: (r.confidence, r.node_id), default=None
+    )
+
+
 def check_clarification(
     results: Iterable[NodeResult], *, repair_attempted: bool = False
 ) -> Optional[str]:
@@ -556,11 +553,8 @@ def check_clarification(
     """
     if not repair_attempted:
         return None
-    critical = [r for r in results if r.critical]
-    if not critical:
-        return None
-    worst = min(critical, key=lambda r: (r.confidence, r.node_id))
-    if worst.confidence >= CLARIFICATION_THRESHOLD:
+    worst = weakest_critical(results)
+    if worst is None or worst.confidence >= CLARIFICATION_THRESHOLD:
         return None
     subject = worst.output.get("clarify_hint") if isinstance(worst.output, dict) else None
     if subject:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
@@ -376,6 +377,42 @@ def parse_jsonl(data: bytes, source: str) -> list:
     return values
 
 
+def write_jsonl(path: str, lines: bytes, append: Callable[[os.stat_result], bool],
+                rewrite: Callable[[bytes], bytes]) -> tuple[int, int, int]:
+    """Save to the JSON Lines file at `path`; return its (device, inode, size).
+
+    The one save rule of the session files, whose lines count once their
+    newline is written (`parse_jsonl`): `lines` are appended when the file
+    ends on a complete line and `append(stat)` holds. Otherwise
+    `rewrite(kept)` is written to `<path>.tmp`, creating a missing directory,
+    and renamed into place. `kept` is the file's complete lines if `append`
+    held and only a torn last line stopped the append, else empty.
+    """
+    kept = b""
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        pass
+    else:
+        with fh:
+            st = os.fstat(fh.fileno())
+            if st.st_size and append(st):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) == b"\n":
+                    fh.write(lines)
+                    return st.st_dev, st.st_ino, st.st_size + len(lines)
+                fh.seek(0)
+                kept = fh.read()
+                kept = kept[: kept.rfind(b"\n") + 1]
+    data = rewrite(kept)
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    with open(f"{path}.tmp", "wb") as fh:
+        fh.write(data)
+        st = os.fstat(fh.fileno())
+    os.replace(f"{path}.tmp", path)
+    return st.st_dev, st.st_ino, len(data)
+
+
 __all__ = [
     "Attachment",
     "ContextBundle",
@@ -396,4 +433,5 @@ __all__ = [
     "serialize_state",
     "state_from_json_dict",
     "state_to_json_dict",
+    "write_jsonl",
 ]

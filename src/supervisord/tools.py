@@ -143,7 +143,6 @@ class ToolSpec:
     input_modalities: frozenset[Modality]
     output_tags: frozenset[str]
     preconditions: tuple[str, ...] = ()
-    postconditions: tuple[str, ...] = ()
     latency_prior: LatencyPrior = LatencyPrior(1, 1)
     cost: ToolCost = field(default_factory=ToolCost)
     tier: CostKnob = CostKnob.TRAD_COUPLET
@@ -273,7 +272,6 @@ def spec_from_json(obj: dict) -> ToolSpec:
         input_modalities=frozenset(Modality(m) for m in obj.get("input_modalities", [])),
         output_tags=frozenset(obj.get("output_tags", [])),
         preconditions=tuple(obj.get("preconditions", [])),
-        postconditions=tuple(obj.get("postconditions", [])),
         latency_prior=LatencyPrior(
             min_ms=int(latency["min"]),
             max_ms=int(latency["max"]),
@@ -294,7 +292,6 @@ def spec_to_json(spec: ToolSpec) -> dict:
         "input_modalities": sorted(m.value for m in spec.input_modalities),
         "output_tags": sorted(spec.output_tags),
         "preconditions": list(spec.preconditions),
-        "postconditions": list(spec.postconditions),
         "latency_ms": {
             "min": spec.latency_prior.min_ms,
             "max": spec.latency_prior.max_ms,

@@ -580,6 +580,18 @@ class TestUnreadableInputs:
         assert err.startswith(f"error: cannot read tool catalog {catalog}: ")
         assert "Traceback" not in err
 
+    def test_catalog_with_postconditions_loads_and_lists_without_them(self, store, tmp_path,
+                                                                       capsys):
+        assert run_cli("--json", "tools", "list") == 0
+        listed = json.loads(capsys.readouterr().out)
+        assert not any("postconditions" in entry for entry in listed)
+        catalog = tmp_path / "tools.json"
+        catalog.write_text(json.dumps(
+            [entry | {"postconditions": ["produces(answer_text)"]} for entry in listed]
+        ))
+        assert run_cli("--json", "--tools", str(catalog), "tools", "list") == 0
+        assert json.loads(capsys.readouterr().out) == listed
+
 
 class TestSessionRepl:
     def test_scripted_session(self, store, monkeypatch, capsys):

@@ -22,6 +22,7 @@ from supervisord.engine import (
     Supervisor,
     append_trace_rows,
     load_state_file,
+    load_trace_rows,
     save_session_memory,
     save_state_file,
     state_path,
@@ -37,6 +38,7 @@ from supervisord.memory import (
     HashingEmbedder,
     MemoryStore,
     load_memory,
+    memory_path,
     save_memory,
     whitespace_tokens,
 )
@@ -790,6 +792,45 @@ class TestPersistence:
             expected = fh.read()
         with open(write(str(missing)), "rb") as fh:
             assert fh.read() == expected
+
+    @pytest.mark.parametrize("kind", ["state", "memory", "trace"])
+    def test_a_save_cut_at_any_byte_loads_the_save_before_and_the_next_save_completes(
+        self, tmp_path, kind
+    ):
+        root, memory = str(tmp_path), MemoryStore()
+        sid = session().session_id
+        save, load = {
+            "state": (lambda state, _: save_state_file(root, state),
+                      lambda: serialize_state(load_state_file(root, sid))),
+            "memory": (lambda *_: save_session_memory(root, sid, memory),
+                       lambda: [(r.record_id, r.content, r.embedding.tolist())
+                                for r in load_memory(memory_path(root, sid)).full_history]),
+            "trace": (lambda _, outcome: append_trace_rows(root, sid, outcome.trace_rows),
+                      lambda: load_trace_rows(root, sid)),
+        }[kind]
+        saves, views = [], []
+        for query in ("what time is it in Tokyo", "and in Paris", "compare the two"):
+            turn = run_query(query, memory=memory)
+            path = save(*turn)
+            with open(path, "rb") as fh:
+                saves.append(fh.read())
+            views.append(load())
+        before, last, _ = saves
+        assert last.startswith(before) and len(last) > len(before)  # the second save appended
+        for cut in range(len(before), len(last)):
+            with open(path, "wb") as fh:
+                fh.write(last[:cut])
+            kept = load()
+            if kind == "trace":  # a row is the log's unit: the cut keeps the rows it completes
+                assert kept == views[1][:len(views[0]) + last[len(before):cut].count(b"\n")]
+            else:
+                assert kept == views[0]
+            save(*turn)
+            # The state and memory journals now hold the third turn whole; the
+            # trace log holds what the cut kept, then the third turn's rows.
+            assert load() == (kept + views[2][len(views[1]):] if kind == "trace" else views[2])
+            with open(path, "rb") as fh:
+                assert fh.read().endswith(b"\n")
 
     def test_trace_jsonl_schema(self, tmp_path):
         state, outcome = run_query("what time is it in Tokyo")

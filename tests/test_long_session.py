@@ -3,7 +3,10 @@ memory journal, trace log and state journal it leaves.
 
 The inputs are the benchmark's session-long workload at seed 1, taken from
 `perfbench/workloads.py` (imported, not changed). Memory compresses once, near
-turn 200, so retrieval runs on both sides of a compression cutoff.
+turn 200, so retrieval runs on both sides of a compression cutoff. Each turn
+is saved through `engine.save_turn`, as `cmd_session` saves it; perfbench
+calls the same three functions (`save_state_file`, `save_session_memory`,
+`append_trace_rows`) itself.
 """
 
 from __future__ import annotations
@@ -63,10 +66,8 @@ def test_seed_1_session_long_answers_and_memory_file(tmp_path):
             answers.append(f"{i}!{type(exc).__name__}")
             continue
         answers.append(f"{i}:{outcome.answer_text}")
-        engine.save_state_file(store_root, query)
+        engine.save_turn(store_root, query, store, outcome)
         saved = state.serialize_state(query)
-        engine.save_session_memory(store_root, session_id, store)
-        engine.append_trace_rows(store_root, session_id, outcome.trace_rows)
 
     assert store.compressed is not None and 150 < store.compressed.source_end_turn < 250
     digest = hashlib.sha256("\n".join(answers).encode("utf-8")).hexdigest()

@@ -174,20 +174,21 @@ class TestBuildGraphShapes:
     def test_cycle_rejected(self):
         registry = simple_registry()
         graph = chain_graph(registry, {"a": 1, "b": 1})
-        graph.add_edge("b", "a")
-        with pytest.raises(ValueError):
-            graph.topological_order()
+        with pytest.raises(ValueError, match="cycle"):
+            graph.add_edge("b", "a")
+        with pytest.raises(ValueError, match="cycle"):
+            graph.add_edge("a", "a")
+        assert graph.edges == [("a", "b")]
 
     def test_execute_rejects_a_cycle_before_any_node_runs(self):
         registry = simple_registry()
         graph = chain_graph(registry, {"src": 1, "a": 1, "b": 1})
-        graph.add_edge("b", "a")
-        ran = []
-        backends = StubBackends()
-        backends.run_node = lambda node, seed: ran.append(node.node_id)
-        with pytest.raises(ValueError):
-            Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
-        assert ran == [] and not graph.results
+        with pytest.raises(ValueError, match="cycle"):
+            graph.add_edge("b", "a")
+        assert not graph.results and not any(n.done for n in graph.nodes.values())
+        # The rejected edge left the chain as it was, so it runs in order.
+        Scheduler(registry).execute(graph, VirtualClock(), StubBackends(), seed=1)
+        assert list(graph.results) == ["src", "a", "b"]
 
 
 class TestExecuteCriticalPath:
