@@ -7,9 +7,10 @@ virtual clock, and reports TTA, rework, cost, accuracy, and throughput.
 
 Only the workload generator seeds a `random.Random`. A policy run draws each
 latency and failure with `couplet.keyed_uniform`, keyed by the run seed and
-the query, and both the centralized engine and the hierarchical baseline key
-a failure by (query and restart, tool, occurrence of the tool, attempt), so
-the two policies fail on the same draws (docs/policies.md, "Random draws").
+the query, and every policy keys a failure by (query and restart, tool,
+occurrence of the tool, attempt), so the policies fail on the same draws
+(docs/policies.md, "Random draws"). The two fixed baselines are one runner
+over two plans.
 
 The shipped default configuration is calibrated so the hierarchical baseline
 exhibits roughly 23% user rework; the comparison validates the orchestration
@@ -25,7 +26,7 @@ import json
 import random
 import statistics
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .couplet import (
     DEFAULT_FIXTURE_TOKENS,
@@ -649,12 +650,22 @@ def _work_ms(outcome) -> int:
     return sum(r.latency_ms or 0 for r in outcome.trace_rows if r.event == "done")
 
 
-# Fixed decision-tree baseline: every query runs its category's `stages`
-# strictly sequentially, between a mandatory coordination stage and a
-# strong-model synthesis. No scored memory, no win prediction, no local
-# repair: any stage failure restarts the whole query.
+# The fixed baselines run one plan per query: a fixed sequence of stage tools
+# with no scored memory, no win prediction and no local repair, so any stage
+# failure restarts the whole plan. The hierarchical (decision-tree) plan runs
+# its category's `stages` between mandatory coordination stages and a
+# strong-model synthesis; the monolithic plan is the strong model alone.
 _HIER_OVERHEAD = ("complexity-analyze", "pipeline-coordinate", "memory-retrieve")
-_HIER_SYNTH = "llm-strong-invoke"
+_STRONG_STAGE = "llm-strong-invoke"
+
+
+class _Plan(NamedTuple):
+    """One query's fixed pipeline: its stage tools in order, the strong
+    model's token count, and the perception ms added to the strong stage."""
+
+    stages: tuple[str, ...]
+    strong_tokens: int
+    strong_extra_ms: int
 
 
 def _frames(q: GeneratedQuery) -> Optional[int]:
@@ -662,69 +673,99 @@ def _frames(q: GeneratedQuery) -> Optional[int]:
     return next((int(f["frames"]) for f in q.fixtures.values() if f.get("frames")), None)
 
 
-def _run_hierarchical(
+def _evidence_tokens(q: GeneratedQuery) -> int:
+    return sum(f.get("tokens", DEFAULT_FIXTURE_TOKENS) for f in q.fixtures.values())
+
+
+def _hierarchical_plan(q: GeneratedQuery) -> _Plan:
+    return _Plan(
+        (*_HIER_OVERHEAD, *CATEGORY_TABLE[q.category].stages, _STRONG_STAGE),
+        whitespace_tokens(q.text) + _evidence_tokens(q) + 300,
+        0,
+    )
+
+
+def _monolithic_plan(q: GeneratedQuery) -> _Plan:
+    return _Plan(
+        (_STRONG_STAGE,),
+        whitespace_tokens(q.text) + 4 * _evidence_tokens(q) + 500,
+        MONO_MS_PER_PERCEPT * (_frames(q) or len(q.attachments)),
+    )
+
+
+_PLANS = {"hierarchical": _hierarchical_plan, "monolithic": _monolithic_plan}
+
+
+def _run_fixed_plan(
     queries: list[GeneratedQuery],
     spec: WorkloadSpec,
     config: EngineConfig,
     seed: int,
+    plan_for,
 ) -> list[QueryRecord]:
+    """Run each query's plan (`plan_for(query)`) until an attempt completes,
+    restarting the whole plan at most `RESTART_CAP` times; the query is
+    correct when an attempt completed."""
     registry = config.registry
-    catalog_entry_strong = config.catalog.strongest(CostKnob.CLOSED_SRC)
+    strong_model = config.catalog.strongest(CostKnob.CLOSED_SRC)
+    # Plan stages -> per stage: tool, the tool's occurrence in the plan (a
+    # stage's site, as a centralized node's failure draw is keyed), tool id,
+    # per-invocation fee in micros and injected failure rate.
+    steps_of: dict[tuple[str, ...], list[tuple]] = {}
 
     records: list[QueryRecord] = []
     for q in queries:
-        chain = (*_HIER_OVERHEAD, *CATEGORY_TABLE[q.category].stages, _HIER_SYNTH)
-        # A stage's site is its tool and that tool's occurrence in the chain,
-        # as a centralized node's failure draw is keyed.
-        sites = [(tool, chain[:index].count(tool)) for index, tool in enumerate(chain)]
+        plan = plan_for(q)
+        steps = steps_of.get(plan.stages)
+        if steps is None:
+            steps = steps_of[plan.stages] = []
+            for index, tool in enumerate(plan.stages):
+                tool_id = registry.id_for_name(tool)
+                fee = registry.get(tool_id).cost.per_invocation.micros
+                rate = spec.failure_injection.get(tool, 0.0)
+                steps.append((tool, plan.stages[:index].count(tool), tool_id, fee, rate))
         frames = _frames(q)
-        evidence_tokens = sum(f.get("tokens", DEFAULT_FIXTURE_TOKENS) for f in q.fixtures.values())
-        synth_tokens = whitespace_tokens(q.text) + evidence_tokens + 300
+        strong_micros = invocation_cost(strong_model, plan.strong_tokens).micros
 
-        def stage(run_key: str, tool_name: str, occurrence: int) -> tuple[int, Money]:
-            """Latency and cost of one stage run; `run_key` keys its latency draw."""
-            tool_id = registry.id_for_name(tool_name)
-            if tool_name == "yolo-detect" and frames:
-                latency = DETECT_MS_PER_FRAME * frames
-            else:
-                latency = registry.sample_latency(
-                    tool_id, keyed_uniform(seed, run_key, tool_name, occurrence, "latency", 0)
-                )
-            if tool_name == _HIER_SYNTH:
-                return latency, invocation_cost(catalog_entry_strong, synth_tokens)
-            return latency, registry.get(tool_id).cost.per_invocation
+        def attempt(run_key: str, may_fail: bool) -> tuple[int, int, bool]:
+            """Latency, cost in micros of one run of the plan, and whether it completed.
+            `run_key` keys its draws; without `may_fail` no failure is drawn."""
+            elapsed = paid = 0
+            for tool, occurrence, tool_id, fee, rate in steps:
+                if tool == "yolo-detect" and frames:
+                    elapsed += DETECT_MS_PER_FRAME * frames
+                else:
+                    elapsed += registry.sample_latency(
+                        tool_id, keyed_uniform(seed, run_key, tool, occurrence, "latency", 0)
+                    )
+                if tool == _STRONG_STAGE:  # priced by the plan's tokens, not per call
+                    elapsed += plan.strong_extra_ms
+                    fee = strong_micros
+                paid += fee
+                # A draw is never below 0.0, so a zero rate draws nothing. The
+                # key is the centralized engine's for the same tool on the same run.
+                if may_fail and rate > 0 and keyed_uniform(
+                    seed, run_key, tool, occurrence, "failure", 0
+                ) < rate:
+                    return elapsed, paid, False
+            return elapsed, paid, True
 
-        tta = 0
-        cost = Money(0)
-        restarts = 0
-        correct = False
+        tta = cost = restarts = 0
         for restart in range(RESTART_CAP + 1):
-            run_key = f"{q.query_id}#r{restart}"
-            for tool_name, occurrence in sites:
-                latency, stage_cost = stage(run_key, tool_name, occurrence)
-                tta += latency
-                cost = cost + stage_cost
-                rate = spec.failure_injection.get(tool_name, 0.0)
-                if rate <= 0:  # a draw is never below 0.0: no draw can fail
-                    continue
-                # The centralized engine's key for the same tool on the same run.
-                draw = keyed_uniform(seed, run_key, tool_name, occurrence, "failure", 0)
-                if draw < rate:
-                    break
-            else:
-                correct = True
+            elapsed, paid, correct = attempt(f"{q.query_id}#r{restart}", True)
+            tta += elapsed
+            cost += paid
+            if correct:
                 break
             restarts += 1
 
         work = tta
         if q.ground_truth.ambiguous and correct:
-            # user clarifies, then the predetermined pipeline restarts once more
-            tta += CLARIFY_USER_DELAY_MS
-            for tool_name, occurrence in sites:
-                latency, stage_cost = stage(f"{q.query_id}#clar", tool_name, occurrence)
-                tta += latency
-                work += latency
-                cost = cost + stage_cost
+            # user clarifies, then the fixed plan runs once more
+            elapsed, paid, _ = attempt(f"{q.query_id}#clar", False)
+            tta += CLARIFY_USER_DELAY_MS + elapsed
+            work += elapsed
+            cost += paid
 
         records.append(
             QueryRecord(
@@ -732,53 +773,10 @@ def _run_hierarchical(
                 category=q.category,
                 tta_ms=tta,
                 correct=correct,
-                # the tree cannot self-serve ellipsis
+                # a fixed plan cannot self-serve ellipsis
                 rework_user=q.ground_truth.ambiguous,
                 rework_internal=restarts,
-                cost_usd=cost.usd_str(),
-                work_ms=work,
-            )
-        )
-    return records
-
-
-def _run_monolithic(
-    queries: list[GeneratedQuery],
-    spec: WorkloadSpec,
-    config: EngineConfig,
-    seed: int,
-) -> list[QueryRecord]:
-    registry = config.registry
-    strong_tool = registry.id_for_name("llm-strong-invoke")
-    strong_model = config.catalog.strongest(CostKnob.CLOSED_SRC)
-
-    records = []
-    for q in queries:
-        latency = registry.sample_latency(
-            strong_tool, keyed_uniform(seed, q.query_id, "mono", "latency")
-        )
-        frames = _frames(q)
-        if frames:
-            latency += MONO_MS_PER_PERCEPT * frames
-        elif q.attachments:
-            latency += MONO_MS_PER_PERCEPT * len(q.attachments)
-        evidence_tokens = sum(f.get("tokens", DEFAULT_FIXTURE_TOKENS) for f in q.fixtures.values())
-        tokens = whitespace_tokens(q.text) + 4 * evidence_tokens + 500
-        cost = invocation_cost(strong_model, tokens)
-        tta = work = latency
-        if q.ground_truth.ambiguous:
-            tta += CLARIFY_USER_DELAY_MS + latency
-            work += latency
-            cost = cost + invocation_cost(strong_model, tokens)
-        records.append(
-            QueryRecord(
-                query_id=q.query_id,
-                category=q.category,
-                tta_ms=tta,
-                correct=True,
-                rework_user=q.ground_truth.ambiguous,
-                rework_internal=0,
-                cost_usd=cost.usd_str(),
+                cost_usd=Money(cost).usd_str(),
                 work_ms=work,
             )
         )
@@ -799,12 +797,11 @@ def run_policy(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    runner = {
-        "centralized": _run_centralized,
-        "hierarchical": _run_hierarchical,
-        "monolithic": _run_monolithic,
-    }[policy]
-    records = runner(queries, spec, config or EngineConfig(), seed)
+    config = config or EngineConfig()
+    if policy == "centralized":
+        records = _run_centralized(queries, spec, config, seed)
+    else:
+        records = _run_fixed_plan(queries, spec, config, seed, _PLANS[policy])
     report = MetricsReport(
         policy=policy,
         workload_digest=workload_digest(queries),

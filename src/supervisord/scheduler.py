@@ -24,6 +24,7 @@ from .couplet import (
     PerceptualTask,
     TaskKind,
     keyed_uniform,
+    parse_intent,
     stable_seed,
 )
 from .decomposition import FLAG_REQUIRED_MODALITIES
@@ -209,8 +210,6 @@ def build_graph(
 
     Raises UnplannableQuery when no registered tool covers a required step.
     """
-    from .couplet import parse_intent  # local import avoids a cycle at module load
-
     graph = ExecutionGraph()
 
     def add(node_id: str, role: str, output_tag: str, inputs=(), tier=None, **fields) -> GraphNode:

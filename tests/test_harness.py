@@ -11,6 +11,7 @@ import statistics
 import subprocess
 import sys
 from collections import defaultdict
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from supervisord.errors import IncomparableReports, NodeFailure, WorkloadSpecErr
 from supervisord.harness import (
     CATEGORIES,
     CATEGORY_TABLE,
+    RESTART_CAP,
     PolicyConfig,
     WorkloadSpec,
     compare,
@@ -226,8 +228,8 @@ class TestReportBytes:
     @pytest.mark.parametrize("policy,faults,expected", [
         ("hierarchical", False, "6302efe277a14ef41720e2806d9e25bae751dcd7e5b0d6bd37f22e397cda3498"),
         ("hierarchical", True, "a06e94a9dba884907cb8d6b9a3d7936288cabba90aa6542f811fb4fc1f807a9d"),
-        ("monolithic", False, "8c17b7fc941ae437abdb07e9a9c21666421b8e28e83f3af3a95d279d1c87e5e8"),
-        ("monolithic", True, "0b378a3300fd6cbc7054f1c2b81818bf206b80a2d318a1feb121b0b0fb6dd273"),
+        ("monolithic", False, "8be7bb6e84732021b704f5a09d89329512bec1dc0f80909e0619a6c87acc3af5"),
+        ("monolithic", True, "92346a899e810bef49b2c943897566131607a4dc1da5ebc7fc651f739b1fa3e7"),
     ], ids=["hierarchical", "hierarchical-faults", "monolithic", "monolithic-faults"])
     def test_baseline_report_digest(self, policy, faults, expected):
         assert self.digest(policy, faults) == expected
@@ -478,12 +480,12 @@ class TestMaterializedWorkload:
 
 class TestPolicyFairness:
     def test_hierarchical_stages_exist_in_registry(self):
-        from supervisord.harness import _HIER_OVERHEAD, _HIER_SYNTH
+        from supervisord.harness import _HIER_OVERHEAD, _STRONG_STAGE
         from supervisord.tools import default_registry
 
         registry = default_registry()
         names = {registry.get(t).name for t in registry.all_ids()}
-        used = set(_HIER_OVERHEAD) | {_HIER_SYNTH}
+        used = set(_HIER_OVERHEAD) | {_STRONG_STAGE}
         for category in CATEGORY_TABLE.values():
             used.update(category.stages)
         assert used <= names
@@ -503,3 +505,34 @@ class TestPolicyFairness:
             fixture["frames"] = frames
             ttas.append(run_policy([query], "hierarchical", spec).per_query[0].tta_ms)
         assert ttas[1] - ttas[0] == 2 * 10 * DETECT_MS_PER_FRAME
+
+    @pytest.mark.parametrize("rate", [0.3, 1.0])
+    def test_monolithic_restarts_on_injected_strong_model_failures(self, rate):
+        spec = default_workload_spec(200, seed=11)
+        queries = generate_workload(spec)
+        spec.failure_injection = {}
+        clean = run_policy(queries, "monolithic", spec, seed=3)
+        spec.failure_injection = {"llm-strong-invoke": rate}
+        faulty = run_policy(queries, "monolithic", spec, seed=3)
+        restarts = [r.rework_internal for r in faulty.per_query]
+        assert all(r.rework_internal == 0 for r in clean.per_query)
+        assert sum(restarts) > 0
+        # every restart pays the strong model again
+        for before, after in zip(clean.per_query, faulty.per_query):
+            assert (Decimal(after.cost_usd) > Decimal(before.cost_usd)) == (after.rework_internal > 0)
+        assert float(faulty.aggregates["mean_cost_usd"]) > float(clean.aggregates["mean_cost_usd"])
+        if rate == 1.0:
+            assert set(restarts) == {RESTART_CAP + 1}
+            assert faulty.aggregates["accuracy"] < 1.0
+
+    def test_strong_model_failure_draws_are_common_to_both_baselines(self):
+        # Both plans run llm-strong-invoke once, so with only that tool failing
+        # each query restarts the same number of times under either baseline.
+        spec = default_workload_spec(600)
+        spec.failure_injection = {"llm-strong-invoke": 0.4}
+        queries = generate_workload(spec)
+        hierarchical = run_policy(queries, "hierarchical", spec, seed=1)
+        monolithic = run_policy(queries, "monolithic", spec, seed=1)
+        restarts = [r.rework_internal for r in hierarchical.per_query]
+        assert sum(restarts) >= 200
+        assert restarts == [r.rework_internal for r in monolithic.per_query]
