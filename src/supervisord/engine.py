@@ -110,7 +110,6 @@ class QueryOutcome:
     tta_ms: int = 0
     cost: Money = field(default_factory=Money)
     clarifications_user: int = 0
-    rework_internal: int = 0
     best_effort: bool = False
     failed: bool = False
     trace_rows: list[TraceRow] = field(default_factory=list)
@@ -249,15 +248,17 @@ class EngineBackends:
             return f"Synthesis across {len(parent_outputs)} branch(es). {base}"
         return base
 
-    def node_cost(self, node: GraphNode, invocation: couplet_mod.BackendResult) -> Money:
-        """Price a finished node and charge it to the session against the budget cap."""
+    def node_cost(self, node: GraphNode, invocation: Optional[couplet_mod.BackendResult]) -> Money:
+        """Price an attempt as it ends and charge it to the session against the
+        budget cap: a result pays its price, an attempt that raised (`None`)
+        its tool's per-invocation fee."""
         spec = self.config.registry.get(node.tool)
-        if node.role == "model":
+        if invocation is None:
+            cost = spec.cost.per_invocation
+        elif node.role == "model":
             cost = invocation_cost(self._model_entry(node), invocation.tokens)
         else:
-            cost = spec.cost.per_invocation
-            if spec.cost.per_mtok.micros and invocation.tokens:
-                cost = cost + token_cost(spec.cost.per_mtok, invocation.tokens)
+            cost = spec.cost.per_invocation + token_cost(spec.cost.per_mtok, invocation.tokens)
         charge(self.state.session, cost, self.config.budget_cap)
         return cost
 
@@ -418,13 +419,11 @@ class Supervisor:
                 self._refine_graph(graph, state)
 
         if not outcome.failed:
-            # 6. Assemble answer segments from node evidence; repairs count as
-            # internal rework.
+            # 6. Assemble answer segments from node evidence.
             outcome.segments, outcome.evidence_keys = self._assemble(graph, state)
             outcome.answer_text = "\n".join(
                 f"[{name}] {text}" for name, text in outcome.segments.items()
             )
-            outcome.rework_internal += len(graph.repair_log)
 
         # 7. Accounting: every charge of the turn went through `charge` as it was
         # incurred, so the turn's cost is the session's delta.

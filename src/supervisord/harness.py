@@ -35,7 +35,8 @@ from .couplet import (
     keyed_uniform,
     stable_seed,
 )
-from .engine import CLARIFY_USER_DELAY_MS, EngineConfig, Supervisor, detect_underspecified
+from .engine import ANSWER_TOKENS, CLARIFY_USER_DELAY_MS, EngineConfig, Supervisor
+from .engine import detect_underspecified
 from .errors import IncomparableReports, WorkloadSpecError
 from .memory import MemoryStore, whitespace_tokens
 from .routing import invocation_cost
@@ -47,6 +48,7 @@ from .state import (
     Money,
     QueryState,
     SessionMeta,
+    Subflag,
 )
 
 
@@ -622,7 +624,7 @@ def _run_centralized(
             total_work += _work_ms(outcome)
             total_cost = total_cost + outcome.cost
             clarifications += outcome.clarifications_user
-            internal += outcome.rework_internal
+            internal += outcome.repair_count
             if not outcome.failed:
                 break
             # Repair could not recover (budget exhausted or disabled): the
@@ -657,6 +659,7 @@ def _work_ms(outcome) -> int:
 # strong-model synthesis; the monolithic plan is the strong model alone.
 _HIER_OVERHEAD = ("complexity-analyze", "pipeline-coordinate", "memory-retrieve")
 _STRONG_STAGE = "llm-strong-invoke"
+_WEAK_STAGE = "slm-weak-invoke"
 
 
 class _Plan(NamedTuple):
@@ -708,24 +711,35 @@ def _run_fixed_plan(
     correct when an attempt completed."""
     registry = config.registry
     strong_model = config.catalog.strongest(CostKnob.CLOSED_SRC)
-    # Plan stages -> per stage: tool, the tool's occurrence in the plan (a
+    # Plan stages -> (per stage: tool, the tool's occurrence in the plan (a
     # stage's site, as a centralized node's failure draw is keyed), tool id,
-    # per-invocation fee in micros and injected failure rate.
-    steps_of: dict[tuple[str, ...], list[tuple]] = {}
+    # per-invocation fee in micros and injected failure rate; the weak model
+    # its `slm-weak-invoke` stages call, or None).
+    plans: dict[tuple[str, ...], tuple] = {}
 
     records: list[QueryRecord] = []
     for q in queries:
         plan = plan_for(q)
-        steps = steps_of.get(plan.stages)
-        if steps is None:
-            steps = steps_of[plan.stages] = []
+        if plan.stages not in plans:
+            steps = []
             for index, tool in enumerate(plan.stages):
                 tool_id = registry.id_for_name(tool)
                 fee = registry.get(tool_id).cost.per_invocation.micros
                 rate = spec.failure_injection.get(tool, 0.0)
                 steps.append((tool, plan.stages[:index].count(tool), tool_id, fee, rate))
+            weak_model = None
+            if _WEAK_STAGE in plan.stages:
+                tier = registry.get(registry.id_for_name(_WEAK_STAGE)).tier
+                weak_model = config.catalog.weak_model(Subflag.GENERAL, tier)
+            plans[plan.stages] = steps, weak_model
+        steps, weak_model = plans[plan.stages]
         frames = _frames(q)
-        strong_micros = invocation_cost(strong_model, plan.strong_tokens).micros
+        # A completed model stage pays its catalog model for its tokens.
+        model_micros = {_STRONG_STAGE: invocation_cost(strong_model, plan.strong_tokens).micros}
+        if weak_model is not None:
+            model_micros[_WEAK_STAGE] = invocation_cost(
+                weak_model, whitespace_tokens(q.text) + ANSWER_TOKENS
+            ).micros
 
         def attempt(run_key: str, may_fail: bool) -> tuple[int, int, bool]:
             """Latency, cost in micros of one run of the plan, and whether it completed.
@@ -738,16 +752,16 @@ def _run_fixed_plan(
                     elapsed += registry.sample_latency(
                         tool_id, keyed_uniform(seed, run_key, tool, occurrence, "latency", 0)
                     )
-                if tool == _STRONG_STAGE:  # priced by the plan's tokens, not per call
+                if tool == _STRONG_STAGE:
                     elapsed += plan.strong_extra_ms
-                    fee = strong_micros
-                paid += fee
                 # A draw is never below 0.0, so a zero rate draws nothing. The
-                # key is the centralized engine's for the same tool on the same run.
+                # key is the centralized engine's for the same tool on the same
+                # run. A failed stage pays its tool's fee.
                 if may_fail and rate > 0 and keyed_uniform(
                     seed, run_key, tool, occurrence, "failure", 0
                 ) < rate:
-                    return elapsed, paid, False
+                    return elapsed, paid + fee, False
+                paid += model_micros.get(tool, fee)
             return elapsed, paid, True
 
         tta = cost = restarts = 0

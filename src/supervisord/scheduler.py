@@ -30,13 +30,7 @@ from .couplet import (
 from .decomposition import FLAG_REQUIRED_MODALITIES
 from .errors import NoCapableTool, NodeFailure, PipelineFailed, UnplannableQuery
 from .routing import RoutingDecision
-from .state import (
-    CostKnob,
-    ExecutionFlag,
-    Modality,
-    Money,
-    QueryState,
-)
+from .state import CostKnob, ExecutionFlag, Modality, QueryState
 from .tools import Requirement, ToolId, ToolRegistry
 
 REPAIR_LIMIT = 2  # repairs per node before the pipeline fails
@@ -86,10 +80,7 @@ class NodeResult:
     node_id: str
     output: dict[str, Any]
     confidence: float
-    latency_ms: int
-    cost: Money
     tool_name: str
-    tokens: int = 0
     critical: bool = False
 
 
@@ -411,9 +402,10 @@ class Scheduler:
         allows; running nodes finish in (finish time, insertion) order and the
         clock advances to each finish. A repaired node becomes ready again
         under its original insertion index. Deterministic for a fixed seed.
-        Each node is priced by `backends.node_cost` and recorded in
-        `graph.results` as it is done, flagged `critical` when it lies on this
-        call's longest dependency chain. Returns this call's trace and its
+        Every attempt is priced and charged by `backends.node_cost` once, when
+        it ends, and its `done` or `failed` trace row carries that cost. A done
+        node is recorded in `graph.results`, flagged `critical` when it lies on
+        this call's longest dependency chain. Returns this call's trace and its
         total virtual latency, which equals the critical path when capacity is
         unbounded.
         """
@@ -468,14 +460,15 @@ class Scheduler:
             clock.advance_to(finish_ts)
             node = graph.nodes[node_id]
             invocation, failed, cause = attempts.pop(node_id)
-            tool_spec = self.registry.get(node.tool)
+            tool_name = self.registry.get(node.tool).name
+            cost = backends.node_cost(node, invocation)
+            trace.append(
+                TraceRow(ts=finish_ts, session_id=session_id, node_id=node_id,
+                         tool=tool_name, event="failed" if failed else "done",
+                         latency_ms=node_elapsed[node_id], cost_usd=cost.usd_str(),
+                         confidence=None if invocation is None else invocation.confidence)
+            )
             if failed:
-                trace.append(
-                    TraceRow(ts=finish_ts, session_id=session_id, node_id=node_id,
-                             tool=tool_spec.name, event="failed",
-                             latency_ms=node_elapsed[node_id],
-                             confidence=None if invocation is None else invocation.confidence)
-                )
                 try:
                     replacement = self.repair(graph, node_id, cause or "backend failure")
                 except PipelineFailed as exc:
@@ -488,7 +481,6 @@ class Scheduler:
                 heapq.heappush(ready, (insertion[node_id], node_id))
             else:
                 node.done = True
-                cost = backends.node_cost(node, invocation)
                 # Finish along dependencies alone, as if every node had its own
                 # slot: a wait for the single slot in serial mode is not a chain.
                 finished[node_id] = node_elapsed[node_id] + max(
@@ -496,19 +488,7 @@ class Scheduler:
                     default=0,
                 )
                 graph.results[node_id] = NodeResult(
-                    node_id=node_id,
-                    output=invocation.payload,
-                    confidence=invocation.confidence,
-                    latency_ms=node_elapsed[node_id],
-                    cost=cost,
-                    tool_name=tool_spec.name,
-                    tokens=invocation.tokens,
-                )
-                trace.append(
-                    TraceRow(ts=finish_ts, session_id=session_id, node_id=node_id,
-                             tool=tool_spec.name, event="done",
-                             latency_ms=node_elapsed[node_id],
-                             cost_usd=cost.usd_str(), confidence=invocation.confidence)
+                    node_id, invocation.payload, invocation.confidence, tool_name
                 )
                 for child in graph.children(node_id):
                     waiting[child] -= 1

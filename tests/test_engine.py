@@ -538,9 +538,10 @@ class TestPromptTokens:
         assert all(counted == expected for counted, expected in checks)
 
 
-def done_cost(outcome) -> Money:
-    """Sum of `cost_usd` over the outcome's `done` trace rows, memory row included."""
-    rows = [r for r in outcome.trace_rows if r.event == "done"]
+def rows_cost(outcome) -> Money:
+    """Sum of `cost_usd` over the outcome's trace rows that carry one: the
+    `done` rows, memory row included, and the `failed` rows."""
+    rows = [r for r in outcome.trace_rows if r.cost_usd is not None]
     return sum((Money.from_usd(r.cost_usd) for r in rows), Money(0))
 
 
@@ -580,8 +581,8 @@ def run_scenario_turn(scenario, config=None, failure_rates=None, meta=None):
 
 
 class TestCostConservation:
-    """One results ledger per graph and one charge per finished node: the turn's
-    cost, the session's delta and the `done` trace rows always agree."""
+    """One results ledger per graph and one charge per attempt, when it ends:
+    the turn's cost, the session's delta and the trace rows always agree."""
 
     def test_clarified_answer_covers_every_node(self):
         # The clarification refines p0; synth, downstream of it, must re-run
@@ -594,17 +595,23 @@ class TestCostConservation:
         assert sorted(outcome.segments) == ["extraction_0", "extraction_1", "synthesis"]
         assert not outcome.failed
         assert set(graph.results) == set(graph.nodes)
-        assert outcome.cost == Money.from_usd("0.017348")
-        assert outcome.cost == done_cost(outcome) == state.session.cumulative_cost
+        # p0's first attempt (tesseract-ocr, confidence 0.2) pays its $0.004000
+        # like the attempts that follow it.
+        assert outcome.cost == Money.from_usd("0.021348")
+        assert outcome.cost == rows_cost(outcome) == state.session.cumulative_cost
 
     def test_failed_pipeline_charges_completed_work(self):
         scenario = load_scenario("video-advertisement")
         failing = {"yolo-detect": 1.0, "vision-analyze": 1.0, "clip-embed": 1.0}
         state, outcome, _ = run_scenario_turn(scenario, failure_rates=failing)
         assert outcome.failed
-        # whisper-transcribe finished at $0.004000 before frames ran out of tools.
-        assert outcome.cost == Money.from_usd("0.004200")
-        assert outcome.cost == done_cost(outcome) == state.session.cumulative_cost
+        # Memory ($0.000200) and whisper-transcribe ($0.004000) finished; frames
+        # failed on yolo-detect ($0.004000) and vision-analyze ($0.006000), each
+        # paying its fee, before it ran out of tools.
+        assert outcome.cost == Money.from_usd("0.014200")
+        failed = [(r.tool, r.cost_usd) for r in outcome.trace_rows if r.event == "failed"]
+        assert failed == [("yolo-detect", "0.004000"), ("vision-analyze", "0.006000")]
+        assert outcome.cost == rows_cost(outcome) == state.session.cumulative_cost
 
     def test_budget_cap_stops_at_the_first_node_that_crosses_it(self, monkeypatch):
         # speech finishes first, at $0.004000 against a $0.001 cap; the
@@ -629,7 +636,7 @@ class TestCostConservation:
             state, outcome, graph = run_scenario_turn(load_scenario(name))
             assert not outcome.failed, name
             assert set(graph.results) == set(graph.nodes), name
-            assert outcome.cost == done_cost(outcome) == state.session.cumulative_cost, name
+            assert outcome.cost == rows_cost(outcome) == state.session.cumulative_cost, name
 
     @settings(max_examples=60, deadline=None)
     @example(query="you know, like last time", names=["photo.png"], confidences={},
@@ -689,7 +696,7 @@ class TestCostConservation:
             assert cap is None or meta.cumulative_cost <= cap
             return
         assert isinstance(outcome, QueryOutcome)
-        assert outcome.cost == meta.cumulative_cost == done_cost(outcome)
+        assert outcome.cost == meta.cumulative_cost == rows_cost(outcome)
         assert cap is None or outcome.cost <= cap
         assert not outcome.failed or not outcome.answer_text
         if not outcome.failed:

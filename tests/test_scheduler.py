@@ -371,8 +371,35 @@ class TestRepair:
         for node_id in ("left", "right"):
             graph.add_node(GraphNode(node_id, tool, requirement, role="perceptual"))
         backends = StubBackends({"left": 50, "right": 400}, failures={("right", 0)})
-        Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
-        assert graph.results["left"].latency_ms == 50  # untouched by the right-node repair
+        outcome = Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
+        # untouched by the right-node repair: one start and one done row
+        left = [(r.ts, r.event, r.latency_ms) for r in outcome.trace if r.node_id == "left"]
+        assert left == [(0, "start", None), (50, "done", 50)]
+        assert graph.results["left"].confidence == 0.95
+
+    def test_every_attempt_is_charged_once_when_it_ends(self):
+        registry = simple_registry()
+        graph = chain_graph(registry, {"a": None, "b": None})
+        charged = []
+
+        class Charging(StubBackends):
+            def node_cost(self, node, invocation):
+                charged.append((node.node_id, invocation is None))
+                return Money(1000 + 500 * (invocation is None))
+
+        backends = Charging(failures={("a", 0)}, confidences={"b": 0.1})
+        with pytest.raises(PipelineFailed) as exc:
+            Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
+        # a raised (fee), was repaired and done; b returned a low-confidence
+        # result (its price) on both attempts before its repairs ran out.
+        assert charged == [("a", True), ("a", False), ("b", False), ("b", False), ("b", False)]
+        ended = [(r.node_id, r.event, r.cost_usd) for r in exc.value.trace
+                 if r.event in ("done", "failed")]
+        assert ended == [
+            ("a", "failed", "0.001500"), ("a", "done", "0.001000"),
+            ("b", "failed", "0.001000"), ("b", "failed", "0.001000"), ("b", "failed", "0.001000"),
+        ]
+        assert all(r.cost_usd is None for r in exc.value.trace if r.event not in ("done", "failed"))
 
     def test_repair_budget_exhaustion(self):
         registry = simple_registry(n_alternatives=5)
@@ -416,8 +443,8 @@ class TestRepair:
 class TestClarification:
     def result(self, confidence, critical=True):
         return NodeResult(
-            node_id="n0", output={}, confidence=confidence, latency_ms=10,
-            cost=Money(0), tool_name="tesseract-ocr", critical=critical,
+            node_id="n0", output={}, confidence=confidence, tool_name="tesseract-ocr",
+            critical=critical,
         )
 
     def test_low_confidence_after_repair_asks(self):
@@ -433,7 +460,7 @@ class TestClarification:
     def test_hint_shapes_question(self):
         result = NodeResult(
             node_id="n0", output={"clarify_hint": "handwritten"}, confidence=0.2,
-            latency_ms=10, cost=Money(0), tool_name="tesseract-ocr", critical=True,
+            tool_name="tesseract-ocr", critical=True,
         )
         question = check_clarification([result], repair_attempted=True)
         assert question == (
