@@ -353,9 +353,9 @@ def deserialize_state(data: bytes) -> QueryState:
         )
     try:
         state = state_from_json_dict(doc["state"])
+        state.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptState(f"malformed state payload: {exc}") from exc
-    state.validate()
     return state
 
 

@@ -169,6 +169,29 @@ class TestInspect:
         assert err.startswith("error: unsupported state version 2")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mutate", [
+        lambda s: s["session"].update(turn_count=-1),
+        lambda s: s.update(clarify_question=None, clarify_response="dates"),
+        lambda s: s["attachments"].append({"source_kind": "ftp", "source": "a.png"}),
+    ], ids=["negative-turn-count", "response-without-question", "unknown-source-kind"])
+    @pytest.mark.parametrize("command", ["inspect", "session"])
+    def test_snapshot_failing_validation_exits_4_without_traceback(
+        self, store, capsys, monkeypatch, command, mutate
+    ):
+        run_cli("--json", "run", "hello there")
+        sid = json.loads(capsys.readouterr().out)["session_id"]
+        path = store / f"{sid}.state.json"
+        *kept, last = path.read_bytes().splitlines(keepends=True)
+        doc = json.loads(last)
+        mutate(doc["state"])
+        path.write_bytes(b"".join(kept) + json.dumps(doc).encode() + b"\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(":quit\n"))
+        argv = ["inspect", sid] if command == "inspect" else ["session", "--session", sid]
+        assert run_cli(*argv) == EXIT_CORRUPT_STATE
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed state payload: ")
+        assert "Traceback" not in err
+
 
 def legacy_memory_text(journal_text):
     """A journal's store in the one-line layout that earlier versions wrote."""
