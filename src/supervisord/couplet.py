@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
-from .errors import AmbiguousIntent, EvidenceTypeError, NodeFailure
+from .errors import AmbiguousIntent, NodeFailure
 from .state import Modality
 
 DEFAULT_FRAME_INTERVAL_S = 1.0
@@ -254,13 +254,11 @@ class SimulatedBackend:
             }
         elif task.kind is TaskKind.EMBED_IMAGE:
             payload = {"image_embedding": fixture.get("image_embedding", [0.0] * 8)}
-        elif task.kind is TaskKind.GENERATE_IMAGE:
+        else:  # TaskKind.GENERATE_IMAGE, the last of the closed enum
             digest = hashlib.blake2b(
                 task.parameters["prompt"].encode(), digest_size=6
             ).hexdigest()
             payload = {"image_ref": f"generated://{digest}"}
-        else:  # pragma: no cover - enum is closed
-            raise EvidenceTypeError(f"unsupported task kind {task.kind}")
         if "clarify_hint" in fixture:
             payload["clarify_hint"] = fixture["clarify_hint"]
         tokens = fixture.get("tokens", DEFAULT_FIXTURE_TOKENS)
@@ -351,9 +349,7 @@ def summarize_payload(kind: TaskKind, payload: dict, query: str) -> str:
     if kind is TaskKind.EMBED_IMAGE:
         dim = len(payload.get("image_embedding", []))
         return f"Computed a {dim}-dimensional image embedding."
-    if kind is TaskKind.GENERATE_IMAGE:
-        return f"Generated image reference: {payload.get('image_ref', '')}"
-    raise EvidenceTypeError(f"no template for kind {kind}")
+    return f"Generated image reference: {payload.get('image_ref', '')}"  # GENERATE_IMAGE
 
 
 def contextualize_timeline(

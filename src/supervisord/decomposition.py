@@ -1,7 +1,7 @@
 """Two-stage query decomposition.
 
 Stage one resolves attachment modality deterministically: extension map,
-then declared MIME type, then magic-byte signature, then unknown. Stage two
+then the magic-byte signature of a local file, then unknown. Stage two
 assigns one of the eight execution flags from a published rule table,
 followed by a safety reconciliation that demotes modality flags lacking a
 matching attachment to the mixture-of-experts flag.
@@ -63,23 +63,6 @@ FLAG_REQUIRED_MODALITIES: dict[ExecutionFlag, frozenset[Modality]] = {
 }
 
 
-def modality_from_mime(mime: str) -> Modality:
-    base = mime.split(";", 1)[0].strip().lower()
-    if base.startswith("image/"):
-        return Modality.IMAGE
-    if base.startswith("audio/"):
-        return Modality.AUDIO
-    if base.startswith("video/"):
-        return Modality.VIDEO
-    if base == "application/pdf" or "officedocument" in base or base in (
-        "application/msword", "application/vnd.ms-excel", "application/vnd.ms-powerpoint"
-    ):
-        return Modality.DOCUMENT
-    if base.startswith("text/"):
-        return Modality.TEXT
-    return Modality.UNKNOWN
-
-
 def modality_from_magic(head: bytes) -> Modality:
     if head[:4] == b"RIFF" and len(head) >= 12:
         tag = head[8:12]
@@ -104,35 +87,19 @@ def _extension_of(name: str) -> Optional[str]:
 
 
 def detect_modality(attachment: Attachment) -> Modality:
-    """Resolve modality: extension, then declared MIME, then magic bytes, then unknown."""
-    names = []
-    if attachment.declared_name:
-        names.append(attachment.declared_name)
-    if attachment.source_kind in ("url", "path"):
-        names.append(str(attachment.source))
+    """Resolve modality: extension, then a local file's magic bytes, then unknown."""
+    names = [attachment.declared_name] if attachment.declared_name else []
+    names.append(attachment.source)
     for name in names:
         ext = _extension_of(name)
         if ext and ext in EXTENSION_MAP:
             return EXTENSION_MAP[ext]
-
-    if attachment.mime:
-        resolved = modality_from_mime(attachment.mime)
-        if resolved is not Modality.UNKNOWN:
-            return resolved
-
-    head = b""
-    if attachment.source_kind == "bytes":
-        head = bytes(attachment.source[:64])
-    elif attachment.source_kind == "path":
+    if attachment.source_kind == "path":
         try:
             with open(attachment.source, "rb") as fh:
-                head = fh.read(64)
+                return modality_from_magic(fh.read(64))
         except OSError:
-            head = b""
-    if head:
-        resolved = modality_from_magic(head)
-        if resolved is not Modality.UNKNOWN:
-            return resolved
+            pass
     return Modality.UNKNOWN
 
 

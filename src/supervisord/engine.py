@@ -91,7 +91,6 @@ _EXPERT_SUBFLAG_ORDER = (
 class EngineConfig:
     registry: ToolRegistry = field(default_factory=default_registry)
     catalog: ModelCatalog = field(default_factory=default_model_catalog)
-    embedder: HashingEmbedder = field(default_factory=HashingEmbedder)
     seed: int = 0
     parallel_enabled: bool = True
     memory_enabled: bool = True
@@ -268,6 +267,7 @@ class Supervisor:
 
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config or EngineConfig()
+        self.embedder = HashingEmbedder()
         self.scheduler = Scheduler(
             self.config.registry,
             repair_enabled=self.config.repair_enabled,
@@ -331,7 +331,7 @@ class Supervisor:
             if memory_store.retrievable_count < 2:  # nothing to rank, so no query vector
                 retrieved = memory_store.retrievable()
             else:
-                query_embedding = embed(state.user_query or " ", config.embedder)
+                query_embedding = embed(state.user_query or " ", self.embedder)
                 retrieved = memory_store.retrieve_relevant(query_embedding, primary)
             state.context = memory_store.integrate_context(retrieved)
             context_tokens = memory_store.context_tokens(retrieved)
@@ -438,7 +438,7 @@ class Supervisor:
             memory_store.add_turn(
                 f"Q: {state.user_query}\nA: {outcome.answer_text[:400]}",
                 primary,
-                config.embedder,
+                self.embedder,
                 created_at_ms=clock.now_ms(),
             )
             memory_store.maybe_compress()

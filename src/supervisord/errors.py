@@ -13,10 +13,6 @@ class SupervisorError(Exception):
 
 # --- state / serialization ---------------------------------------------------
 
-class SizeExceeded(SupervisorError):
-    """Inline attachment payload exceeds the configured serialization limit."""
-
-
 class CorruptState(SupervisorError):
     """Serialized state is truncated or structurally invalid."""
 
@@ -62,10 +58,6 @@ class DimensionMismatch(SupervisorError):
     """Record embedding dimension differs from the store's configured dimension."""
 
 
-class EmbeddingUnavailable(SupervisorError):
-    """The embedding backend failed; caller may retry or skip storage."""
-
-
 # --- scheduler / couplet -----------------------------------------------------
 
 class UnplannableQuery(SupervisorError):
@@ -95,15 +87,7 @@ class AmbiguousIntent(SupervisorError):
         self.missing = missing
 
 
-class EvidenceTypeError(SupervisorError):
-    """Raw payload kind does not match the task kind (programming error surface)."""
-
-
 # --- harness -----------------------------------------------------------------
-
-class IncomparableReports(SupervisorError):
-    """Two metrics reports were produced over different workloads."""
-
 
 class WorkloadSpecError(SupervisorError):
     """Workload spec file violates its schema; names the offending field."""

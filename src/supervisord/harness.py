@@ -37,7 +37,7 @@ from .couplet import (
 )
 from .engine import ANSWER_TOKENS, CLARIFY_USER_DELAY_MS, EngineConfig, Supervisor
 from .engine import detect_underspecified
-from .errors import IncomparableReports, WorkloadSpecError
+from .errors import WorkloadSpecError
 from .memory import MemoryStore, whitespace_tokens
 from .routing import invocation_cost
 from .state import (
@@ -589,7 +589,6 @@ def _run_centralized(
 ) -> list[QueryRecord]:
     config = replace(config, seed=seed)
     supervisor = Supervisor(config)
-    embedder = config.embedder
     records: list[QueryRecord] = []
     for q in queries:
         total_tta = 0
@@ -601,13 +600,13 @@ def _run_centralized(
         for restart in range(RESTART_CAP + 1):
             memory = MemoryStore()
             if q.ground_truth.memory_hint:
-                memory.add_turn(q.ground_truth.memory_hint, Modality.TEXT, embedder)
+                memory.add_turn(q.ground_truth.memory_hint, Modality.TEXT, supervisor.embedder)
             state = QueryState(
                 user_query=q.text,
                 cost_knob=CostKnob.TRAD_COUPLET,
                 session=_sim_session(seed, "centralized", q.query_id),
                 attachments=[
-                    Attachment(a.source_kind, a.source, a.declared_name, a.detected_modality, a.mime)
+                    Attachment(a.source_kind, a.source, a.declared_name, a.detected_modality)
                     for a in q.attachments
                 ],
             )
@@ -872,11 +871,6 @@ class DeltaReport:
 
 def compare(candidate: MetricsReport, baseline: MetricsReport) -> DeltaReport:
     """Deltas of `candidate` relative to `baseline` over the same workload."""
-    if candidate.workload_digest != baseline.workload_digest:
-        raise IncomparableReports(
-            "reports were produced over different workloads "
-            f"({candidate.workload_digest} vs {baseline.workload_digest})"
-        )
     base_by_id = {r.query_id: r for r in baseline.per_query}
     reductions = []
     for rec in candidate.per_query:
@@ -927,8 +921,6 @@ def _two_proportion_interval(p1: float, p2: float, n1: int, n2: int) -> tuple[fl
 
 
 def per_query_delta_csv(candidate: MetricsReport, baseline: MetricsReport) -> str:
-    if candidate.workload_digest != baseline.workload_digest:
-        raise IncomparableReports("reports were produced over different workloads")
     base_by_id = {r.query_id: r for r in baseline.per_query}
     buf = io.StringIO()
     writer = csv.writer(buf)

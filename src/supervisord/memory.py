@@ -27,7 +27,7 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .errors import CorruptState, DimensionMismatch, EmbeddingUnavailable
+from .errors import CorruptState, DimensionMismatch
 from .state import ContextBundle, ContextSegment, Modality, parse_jsonl, write_jsonl
 
 if TYPE_CHECKING:
@@ -122,25 +122,15 @@ class HashingEmbedder:
         return vec / norm
 
 
-def embed(content: str, embedder) -> np.ndarray:
-    """Embed text via the configured backend; output is unit-normalized.
+def embed(content: str, embedder: HashingEmbedder) -> np.ndarray:
+    """The embedder's vector for `content`, divided once more by its norm.
 
-    A backend that fails, or returns a vector of the wrong shape or of a zero
-    or non-finite norm, raises `EmbeddingUnavailable`.
+    That second division moves the low bits of some vectors, and stored
+    vectors are kept bit-exact, so it stays.
     """
     import numpy as np
-    try:
-        raw = np.asarray(embedder.embed(content), dtype=np.float64)
-    except Exception as exc:
-        raise EmbeddingUnavailable(f"embedding backend failed: {exc}") from exc
-    if raw.ndim != 1 or raw.shape[0] != embedder.dimension:
-        raise EmbeddingUnavailable(
-            f"backend returned shape {raw.shape}, expected ({embedder.dimension},)"
-        )
-    norm = float(np.linalg.norm(raw))
-    if not 0.0 < norm < math.inf:  # also false for a NaN norm
-        raise EmbeddingUnavailable(f"backend returned a vector of norm {norm}")
-    return raw / norm
+    raw = embedder.embed(content)
+    return raw / float(np.linalg.norm(raw))
 
 
 # --- records and scoring --------------------------------------------------------
@@ -428,29 +418,21 @@ class MemoryStore:
 
     def maybe_compress(
         self,
-        compressor: Optional[Callable[[str], str]] = None,
         force: bool = False,
         on_event: Optional[Callable[[str], None]] = None,
     ) -> "MemoryStore":
-        """Summarize the uncompressed prefix once history passes 8,000 tokens.
+        """Summarize the uncompressed prefix with `extractive_compressor` once
+        history passes 8,000 tokens.
 
         Explicit requests (`force=True`) compress regardless of size. The
         short-term ring is a separate layer and keeps its raw turns.
-        Compressor failure keeps history intact.
         """
         if not force and self._retrievable_tokens <= COMPRESSION_TRIGGER_TOKENS:
             return self
         candidates = self.retrievable()
         if not candidates:
             return self
-        source_text = "\n".join(r.content for r in candidates)
-        compress = compressor or extractive_compressor
-        try:
-            summary_text = compress(source_text)
-        except Exception as exc:
-            if on_event:
-                on_event(f"compression failed, history retained: {exc}")
-            return self
+        summary_text = extractive_compressor("\n".join(r.content for r in candidates))
         in_tokens = self._retrievable_tokens
         summary_tokens = whitespace_tokens(summary_text)
         ratio = in_tokens / max(1, summary_tokens)
@@ -472,7 +454,7 @@ class MemoryStore:
 
 
 def extractive_compressor(text: str) -> str:
-    """Deterministic fallback compressor: keeps roughly one token in twelve."""
+    """Deterministic compressor: keeps roughly one token in twelve."""
     lines = text.splitlines()
     kept: list[str] = []
     for line in lines:

@@ -9,20 +9,16 @@ without information loss. Execution events live in the JSONL trace
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
-from .errors import CorruptState, SizeExceeded, VersionMismatch
+from .errors import CorruptState, VersionMismatch
 
 STATE_VERSION = 1
-
-# Inline attachment data above this size must be path/URL references.
-DEFAULT_MAX_INLINE_BYTES = 64 * 1024 * 1024
 
 MICROS_PER_USD = 1_000_000
 
@@ -149,19 +145,16 @@ class Modality(str, Enum):
 
 @dataclass
 class Attachment:
-    """One attached input: a URL, a local path, or inline bytes."""
+    """One attached input, by reference: a URL or a local path."""
 
-    source_kind: str  # "url" | "path" | "bytes"
-    source: Any  # str for url/path, bytes for inline data
+    source_kind: str  # "url" | "path"
+    source: str
     declared_name: Optional[str] = None
     detected_modality: Optional[Modality] = None
-    mime: Optional[str] = None
 
     def validate(self) -> None:
-        if self.source_kind not in ("url", "path", "bytes"):
+        if self.source_kind not in ("url", "path"):
             raise ValueError(f"unknown attachment source kind {self.source_kind!r}")
-        if self.source_kind == "bytes" and not isinstance(self.source, (bytes, bytearray)):
-            raise ValueError("inline attachment requires a bytes payload")
 
 
 @dataclass
@@ -243,48 +236,33 @@ def new_session(clock: Callable[[], int], entropy: Callable[[], bytes]) -> Sessi
 # --- serialization -----------------------------------------------------------
 
 
-def _attachment_to_json(att: Attachment, max_inline_bytes: int) -> dict:
-    if att.source_kind == "bytes":
-        payload = bytes(att.source)
-        if len(payload) > max_inline_bytes:
-            raise SizeExceeded(
-                f"inline attachment of {len(payload)} bytes exceeds the "
-                f"{max_inline_bytes}-byte limit; use a path or URL reference"
-            )
-        source: Any = base64.b64encode(payload).decode("ascii")
-    else:
-        source = att.source
+def _attachment_to_json(att: Attachment) -> dict:
     return {
         "source_kind": att.source_kind,
-        "source": source,
+        "source": att.source,
         "declared_name": att.declared_name,
         "detected_modality": att.detected_modality.value if att.detected_modality else None,
-        "mime": att.mime,
     }
 
 
 def _attachment_from_json(obj: dict) -> Attachment:
-    kind = obj["source_kind"]
-    source = obj["source"]
-    if kind == "bytes":
-        source = base64.b64decode(source)
+    """A `mime` key from older files is ignored."""
     modality = obj.get("detected_modality")
     return Attachment(
-        source_kind=kind,
-        source=source,
+        source_kind=obj["source_kind"],
+        source=obj["source"],
         declared_name=obj.get("declared_name"),
         detected_modality=Modality(modality) if modality else None,
-        mime=obj.get("mime"),
     )
 
 
-def state_to_json_dict(state: QueryState, max_inline_bytes: int = DEFAULT_MAX_INLINE_BYTES) -> dict:
+def state_to_json_dict(state: QueryState) -> dict:
     return {
         "user_query": state.user_query,
         "cost_knob": state.cost_knob.value,
         "clarify_question": state.clarify_question,
         "clarify_response": state.clarify_response,
-        "attachments": [_attachment_to_json(a, max_inline_bytes) for a in state.attachments],
+        "attachments": [_attachment_to_json(a) for a in state.attachments],
         "context": {
             "segments": [
                 {"layer": s.layer, "weight": s.weight, "text": s.text}
@@ -330,12 +308,10 @@ def state_from_json_dict(obj: dict) -> QueryState:
     return state
 
 
-def serialize_state(
-    state: QueryState, max_inline_bytes: int = DEFAULT_MAX_INLINE_BYTES
-) -> bytes:
+def serialize_state(state: QueryState) -> bytes:
     """Encode a well-formed state as a versioned, deterministic UTF-8 JSON document."""
     state.validate()
-    doc = {"version": STATE_VERSION, "state": state_to_json_dict(state, max_inline_bytes)}
+    doc = {"version": STATE_VERSION, "state": state_to_json_dict(state)}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 

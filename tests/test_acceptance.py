@@ -75,15 +75,12 @@ def _random_state(rng: random.Random) -> QueryState:
     flags = list(ExecutionFlag)
     attachments = []
     for i in range(rng.randint(0, 4)):
-        kind = rng.choice(["path", "url", "bytes"])
-        source = rng.randbytes(rng.randint(1, 64)) if kind == "bytes" else f"src-{rng.random()}"
         attachments.append(
             Attachment(
-                kind,
-                source,
+                rng.choice(["path", "url"]),
+                f"src-{rng.random()}",
                 declared_name=rng.choice([None, f"file{i}.png", f"doc {i}.pdf"]),
                 detected_modality=rng.choice([None] + modalities),
-                mime=rng.choice([None, "image/png", "application/pdf", "text/plain"]),
             )
         )
     question = rng.choice([None, "which fields?", "what granularity?"])

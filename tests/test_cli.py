@@ -173,7 +173,9 @@ class TestInspect:
         lambda s: s["session"].update(turn_count=-1),
         lambda s: s.update(clarify_question=None, clarify_response="dates"),
         lambda s: s["attachments"].append({"source_kind": "ftp", "source": "a.png"}),
-    ], ids=["negative-turn-count", "response-without-question", "unknown-source-kind"])
+        lambda s: s["attachments"].append({"source_kind": "bytes", "source": "iVBORw0KGgo="}),
+    ], ids=["negative-turn-count", "response-without-question", "unknown-source-kind",
+            "inline-bytes"])
     @pytest.mark.parametrize("command", ["inspect", "session"])
     def test_snapshot_failing_validation_exits_4_without_traceback(
         self, store, capsys, monkeypatch, command, mutate
@@ -809,10 +811,6 @@ HANDLED_BEFORE_A_COMMAND = (
     (errors.DuplicateTool, "a catalog that cannot load raises InvalidInput"),
     (errors.InvalidSpec, "a catalog that cannot load raises InvalidInput"),
     (errors.WorkloadSpecError, "simulate wraps it in InvalidInput with its field path"),
-    (errors.IncomparableReports, "simulate compares reports over one workload"),
-    (errors.SizeExceeded, "the CLI attaches paths and URLs, never inline bytes"),
-    (errors.EmbeddingUnavailable, "the bundled hashing embedder cannot fail"),
-    (errors.EvidenceTypeError, "every task kind the engine builds has a handler"),
 )
 
 

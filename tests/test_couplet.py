@@ -18,7 +18,7 @@ from supervisord.couplet import (
     stable_seed,
     summarize_payload,
 )
-from supervisord.errors import AmbiguousIntent, EvidenceTypeError, NodeFailure
+from supervisord.errors import AmbiguousIntent, NodeFailure
 from supervisord.state import Modality
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -192,5 +192,5 @@ class TestContextualize:
                 task = parse_intent(query, modality, attachment_ref="a.pdf")
                 result = execute_perceptual(task, backend, seed=1)
                 assert summarize_payload(task.kind, result.payload, query)
-            except (AmbiguousIntent, NodeFailure, EvidenceTypeError):
+            except (AmbiguousIntent, NodeFailure):
                 pass  # typed errors are acceptable terminal states

@@ -26,10 +26,6 @@ class TestDetectModality:
         att = Attachment("path", "clip.mp3", declared_name="clip.mp3")
         assert detect_modality(att) is Modality.AUDIO
 
-    def test_extensionless_url_uses_declared_mime(self):
-        att = Attachment("url", "https://cdn/x", mime="application/pdf")
-        assert detect_modality(att) is Modality.DOCUMENT
-
     def test_renamed_png_detected_by_signature(self, tmp_path):
         path = tmp_path / "notes.txt2"
         path.write_bytes(b"\x89PNG\r\n\x1a\n" + b"\x00" * 16)
@@ -37,8 +33,12 @@ class TestDetectModality:
         assert detect_modality(att) is Modality.IMAGE
 
     def test_inline_bytes_signature(self):
-        att = Attachment("bytes", b"%PDF-1.7 ...")
-        assert detect_modality(att) is Modality.DOCUMENT
+        assert modality_from_magic(b"%PDF-1.7 ...") is Modality.DOCUMENT
+
+    def test_pdf_file_detected_by_signature(self, tmp_path):
+        path = tmp_path / "scan"
+        path.write_bytes(b"%PDF-1.7 ...")
+        assert detect_modality(Attachment("path", str(path))) is Modality.DOCUMENT
 
     def test_extensionless_url_without_mime_is_unknown(self):
         att = Attachment("url", "https://cdn/mystery")
@@ -49,9 +49,11 @@ class TestDetectModality:
         assert modality_from_magic(b"RIFF\x00\x00\x00\x00WEBPVP8 ") is Modality.IMAGE
         assert modality_from_magic(b"RIFF\x00\x00\x00\x00AVI LIST") is Modality.VIDEO
 
-    def test_detection_deterministic(self):
-        att = Attachment("bytes", b"\xff\xd8\xff\xe0JFIF")
-        assert detect_modality(att) is detect_modality(att)
+    def test_detection_deterministic(self, tmp_path):
+        path = tmp_path / "photo"
+        path.write_bytes(b"\xff\xd8\xff\xe0JFIF")
+        att = Attachment("path", str(path))
+        assert detect_modality(att) is detect_modality(att) is Modality.IMAGE
 
     def test_minimum_extension_map(self):
         cases = {
@@ -142,10 +144,12 @@ class TestReconcileFlag:
             assert required & set(modalities)
 
 
-def test_decomposition_under_400ms():
+def test_decomposition_under_400ms(tmp_path):
+    image = tmp_path / "image"
+    image.write_bytes(b"\x89PNG\r\n\x1a\n0000")
     attachments = [
         Attachment("path", "a.mp3", declared_name="a.mp3"),
-        Attachment("bytes", b"\x89PNG\r\n\x1a\n0000"),
+        Attachment("path", str(image)),
     ]
     start = time.perf_counter()
     modalities = {detect_modality(a) for a in attachments}

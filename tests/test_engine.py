@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 import socket
 
@@ -27,12 +26,7 @@ from supervisord.engine import (
     save_state_file,
     state_path,
 )
-from supervisord.errors import (
-    BudgetExceeded,
-    CorruptState,
-    EmbeddingUnavailable,
-    UnplannableQuery,
-)
+from supervisord.errors import BudgetExceeded, CorruptState, UnplannableQuery
 from supervisord.memory import (
     COMPRESSION_TRIGGER_TOKENS,
     HashingEmbedder,
@@ -147,11 +141,11 @@ class TestFlagPipelines:
         fixtures = {talk: {"transcript": [{"word": "hello", "t": 0.0, "conf": 0.9}]}}
         state, outcome = run_query(
             "transcribe this recording",
-            [Attachment("url", talk), Attachment("url", report, mime="application/pdf")],
+            [Attachment("url", talk), Attachment("url", report)],
             fixtures,
         )
         assert [a.detected_modality for a in state.attachments] == [
-            Modality.AUDIO, Modality.DOCUMENT
+            Modality.AUDIO, Modality.UNKNOWN
         ]
         assert outcome.flag is ExecutionFlag.AUDIO
         assert "hello" in outcome.segments["transcript"]
@@ -175,14 +169,13 @@ class TestDeterminism:
 class TestClarification:
     def test_self_serve_from_memory_hint(self):
         memory = MemoryStore()
-        config = EngineConfig(seed=3)
         memory.add_turn(
             "Context note: when I say the usual, I mean dates and totals.",
             Modality.TEXT,
-            config.embedder,
+            HashingEmbedder(),
         )
         _, outcome = run_query(
-            "Summarize this in the usual style", memory=memory, config=config,
+            "Summarize this in the usual style", memory=memory,
             clarifier=lambda q: pytest.fail("should not ask the user"),
         )
         assert outcome.clarifications_user == 0
@@ -206,7 +199,7 @@ class TestClarification:
         config = EngineConfig(seed=3, memory_enabled=False)
         memory = MemoryStore()
         memory.add_turn(
-            "Context note: when I say the usual, I mean dates.", Modality.TEXT, config.embedder
+            "Context note: when I say the usual, I mean dates.", Modality.TEXT, HashingEmbedder()
         )
         asked = []
         _, outcome = run_query(
@@ -329,18 +322,6 @@ class TestAccounting:
         assert state.session.turn_count == 1
 
 
-class CountingEmbedder(HashingEmbedder):
-    def __init__(self, fail: bool = False):
-        super().__init__()
-        self.calls, self.fail = 0, fail
-
-    def embed(self, text):
-        self.calls += 1
-        if self.fail:
-            raise RuntimeError("embedding service down")
-        return super().embed(text)
-
-
 class CountingStore(MemoryStore):
     retrieves = 0
 
@@ -360,13 +341,15 @@ class TestEmptyStore:
 
     QUERY = "what time is it in Tokyo"
 
-    def test_turns_embed_only_when_a_pool_is_ranked(self):
-        embedder, store = CountingEmbedder(), CountingStore()
-        config = EngineConfig(seed=3, embedder=embedder)
+    def test_turns_embed_only_when_a_pool_is_ranked(self, monkeypatch):
+        calls, store = [], CountingStore()
+        embed = HashingEmbedder.embed
+        monkeypatch.setattr(HashingEmbedder, "embed",
+                            lambda self, text: calls.append(text) or embed(self, text))
         counts = []
         for _ in range(4):
-            run_query(self.QUERY, config=config, memory=store)
-            counts.append((embedder.calls, store.retrieves, store.turn_count))
+            run_query(self.QUERY, memory=store)
+            counts.append((len(calls), store.retrieves, store.turn_count))
         # Turn 3 ranks two records: the query and both stored turns are
         # embedded; turn 4 adds the query and the third turn.
         assert counts == [(0, 0, 1), (0, 0, 2), (3, 1, 3), (5, 2, 4)]
@@ -377,58 +360,6 @@ class TestEmptyStore:
         assert (memory_row.node_id, memory_row.tool) == ("memory", "memory-retrieve")
         assert memory_row.cost_usd == memory_fee().usd_str()
         assert [seg.text for seg in state.context.segments] == ["", "", ""]
-
-    def test_failing_embedder_raises_at_first_ranking_and_at_save(self, tmp_path):
-        fee = memory_fee()
-        config = EngineConfig(seed=3, embedder=CountingEmbedder(fail=True))
-        store = MemoryStore()
-        path = str(tmp_path / "s.memory.json")
-        save_memory(store, path)
-        written, mark = open(path, "rb").read(), store._journal_mark
-        # Turns 1 and 2 rank nothing, so they are answered and stored.
-        for query_id in ("t0", "t1"):
-            state = QueryState(user_query=self.QUERY, cost_knob=CostKnob.TRAD_COUPLET,
-                               session=session())
-            outcome = Supervisor(config).process(state, memory_store=store,
-                                                 query_id=query_id)
-            assert outcome.answer_text and not outcome.failed
-        assert store.turn_count == 2
-        # Saving must encode the two turns; it fails before writing a byte.
-        with pytest.raises(EmbeddingUnavailable):
-            save_memory(store, path)
-        assert open(path, "rb").read() == written and store._journal_mark == mark
-        # Turn 3 ranks two records and fails after the fee.
-        third = QueryState(user_query=self.QUERY, cost_knob=CostKnob.TRAD_COUPLET,
-                           session=session())
-        with pytest.raises(EmbeddingUnavailable):
-            Supervisor(config).process(third, memory_store=store, query_id="t2")
-        assert third.session.cumulative_cost == fee and store.turn_count == 2
-        # A first save to a new path leaves no file behind.
-        fresh = str(tmp_path / "fresh.memory.json")
-        with pytest.raises(EmbeddingUnavailable):
-            save_memory(store, fresh)
-        assert not os.path.exists(fresh) and not os.path.exists(fresh + ".tmp")
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_embedder_raises_at_first_ranking(self, value):
-        class NonFinite(HashingEmbedder):
-            def embed(self, text):
-                vec = super().embed(text)
-                vec[0] = value
-                return vec
-
-        config = EngineConfig(seed=3, embedder=NonFinite())
-        store = MemoryStore()
-        for query_id in ("t0", "t1"):  # nothing to rank yet
-            state = QueryState(user_query=self.QUERY, cost_knob=CostKnob.TRAD_COUPLET,
-                               session=session())
-            outcome = Supervisor(config).process(state, memory_store=store, query_id=query_id)
-            assert outcome.answer_text and not outcome.failed
-        third = QueryState(user_query=self.QUERY, cost_knob=CostKnob.TRAD_COUPLET,
-                           session=session())
-        with pytest.raises(EmbeddingUnavailable):
-            Supervisor(config).process(third, memory_store=store, query_id="t2")
-        assert third.session.cumulative_cost == memory_fee() and store.turn_count == 2
 
 
 class TestPromptTokens:

@@ -18,7 +18,7 @@ import pytest
 from supervisord import harness
 from supervisord.couplet import DETECT_MS_PER_FRAME
 from supervisord.engine import ANSWER_TOKENS, EngineBackends, EngineConfig, Supervisor
-from supervisord.errors import IncomparableReports, NodeFailure, WorkloadSpecError
+from supervisord.errors import NodeFailure, WorkloadSpecError
 from supervisord.harness import (
     _HIER_OVERHEAD,
     CATEGORIES,
@@ -171,12 +171,10 @@ class TestRunPolicy:
 
     def test_centralized_run_embeds_and_ranks_nothing(self, monkeypatch):
         # Each query's store is dropped unread, and none holds two records.
-        class CountingEmbedder(HashingEmbedder):
-            calls = 0
-
-            def embed(self, text):
-                CountingEmbedder.calls += 1
-                return super().embed(text)
+        calls = []
+        embed = HashingEmbedder.embed
+        monkeypatch.setattr(HashingEmbedder, "embed",
+                            lambda self, text: calls.append(text) or embed(self, text))
 
         class CountingStore(MemoryStore):
             retrieves = 0
@@ -189,10 +187,9 @@ class TestRunPolicy:
         spec = default_workload_spec(200)
         queries = generate_workload(spec)
         assert any(q.ground_truth.memory_hint for q in queries)
-        report = run_policy(queries, "centralized", spec,
-                            EngineConfig(embedder=CountingEmbedder()), seed=5)
+        report = run_policy(queries, "centralized", spec, seed=5)
         assert report.aggregates["queries"] == 200
-        assert (CountingEmbedder.calls, CountingStore.retrieves) == (0, 0)
+        assert (len(calls), CountingStore.retrieves) == (0, 0)
 
 
 _PERCEPTUAL_TOOLS = (
@@ -258,14 +255,6 @@ class TestCompare:
         assert delta.cost_reduction_pct == 0.0
         assert delta.throughput_ratio == 1.0
         assert delta.accuracy_delta_pp == 0.0
-
-    def test_mismatched_workloads_rejected(self):
-        spec_a = default_workload_spec(40, seed=9)
-        spec_b = default_workload_spec(40, seed=10)
-        report_a = run_policy(generate_workload(spec_a), "centralized", spec_a, seed=3)
-        report_b = run_policy(generate_workload(spec_b), "centralized", spec_b, seed=3)
-        with pytest.raises(IncomparableReports):
-            compare(report_a, report_b)
 
     def test_csv_export(self):
         spec = default_workload_spec(20, seed=9)

@@ -28,7 +28,9 @@ ANSWERS_SHA256 = "5264b9b9ab20ea700d2d0114e1a22e0b8ce67bf45b66ff1bf69a402790df62
 LEGACY_MEMORY_FILE_SHA256 = "1dc8abee491aab01610a94c54de1af5cd78f346abdefe108f43ddbc788e5ed56"
 MEMORY_FILE_SHA256 = "ec3414a7006e13ece551c01f211275e8023423bc74c0544c4bcb3e5301f8ed1a"
 TRACE_FILE_SHA256 = "43c142171d95c72283441cd4b4790b44af657162bb4d6f1b82d0b20e32b0bafa"
-STATE_FILE_SHA256 = "5eb1d54af637c09d8a90a1524c9da8fe034a23090f25cf8fffb82fda4ee866ad"
+STATE_FILE_SHA256 = "9d1dbef8491f54410ad490279ec19eab82660abc1bc95a8d8d7c8e1ca3cede0d"
+# The same journal as versions that wrote a `"mime":null` key on every attachment.
+MIME_STATE_FILE_SHA256 = "5eb1d54af637c09d8a90a1524c9da8fe034a23090f25cf8fffb82fda4ee866ad"
 
 
 def load_workloads():
@@ -78,6 +80,11 @@ def test_seed_1_session_long_answers_and_memory_file(tmp_path):
     state_file = Path(engine.state_path(store_root, session_id)).read_bytes()
     assert hashlib.sha256(trace_file).hexdigest() == TRACE_FILE_SHA256
     assert hashlib.sha256(state_file).hexdigest() == STATE_FILE_SHA256
+    # An attachment's keys sort as declared_name, detected_modality, mime, source.
+    with_mime = state_file.replace(b',"source":', b',"mime":null,"source":')
+    assert with_mime.count(b',"mime":null') == 30
+    assert hashlib.sha256(with_mime).hexdigest() == MIME_STATE_FILE_SHA256
+    assert with_mime.replace(b',"mime":null', b"") == state_file
     header, *lines = [json.loads(line) for line in memory_file.splitlines()]
     legacy = {
         "compressed": [obj["compressed"] for obj in lines if "compressed" in obj][-1],

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from supervisord import memory
-from supervisord.errors import CorruptState, DimensionMismatch, EmbeddingUnavailable
+from supervisord.errors import CorruptState, DimensionMismatch
 from supervisord.memory import (
     COMPRESSION_TRIGGER_TOKENS,
     CompressedSummary,
@@ -50,27 +50,6 @@ class TestEmbedder:
     def test_configurable_dimension(self):
         embedder = HashingEmbedder(dimension=1536)
         assert embed("external backend style", embedder).shape == (1536,)
-
-    def test_backend_failure_surfaces(self):
-        class Broken:
-            dimension = 64
-
-            def embed(self, text):
-                raise RuntimeError("offline")
-
-        with pytest.raises(EmbeddingUnavailable):
-            embed("x", Broken())
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_vector_rejected(self, value):
-        class NonFinite:
-            dimension = 4
-
-            def embed(self, text):
-                return [1.0, value, 0.0, 0.0]
-
-        with pytest.raises(EmbeddingUnavailable):
-            embed("x", NonFinite())
 
 
 def reference_embed(text, dimension=64, seed=0):
@@ -397,12 +376,22 @@ class TestCompression:
         store.add_turn("w " * 4500, Modality.TEXT, embedder)
         store.add_turn("w " * 4500, Modality.TEXT, embedder)
         events = []
-        store.maybe_compress(
-            compressor=lambda text: "s " * 700, on_event=events.append
-        )
+        store.maybe_compress(on_event=events.append)
+        # Each 4,500-token line keeps 375 tokens; " / " joins the two.
         assert store.compressed is not None
-        assert store.compressed.ratio == pytest.approx(9000 / 700, rel=1e-6)
-        assert any("12.9" in e for e in events)
+        assert store.compressed.ratio == pytest.approx(9000 / 751, rel=1e-6)
+        assert events == ["compressed 9000 tokens at 12.0:1 (within target band)"]
+
+    def test_short_turns_compress_outside_the_band(self):
+        store = MemoryStore()
+        embedder = HashingEmbedder()
+        for i in range(3):
+            store.add_turn(f"turn {i} of five tokens", Modality.TEXT, embedder)
+        events = []
+        store.maybe_compress(force=True, on_event=events.append)
+        # A line keeps at least one token: "turn / turn / turn" is 5 tokens.
+        assert store.compressed.ratio == pytest.approx(15 / 5, rel=1e-6)
+        assert events == ["compressed 15 tokens at 3.0:1 (outside target band)"]
 
     def test_explicit_request_compresses_small_history(self):
         store = MemoryStore()
@@ -410,18 +399,6 @@ class TestCompression:
         store.add_turn("only " * 500, Modality.TEXT, embedder)
         store.maybe_compress(force=True)
         assert store.compressed is not None
-
-    def test_compressor_failure_keeps_history(self):
-        store = MemoryStore()
-        embedder = HashingEmbedder()
-        store.add_turn("w " * 9000, Modality.TEXT, embedder)
-        events = []
-        def broken(text):
-            raise RuntimeError("llm down")
-        store.maybe_compress(compressor=broken, on_event=events.append)
-        assert store.compressed is None
-        assert store.turn_count == 1
-        assert any("failed" in e for e in events)
 
     def test_trigger_constant(self):
         assert COMPRESSION_TRIGGER_TOKENS == 8000

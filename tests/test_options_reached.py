@@ -20,10 +20,7 @@ CONFIG_CLASSES = ("EngineConfig", "WorkloadSpec")
 # "name(param)" -> why the parameter stays although no program code passes it.
 ALLOWED = {
     "main(argv)": "the console entry point passes none; tests pass the command line",
-    "maybe_compress(compressor)": "the seam for a summarizing model; tests inject failing ones",
-    "serialize_state(max_inline_bytes)": "tests lower the inline limit to reach the size rejection",
     "HashingEmbedder(seed)": "its salt is hashed into every gram, so vectors stay bit-identical",
-    "EngineConfig.embedder": "the seam for an embedding model; tests inject failing ones",
 }
 
 

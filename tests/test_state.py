@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from supervisord.cli import main
 from supervisord.engine import STATE_JOURNAL_HEADER, load_state_file, save_state_file
-from supervisord.errors import CorruptState, SizeExceeded, VersionMismatch
+from supervisord.errors import CorruptState, VersionMismatch
 from supervisord.state import (
     Attachment,
     ContextBundle,
@@ -74,7 +74,7 @@ def make_state(**overrides) -> QueryState:
         session=SessionMeta(session_id="0-" + "ab" * 8, created_at_ms=0),
         attachments=[
             Attachment("path", "photo.png", declared_name="photo.png",
-                       detected_modality=Modality.IMAGE, mime="image/png"),
+                       detected_modality=Modality.IMAGE),
         ],
         flag=ExecutionFlag.VISION,
     )
@@ -93,7 +93,7 @@ class TestSerializationRoundTrip:
         state = make_state(
             attachments=[
                 Attachment("url", "https://x/y.png", declared_name="y.png"),
-                Attachment("bytes", b"\x89PNG\r\n\x1a\n123", declared_name="raw.png"),
+                Attachment("url", "https://x/raw", declared_name="raw.png"),
                 Attachment("path", "a.mp3", detected_modality=Modality.AUDIO),
             ],
             context=ContextBundle(segments=(
@@ -135,13 +135,6 @@ class TestSerializationRoundTrip:
         with pytest.raises(CorruptState):
             deserialize_state(b"\xff\xfe not json")
 
-    def test_oversized_inline_attachment(self):
-        state = make_state(
-            attachments=[Attachment("bytes", b"x" * 2048, declared_name="big.bin")]
-        )
-        with pytest.raises(SizeExceeded):
-            serialize_state(state, max_inline_bytes=1024)
-
     def test_clarify_response_requires_question(self):
         state = make_state(clarify_response="yes")
         with pytest.raises(ValueError):
@@ -149,7 +142,8 @@ class TestSerializationRoundTrip:
 
 
 def _older_state_doc() -> dict:
-    """A version-1 document as earlier builds wrote it, with a `trace` list."""
+    """A version-1 document as earlier builds wrote it, with a `trace` list and
+    a `mime` key on each attachment."""
     return {
         "version": 1,
         "state": {
@@ -160,8 +154,8 @@ def _older_state_doc() -> dict:
             "attachments": [
                 {"source_kind": "path", "source": "ad.mp4", "declared_name": "ad.mp4",
                  "detected_modality": "video", "mime": "video/mp4"},
-                {"source_kind": "bytes", "source": base64.b64encode(b"\x89PNG\r\n").decode(),
-                 "declared_name": "raw.png", "detected_modality": None, "mime": None},
+                {"source_kind": "url", "source": "https://cdn/raw", "declared_name": "raw.png",
+                 "detected_modality": None, "mime": None},
             ],
             "context": {"segments": [
                 {"layer": "short", "weight": 0.6, "text": "earlier turn"},
@@ -187,6 +181,14 @@ def _canonical(doc: dict) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode()
 
 
+def _rewritten(doc: dict) -> bytes:
+    """What this version writes for an older document: no trace, no mime."""
+    del doc["state"]["trace"]
+    for attachment in doc["state"]["attachments"]:
+        del attachment["mime"]
+    return _canonical(doc)
+
+
 class TestOlderStateFiles:
     def test_trace_key_ignored_and_dropped_on_rewrite(self):
         doc = _older_state_doc()
@@ -195,8 +197,8 @@ class TestOlderStateFiles:
         assert state.cost_knob is CostKnob.OPEN_SRC
         assert (state.clarify_question, state.clarify_response) == ("which brand?", "the drinks")
         assert [a.__dict__ for a in state.attachments] == [
-            Attachment("path", "ad.mp4", "ad.mp4", Modality.VIDEO, "video/mp4").__dict__,
-            Attachment("bytes", b"\x89PNG\r\n", "raw.png").__dict__,
+            Attachment("path", "ad.mp4", "ad.mp4", Modality.VIDEO).__dict__,
+            Attachment("url", "https://cdn/raw", "raw.png").__dict__,
         ]
         assert state.context.segments == (
             ContextSegment("short", 0.6, "earlier turn"),
@@ -209,18 +211,32 @@ class TestOlderStateFiles:
         assert (state.flag, state.subflag) == (ExecutionFlag.VIDEO, Subflag.GENERAL)
 
         rewritten = serialize_state(state)
-        del doc["state"]["trace"]
-        assert rewritten == _canonical(doc)
+        assert rewritten == _rewritten(doc)
         assert serialize_state(deserialize_state(rewritten)) == rewritten
+
+    def test_mime_key_ignored_and_dropped_on_rewrite(self):
+        doc = _older_state_doc()
+        doc["state"]["attachments"][1]["mime"] = "application/pdf"
+        state = deserialize_state(_canonical(doc))
+        assert state.attachments[1].detected_modality is None
+        assert b"mime" not in serialize_state(state)
+        assert serialize_state(state) == _rewritten(doc)
+
+    def test_inline_bytes_attachment_is_corrupt(self):
+        doc = _older_state_doc()
+        doc["state"]["attachments"].append(
+            {"source_kind": "bytes", "source": base64.b64encode(b"\x89PNG\r\n").decode(),
+             "declared_name": "raw.png", "detected_modality": None, "mime": None})
+        with pytest.raises(CorruptState, match="unknown attachment source kind 'bytes'"):
+            deserialize_state(_canonical(doc))
 
     def test_first_save_rewrites_older_file_as_journal(self, tmp_path):
         doc = _older_state_doc()
         sid = doc["state"]["session"]["session_id"]
-        del doc["state"]["trace"]
         path = tmp_path / f"{sid}.state.json"
         path.write_bytes(_canonical(doc))
         state = load_state_file(str(tmp_path), sid)
-        assert serialize_state(state) == _canonical(doc)
+        assert serialize_state(state) == _rewritten(doc)
         state.session.turn_count += 1
         save_state_file(str(tmp_path), state)
         assert path.read_bytes() == STATE_JOURNAL_HEADER + serialize_state(state) + b"\n"
@@ -270,7 +286,6 @@ def states(draw):
                 source=st.text(min_size=1, max_size=30),
                 declared_name=st.none() | st.text(max_size=20),
                 detected_modality=_modalities,
-                mime=st.none() | st.sampled_from(["image/png", "application/pdf"]),
             ),
             max_size=4,
         )
