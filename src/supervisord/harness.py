@@ -647,8 +647,9 @@ def _run_centralized(
 
 
 def _work_ms(outcome) -> int:
-    # Worker occupancy: node latencies, excluding human wait time.
-    return sum(r.latency_ms or 0 for r in outcome.trace_rows if r.event == "done")
+    # Worker occupancy: every attempt's latency, failed ones too, excluding
+    # human wait time.
+    return sum(r.latency_ms or 0 for r in outcome.trace_rows if r.event in ("done", "failed"))
 
 
 # The fixed baselines run one plan per query: a fixed sequence of stage tools

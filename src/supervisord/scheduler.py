@@ -403,17 +403,18 @@ class Scheduler:
         clock advances to each finish. A repaired node becomes ready again
         under its original insertion index. Deterministic for a fixed seed.
         Every attempt is priced and charged by `backends.node_cost` once, when
-        it ends, and its `done` or `failed` trace row carries that cost. A done
-        node is recorded in `graph.results`, flagged `critical` when it lies on
-        this call's longest dependency chain. Returns this call's trace and its
-        total virtual latency, which equals the critical path when capacity is
-        unbounded.
+        it ends, and its `done` or `failed` trace row carries that cost and
+        that attempt's own latency. A done node is recorded in
+        `graph.results`, flagged `critical` when it lies on this call's
+        longest dependency chain, which counts every attempt of a repaired
+        node. Returns this call's trace and its total virtual latency, which
+        equals the critical path when capacity is unbounded.
         """
         start_ms = clock.now_ms()
         trace: list[TraceRow] = []
         node_elapsed: dict[str, int] = {}
         finished: dict[str, int] = {}  # node_id -> dependency finish, in completion order
-        attempts: dict[str, tuple] = {}  # node_id -> (invocation, failed, cause)
+        attempts: dict[str, tuple] = {}  # node_id -> (invocation, failed, cause, latency)
         insertion = {node_id: i for i, node_id in enumerate(graph.nodes)}
         running: list[tuple[int, int, str]] = []  # (finish_ts, insertion, node_id)
         # Unfinished parents per node; a node is ready once its count is zero.
@@ -446,9 +447,10 @@ class Scheduler:
                 latency = self.registry.sample_latency(
                     node.tool, keyed_uniform(attempt_seed, "latency")
                 )
-            node_elapsed[node_id] = node_elapsed.get(node_id, 0) + int(latency)
-            heapq.heappush(running, (at_ms + int(latency), insertion[node_id], node_id))
-            attempts[node_id] = (invocation, failed, cause)
+            latency = int(latency)
+            node_elapsed[node_id] = node_elapsed.get(node_id, 0) + latency
+            heapq.heappush(running, (at_ms + latency, insertion[node_id], node_id))
+            attempts[node_id] = (invocation, failed, cause, latency)
 
         def launch_ready(at_ms: int) -> None:
             while ready and (self.parallel_enabled or not running):
@@ -459,13 +461,13 @@ class Scheduler:
             finish_ts, _, node_id = heapq.heappop(running)
             clock.advance_to(finish_ts)
             node = graph.nodes[node_id]
-            invocation, failed, cause = attempts.pop(node_id)
+            invocation, failed, cause, latency = attempts.pop(node_id)
             tool_name = self.registry.get(node.tool).name
             cost = backends.node_cost(node, invocation)
             trace.append(
                 TraceRow(ts=finish_ts, session_id=session_id, node_id=node_id,
                          tool=tool_name, event="failed" if failed else "done",
-                         latency_ms=node_elapsed[node_id], cost_usd=cost.usd_str(),
+                         latency_ms=latency, cost_usd=cost.usd_str(),
                          confidence=None if invocation is None else invocation.confidence)
             )
             if failed:

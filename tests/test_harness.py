@@ -219,7 +219,7 @@ class TestReportBytes:
     @pytest.mark.parametrize("parallel_enabled,faults,expected", [
         (True, False, "7a89bed5761410eae8e56a0bec19b3043b892bd70f8c6b3b8f1f30f464640d8c"),
         (False, False, "61ab96b10b200e6a475ff78a653851e49974d3029b369dd359af1bd71b244fc4"),
-        (True, True, "d012e15edeb071c65c3f6c2095fb43936493694380dd4713b8125385e717076c"),
+        (True, True, "3b9722e20a0e3a25bf21026a3e90934a1d58893ede539f40cd47f5c64f47a06b"),
     ], ids=["parallel", "serial", "parallel-faults"])
     def test_centralized_report_digest(self, parallel_enabled, faults, expected):
         policy_cfg = PolicyConfig(parallel_enabled=parallel_enabled)

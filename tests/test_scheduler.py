@@ -377,6 +377,23 @@ class TestRepair:
         assert left == [(0, "start", None), (50, "done", 50)]
         assert graph.results["left"].confidence == 0.95
 
+    def test_each_row_carries_its_attempts_own_latency(self):
+        registry = simple_registry()
+        graph = chain_graph(registry, {"a": None, "b": None})
+        # a's first attempt raises, so its latency is the prior's 100 ms.
+        backends = StubBackends({"a": 200, "b": 50}, failures={("a", 0)})
+        outcome = Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
+        rows = [(r.ts, r.node_id, r.event, r.latency_ms) for r in outcome.trace
+                if r.event != "repaired"]
+        assert rows == [
+            (0, "a", "start", None), (100, "a", "failed", 100),
+            (100, "a", "start", None), (300, "a", "done", 200),
+            (300, "b", "start", None), (350, "b", "done", 50),
+        ]
+        # The critical path still counts both of a's attempts.
+        assert outcome.total_latency_ms == 350
+        assert graph.results["a"].critical and graph.results["b"].critical
+
     def test_every_attempt_is_charged_once_when_it_ends(self):
         registry = simple_registry()
         graph = chain_graph(registry, {"a": None, "b": None})
