@@ -6,12 +6,13 @@ defaults. `run`, `session` and `simulate` build one EngineConfig from them;
 `simulate` runs every policy on it, without the budget.
 Commands raise typed errors; `main` maps them to stable exit codes
 (`EXIT_CODES`): 2 workload spec violation, unknown policy, bad config file
-(unreadable, not a JSON object, an unknown key or a value of the wrong type)
-or an unreadable input (tool or model catalog, flag rules, fixtures, workload
-file, budget amount), 3 unknown session, 4 corrupt state, memory or trace
-file, 11 unplannable query or a tool catalog without a tool the engine or a
-baseline names, 12 budget exceeded (checked as each node finishes). Commands
-return 13 pipeline failed and 20 clarification required in non-interactive mode.
+(unreadable, not a JSON object, an unknown key or a value of the wrong type),
+an unreadable input (tool or model catalog, flag rules, fixtures, workload
+file, budget amount) or an empty or all-whitespace `run` query, 3 unknown
+session, 4 corrupt state, memory or trace file, 11 unplannable query or a
+tool catalog without a tool the engine or a baseline names, 12 budget
+exceeded (checked as each node finishes). Commands return 13 pipeline failed
+and 20 clarification required in non-interactive mode.
 """
 
 from __future__ import annotations
@@ -206,6 +207,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_run(args) -> int:
+    if not args.query.strip():
+        raise InvalidInput("empty query")
     cfg = resolve_config(args)
     supervisor = Supervisor(cfg.engine_config())
     session = supervisor.new_session()

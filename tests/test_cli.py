@@ -56,6 +56,12 @@ class TestRun:
         assert float(payload["cost_usd"]) > 0
         assert os.path.exists(payload["trace_path"])
 
+    @pytest.mark.parametrize("query", ["", "   "], ids=["empty", "whitespace"])
+    def test_empty_query_exits_2(self, store, capsys, query):
+        assert run_cli("run", query) == EXIT_WORKLOAD_SPEC
+        assert capsys.readouterr().err == "error: empty query\n"
+        assert not store.exists()
+
     def test_seed_and_query_fix_the_draws(self, store, capsys):
         def run(seed, *attach):
             argv = [a for name in attach for a in ("--attach", name)]
