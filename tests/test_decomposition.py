@@ -35,11 +35,6 @@ class TestDetectModality:
     def test_inline_bytes_signature(self):
         assert modality_from_magic(b"%PDF-1.7 ...") is Modality.DOCUMENT
 
-    def test_pdf_file_detected_by_signature(self, tmp_path):
-        path = tmp_path / "scan"
-        path.write_bytes(b"%PDF-1.7 ...")
-        assert detect_modality(Attachment("path", str(path))) is Modality.DOCUMENT
-
     def test_extensionless_url_without_mime_is_unknown(self):
         att = Attachment("url", "https://cdn/mystery")
         assert detect_modality(att) is Modality.UNKNOWN

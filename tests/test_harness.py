@@ -17,7 +17,7 @@ import pytest
 
 from supervisord import harness
 from supervisord.couplet import DETECT_MS_PER_FRAME
-from supervisord.engine import ANSWER_TOKENS, EngineBackends, EngineConfig, Supervisor
+from supervisord.engine import ANSWER_TOKENS, EngineBackends, Supervisor
 from supervisord.errors import NodeFailure, WorkloadSpecError
 from supervisord.harness import (
     _HIER_OVERHEAD,
