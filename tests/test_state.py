@@ -93,7 +93,6 @@ class TestSerializationRoundTrip:
         state = make_state(
             attachments=[
                 Attachment("url", "https://x/y.png", declared_name="y.png"),
-                Attachment("url", "https://x/raw", declared_name="raw.png"),
                 Attachment("path", "a.mp3", detected_modality=Modality.AUDIO),
             ],
             context=ContextBundle(segments=(
