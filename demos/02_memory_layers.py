@@ -37,12 +37,6 @@ for rec in store.full_history:
 top = store.retrieve_relevant(query_vec, Modality.TEXT, k=3)
 print("\ntop-3 retrieved:", [r.turn_index for r in top])
 
-bundle = store.integrate_context(top)
-print("\nintegrated context bundle:")
-for segment in bundle.segments:
-    preview = segment.text.replace("\n", " | ")[:70]
-    print(f"  {segment.layer:10} (weight {segment.weight}): {preview}")
-
 # force a summary (normally triggered above 8,000 history tokens)
 store.maybe_compress(force=True, on_event=lambda msg: print(f"\ncompression: {msg}"))
 print(f"compressed summary: {store.compressed.text[:100]}")

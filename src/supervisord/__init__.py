@@ -2,8 +2,6 @@
 
 from .state import (
     Attachment,
-    ContextBundle,
-    ContextSegment,
     CostKnob,
     ExecutionFlag,
     Modality,
@@ -26,8 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Attachment",
-    "ContextBundle",
-    "ContextSegment",
     "CostKnob",
     "EngineConfig",
     "ExecutionFlag",

@@ -318,8 +318,9 @@ class Supervisor:
         state.flag = reconcile_flag(decision.flag, modalities)
         outcome.flag = state.flag
 
-        # 3. Memory: retrieve, integrate, self-serve underspecified parameters.
+        # 3. Memory: retrieve, count the context, self-serve underspecified parameters.
         resolution_text = ""
+        context_tokens = 0
         if config.memory_enabled:
             mem_tool = config.registry.id_for_name("memory-retrieve")
             mem_latency = config.registry.sample_latency(
@@ -333,7 +334,6 @@ class Supervisor:
             else:
                 query_embedding = embed(state.user_query or " ", self.embedder)
                 retrieved = memory_store.retrieve_relevant(query_embedding, primary)
-            state.context = memory_store.integrate_context(retrieved)
             context_tokens = memory_store.context_tokens(retrieved)
             outcome.trace_rows.append(TraceRow(
                 ts=clock.now_ms(), session_id=state.session.session_id,
@@ -341,8 +341,6 @@ class Supervisor:
                 latency_ms=mem_latency, cost_usd=mem_cost.usd_str(), confidence=1.0,
             ))
             resolution_text = self._self_serve_resolution(state, marker, memory_store, retrieved)
-        else:
-            context_tokens = whitespace_tokens(state.context.text())
 
         if marker and not resolution_text and state.clarify_response is None:
             question = (

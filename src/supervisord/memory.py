@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import CorruptState, DimensionMismatch
-from .state import ContextBundle, ContextSegment, Modality, parse_jsonl, write_jsonl
+from .state import Modality, parse_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,7 +38,6 @@ DEFAULT_TOP_K = 6
 SHORT_TERM_TURNS = 5
 COMPRESSION_TRIGGER_TOKENS = 8000
 COMPRESSION_RATIO_BAND = (10.0, 15.0)
-CONTEXT_WEIGHTS = (0.6, 0.3, 0.1)  # short-term, relevant, compressed
 GRAM_CACHE_LIMIT = 16_384  # grams each embedder remembers before it starts over
 
 # Per-turn exponential decay rates by modality. The unknown modality is not
@@ -390,25 +389,12 @@ class MemoryStore:
         scored.sort(key=lambda item: item[:3])
         return [rec for *_, rec in scored[:k]]
 
-    # --- context integration ----------------------------------------------------
-
-    def integrate_context(self, retrieved: Sequence[MemoryRecord]) -> ContextBundle:
-        """Weighted short / relevant / compressed segments, in that fixed order."""
-        short_text = "\n".join(r.content for r in self.short_term)
-        relevant_text = "\n".join(r.content for r in retrieved)
-        compressed_text = self.compressed.text if self.compressed else ""
-        return ContextBundle(
-            segments=(
-                ContextSegment("short", CONTEXT_WEIGHTS[0], short_text),
-                ContextSegment("relevant", CONTEXT_WEIGHTS[1], relevant_text),
-                ContextSegment("compressed", CONTEXT_WEIGHTS[2], compressed_text),
-            )
-        )
+    # --- context ------------------------------------------------------------------
 
     def context_tokens(self, retrieved: Sequence[MemoryRecord]) -> int:
-        """`whitespace_tokens(self.integrate_context(retrieved).text())`, from the
-        counts kept per record and for the summary: the context joins its parts
-        with newlines, which neither merge nor make tokens."""
+        """Whitespace tokens of the short-term window, the retrieved records and
+        the summary joined by newlines, from the counts kept per record and for
+        the summary: newlines neither merge nor make tokens."""
         tokens = self._summary_tokens
         for record in (*self.short_term, *retrieved):
             tokens += record.tokens

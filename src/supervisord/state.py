@@ -1,7 +1,7 @@
 """Query state: the single record carried across every processing stage.
 
 Holds the user query, cost tier, clarification dialogue, attachments,
-accumulated context and session metadata, plus a lossless
+flag and session metadata, plus a lossless
 serialize/rehydrate pair so state can move between stages and processes
 without information loss. Execution events live in the JSONL trace
 (`scheduler.TraceRow`), not here.
@@ -172,25 +172,6 @@ class SessionMeta:
         self.cumulative_cost = self.cumulative_cost + amount
 
 
-@dataclass(frozen=True)
-class ContextSegment:
-    """One weighted slice of integrated context (short / relevant / compressed)."""
-
-    layer: str
-    weight: float
-    text: str
-
-
-@dataclass
-class ContextBundle:
-    """Ordered, weighted context segments fed to downstream model invocations."""
-
-    segments: tuple[ContextSegment, ...] = ()
-
-    def text(self) -> str:
-        return "\n\n".join(s.text for s in self.segments if s.text)
-
-
 @dataclass
 class QueryState:
     """Everything one query needs to move between stages without loss."""
@@ -201,7 +182,6 @@ class QueryState:
     clarify_question: Optional[str] = None
     clarify_response: Optional[str] = None
     attachments: list[Attachment] = field(default_factory=list)
-    context: ContextBundle = field(default_factory=ContextBundle)
     flag: Optional[ExecutionFlag] = None
     subflag: Optional[Subflag] = None
 
@@ -263,12 +243,6 @@ def state_to_json_dict(state: QueryState) -> dict:
         "clarify_question": state.clarify_question,
         "clarify_response": state.clarify_response,
         "attachments": [_attachment_to_json(a) for a in state.attachments],
-        "context": {
-            "segments": [
-                {"layer": s.layer, "weight": s.weight, "text": s.text}
-                for s in state.context.segments
-            ]
-        },
         "session": {
             "session_id": state.session.session_id,
             "created_at_ms": state.session.created_at_ms,
@@ -281,7 +255,8 @@ def state_to_json_dict(state: QueryState) -> dict:
 
 
 def state_from_json_dict(obj: dict) -> QueryState:
-    """Inverse of `state_to_json_dict`; a `trace` key from older files is ignored."""
+    """Inverse of `state_to_json_dict`; the `trace` and `context` keys of older
+    files are ignored."""
     session_obj = obj["session"]
     session = SessionMeta(
         session_id=session_obj["session_id"],
@@ -296,12 +271,6 @@ def state_from_json_dict(obj: dict) -> QueryState:
         clarify_question=obj.get("clarify_question"),
         clarify_response=obj.get("clarify_response"),
         attachments=[_attachment_from_json(a) for a in obj["attachments"]],
-        context=ContextBundle(
-            segments=tuple(
-                ContextSegment(layer=s["layer"], weight=s["weight"], text=s["text"])
-                for s in obj["context"]["segments"]
-            )
-        ),
         flag=ExecutionFlag(obj["flag"]) if obj.get("flag") else None,
         subflag=Subflag(obj["subflag"]) if obj.get("subflag") else None,
     )
@@ -391,8 +360,6 @@ def write_jsonl(path: str, lines: bytes, append: Callable[[os.stat_result], bool
 
 __all__ = [
     "Attachment",
-    "ContextBundle",
-    "ContextSegment",
     "CostKnob",
     "ExecutionFlag",
     "FLAG_PRECEDENCE",

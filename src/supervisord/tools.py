@@ -93,7 +93,6 @@ _KNOWN_PREDICATES = {
     "has_attachment",        # has_attachment(<modality>)
     "has_visual_attachment",  # image or video present
     "has_av_attachment",      # audio or video present
-    "has_context",
 }
 
 
@@ -120,8 +119,6 @@ def evaluate_predicate(text: str, state: Optional[QueryState]) -> bool:
         return True
     if name == "nonempty_query":
         return bool(state.user_query.strip())
-    if name == "has_context":
-        return bool(state.context.segments)
     modalities = {
         a.detected_modality for a in state.attachments if a.detected_modality
     }

@@ -36,8 +36,6 @@ from supervisord.scenarios import load_scenario, run_scenario
 from supervisord.scheduler import ExecutionGraph, GraphNode, Scheduler
 from supervisord.state import (
     Attachment,
-    ContextBundle,
-    ContextSegment,
     CostKnob,
     ExecutionFlag,
     Modality,
@@ -84,10 +82,6 @@ def _random_state(rng: random.Random) -> QueryState:
             )
         )
     question = rng.choice([None, "which fields?", "what granularity?"])
-    segments = tuple(
-        ContextSegment(layer, weight, rng.choice(["", "some text", "ünïcode ⊕ text"]))
-        for layer, weight in (("short", 0.6), ("relevant", 0.3), ("compressed", 0.1))
-    )
     return QueryState(
         user_query=rng.choice(["", "hello", "transcribe this", "compare α and β?"]),
         cost_knob=rng.choice(list(CostKnob)),
@@ -100,7 +94,6 @@ def _random_state(rng: random.Random) -> QueryState:
         clarify_question=question,
         clarify_response=rng.choice([None, "dates"]) if question else None,
         attachments=attachments,
-        context=ContextBundle(segments=segments),
         flag=rng.choice([None] + flags),
         subflag=rng.choice([None] + list(Subflag)),
     )
@@ -253,7 +246,8 @@ def test_acceptance_3_critical_path_and_repair_preservation():
         outcome = Scheduler(registry).execute(
             graph, VirtualClock(), _FixedBackends(latencies), seed=1
         )
-        expected = _independent_longest_path(list(graph.nodes), graph.edges, latencies)
+        edges = [(p, c) for c in graph.nodes for p in graph.parents(c)]
+        expected = _independent_longest_path(list(graph.nodes), edges, latencies)
         assert outcome.total_latency_ms == expected
 
     preserved_checks = 0

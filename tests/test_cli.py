@@ -593,8 +593,9 @@ class TestUnreadableInputs:
                 f"{float(price):.6f}/MTok outside the trad_couplet band\n"
             )
 
-    @pytest.mark.parametrize("precondition",
-                             ["has_attachment(foo)", "has_attachment", "always(text)"])
+    @pytest.mark.parametrize("precondition", [
+        "has_attachment(foo)", "has_attachment", "always(text)", "has_context",
+    ])
     def test_bad_precondition_rejected_at_catalog_load(self, store, tmp_path, capsys,
                                                        precondition):
         registry = default_registry()

@@ -41,8 +41,6 @@ from supervisord.scenarios import SCENARIO_FILES, Scenario, load_scenario, run_s
 from supervisord.scheduler import Scheduler
 from supervisord.state import (
     Attachment,
-    ContextBundle,
-    ContextSegment,
     CostKnob,
     ExecutionFlag,
     Modality,
@@ -355,16 +353,16 @@ class TestEmptyStore:
         assert counts == [(0, 0, 1), (0, 0, 2), (3, 1, 3), (5, 2, 4)]
 
     def test_first_turn_keeps_the_memory_row_and_fee(self):
-        state, outcome = run_query(self.QUERY)
+        _, outcome = run_query(self.QUERY)
         memory_row = outcome.trace_rows[0]
         assert (memory_row.node_id, memory_row.tool) == ("memory", "memory-retrieve")
         assert memory_row.cost_usd == memory_fee().usd_str()
-        assert [seg.text for seg in state.context.segments] == ["", "", ""]
 
 
 class TestPromptTokens:
     """A turn counts its prompt tokens once, from the counts the store keeps,
-    and the count is the whitespace tokens of the query and of the context."""
+    and the count is the whitespace tokens of the query and of the context:
+    the short-term window, the retrieved records and the summary."""
 
     QUERIES = (
         "summarize the quarterly revenue figures for the board",
@@ -378,35 +376,44 @@ class TestPromptTokens:
 
     @pytest.fixture
     def checks(self, monkeypatch):
-        """(prompt tokens counted, tokens of query and context text) per model node."""
-        seen = []
-        original = EngineBackends.run_node
+        """(prompt tokens counted, tokens of query and context text, context
+        text) per model node."""
+        seen, context = [], [""]
+        original_run_node = EngineBackends.run_node
+        original_context_tokens = MemoryStore.context_tokens
+
+        def context_tokens(store, retrieved):
+            summary = [store.compressed.text] if store.compressed else []
+            context[0] = "\n".join(
+                [r.content for r in (*store.short_term, *retrieved)] + summary
+            )
+            return original_context_tokens(store, retrieved)
 
         def run_node(backends, node, seed):
-            result = original(backends, node, seed)
+            result = original_run_node(backends, node, seed)
             if node.role in ("model", "synthesize"):
-                state = backends.state
-                expected = (whitespace_tokens(state.user_query)
-                            + whitespace_tokens(state.context.text()))
-                seen.append((backends.prompt_tokens, expected))
+                expected = (whitespace_tokens(backends.state.user_query)
+                            + whitespace_tokens(context[0]))
+                seen.append((backends.prompt_tokens, expected, context[0]))
                 assert result.tokens == expected + ANSWER_TOKENS
             return result
 
+        monkeypatch.setattr(MemoryStore, "context_tokens", context_tokens)
         monkeypatch.setattr(EngineBackends, "run_node", run_node)
         return seen
 
     def turns(self, checks, store, count, config=None, start=0):
+        """Runs the turns and returns the checks they added."""
         supervisor = Supervisor(config or EngineConfig(seed=3))
-        states = []
+        first = len(checks)
         for i in range(start, start + count):
             before = len(checks)
             state = QueryState(user_query=self.QUERIES[i % len(self.QUERIES)],
                                cost_knob=CostKnob.TRAD_COUPLET, session=session())
             outcome = supervisor.process(state, memory_store=store, query_id=f"t{i}")
             assert not outcome.failed and len(checks) > before
-            states.append(state)
-        assert all(counted == expected for counted, expected in checks)
-        return states
+        assert all(counted == expected for counted, expected, _ in checks)
+        return checks[first:]
 
     def filled_store(self, records):
         store = MemoryStore()
@@ -416,17 +423,15 @@ class TestPromptTokens:
         return store
 
     def test_empty_store(self, checks):
-        store = MemoryStore()
-        (state,) = self.turns(checks, store, 1)
-        assert state.context.text() == ""
-        assert checks == [(whitespace_tokens(self.QUERIES[0]),) * 2]
+        self.turns(checks, MemoryStore(), 1)
+        assert checks == [(whitespace_tokens(self.QUERIES[0]),) * 2 + ("",)]
 
     def test_forced_compression(self, checks):
         store = self.filled_store(9)
         self.turns(checks, store, 3)
         store.maybe_compress(force=True)
-        states = self.turns(checks, store, 6, start=3)
-        assert store.compressed.text in states[0].context.text()
+        added = self.turns(checks, store, 6, start=3)
+        assert all(store.compressed.text in text for *_, text in added)
 
     def test_triggered_compression_after_a_forced_one(self, checks):
         store = self.filled_store(4)
@@ -440,8 +445,8 @@ class TestPromptTokens:
             if store.compressed.text != first_summary:
                 break
         assert store.compressed.text.startswith(first_summary + "\n")
-        states = self.turns(checks, store, 3, start=40)
-        assert store.compressed.text in states[-1].context.text()
+        added = self.turns(checks, store, 3, start=40)
+        assert all(store.compressed.text in text for *_, text in added)
 
     def test_resumed_compressed_store(self, checks, tmp_path):
         store = self.filled_store(12)
@@ -450,23 +455,14 @@ class TestPromptTokens:
         path = str(tmp_path / "s.memory.json")
         save_memory(store, path)
         loaded = load_memory(path)
-        states = self.turns(checks, loaded, 4, start=2)
-        assert loaded.compressed.text in states[0].context.text()
+        added = self.turns(checks, loaded, 4, start=2)
+        assert all(loaded.compressed.text in text for *_, text in added)
 
     def test_memory_disabled(self, checks):
         config = EngineConfig(seed=3, memory_enabled=False)
-        self.turns(checks, MemoryStore(), 2, config=config)
+        self.turns(checks, self.filled_store(6), 2, config=config)
+        assert all(text == "" for *_, text in checks)
         assert checks[0][0] == whitespace_tokens(self.QUERIES[0])
-        supervisor = Supervisor(config)
-        for i, text in enumerate(self.ODD_CONTENTS):
-            state = QueryState(user_query=self.QUERIES[i], cost_knob=CostKnob.TRAD_COUPLET,
-                               session=session())
-            state.context = ContextBundle(segments=(
-                ContextSegment("short", 0.6, text), ContextSegment("relevant", 0.3, "a b\nc"),
-            ))
-            supervisor.process(state, memory_store=MemoryStore(), query_id=f"d{i}")
-        assert len(checks) > 2
-        assert all(counted == expected for counted, expected in checks)
 
 
 def rows_cost(outcome) -> Money:

@@ -28,8 +28,11 @@ ANSWERS_SHA256 = "5264b9b9ab20ea700d2d0114e1a22e0b8ce67bf45b66ff1bf69a402790df62
 LEGACY_MEMORY_FILE_SHA256 = "1dc8abee491aab01610a94c54de1af5cd78f346abdefe108f43ddbc788e5ed56"
 MEMORY_FILE_SHA256 = "ec3414a7006e13ece551c01f211275e8023423bc74c0544c4bcb3e5301f8ed1a"
 TRACE_FILE_SHA256 = "43c142171d95c72283441cd4b4790b44af657162bb4d6f1b82d0b20e32b0bafa"
-STATE_FILE_SHA256 = "9d1dbef8491f54410ad490279ec19eab82660abc1bc95a8d8d7c8e1ca3cede0d"
-# The same journal as versions that wrote a `"mime":null` key on every attachment.
+STATE_FILE_SHA256 = "cef35eacf50c66a09b7afa157ad0a8874071dd069f963c5144df30350173020a"
+# The journal that versions writing each turn's context into its snapshot
+# left: the same snapshots plus a `context` key, so fewer fit before a rewrite.
+CONTEXT_STATE_FILE_SHA256 = "9d1dbef8491f54410ad490279ec19eab82660abc1bc95a8d8d7c8e1ca3cede0d"
+# That journal as versions that also wrote a `"mime":null` key on every attachment.
 MIME_STATE_FILE_SHA256 = "5eb1d54af637c09d8a90a1524c9da8fe034a23090f25cf8fffb82fda4ee866ad"
 
 
@@ -42,7 +45,31 @@ def load_workloads():
     return sys.modules[name]
 
 
-def test_seed_1_session_long_answers_and_memory_file(tmp_path):
+def with_context(snapshot: bytes, context: tuple[str, str, str]) -> bytes:
+    """The snapshot as versions that stored the turn's context wrote it: the
+    short-term window, the retrieved records and the summary as weighted
+    segments."""
+    doc = json.loads(snapshot)
+    doc["state"]["context"] = {"segments": [
+        {"layer": layer, "weight": weight, "text": text}
+        for (layer, weight), text in zip((("short", 0.6), ("relevant", 0.3), ("compressed", 0.1)),
+                                         context)
+    ]}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode()
+
+
+def test_seed_1_session_long_answers_and_memory_file(tmp_path, monkeypatch):
+    context = []
+    context_tokens = memory.MemoryStore.context_tokens
+
+    def record_context(store, retrieved):
+        context[:] = ["\n".join(r.content for r in store.short_term),
+                      "\n".join(r.content for r in retrieved),
+                      store.compressed.text if store.compressed else ""]
+        return context_tokens(store, retrieved)
+
+    monkeypatch.setattr(memory.MemoryStore, "context_tokens", record_context)
+    context_journal = str(tmp_path / "context.state.json")
     workloads = load_workloads()
     session_id, turns, backend = workloads.make("session-long", 1, str(tmp_path)).turns()
     assert len(turns) == 250
@@ -70,6 +97,12 @@ def test_seed_1_session_long_answers_and_memory_file(tmp_path):
         answers.append(f"{i}:{outcome.answer_text}")
         engine.save_turn(store_root, query, store, outcome)
         saved = state.serialize_state(query)
+        line = with_context(saved, tuple(context)) + b"\n"
+        state.write_jsonl(
+            context_journal, line,
+            lambda st: st.st_size < engine.STATE_JOURNAL_REWRITE_FACTOR * len(line),
+            lambda _: engine.STATE_JOURNAL_HEADER + line,
+        )
 
     assert store.compressed is not None and 150 < store.compressed.source_end_turn < 250
     digest = hashlib.sha256("\n".join(answers).encode("utf-8")).hexdigest()
@@ -80,11 +113,15 @@ def test_seed_1_session_long_answers_and_memory_file(tmp_path):
     state_file = Path(engine.state_path(store_root, session_id)).read_bytes()
     assert hashlib.sha256(trace_file).hexdigest() == TRACE_FILE_SHA256
     assert hashlib.sha256(state_file).hexdigest() == STATE_FILE_SHA256
+    assert not any("context" in json.loads(line).get("state", {})
+                   for line in state_file.splitlines())
+    context_file = Path(context_journal).read_bytes()
+    assert hashlib.sha256(context_file).hexdigest() == CONTEXT_STATE_FILE_SHA256
     # An attachment's keys sort as declared_name, detected_modality, mime, source.
-    with_mime = state_file.replace(b',"source":', b',"mime":null,"source":')
+    with_mime = context_file.replace(b',"source":', b',"mime":null,"source":')
     assert with_mime.count(b',"mime":null') == 30
     assert hashlib.sha256(with_mime).hexdigest() == MIME_STATE_FILE_SHA256
-    assert with_mime.replace(b',"mime":null', b"") == state_file
+    assert with_mime.replace(b',"mime":null', b"") == context_file
     header, *lines = [json.loads(line) for line in memory_file.splitlines()]
     legacy = {
         "compressed": [obj["compressed"] for obj in lines if "compressed" in obj][-1],

@@ -330,35 +330,6 @@ class TestRetrievalPrefilter:
             store.retrieve_relevant(HashingEmbedder().embed("beta"), Modality.TEXT, k=6)
 
 
-class TestContextIntegration:
-    def test_empty_layers_three_empty_segments(self):
-        bundle = MemoryStore().integrate_context([])
-        assert [s.layer for s in bundle.segments] == ["short", "relevant", "compressed"]
-        assert all(s.text == "" for s in bundle.segments)
-        assert [s.weight for s in bundle.segments] == [0.6, 0.3, 0.1]
-
-    def test_segment_order_and_weights(self):
-        store = MemoryStore()
-        embedder = HashingEmbedder()
-        for i in range(5):
-            record(store, f"turn {i}", embedder=embedder)
-        retrieved = store.retrieve_relevant(embedder.embed("turn"), Modality.TEXT, k=2)
-        bundle = store.integrate_context(retrieved)
-        assert [s.layer for s in bundle.segments] == ["short", "relevant", "compressed"]
-        assert bundle.segments[2].text == ""
-
-    def test_byte_identical_for_same_inputs(self):
-        def build():
-            store = MemoryStore()
-            embedder = HashingEmbedder()
-            for i in range(4):
-                record(store, f"turn {i}", embedder=embedder)
-            retrieved = store.retrieve_relevant(embedder.embed("turn 2"), Modality.TEXT, k=2)
-            return store.integrate_context(retrieved).text()
-
-        assert build() == build()
-
-
 class TestCompression:
     def test_below_trigger_no_compression(self):
         store = MemoryStore()

@@ -16,8 +16,6 @@ from supervisord.engine import STATE_JOURNAL_HEADER, load_state_file, save_state
 from supervisord.errors import CorruptState, VersionMismatch
 from supervisord.state import (
     Attachment,
-    ContextBundle,
-    ContextSegment,
     CostKnob,
     ExecutionFlag,
     Modality,
@@ -95,11 +93,6 @@ class TestSerializationRoundTrip:
                 Attachment("url", "https://x/y.png", declared_name="y.png"),
                 Attachment("path", "a.mp3", detected_modality=Modality.AUDIO),
             ],
-            context=ContextBundle(segments=(
-                ContextSegment("short", 0.6, "earlier turn"),
-                ContextSegment("relevant", 0.3, ""),
-                ContextSegment("compressed", 0.1, ""),
-            )),
             clarify_question="which fields?",
             clarify_response="dates",
             subflag=Subflag.GENERAL,
@@ -112,7 +105,6 @@ class TestSerializationRoundTrip:
         assert back.flag is state.flag
         assert back.subflag is state.subflag
         assert [a.__dict__ for a in back.attachments] == [a.__dict__ for a in state.attachments]
-        assert back.context.segments == state.context.segments
         assert back.session == state.session
 
     def test_serialize_is_deterministic(self):
@@ -141,8 +133,8 @@ class TestSerializationRoundTrip:
 
 
 def _older_state_doc() -> dict:
-    """A version-1 document as earlier builds wrote it, with a `trace` list and
-    a `mime` key on each attachment."""
+    """A version-1 document as earlier builds wrote it, with a `trace` list, a
+    `context` object and a `mime` key on each attachment."""
     return {
         "version": 1,
         "state": {
@@ -181,8 +173,10 @@ def _canonical(doc: dict) -> bytes:
 
 
 def _rewritten(doc: dict) -> bytes:
-    """What this version writes for an older document: no trace, no mime."""
+    """What this version writes for an older document: no trace, no context,
+    no mime."""
     del doc["state"]["trace"]
+    del doc["state"]["context"]
     for attachment in doc["state"]["attachments"]:
         del attachment["mime"]
     return _canonical(doc)
@@ -199,11 +193,6 @@ class TestOlderStateFiles:
             Attachment("path", "ad.mp4", "ad.mp4", Modality.VIDEO).__dict__,
             Attachment("url", "https://cdn/raw", "raw.png").__dict__,
         ]
-        assert state.context.segments == (
-            ContextSegment("short", 0.6, "earlier turn"),
-            ContextSegment("relevant", 0.3, ""),
-            ContextSegment("compressed", 0.1, "ünïcode summary"),
-        )
         assert state.session == SessionMeta(
             "1700000000000-00112233aabbccdd", 1700000000000, Money(12_345), 3
         )
@@ -212,6 +201,26 @@ class TestOlderStateFiles:
         rewritten = serialize_state(state)
         assert rewritten == _rewritten(doc)
         assert serialize_state(deserialize_state(rewritten)) == rewritten
+
+    @pytest.mark.parametrize("layout", ["journal", "document"])
+    def test_context_key_ignored_and_dropped_on_next_save(self, layout, tmp_path, capsys):
+        doc = _older_state_doc()
+        del doc["state"]["trace"]
+        sid = doc["state"]["session"]["session_id"]
+        path = tmp_path / f"{sid}.state.json"
+        older = _canonical(doc)
+        path.write_bytes(STATE_JOURNAL_HEADER + older + b"\n" if layout == "journal" else older)
+        store = ["--store-root", str(tmp_path)]
+        assert main([*store, "--json", "inspect", sid]) == 0
+        assert json.loads(capsys.readouterr().out)["state"]["turn_count"] == 3
+
+        state = load_state_file(str(tmp_path), sid)
+        state.session.turn_count += 1
+        save_state_file(str(tmp_path), state)
+        newest = json.loads(path.read_bytes().splitlines()[-1])
+        assert "context" not in newest["state"]
+        assert newest["state"]["session"]["turn_count"] == 4
+        assert main([*store, "inspect", sid]) == 0
 
     def test_mime_key_ignored_and_dropped_on_rewrite(self):
         doc = _older_state_doc()

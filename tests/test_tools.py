@@ -8,8 +8,6 @@ from supervisord.couplet import keyed_uniform
 from supervisord.errors import DuplicateTool, InvalidSpec, NoCapableTool, UnknownTool
 from supervisord.state import (
     Attachment,
-    ContextBundle,
-    ContextSegment,
     CostKnob,
     Modality,
     Money,
@@ -66,7 +64,7 @@ class TestRegistration:
             registry.register_tool(spec("weird", preconditions=("sentient()",)))
 
     @pytest.mark.parametrize("predicate", [
-        "has_attachment(foo)", "has_attachment", "always(text)",
+        "has_attachment(foo)", "has_attachment", "always(text)", "has_context",
     ])
     def test_malformed_predicate_rejected(self, predicate):
         registry = ToolRegistry()
@@ -156,14 +154,13 @@ class TestMatching:
         assert [registry.get(t).name for t in matched] == ["llm-strong-invoke"]
 
 
-def query_state(attachments=(), context=()):
+def query_state(attachments=()):
     return QueryState(
         user_query="x",
         cost_knob=CostKnob.TRAD_COUPLET,
         session=SessionMeta("0-" + "00" * 8, 0),
         attachments=[Attachment("path", f"f{i}", detected_modality=m)
                      for i, m in enumerate(attachments)],
-        context=ContextBundle(segments=tuple(context)),
     )
 
 
@@ -179,20 +176,21 @@ class TestMatchMemo:
 
     def test_same_requirement_keys_follow_each_state(self):
         registry = ToolRegistry()
-        registry.register_tool(spec("ctx", latency=(100, 200), preconditions=("has_context",)))
+        registry.register_tool(spec("visual", latency=(100, 200),
+                                    preconditions=("has_visual_attachment",)))
         registry.register_tool(spec("plain", latency=(500, 600)))
         registry.register_tool(spec("needs-audio", latency=(50, 60),
                                     preconditions=("has_attachment(audio)",)))
         tags = frozenset({"detections"})
         bare = Requirement(output_tags=tags, state=query_state())
         rich = Requirement(output_tags=tags, state=query_state(
-            attachments=[Modality.AUDIO], context=[ContextSegment("short", 0.6, "earlier")]))
+            attachments=[Modality.AUDIO, Modality.IMAGE]))
         for _ in range(2):  # the second round is served from the memo
             assert [registry.get(t).name for t in registry.match_tools(bare)] == ["plain"]
             assert [registry.get(t).name for t in registry.match_tools(rich)] == [
-                "needs-audio", "ctx", "plain"]
+                "needs-audio", "visual", "plain"]
             assert [registry.get(t).name for t in registry.match_tools(
-                Requirement(output_tags=tags))] == ["needs-audio", "ctx", "plain"]
+                Requirement(output_tags=tags))] == ["needs-audio", "visual", "plain"]
 
     def test_exclude_is_honoured_on_every_call(self):
         registry = ToolRegistry()
