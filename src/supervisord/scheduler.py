@@ -130,7 +130,6 @@ class ExecutionGraph:
 
     def __init__(self):
         self.nodes: dict[str, GraphNode] = {}
-        self.edges: list[tuple[str, str]] = []
         self.repair_log: list[RepairEvent] = []
         self.results: dict[str, NodeResult] = {}  # node_id -> result, in completion order
         self._parents: dict[str, list[str]] = {}
@@ -153,7 +152,6 @@ class ExecutionGraph:
             if node_id == producer:
                 raise ValueError(f"edge {producer} -> {consumer} closes a dependency cycle")
             downstream.extend(c for c in self._children[node_id] if c not in downstream)
-        self.edges.append((producer, consumer))
         self._children[producer].append(consumer)
         self._parents[consumer].append(producer)
 

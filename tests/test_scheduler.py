@@ -88,6 +88,11 @@ def simple_registry(n_alternatives=3):
     return registry
 
 
+def edges_of(graph: ExecutionGraph) -> list[tuple[str, str]]:
+    """(producer, consumer) pairs, read from each node's parents."""
+    return [(p, c) for c in graph.nodes for p in graph.parents(c)]
+
+
 def longest_path_ms(edges: list[tuple[str, str]], latencies: dict[str, int]) -> int:
     """Reference oracle: longest dependency chain over per-node latencies (DAG)."""
     children: dict[str, list[str]] = {}
@@ -129,8 +134,7 @@ class TestBuildGraphShapes:
         )
         graph = build_graph(ExecutionFlag.VIDEO, state, default_registry())
         assert set(graph.nodes) == {"frames", "speech", "align"}
-        assert ("frames", "align") in graph.edges and ("speech", "align") in graph.edges
-        assert ("frames", "speech") not in graph.edges  # independent branches
+        assert edges_of(graph) == [("frames", "align"), ("speech", "align")]
 
     def test_routellm_two_node_chain(self):
         state = make_state("hello world")
@@ -139,7 +143,7 @@ class TestBuildGraphShapes:
             ExecutionFlag.ROUTELLM, state, default_registry(), routing_decision=decision
         )
         assert list(graph.nodes) == ["route", "invoke"]
-        assert graph.edges == [("route", "invoke")]
+        assert edges_of(graph) == [("route", "invoke")]
 
     def test_complex_three_documents_fan_out(self):
         state = make_state(
@@ -149,10 +153,11 @@ class TestBuildGraphShapes:
         graph = build_graph(ExecutionFlag.COMPLEX, state, default_registry())
         branches = [n for n in graph.nodes if n.startswith("branch")]
         assert len(branches) == 3
+        edges = edges_of(graph)
         for branch in branches:
-            assert ("decompose", branch) in graph.edges
-            assert (branch, "synth") in graph.edges
-        cross = [(p, c) for p, c in graph.edges if p.startswith("branch") and c.startswith("branch")]
+            assert ("decompose", branch) in edges
+            assert (branch, "synth") in edges
+        cross = [(p, c) for p, c in edges if p.startswith("branch") and c.startswith("branch")]
         assert cross == []
 
     def test_moe_parallel_expertsding(self):
@@ -160,7 +165,7 @@ class TestBuildGraphShapes:
         graph = build_graph(ExecutionFlag.MOE, state, default_registry())
         experts = [n for n in graph.nodes if n.startswith("expert")]
         assert len(experts) == 3
-        assert all((e, "aggregate") in graph.edges for e in experts)
+        assert all(graph.parents("aggregate").count(e) == 1 for e in experts)
 
     def test_audio_single_branch(self):
         state = make_state("transcribe this recording", [attach("a.mp3", Modality.AUDIO)])
@@ -178,7 +183,7 @@ class TestBuildGraphShapes:
             graph.add_edge("b", "a")
         with pytest.raises(ValueError, match="cycle"):
             graph.add_edge("a", "a")
-        assert graph.edges == [("a", "b")]
+        assert edges_of(graph) == [("a", "b")]
 
     def test_execute_rejects_a_cycle_before_any_node_runs(self):
         registry = simple_registry()
@@ -243,7 +248,7 @@ class TestExecuteCriticalPath:
                         graph.add_edge(f"n{j}", node_id)
             backends = StubBackends(latencies)
             outcome = Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
-            assert outcome.total_latency_ms == longest_path_ms(graph.edges, latencies)
+            assert outcome.total_latency_ms == longest_path_ms(edges_of(graph), latencies)
 
     def test_deterministic_trace(self):
         registry = simple_registry()
