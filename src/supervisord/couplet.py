@@ -99,9 +99,9 @@ _TABLE_RE = re.compile(r"\btables?\b|\bspreadsheet\b|\bmetrics\b")
 _INTERVAL_RE = re.compile(r"every\s+([0-9.]+)\s*(?:s|sec|seconds)")
 
 
-def _extraction_targets(query: str) -> Optional[list[str]]:
-    found = [t for t in ("dates", "names", "amounts", "totals", "emails") if t in query]
-    return found or None
+def _ocr_task(query: str, attachment_ref: str) -> PerceptualTask:
+    targets = [t for t in ("dates", "names", "amounts", "totals", "emails") if t in query]
+    return PerceptualTask(TaskKind.OCR, {"targets": targets} if targets else {}, attachment_ref)
 
 
 def parse_intent(
@@ -120,16 +120,16 @@ def parse_intent(
     if modality not in PERCEPTUAL_MODALITIES:
         raise ValueError(f"parse_intent requires a perceptual modality, got {modality}")
     q = query.lower()
+    vague = any(marker in q for marker in _VAGUE_MARKERS)
     has_action = bool(
         _GENERATE_RE.search(q) or _DETECT_RE.search(q) or _EMBED_RE.search(q)
         or _READ_RE.search(q) or _TABLE_RE.search(q)
         or "transcribe" in q or "summarize" in q or "describe" in q
     )
-    if not q.strip() or (any(marker in q for marker in _VAGUE_MARKERS) and not has_action):
+    if not q.strip() or (vague and not has_action):
         raise AmbiguousIntent(
             f"cannot derive a perceptual task from {query!r}", missing="task objective"
         )
-    task: Optional[PerceptualTask] = None
 
     if modality is Modality.AUDIO:
         task = PerceptualTask(TaskKind.TRANSCRIBE, {"language": "auto"}, attachment_ref)
@@ -148,40 +148,20 @@ def parse_intent(
         elif _EMBED_RE.search(q):
             task = PerceptualTask(TaskKind.EMBED_IMAGE, {}, attachment_ref)
         elif _READ_RE.search(q):
-            params: dict[str, Any] = {}
-            targets = _extraction_targets(q)
-            if targets:
-                params["targets"] = targets
-            task = PerceptualTask(TaskKind.OCR, params, attachment_ref)
-        elif _DETECT_RE.search(q):
+            task = _ocr_task(q, attachment_ref)
+        elif _DETECT_RE.search(q) or not vague:
             task = PerceptualTask(TaskKind.DETECT_OBJECTS, {}, attachment_ref)
-    elif modality is Modality.DOCUMENT:
+        else:
+            raise AmbiguousIntent(
+                f"cannot derive a perceptual task from {query!r}", missing="task objective"
+            )
+    else:  # Modality.DOCUMENT
         if _TABLE_RE.search(q):
             task = PerceptualTask(TaskKind.EXTRACT_TABLES, {}, attachment_ref)
         elif scanned:
-            params = {}
-            targets = _extraction_targets(q)
-            if targets:
-                params["targets"] = targets
-            task = PerceptualTask(TaskKind.OCR, params, attachment_ref)
+            task = _ocr_task(q, attachment_ref)
         else:
             task = PerceptualTask(TaskKind.PARSE_PDF, {}, attachment_ref)
-
-    if task is None:
-        if any(marker in q for marker in _VAGUE_MARKERS) or not q.strip():
-            raise AmbiguousIntent(
-                f"cannot derive a perceptual task from {query!r}", missing="task objective"
-            )
-        # Safe defaults for each perceptual modality.
-        defaults = {
-            Modality.IMAGE: PerceptualTask(TaskKind.DETECT_OBJECTS, {}, attachment_ref),
-            Modality.DOCUMENT: PerceptualTask(TaskKind.PARSE_PDF, {}, attachment_ref),
-        }
-        task = defaults.get(modality)
-        if task is None:
-            raise AmbiguousIntent(
-                f"cannot derive a perceptual task from {query!r}", missing="task objective"
-            )
     task.validate()
     return task
 
