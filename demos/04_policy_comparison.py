@@ -6,13 +6,8 @@ directions (parallelism, memory, repair).
 """
 
 from supervisord.engine import EngineConfig
-from supervisord.harness import (
-    compare,
-    default_workload_spec,
-    generate_workload,
-    run_policy,
-    throughput_from_report,
-)
+from supervisord.harness import compare, run_policy, throughput_from_report
+from supervisord.workload import default_workload_spec, generate_workload
 
 N = 400
 spec = default_workload_spec(N, seed=2026)

@@ -46,20 +46,12 @@ from .errors import (
     UnplannableQuery,
     WorkloadSpecError,
 )
-from .harness import (
-    POLICIES,
-    compare,
-    default_workload_spec,
-    generate_workload,
-    load_workload_file,
-    per_query_delta_csv,
-    run_policy,
-    throughput_from_report,
-)
+from .harness import POLICIES, compare, per_query_delta_csv, run_policy, throughput_from_report
 from .memory import MemoryStore
 from .routing import ModelCatalog, default_model_catalog, load_model_catalog, select_tier
 from .state import Attachment, Money, QueryState
 from .tools import ToolRegistry, default_registry, load_catalog, spec_to_json
+from .workload import default_workload_spec, generate_workload, load_workload_file
 
 EXIT_WORKLOAD_SPEC = 2
 EXIT_UNKNOWN_SESSION = 3

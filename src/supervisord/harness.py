@@ -1,16 +1,15 @@
-"""Synthetic workloads and policy simulation.
+"""Policy simulation over a workload.
 
-Generates deterministic multimodal workloads across fifteen task categories,
-runs them under three orchestration policies (centralized engine, fixed
-decision-tree hierarchical baseline, monolithic strong-model baseline) on the
-virtual clock, and reports TTA, rework, cost, accuracy, and throughput.
+Runs a generated or loaded workload (`workload.py`) under three orchestration
+policies (centralized engine, fixed decision-tree hierarchical baseline,
+monolithic strong-model baseline) on the virtual clock, and reports TTA,
+rework, cost, accuracy, and throughput, per policy and as deltas.
 
-Only the workload generator seeds a `random.Random`. A policy run draws each
-latency and failure with `couplet.keyed_uniform`, keyed by the run seed and
-the query, and every policy keys a failure by (query and restart, tool,
-occurrence of the tool, attempt), so the policies fail on the same draws
-(docs/policies.md, "Random draws"). The two fixed baselines are one runner
-over two plans.
+A policy run seeds no `random.Random`: it draws each latency and failure with
+`couplet.keyed_uniform`, keyed by the run seed and the query, and every policy
+keys a failure by (query and restart, tool, occurrence of the tool, attempt),
+so the policies fail on the same draws (docs/policies.md, "Random draws"). The
+two fixed baselines are one runner over two plans.
 
 The shipped default configuration is calibrated so the hierarchical baseline
 exhibits roughly 23% user rework; the comparison validates the orchestration
@@ -22,10 +21,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
-import random
 import statistics
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, NamedTuple, Optional
 
 from .couplet import (
@@ -33,442 +30,29 @@ from .couplet import (
     DETECT_MS_PER_FRAME,
     SimulatedBackend,
     keyed_uniform,
-    stable_seed,
 )
 from .engine import ANSWER_TOKENS, CLARIFY_USER_DELAY_MS, EngineConfig, Supervisor
-from .engine import detect_underspecified
-from .errors import WorkloadSpecError
 from .memory import MemoryStore, whitespace_tokens
 from .routing import invocation_cost
 from .state import (
     Attachment,
     CostKnob,
-    ExecutionFlag,
     Modality,
     Money,
     QueryState,
     SessionMeta,
     Subflag,
 )
+from .workload import CATEGORY_TABLE, GeneratedQuery, GroundTruth, WorkloadSpec, workload_digest
 
-
-@dataclass(frozen=True)
-class Category:
-    """Everything the harness states about one task category.
-
-    `flag`, `evidence` and `segments` are the ground truth of its queries,
-    stated here rather than read from the engine's tables so that the engine
-    is judged against an independent statement. `stages` is its chain in the
-    hierarchical baseline, `extension` the file type of its attachments.
-    """
-
-    flag: ExecutionFlag
-    evidence: frozenset[str]
-    segments: frozenset[str]
-    stages: tuple[str, ...] = ()
-    extension: Optional[str] = None
-
-
-_TEXT_CATEGORY = Category(
-    ExecutionFlag.ROUTELLM, frozenset({"answer_text"}), frozenset({"answer"})
-)
-_EXTRACTION = frozenset({"extraction"})
-_DETECTIONS = frozenset({"detections"})
-_TRANSCRIPT = frozenset({"transcript"})
-
-# Row order is the generator's category order: shuffling and workload digests
-# depend on it.
-CATEGORY_TABLE: dict[str, Category] = {
-    "text_reasoning": _TEXT_CATEGORY,
-    "coding_assistance": _TEXT_CATEGORY,
-    "analytical_mathematics": _TEXT_CATEGORY,
-    "summarization_rewriting": _TEXT_CATEGORY,
-    "general_qa": _TEXT_CATEGORY,
-    "document_qa": Category(
-        ExecutionFlag.DOCUMENT, frozenset({"text_blocks"}), _EXTRACTION, ("pdf-parse",), "pdf"
-    ),
-    "ocr_extraction": Category(
-        ExecutionFlag.DOCUMENT, frozenset({"text_blocks"}), _EXTRACTION, ("tesseract-ocr",), "pdf"
-    ),
-    "table_extraction": Category(
-        ExecutionFlag.DOCUMENT, frozenset({"tables"}), _EXTRACTION, ("table-extract",), "xlsx"
-    ),
-    "vision_qa": Category(ExecutionFlag.VISION, _DETECTIONS, _DETECTIONS, ("yolo-detect",), "jpg"),
-    "object_detection": Category(
-        ExecutionFlag.VISION, _DETECTIONS, _DETECTIONS, ("yolo-detect",), "png"
-    ),
-    "audio_transcription": Category(
-        ExecutionFlag.AUDIO, _TRANSCRIPT, _TRANSCRIPT, ("whisper-transcribe",), "mp3"
-    ),
-    "audio_reasoning": Category(
-        ExecutionFlag.AUDIO, _TRANSCRIPT, _TRANSCRIPT, ("whisper-transcribe",), "wav"
-    ),
-    "video_analysis": Category(
-        ExecutionFlag.VIDEO,
-        frozenset({"detections", "transcript", "timeline"}),
-        frozenset({"timeline"}),
-        ("yolo-detect", "whisper-transcribe", "temporal-align"),
-        "mp4",
-    ),
-    "mixed_retrieval": Category(
-        ExecutionFlag.MOE,
-        frozenset({"answer_text", "aggregation"}),
-        frozenset({"answer"}),
-        ("slm-weak-invoke", "slm-weak-invoke", "slm-weak-invoke", "ensemble-aggregate"),
-    ),
-    "complex_orchestration": Category(
-        ExecutionFlag.COMPLEX,
-        frozenset({"tables", "synthesis"}),
-        frozenset({"synthesis", "part_0", "part_1", "part_2"}),
-        ("table-extract", "table-extract", "table-extract", "result-synthesize"),
-        "pdf",
-    ),
-}
-CATEGORIES: tuple[str, ...] = tuple(CATEGORY_TABLE)
+# The benchmark workloads call these two here, and trace the generator by patching it here.
+from .workload import default_workload_spec, generate_workload
 
 POLICIES = ("centralized", "hierarchical", "monolithic")
 
 RESTART_CAP = 8
 SIM_USER_REPLY = "dates and totals please"
 MONO_MS_PER_PERCEPT = 2400  # end-to-end LLM vision per frame or attachment
-
-DEFAULT_FAILURE_INJECTION = {
-    "yolo-detect": 0.08,
-    "whisper-transcribe": 0.08,
-    "tesseract-ocr": 0.08,
-    "pdf-parse": 0.08,
-    "table-extract": 0.08,
-}
-
-
-def _check_rate(value, field_path: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-        raise WorkloadSpecError(f"{field_path} must be a number in [0,1]", field_path)
-
-
-@dataclass
-class WorkloadSpec:
-    total_queries: int
-    category_mix: dict[str, float] = field(
-        default_factory=lambda: {c: 1.0 / len(CATEGORIES) for c in CATEGORIES}
-    )
-    seed: int = 20260810
-    failure_injection: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_FAILURE_INJECTION)
-    )
-    ambiguity_rate: float = 0.23
-    memory_hint_rate: float = 0.85
-
-    def validate(self) -> None:
-        if isinstance(self.total_queries, bool) or not isinstance(self.total_queries, int):
-            raise WorkloadSpecError("total_queries must be an integer", "total_queries")
-        if self.total_queries <= 0:
-            raise WorkloadSpecError("total_queries must be positive", "total_queries")
-        missing = set(CATEGORIES) - set(self.category_mix)
-        if missing:
-            raise WorkloadSpecError(
-                f"category_mix missing categories: {sorted(missing)}", "category_mix"
-            )
-        extra = set(self.category_mix) - set(CATEGORIES)
-        if extra:
-            raise WorkloadSpecError(
-                f"category_mix has unknown categories: {sorted(extra)}", "category_mix"
-            )
-        total = sum(self.category_mix.values())
-        if abs(total - 1.0) > 1e-9:
-            raise WorkloadSpecError(
-                f"category_mix proportions sum to {total!r}, expected 1.0", "category_mix"
-            )
-        if any(v < 0 for v in self.category_mix.values()):
-            raise WorkloadSpecError("category_mix proportions must be nonnegative", "category_mix")
-        _check_rate(self.ambiguity_rate, "ambiguity_rate")
-        _check_rate(self.memory_hint_rate, "memory_hint_rate")
-        if not isinstance(self.failure_injection, dict):
-            raise WorkloadSpecError("failure_injection must be an object", "failure_injection")
-        for tool, rate in self.failure_injection.items():
-            _check_rate(rate, f"failure_injection.{tool}")
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "WorkloadSpec":
-        """The spec of a workload file; a key the file omits keeps its default,
-        except `total_queries`, which `validate` rejects unless given."""
-        held = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
-        spec = cls(**({"total_queries": 0} | held))
-        spec.validate()
-        return spec
-
-
-@dataclass
-class GroundTruth:
-    expected_flag: ExecutionFlag
-    evidence_keys: frozenset[str]
-    required_segments: frozenset[str]
-    ambiguous: bool = False
-    memory_hint: Optional[str] = None
-
-
-@dataclass
-class GeneratedQuery:
-    query_id: str
-    category: str
-    text: str
-    attachments: list[Attachment]
-    fixtures: dict[str, dict]
-    ground_truth: GroundTruth
-
-
-# --- template banks ---------------------------------------------------------------
-
-_TEXT_TEMPLATES = {
-    "text_reasoning": [
-        "Explain the main difference between TCP and UDP",
-        "What makes a hash map faster than a list lookup",
-        "Describe how caching improves web latency",
-        "Why do databases use write-ahead logs",
-    ],
-    "coding_assistance": [
-        "Fix this segfault in my parser and show the corrected code",
-        "Write a python script that deduplicates a csv file",
-        "Debug this stack trace from my api handler",
-        "Refactor this function into smaller unit testable pieces",
-    ],
-    "analytical_mathematics": [
-        "Calculate the average of 3, 8, 21 and 40",
-        "Solve the equation for the break-even point given fixed costs",
-        "Compute the probability of two heads in three coin flips",
-        "What is the median of this list of response times",
-    ],
-    "summarization_rewriting": [
-        "Summarize this text in two sentences",
-        "Rewrite this paragraph in a formal tone",
-        "Condense these meeting minutes into bullet points",
-        "Paraphrase this announcement for a general audience",
-    ],
-    "general_qa": [
-        "What time is it in Tokyo when it is noon in Paris",
-        "Who wrote the novel this series is based on",
-        "What is the capital of the region mentioned earlier",
-        "How long does a direct flight take between these cities",
-    ],
-}
-
-_HARD_TEXT_TEMPLATE = (
-    "Analyze the trade-off between eventual and strong consistency, prove your "
-    "reasoning step by step, evaluate the implications for replication, and "
-    "compare recovery strategies"
-)
-
-_AMBIGUOUS_TEXT = {
-    "text_reasoning": "Explain it the usual way you did before",
-    "coding_assistance": "Fix this code bug the usual way",
-    "analytical_mathematics": "Calculate the usual statistics for this list",
-    "summarization_rewriting": "Summarize this in the usual style",
-    "general_qa": "Answer this like last time, the usual detail",
-}
-
-_PERCEPTUAL_TEMPLATES = {
-    "document_qa": "What does this report say about revenue and growth",
-    "ocr_extraction": "Extract the text from this scanned page of notes",
-    "table_extraction": "Extract the tables from this spreadsheet report",
-    "vision_qa": "What objects are shown in this photo",
-    "object_detection": "Detect and identify the objects visible in this image",
-    "audio_transcription": "Transcribe this recording",
-    "audio_reasoning": "Listen to this audio recording and summarize the speech",
-    "video_analysis": "What products are shown in this advertisement video? Provide timestamps and descriptions.",
-}
-
-_AMBIGUOUS_PERCEPTUAL = {
-    "document_qa": "Extract the usual fields from this report",
-    "ocr_extraction": "Extract the usual fields from this scanned page",
-    "table_extraction": "Extract the usual table metrics from this spreadsheet report",
-    "vision_qa": "Identify the objects shown, the usual level of detail",
-    "object_detection": "Detect the objects in this image, the usual set",
-    "audio_transcription": "Transcribe this recording the usual way",
-    "audio_reasoning": "Summarize the speech in this audio recording as before",
-    "video_analysis": "Describe the products shown in this advertisement video, the usual breakdown",
-}
-
-_MOE_TEMPLATES = [
-    "Brainstorm perspectives from multiple experts on remote work",
-    "Gather expert perspectives and viewpoints on electric vehicle adoption",
-    "Brainstorm viewpoints from different experts about open source licensing",
-]
-_MOE_AMBIGUOUS = "Brainstorm the usual expert perspectives and viewpoints on this topic"
-
-_COMPLEX_TEMPLATE = (
-    "Analyze these three quarterly reports, extract key financial metrics, "
-    "compare trends across quarters, and generate a summary"
-)
-_COMPLEX_AMBIGUOUS = (
-    "Analyze these three quarterly reports, extract the usual metrics, "
-    "compare trends across quarters, and generate a summary"
-)
-
-def _hint_for(query_text: str) -> str:
-    """A prior-turn note that resolves the query's elliptical marker."""
-    marker = detect_underspecified(query_text) or "the usual"
-    return (
-        f"Context note: when I say {marker}, I mean dates and totals "
-        f"with a short formal summary."
-    )
-
-_TRANSCRIPT_WORDS = (
-    "today we review the quarterly numbers and discuss the launch timeline "
-    "for the new product line across regions"
-).split()
-
-_DETECTION_LABELS = ("sneakers", "laptop", "bottle", "backpack", "headphones", "monitor")
-
-
-def _make_fixture(category: str, rng: random.Random) -> dict:
-    if category in ("document_qa", "ocr_extraction"):
-        return {
-            "text_blocks": [
-                f"Revenue grew {rng.randint(2, 19)} percent in the quarter.",
-                f"Operating costs held at {rng.randint(40, 90)} million.",
-            ],
-            "tokens": rng.randint(80, 200),
-        }
-    if category == "table_extraction":
-        return {
-            "tables": [
-                {
-                    "headers": ["quarter", "revenue", "growth"],
-                    "rows": [["Q1", rng.randint(90, 140), f"{rng.randint(1, 9)}%"]],
-                }
-            ],
-            "text_blocks": ["Summary table attached."],
-            "tokens": rng.randint(80, 160),
-        }
-    if category in ("vision_qa", "object_detection"):
-        labels = rng.sample(_DETECTION_LABELS, k=rng.randint(1, 3))
-        return {
-            "detections": [
-                {"label": lab, "box": [0, 0, 10, 10], "conf": round(rng.uniform(0.8, 0.99), 2)}
-                for lab in labels
-            ],
-            "tokens": rng.randint(60, 140),
-        }
-    if category in ("audio_transcription", "audio_reasoning"):
-        n = rng.randint(6, 14)
-        start = rng.randint(0, 4)
-        return {
-            "transcript": [
-                {"word": _TRANSCRIPT_WORDS[(start + i) % len(_TRANSCRIPT_WORDS)],
-                 "t": round(0.5 * i, 1), "conf": 0.95}
-                for i in range(n)
-            ],
-            "tokens": rng.randint(60, 160),
-        }
-    if category == "video_analysis":
-        frames = rng.randint(6, 15)
-        label = rng.choice(_DETECTION_LABELS)
-        t0 = rng.randint(2, 10)
-        return {
-            "frames": frames,
-            "detections": [
-                {"label": label, "box": [0, 0, 10, 10], "t_start": t0, "t_end": t0 + 6,
-                 "conf": round(rng.uniform(0.85, 0.98), 2)}
-            ],
-            "transcript": [
-                {"word": w, "t": float(t0 + 1 + i), "conf": 0.95}
-                for i, w in enumerate(("introducing", "the", "new", label))
-            ],
-            "tokens": rng.randint(80, 200),
-        }
-    if category == "complex_orchestration":
-        return {
-            "tables": [
-                {
-                    "headers": ["metric", "value"],
-                    "rows": [["revenue", rng.randint(100, 200)]],
-                }
-            ],
-            "text_blocks": [f"Quarter summary {rng.randint(1, 4)}."],
-            "tokens": rng.randint(100, 220),
-        }
-    return {"tokens": rng.randint(40, 120)}
-
-
-def generate_workload(spec: WorkloadSpec) -> list[GeneratedQuery]:
-    """Deterministic workload with per-query ground-truth descriptors."""
-    spec.validate()
-    rng = random.Random(spec.seed)
-    counts = _apportion(spec.total_queries, spec.category_mix)
-    order: list[str] = []
-    for category in CATEGORIES:
-        order.extend([category] * counts[category])
-    rng.shuffle(order)
-
-    queries: list[GeneratedQuery] = []
-    for i, category in enumerate(order):
-        qrng = random.Random(stable_seed(spec.seed, "query", i))
-        ambiguous = qrng.random() < spec.ambiguity_rate
-        hint_roll = ambiguous and qrng.random() < spec.memory_hint_rate
-        query_id = f"q{i:05d}"
-        attachments: list[Attachment] = []
-        fixtures: dict[str, dict] = {}
-        row = CATEGORY_TABLE[category]
-        if category in _TEXT_TEMPLATES:
-            if category == "text_reasoning" and not ambiguous and qrng.random() < 0.2:
-                text = _HARD_TEXT_TEMPLATE
-            elif ambiguous:
-                text = _AMBIGUOUS_TEXT[category]
-            else:
-                bank = _TEXT_TEMPLATES[category]
-                text = bank[qrng.randrange(len(bank))]
-        elif category == "mixed_retrieval":
-            text = _MOE_AMBIGUOUS if ambiguous else _MOE_TEMPLATES[qrng.randrange(len(_MOE_TEMPLATES))]
-        elif category == "complex_orchestration":
-            text = _COMPLEX_AMBIGUOUS if ambiguous else _COMPLEX_TEMPLATE
-            for j in range(3):
-                name = f"{query_id}_report{j}.{row.extension}"
-                attachments.append(
-                    Attachment("path", name, declared_name=name,
-                               detected_modality=Modality.DOCUMENT)
-                )
-                fixtures[name] = _make_fixture(category, qrng)
-        else:
-            text = _AMBIGUOUS_PERCEPTUAL[category] if ambiguous else _PERCEPTUAL_TEMPLATES[category]
-            prefix = "scan_" if category == "ocr_extraction" else ""
-            name = f"{prefix}{query_id}.{row.extension}"
-            attachments.append(Attachment("path", name, declared_name=name))
-            fixtures[name] = _make_fixture(category, qrng)
-        queries.append(
-            GeneratedQuery(
-                query_id=query_id,
-                category=category,
-                text=text,
-                attachments=attachments,
-                fixtures=fixtures,
-                ground_truth=GroundTruth(
-                    expected_flag=row.flag,
-                    evidence_keys=row.evidence,
-                    required_segments=row.segments,
-                    ambiguous=ambiguous,
-                    memory_hint=_hint_for(text) if hint_roll else None,
-                ),
-            )
-        )
-    return queries
-
-
-def _apportion(total: int, mix: dict[str, float]) -> dict[str, int]:
-    """Largest-remainder apportionment so counts sum exactly to total."""
-    raw = {c: total * p for c, p in mix.items()}
-    counts = {c: int(v) for c, v in raw.items()}
-    leftover = total - sum(counts.values())
-    remainders = sorted(raw, key=lambda c: (raw[c] - counts[c], c), reverse=True)
-    for c in remainders[:leftover]:
-        counts[c] += 1
-    return counts
-
-
-def workload_digest(queries: list[GeneratedQuery]) -> str:
-    h = hashlib.blake2b(digest_size=12)
-    for q in queries:
-        h.update(f"{q.query_id}|{q.category}|{q.text}|{q.ground_truth.ambiguous}".encode())
-    return h.hexdigest()
 
 
 # --- metrics ------------------------------------------------------------------------
@@ -966,114 +550,3 @@ def throughput_from_report(report: MetricsReport, parallel_sessions: int) -> flo
     if makespan_ms <= 0:
         return 0.0
     return len(records) * 1000.0 / makespan_ms
-
-
-# --- files ------------------------------------------------------------------------------
-
-
-def load_workload_file(path: str) -> tuple[WorkloadSpec, Optional[list[GeneratedQuery]]]:
-    """Load a workload file: a generator spec, or fully materialized queries.
-
-    Materialized files carry a top-level `queries` array; the surrounding
-    object still provides failure_injection and seed.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise WorkloadSpecError(f"workload file is not valid JSON: {exc}", "$") from exc
-    if not isinstance(obj, dict):
-        raise WorkloadSpecError("workload file must hold a JSON object", "$")
-    if "queries" not in obj:
-        return WorkloadSpec.from_json_dict(obj), None
-    if not isinstance(obj["queries"], list) or not obj["queries"]:
-        raise WorkloadSpecError("queries must be a nonempty array", "queries")
-    queries = [_query_from_json(i, q) for i, q in enumerate(obj["queries"])]
-    spec = WorkloadSpec(
-        total_queries=len(queries),
-        seed=obj.get("seed", 0),
-        failure_injection=obj.get("failure_injection", {}),
-        ambiguity_rate=obj.get("ambiguity_rate", 0.0),
-        memory_hint_rate=obj.get("memory_hint_rate", 0.0),
-    )
-    spec.validate()
-    return spec, queries
-
-
-def _query_from_json(index: int, obj: dict) -> GeneratedQuery:
-    where = f"queries[{index}]"
-    if not isinstance(obj, dict):
-        raise WorkloadSpecError("query must be an object", where)
-    fixtures = obj.get("fixtures", {})
-    if not isinstance(fixtures, dict) or not all(isinstance(f, dict) for f in fixtures.values()):
-        raise WorkloadSpecError("fixtures must be an object of objects", f"{where}.fixtures")
-    for name, fixture in fixtures.items():
-        for key in ("frames", "tokens"):
-            value = fixture.get(key, 0)
-            if type(value) is not int or value < 0:
-                raise WorkloadSpecError(f"{key} must be a nonnegative integer, not {value!r}",
-                                        f"{where}.fixtures.{name}.{key}")
-    category = obj.get("category", "general_qa")
-    if category not in CATEGORIES:
-        raise WorkloadSpecError(f"unknown category {category!r}", f"{where}.category")
-    try:
-        gt = obj["ground_truth"]
-        return GeneratedQuery(
-            query_id=obj.get("query_id", f"q{index:05d}"),
-            category=category,
-            text=obj["text"],
-            attachments=[
-                Attachment(
-                    "path", a["name"], declared_name=a["name"],
-                    detected_modality=Modality(a["modality"]) if a.get("modality") else None,
-                )
-                for a in obj.get("attachments", [])
-            ],
-            fixtures=fixtures,
-            ground_truth=GroundTruth(
-                expected_flag=ExecutionFlag(gt["expected_flag"]),
-                evidence_keys=frozenset(gt.get("evidence_keys", [])),
-                required_segments=frozenset(gt.get("required_segments", [])),
-                ambiguous=gt.get("ambiguous", False),
-                memory_hint=gt.get("memory_hint"),
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WorkloadSpecError(f"malformed materialized query: {exc}", where) from exc
-
-
-def materialize_workload(queries: list[GeneratedQuery], spec: WorkloadSpec) -> dict:
-    """Inverse of the materialized loader; useful for freezing workloads."""
-    return {
-        "seed": spec.seed,
-        "failure_injection": spec.failure_injection,
-        "ambiguity_rate": spec.ambiguity_rate,
-        "memory_hint_rate": spec.memory_hint_rate,
-        "queries": [
-            {
-                "query_id": q.query_id,
-                "category": q.category,
-                "text": q.text,
-                "attachments": [
-                    {
-                        "name": a.declared_name or str(a.source),
-                        "modality": a.detected_modality.value if a.detected_modality else None,
-                    }
-                    for a in q.attachments
-                ],
-                "fixtures": q.fixtures,
-                "ground_truth": {
-                    "expected_flag": q.ground_truth.expected_flag.value,
-                    "evidence_keys": sorted(q.ground_truth.evidence_keys),
-                    "required_segments": sorted(q.ground_truth.required_segments),
-                    "ambiguous": q.ground_truth.ambiguous,
-                    "memory_hint": q.ground_truth.memory_hint,
-                },
-            }
-            for q in queries
-        ],
-    }
-
-
-def default_workload_spec(total_queries: int = 1000, seed: int = WorkloadSpec.seed) -> WorkloadSpec:
-    return WorkloadSpec(total_queries=total_queries, seed=seed)

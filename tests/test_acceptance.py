@@ -17,14 +17,7 @@ from supervisord.decomposition import (
     classify_flag_detail,
     reconcile_flag,
 )
-from supervisord.harness import (
-    PolicyConfig,
-    compare,
-    default_workload_spec,
-    generate_workload,
-    run_policy,
-    throughput_from_report,
-)
+from supervisord.harness import PolicyConfig, compare, run_policy, throughput_from_report
 from supervisord.memory import MemoryRecord, MemoryStore, score_memory
 from supervisord.routing import (
     TIER_PRICE_BANDS,
@@ -47,6 +40,7 @@ from supervisord.state import (
     serialize_state,
 )
 from supervisord.tools import LatencyPrior, Requirement, ToolCategory, ToolRegistry, ToolSpec
+from supervisord.workload import default_workload_spec, generate_workload
 
 
 class Budget:

@@ -13,13 +13,13 @@ import pytest
 from supervisord import cli, errors
 from supervisord.engine import STATE_JOURNAL_HEADER, EngineBackends
 from supervisord.errors import NodeFailure
-from supervisord.harness import (
+from supervisord.tools import default_registry, spec_to_json
+from supervisord.workload import (
     _HARD_TEXT_TEMPLATE,
     default_workload_spec,
     generate_workload,
     materialize_workload,
 )
-from supervisord.tools import default_registry, spec_to_json
 
 from supervisord.cli import (
     EXIT_BUDGET,

@@ -21,24 +21,27 @@ from supervisord.engine import ANSWER_TOKENS, EngineBackends, Supervisor
 from supervisord.errors import NodeFailure, WorkloadSpecError
 from supervisord.harness import (
     _HIER_OVERHEAD,
-    CATEGORIES,
-    CATEGORY_TABLE,
     RESTART_CAP,
     PolicyConfig,
-    WorkloadSpec,
     _hierarchical_plan,
     compare,
-    default_workload_spec,
-    generate_workload,
     per_query_delta_csv,
     run_policy,
     throughput_from_report,
-    workload_digest,
 )
 from supervisord.memory import HashingEmbedder, MemoryStore, whitespace_tokens
 from supervisord.routing import default_model_catalog, invocation_cost
 from supervisord.state import CostKnob, ExecutionFlag, Money
 from supervisord.tools import default_registry
+from supervisord.workload import (
+    CATEGORIES,
+    CATEGORY_TABLE,
+    WorkloadSpec,
+    default_workload_spec,
+    generate_workload,
+    materialize_workload,
+    workload_digest,
+)
 
 
 class TestWorkloadSpec:
@@ -95,6 +98,36 @@ class TestGeneration:
         spec = default_workload_spec(997)  # prime: exercises apportionment
         queries = generate_workload(spec)
         assert len(queries) == 997
+
+
+def _spec(total, seed=WorkloadSpec.seed, **fields):
+    spec = default_workload_spec(total, seed=seed)
+    for name, value in fields.items():
+        setattr(spec, name, value)
+    return spec
+
+
+_VIDEO_ONLY = {c: float(c == "video_analysis") for c in CATEGORIES}
+
+
+class TestWholeOutput:
+    """sha256 of each materialized workload: every text, attachment, fixture and
+    ground-truth field the generator draws, where `workload_digest` covers only
+    the id, category, text and ambiguity of each query."""
+
+    @pytest.mark.parametrize("spec, expected", [
+        (_spec(1000), "fde0cafede8f0d0b901c404c13834529af42c3610b7c05636f287c688350f0db"),
+        (_spec(1000, 1), "2d790733f9501ec5098c3dac121db6b17a3e141a341f0b740d12def3e720999b"),
+        (_spec(400, 2026), "ec02dc17e0f25a36b25b17fb78adfe19a90a99ba1d72365de47862b6b071db94"),
+        (_spec(2847), "1371487d168a11b4e47b9c8b9e721562fb627cc42dee727b77fc2a6bf317af19"),
+        (_spec(1000, 1, ambiguity_rate=0.6, memory_hint_rate=0.2),
+         "2121a808c15da546472c09b7d8a9f2f01741c0e8fa22e9904c8d913d21af7e42"),
+        (_spec(500, 9, category_mix=_VIDEO_ONLY),
+         "7f174002fb8ff407417434d506a1ff5c113d0fb0b7a9c1ba545cac3c1438e51f"),
+    ], ids=["default", "seed-1", "seed-2026-400", "default-2847", "ambiguous", "video-only"])
+    def test_materialized_workload_digest(self, spec, expected):
+        document = materialize_workload(generate_workload(spec), spec)
+        assert hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest() == expected
 
 
 @pytest.fixture(scope="module")
@@ -467,7 +500,8 @@ class TestSimulateLoadsNoNumpy:
         script = "\n".join([
             "import sys",
             "from supervisord.cli import main",
-            "from supervisord.harness import default_workload_spec, generate_workload, run_policy",
+            "from supervisord.harness import run_policy",
+            "from supervisord.workload import default_workload_spec, generate_workload",
             "spec = default_workload_spec(200)",
             "queries = generate_workload(spec)",
             "for policy in ('centralized', 'hierarchical', 'monolithic'):",
@@ -503,7 +537,7 @@ class TestWeakFractionCalibration:
 
 class TestMaterializedWorkload:
     def test_freeze_and_reload(self, tmp_path):
-        from supervisord.harness import load_workload_file, materialize_workload
+        from supervisord.workload import load_workload_file
 
         spec = default_workload_spec(30, seed=3)
         queries = generate_workload(spec)
@@ -517,7 +551,8 @@ class TestMaterializedWorkload:
         assert report_a.aggregates == report_b.aggregates
 
     def test_fixture_without_tokens_costs_every_policy_the_same_default(self, tmp_path):
-        from supervisord.harness import POLICIES, load_workload_file, materialize_workload
+        from supervisord.harness import POLICIES
+        from supervisord.workload import load_workload_file
 
         spec = default_workload_spec(30, seed=3)
         workload = materialize_workload(generate_workload(spec), spec)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from supervisord import couplet, engine, harness, memory, scheduler, tools
+from supervisord import couplet, engine, harness, memory, scheduler, tools, workload
 
 ROOT = Path(__file__).resolve().parent.parent
 OWNERS = (
@@ -59,6 +59,14 @@ def test_install_wraps_existing_attributes_and_restore_puts_them_back():
     for owner, old, new in zip(OWNERS, before, after):
         assert new.keys() == old.keys(), owner
         assert all(new[attr] is old[attr] for attr in old), owner
+
+
+def test_benchmark_reaches_the_generator_through_harness():
+    # `perfbench/workloads.py` calls these three as `harness.<name>`, and
+    # `perfbench/tracing.py` patches `harness.generate_workload`, so each must
+    # be the workload module's own function.
+    for name in ("generate_workload", "default_workload_spec", "workload_digest"):
+        assert getattr(harness, name) is getattr(workload, name), name
 
 
 @pytest.mark.parametrize("name", ["sim-mix", "sim-faults", "session-long"])
