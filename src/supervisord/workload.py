@@ -14,34 +14,125 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Callable, Optional
 
 from .couplet import stable_seed
 from .engine import detect_underspecified
 from .errors import WorkloadSpecError
 from .state import Attachment, ExecutionFlag, Modality
 
-
 @dataclass(frozen=True)
 class Category:
-    """Everything the harness states about one task category.
+    """Everything the generator draws for one task category.
 
     `flag`, `evidence` and `segments` are the ground truth of its queries,
     stated here rather than read from the engine's tables so that the engine
     is judged against an independent statement. `stages` is its chain in the
-    hierarchical baseline, `extension` the file type of its attachments.
+    hierarchical baseline. An underspecified query's text is `ambiguous`; any
+    other is `hard` one time in five, when the row has one, or else one of
+    `texts`. Each `attachments` template, filled with the query id, names one
+    attachment, and `fixture` draws that attachment's backend fixture.
     """
 
     flag: ExecutionFlag
     evidence: frozenset[str]
     segments: frozenset[str]
+    texts: tuple[str, ...]
+    ambiguous: str
     stages: tuple[str, ...] = ()
-    extension: Optional[str] = None
+    attachments: tuple[str, ...] = ()
+    fixture: Optional[Callable[[random.Random], dict]] = None
+    hard: Optional[str] = None
 
 
-_TEXT_CATEGORY = Category(
-    ExecutionFlag.ROUTELLM, frozenset({"answer_text"}), frozenset({"answer"})
-)
+_TRANSCRIPT_WORDS = (
+    "today we review the quarterly numbers and discuss the launch timeline "
+    "for the new product line across regions"
+).split()
+
+_DETECTION_LABELS = ("sneakers", "laptop", "bottle", "backpack", "headphones", "monitor")
+
+
+def _document_fixture(rng: random.Random) -> dict:
+    return {
+        "text_blocks": [
+            f"Revenue grew {rng.randint(2, 19)} percent in the quarter.",
+            f"Operating costs held at {rng.randint(40, 90)} million.",
+        ],
+        "tokens": rng.randint(80, 200),
+    }
+
+
+def _table_fixture(rng: random.Random) -> dict:
+    return {
+        "tables": [
+            {
+                "headers": ["quarter", "revenue", "growth"],
+                "rows": [["Q1", rng.randint(90, 140), f"{rng.randint(1, 9)}%"]],
+            }
+        ],
+        "text_blocks": ["Summary table attached."],
+        "tokens": rng.randint(80, 160),
+    }
+
+
+def _image_fixture(rng: random.Random) -> dict:
+    labels = rng.sample(_DETECTION_LABELS, k=rng.randint(1, 3))
+    return {
+        "detections": [
+            {"label": lab, "box": [0, 0, 10, 10], "conf": round(rng.uniform(0.8, 0.99), 2)}
+            for lab in labels
+        ],
+        "tokens": rng.randint(60, 140),
+    }
+
+
+def _audio_fixture(rng: random.Random) -> dict:
+    n = rng.randint(6, 14)
+    start = rng.randint(0, 4)
+    return {
+        "transcript": [
+            {"word": _TRANSCRIPT_WORDS[(start + i) % len(_TRANSCRIPT_WORDS)],
+             "t": round(0.5 * i, 1), "conf": 0.95}
+            for i in range(n)
+        ],
+        "tokens": rng.randint(60, 160),
+    }
+
+
+def _video_fixture(rng: random.Random) -> dict:
+    frames = rng.randint(6, 15)
+    label = rng.choice(_DETECTION_LABELS)
+    t0 = rng.randint(2, 10)
+    return {
+        "frames": frames,
+        "detections": [
+            {"label": label, "box": [0, 0, 10, 10], "t_start": t0, "t_end": t0 + 6,
+             "conf": round(rng.uniform(0.85, 0.98), 2)}
+        ],
+        "transcript": [
+            {"word": w, "t": float(t0 + 1 + i), "conf": 0.95}
+            for i, w in enumerate(("introducing", "the", "new", label))
+        ],
+        "tokens": rng.randint(80, 200),
+    }
+
+
+def _report_fixture(rng: random.Random) -> dict:
+    return {
+        "tables": [
+            {
+                "headers": ["metric", "value"],
+                "rows": [["revenue", rng.randint(100, 200)]],
+            }
+        ],
+        "text_blocks": [f"Quarter summary {rng.randint(1, 4)}."],
+        "tokens": rng.randint(100, 220),
+    }
+
+
+_ANSWER_TEXT = frozenset({"answer_text"})
+_ANSWER = frozenset({"answer"})
 _EXTRACTION = frozenset({"extraction"})
 _DETECTIONS = frozenset({"detections"})
 _TRANSCRIPT = frozenset({"transcript"})
@@ -49,49 +140,119 @@ _TRANSCRIPT = frozenset({"transcript"})
 # Row order is the generator's category order: shuffling and workload digests
 # depend on it.
 CATEGORY_TABLE: dict[str, Category] = {
-    "text_reasoning": _TEXT_CATEGORY,
-    "coding_assistance": _TEXT_CATEGORY,
-    "analytical_mathematics": _TEXT_CATEGORY,
-    "summarization_rewriting": _TEXT_CATEGORY,
-    "general_qa": _TEXT_CATEGORY,
+    "text_reasoning": Category(
+        ExecutionFlag.ROUTELLM, _ANSWER_TEXT, _ANSWER,
+        ("Explain the main difference between TCP and UDP",
+         "What makes a hash map faster than a list lookup",
+         "Describe how caching improves web latency",
+         "Why do databases use write-ahead logs"),
+        "Explain it the usual way you did before",
+        hard="Analyze the trade-off between eventual and strong consistency, prove your "
+             "reasoning step by step, evaluate the implications for replication, and "
+             "compare recovery strategies",
+    ),
+    "coding_assistance": Category(
+        ExecutionFlag.ROUTELLM, _ANSWER_TEXT, _ANSWER,
+        ("Fix this segfault in my parser and show the corrected code",
+         "Write a python script that deduplicates a csv file",
+         "Debug this stack trace from my api handler",
+         "Refactor this function into smaller unit testable pieces"),
+        "Fix this code bug the usual way",
+    ),
+    "analytical_mathematics": Category(
+        ExecutionFlag.ROUTELLM, _ANSWER_TEXT, _ANSWER,
+        ("Calculate the average of 3, 8, 21 and 40",
+         "Solve the equation for the break-even point given fixed costs",
+         "Compute the probability of two heads in three coin flips",
+         "What is the median of this list of response times"),
+        "Calculate the usual statistics for this list",
+    ),
+    "summarization_rewriting": Category(
+        ExecutionFlag.ROUTELLM, _ANSWER_TEXT, _ANSWER,
+        ("Summarize this text in two sentences",
+         "Rewrite this paragraph in a formal tone",
+         "Condense these meeting minutes into bullet points",
+         "Paraphrase this announcement for a general audience"),
+        "Summarize this in the usual style",
+    ),
+    "general_qa": Category(
+        ExecutionFlag.ROUTELLM, _ANSWER_TEXT, _ANSWER,
+        ("What time is it in Tokyo when it is noon in Paris",
+         "Who wrote the novel this series is based on",
+         "What is the capital of the region mentioned earlier",
+         "How long does a direct flight take between these cities"),
+        "Answer this like last time, the usual detail",
+    ),
     "document_qa": Category(
-        ExecutionFlag.DOCUMENT, frozenset({"text_blocks"}), _EXTRACTION, ("pdf-parse",), "pdf"
+        ExecutionFlag.DOCUMENT, frozenset({"text_blocks"}), _EXTRACTION,
+        ("What does this report say about revenue and growth",),
+        "Extract the usual fields from this report",
+        ("pdf-parse",), ("{}.pdf",), _document_fixture,
     ),
     "ocr_extraction": Category(
-        ExecutionFlag.DOCUMENT, frozenset({"text_blocks"}), _EXTRACTION, ("tesseract-ocr",), "pdf"
+        ExecutionFlag.DOCUMENT, frozenset({"text_blocks"}), _EXTRACTION,
+        ("Extract the text from this scanned page of notes",),
+        "Extract the usual fields from this scanned page",
+        ("tesseract-ocr",), ("scan_{}.pdf",), _document_fixture,
     ),
     "table_extraction": Category(
-        ExecutionFlag.DOCUMENT, frozenset({"tables"}), _EXTRACTION, ("table-extract",), "xlsx"
+        ExecutionFlag.DOCUMENT, frozenset({"tables"}), _EXTRACTION,
+        ("Extract the tables from this spreadsheet report",),
+        "Extract the usual table metrics from this spreadsheet report",
+        ("table-extract",), ("{}.xlsx",), _table_fixture,
     ),
-    "vision_qa": Category(ExecutionFlag.VISION, _DETECTIONS, _DETECTIONS, ("yolo-detect",), "jpg"),
+    "vision_qa": Category(
+        ExecutionFlag.VISION, _DETECTIONS, _DETECTIONS,
+        ("What objects are shown in this photo",),
+        "Identify the objects shown, the usual level of detail",
+        ("yolo-detect",), ("{}.jpg",), _image_fixture,
+    ),
     "object_detection": Category(
-        ExecutionFlag.VISION, _DETECTIONS, _DETECTIONS, ("yolo-detect",), "png"
+        ExecutionFlag.VISION, _DETECTIONS, _DETECTIONS,
+        ("Detect and identify the objects visible in this image",),
+        "Detect the objects in this image, the usual set",
+        ("yolo-detect",), ("{}.png",), _image_fixture,
     ),
     "audio_transcription": Category(
-        ExecutionFlag.AUDIO, _TRANSCRIPT, _TRANSCRIPT, ("whisper-transcribe",), "mp3"
+        ExecutionFlag.AUDIO, _TRANSCRIPT, _TRANSCRIPT,
+        ("Transcribe this recording",),
+        "Transcribe this recording the usual way",
+        ("whisper-transcribe",), ("{}.mp3",), _audio_fixture,
     ),
     "audio_reasoning": Category(
-        ExecutionFlag.AUDIO, _TRANSCRIPT, _TRANSCRIPT, ("whisper-transcribe",), "wav"
+        ExecutionFlag.AUDIO, _TRANSCRIPT, _TRANSCRIPT,
+        ("Listen to this audio recording and summarize the speech",),
+        "Summarize the speech in this audio recording as before",
+        ("whisper-transcribe",), ("{}.wav",), _audio_fixture,
     ),
     "video_analysis": Category(
         ExecutionFlag.VIDEO,
         frozenset({"detections", "transcript", "timeline"}),
         frozenset({"timeline"}),
-        ("yolo-detect", "whisper-transcribe", "temporal-align"),
-        "mp4",
+        ("What products are shown in this advertisement video? Provide timestamps and descriptions.",),
+        "Describe the products shown in this advertisement video, the usual breakdown",
+        ("yolo-detect", "whisper-transcribe", "temporal-align"), ("{}.mp4",), _video_fixture,
     ),
     "mixed_retrieval": Category(
         ExecutionFlag.MOE,
         frozenset({"answer_text", "aggregation"}),
-        frozenset({"answer"}),
+        _ANSWER,
+        ("Brainstorm perspectives from multiple experts on remote work",
+         "Gather expert perspectives and viewpoints on electric vehicle adoption",
+         "Brainstorm viewpoints from different experts about open source licensing"),
+        "Brainstorm the usual expert perspectives and viewpoints on this topic",
         ("slm-weak-invoke", "slm-weak-invoke", "slm-weak-invoke", "ensemble-aggregate"),
     ),
     "complex_orchestration": Category(
         ExecutionFlag.COMPLEX,
         frozenset({"tables", "synthesis"}),
         frozenset({"synthesis", "part_0", "part_1", "part_2"}),
+        ("Analyze these three quarterly reports, extract key financial metrics, "
+         "compare trends across quarters, and generate a summary",),
+        "Analyze these three quarterly reports, extract the usual metrics, "
+        "compare trends across quarters, and generate a summary",
         ("table-extract", "table-extract", "table-extract", "result-synthesize"),
-        "pdf",
+        ("{}_report0.pdf", "{}_report1.pdf", "{}_report2.pdf"), _report_fixture,
     ),
 }
 CATEGORIES: tuple[str, ...] = tuple(CATEGORY_TABLE)
@@ -181,93 +342,6 @@ class GeneratedQuery:
     ground_truth: GroundTruth
 
 
-# --- template banks ---------------------------------------------------------------
-
-_TEXT_TEMPLATES = {
-    "text_reasoning": [
-        "Explain the main difference between TCP and UDP",
-        "What makes a hash map faster than a list lookup",
-        "Describe how caching improves web latency",
-        "Why do databases use write-ahead logs",
-    ],
-    "coding_assistance": [
-        "Fix this segfault in my parser and show the corrected code",
-        "Write a python script that deduplicates a csv file",
-        "Debug this stack trace from my api handler",
-        "Refactor this function into smaller unit testable pieces",
-    ],
-    "analytical_mathematics": [
-        "Calculate the average of 3, 8, 21 and 40",
-        "Solve the equation for the break-even point given fixed costs",
-        "Compute the probability of two heads in three coin flips",
-        "What is the median of this list of response times",
-    ],
-    "summarization_rewriting": [
-        "Summarize this text in two sentences",
-        "Rewrite this paragraph in a formal tone",
-        "Condense these meeting minutes into bullet points",
-        "Paraphrase this announcement for a general audience",
-    ],
-    "general_qa": [
-        "What time is it in Tokyo when it is noon in Paris",
-        "Who wrote the novel this series is based on",
-        "What is the capital of the region mentioned earlier",
-        "How long does a direct flight take between these cities",
-    ],
-}
-
-_HARD_TEXT_TEMPLATE = (
-    "Analyze the trade-off between eventual and strong consistency, prove your "
-    "reasoning step by step, evaluate the implications for replication, and "
-    "compare recovery strategies"
-)
-
-_AMBIGUOUS_TEXT = {
-    "text_reasoning": "Explain it the usual way you did before",
-    "coding_assistance": "Fix this code bug the usual way",
-    "analytical_mathematics": "Calculate the usual statistics for this list",
-    "summarization_rewriting": "Summarize this in the usual style",
-    "general_qa": "Answer this like last time, the usual detail",
-}
-
-_PERCEPTUAL_TEMPLATES = {
-    "document_qa": "What does this report say about revenue and growth",
-    "ocr_extraction": "Extract the text from this scanned page of notes",
-    "table_extraction": "Extract the tables from this spreadsheet report",
-    "vision_qa": "What objects are shown in this photo",
-    "object_detection": "Detect and identify the objects visible in this image",
-    "audio_transcription": "Transcribe this recording",
-    "audio_reasoning": "Listen to this audio recording and summarize the speech",
-    "video_analysis": "What products are shown in this advertisement video? Provide timestamps and descriptions.",
-}
-
-_AMBIGUOUS_PERCEPTUAL = {
-    "document_qa": "Extract the usual fields from this report",
-    "ocr_extraction": "Extract the usual fields from this scanned page",
-    "table_extraction": "Extract the usual table metrics from this spreadsheet report",
-    "vision_qa": "Identify the objects shown, the usual level of detail",
-    "object_detection": "Detect the objects in this image, the usual set",
-    "audio_transcription": "Transcribe this recording the usual way",
-    "audio_reasoning": "Summarize the speech in this audio recording as before",
-    "video_analysis": "Describe the products shown in this advertisement video, the usual breakdown",
-}
-
-_MOE_TEMPLATES = [
-    "Brainstorm perspectives from multiple experts on remote work",
-    "Gather expert perspectives and viewpoints on electric vehicle adoption",
-    "Brainstorm viewpoints from different experts about open source licensing",
-]
-_MOE_AMBIGUOUS = "Brainstorm the usual expert perspectives and viewpoints on this topic"
-
-_COMPLEX_TEMPLATE = (
-    "Analyze these three quarterly reports, extract key financial metrics, "
-    "compare trends across quarters, and generate a summary"
-)
-_COMPLEX_AMBIGUOUS = (
-    "Analyze these three quarterly reports, extract the usual metrics, "
-    "compare trends across quarters, and generate a summary"
-)
-
 def _hint_for(query_text: str) -> str:
     """A prior-turn note that resolves the query's elliptical marker."""
     marker = detect_underspecified(query_text) or "the usual"
@@ -275,83 +349,6 @@ def _hint_for(query_text: str) -> str:
         f"Context note: when I say {marker}, I mean dates and totals "
         f"with a short formal summary."
     )
-
-_TRANSCRIPT_WORDS = (
-    "today we review the quarterly numbers and discuss the launch timeline "
-    "for the new product line across regions"
-).split()
-
-_DETECTION_LABELS = ("sneakers", "laptop", "bottle", "backpack", "headphones", "monitor")
-
-
-def _make_fixture(category: str, rng: random.Random) -> dict:
-    if category in ("document_qa", "ocr_extraction"):
-        return {
-            "text_blocks": [
-                f"Revenue grew {rng.randint(2, 19)} percent in the quarter.",
-                f"Operating costs held at {rng.randint(40, 90)} million.",
-            ],
-            "tokens": rng.randint(80, 200),
-        }
-    if category == "table_extraction":
-        return {
-            "tables": [
-                {
-                    "headers": ["quarter", "revenue", "growth"],
-                    "rows": [["Q1", rng.randint(90, 140), f"{rng.randint(1, 9)}%"]],
-                }
-            ],
-            "text_blocks": ["Summary table attached."],
-            "tokens": rng.randint(80, 160),
-        }
-    if category in ("vision_qa", "object_detection"):
-        labels = rng.sample(_DETECTION_LABELS, k=rng.randint(1, 3))
-        return {
-            "detections": [
-                {"label": lab, "box": [0, 0, 10, 10], "conf": round(rng.uniform(0.8, 0.99), 2)}
-                for lab in labels
-            ],
-            "tokens": rng.randint(60, 140),
-        }
-    if category in ("audio_transcription", "audio_reasoning"):
-        n = rng.randint(6, 14)
-        start = rng.randint(0, 4)
-        return {
-            "transcript": [
-                {"word": _TRANSCRIPT_WORDS[(start + i) % len(_TRANSCRIPT_WORDS)],
-                 "t": round(0.5 * i, 1), "conf": 0.95}
-                for i in range(n)
-            ],
-            "tokens": rng.randint(60, 160),
-        }
-    if category == "video_analysis":
-        frames = rng.randint(6, 15)
-        label = rng.choice(_DETECTION_LABELS)
-        t0 = rng.randint(2, 10)
-        return {
-            "frames": frames,
-            "detections": [
-                {"label": label, "box": [0, 0, 10, 10], "t_start": t0, "t_end": t0 + 6,
-                 "conf": round(rng.uniform(0.85, 0.98), 2)}
-            ],
-            "transcript": [
-                {"word": w, "t": float(t0 + 1 + i), "conf": 0.95}
-                for i, w in enumerate(("introducing", "the", "new", label))
-            ],
-            "tokens": rng.randint(80, 200),
-        }
-    if category == "complex_orchestration":
-        return {
-            "tables": [
-                {
-                    "headers": ["metric", "value"],
-                    "rows": [["revenue", rng.randint(100, 200)]],
-                }
-            ],
-            "text_blocks": [f"Quarter summary {rng.randint(1, 4)}."],
-            "tokens": rng.randint(100, 220),
-        }
-    return {"tokens": rng.randint(40, 120)}
 
 
 def generate_workload(spec: WorkloadSpec) -> list[GeneratedQuery]:
@@ -370,41 +367,23 @@ def generate_workload(spec: WorkloadSpec) -> list[GeneratedQuery]:
         ambiguous = qrng.random() < spec.ambiguity_rate
         hint_roll = ambiguous and qrng.random() < spec.memory_hint_rate
         query_id = f"q{i:05d}"
-        attachments: list[Attachment] = []
-        fixtures: dict[str, dict] = {}
         row = CATEGORY_TABLE[category]
-        if category in _TEXT_TEMPLATES:
-            if category == "text_reasoning" and not ambiguous and qrng.random() < 0.2:
-                text = _HARD_TEXT_TEMPLATE
-            elif ambiguous:
-                text = _AMBIGUOUS_TEXT[category]
-            else:
-                bank = _TEXT_TEMPLATES[category]
-                text = bank[qrng.randrange(len(bank))]
-        elif category == "mixed_retrieval":
-            text = _MOE_AMBIGUOUS if ambiguous else _MOE_TEMPLATES[qrng.randrange(len(_MOE_TEMPLATES))]
-        elif category == "complex_orchestration":
-            text = _COMPLEX_AMBIGUOUS if ambiguous else _COMPLEX_TEMPLATE
-            for j in range(3):
-                name = f"{query_id}_report{j}.{row.extension}"
-                attachments.append(
-                    Attachment("path", name, declared_name=name,
-                               detected_modality=Modality.DOCUMENT)
-                )
-                fixtures[name] = _make_fixture(category, qrng)
+        if ambiguous:
+            text = row.ambiguous
+        elif row.hard is not None and qrng.random() < 0.2:
+            text = row.hard
+        elif len(row.texts) == 1:  # no draw: randrange(1) still consumes state
+            text = row.texts[0]
         else:
-            text = _AMBIGUOUS_PERCEPTUAL[category] if ambiguous else _PERCEPTUAL_TEMPLATES[category]
-            prefix = "scan_" if category == "ocr_extraction" else ""
-            name = f"{prefix}{query_id}.{row.extension}"
-            attachments.append(Attachment("path", name, declared_name=name))
-            fixtures[name] = _make_fixture(category, qrng)
+            text = row.texts[qrng.randrange(len(row.texts))]
+        names = [template.format(query_id) for template in row.attachments]
         queries.append(
             GeneratedQuery(
                 query_id=query_id,
                 category=category,
                 text=text,
-                attachments=attachments,
-                fixtures=fixtures,
+                attachments=[Attachment("path", name, declared_name=name) for name in names],
+                fixtures={name: row.fixture(qrng) for name in names},
                 ground_truth=GroundTruth(
                     expected_flag=row.flag,
                     evidence_keys=row.evidence,

@@ -15,7 +15,7 @@ from supervisord.engine import STATE_JOURNAL_HEADER, EngineBackends
 from supervisord.errors import NodeFailure
 from supervisord.tools import default_registry, spec_to_json
 from supervisord.workload import (
-    _HARD_TEXT_TEMPLATE,
+    CATEGORY_TABLE,
     default_workload_spec,
     generate_workload,
     materialize_workload,
@@ -796,7 +796,7 @@ class TestCatalogGaps:
     @pytest.mark.parametrize("drop, query, message", [
         (lambda e: e["subflag_affinity"] == "general", "hello there",
          "catalog has no model with affinity general"),
-        (lambda e: e["model_name"] == "gpt-4o", _HARD_TEXT_TEMPLATE,
+        (lambda e: e["model_name"] == "gpt-4o", CATEGORY_TABLE["text_reasoning"].hard,
          "catalog has no strong entry for tier closed_src"),
     ], ids=["no-general-model", "no-closed-strong-model"])
     def test_model_catalog_with_a_gap_exits_2(self, store, tmp_path, capsys,

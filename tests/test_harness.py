@@ -113,21 +113,41 @@ _VIDEO_ONLY = {c: float(c == "video_analysis") for c in CATEGORIES}
 class TestWholeOutput:
     """sha256 of each materialized workload: every text, attachment, fixture and
     ground-truth field the generator draws, where `workload_digest` covers only
-    the id, category, text and ambiguity of each query."""
+    the id, category, text and ambiguity of each query.
 
-    @pytest.mark.parametrize("spec, expected", [
-        (_spec(1000), "fde0cafede8f0d0b901c404c13834529af42c3610b7c05636f287c688350f0db"),
-        (_spec(1000, 1), "2d790733f9501ec5098c3dac121db6b17a3e141a341f0b740d12def3e720999b"),
-        (_spec(400, 2026), "ec02dc17e0f25a36b25b17fb78adfe19a90a99ba1d72365de47862b6b071db94"),
-        (_spec(2847), "1371487d168a11b4e47b9c8b9e721562fb627cc42dee727b77fc2a6bf317af19"),
+    Complex-orchestration attachments carry no preset modality; the engine
+    detects `.pdf` as a document. With that modality written back, each
+    workload hashes to the digest it had while the generator preset it."""
+
+    @pytest.mark.parametrize("spec, expected, preset", [
+        (_spec(1000), "2b96b5db084e8893ae4b33b9667ec850111f8382618b85852e11cddcf316859c",
+         "fde0cafede8f0d0b901c404c13834529af42c3610b7c05636f287c688350f0db"),
+        (_spec(1000, 1), "2b0c5cb1856a95f425d0f29b82bfd579fe133c940d4ba3ea1c86132bb7f30625",
+         "2d790733f9501ec5098c3dac121db6b17a3e141a341f0b740d12def3e720999b"),
+        (_spec(400, 2026), "dfdf473907dc140b5d27aaac81f483eb663cf12e109c30061f30f1258058c473",
+         "ec02dc17e0f25a36b25b17fb78adfe19a90a99ba1d72365de47862b6b071db94"),
+        (_spec(2847), "74b31871c831ce071e882c09060b6b7906f124296f600bc12834e814c76b3edd",
+         "1371487d168a11b4e47b9c8b9e721562fb627cc42dee727b77fc2a6bf317af19"),
         (_spec(1000, 1, ambiguity_rate=0.6, memory_hint_rate=0.2),
+         "dc32d26e7c9905f727de59d4e7f79dbd05511b6490c51be7c6e43cf143e81fa3",
          "2121a808c15da546472c09b7d8a9f2f01741c0e8fa22e9904c8d913d21af7e42"),
         (_spec(500, 9, category_mix=_VIDEO_ONLY),
+         "7f174002fb8ff407417434d506a1ff5c113d0fb0b7a9c1ba545cac3c1438e51f",
          "7f174002fb8ff407417434d506a1ff5c113d0fb0b7a9c1ba545cac3c1438e51f"),
     ], ids=["default", "seed-1", "seed-2026-400", "default-2847", "ambiguous", "video-only"])
-    def test_materialized_workload_digest(self, spec, expected):
+    def test_materialized_workload_digest(self, spec, expected, preset):
         document = materialize_workload(generate_workload(spec), spec)
-        assert hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest() == expected
+        assert _sha256(document) == expected
+        for query in document["queries"]:
+            if query["category"] == "complex_orchestration":
+                for attachment in query["attachments"]:
+                    assert attachment["modality"] is None
+                    attachment["modality"] = "document"
+        assert _sha256(document) == preset
+
+
+def _sha256(document: dict) -> str:
+    return hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
