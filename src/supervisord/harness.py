@@ -86,12 +86,15 @@ class MetricsReport:
         costs = [Money.from_usd(r.cost_usd) for r in self.per_query]
         n = len(self.per_query)
         mean_cost = Money(sum(c.micros for c in costs) // n) if n else Money(0)
-        quartiles = statistics.quantiles(ttas, n=4, method="inclusive") if n >= 2 else [0, 0, 0]
+        if n >= 2:
+            p25, _, p75 = statistics.quantiles(ttas, n=4, method="inclusive")
+        else:
+            p25 = p75 = float(ttas[0]) if ttas else 0
         agg = {
             "queries": n,
             "tta_median_ms": statistics.median(ttas) if ttas else 0,
-            "tta_p25_ms": quartiles[0],
-            "tta_p75_ms": quartiles[2],
+            "tta_p25_ms": p25,
+            "tta_p75_ms": p75,
             "tta_mean_ms": statistics.fmean(ttas) if ttas else 0.0,
             "accuracy": (sum(1 for r in self.per_query if r.correct) / n) if n else 0.0,
             "rework_rate": (sum(1 for r in self.per_query if r.rework_user) / n) if n else 0.0,

@@ -435,6 +435,12 @@ def load_workload_file(path: str) -> tuple[WorkloadSpec, Optional[list[Generated
     if not isinstance(obj["queries"], list) or not obj["queries"]:
         raise WorkloadSpecError("queries must be a nonempty array", "queries")
     queries = [_query_from_json(i, q) for i, q in enumerate(obj["queries"])]
+    seen: set[str] = set()
+    for i, q in enumerate(queries):
+        # Reports and deltas pair the policies' records by query id.
+        if q.query_id in seen:
+            raise WorkloadSpecError(f"query_id {q.query_id!r} is repeated", f"queries[{i}].query_id")
+        seen.add(q.query_id)
     spec = WorkloadSpec(
         total_queries=len(queries),
         seed=obj.get("seed", 0),

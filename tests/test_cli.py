@@ -416,8 +416,11 @@ class TestSimulate:
         (lambda w: w.update(queries=[]), "queries"),
         (lambda w: w["queries"][0].update(fixtures=[]), "queries[0].fixtures"),
         (lambda w: w["queries"][0].update(category="poetry"), "queries[0].category"),
+        (lambda w: w["queries"][2].update(query_id="q00000"), "queries[2].query_id"),
+        (lambda w: (w["queries"][0].update(query_id="q00001"), w["queries"][1].pop("query_id")),
+         "queries[1].query_id"),
     ], ids=["rate-not-a-number", "rate-above-one", "no-queries", "fixtures-list",
-            "unknown-category"])
+            "unknown-category", "repeated-query-id", "repeated-defaulted-query-id"])
     def test_invalid_materialized_workload_exits_2(self, store, tmp_path, capsys, corrupt, field):
         spec = default_workload_spec(3, seed=3)
         workload = materialize_workload(generate_workload(spec), spec)

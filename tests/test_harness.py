@@ -172,6 +172,16 @@ class TestRunPolicy:
         assert centralized.aggregates["rework_rate"] == 0.0
         assert hierarchical.aggregates["rework_rate"] == 0.0
 
+    @pytest.mark.parametrize("policy", ["centralized", "hierarchical", "monolithic"])
+    def test_one_query_report_has_its_tta_as_quartiles(self, policy):
+        spec = default_workload_spec(1)
+        report = run_policy(generate_workload(spec), policy, spec, seed=1)
+        [record] = report.per_query
+        assert record.tta_ms > 0
+        a = report.aggregates
+        assert a["tta_p25_ms"] == a["tta_median_ms"] == a["tta_p75_ms"] == record.tta_ms
+        assert f"  {record.tta_ms}-{record.tta_ms}\n" in report.render_table()
+
     def test_report_self_consistency(self, small_run):
         _, _, centralized, hierarchical = small_run
         assert centralized.check_self_consistency()
