@@ -63,7 +63,6 @@ class GraphNode:
     task: Optional[PerceptualTask] = None
     model_name: Optional[str] = None
     segment: Optional[str] = None  # answer segment this node feeds
-    done: bool = False  # its result is in the graph's ledger
     failed_tools: list[ToolId] = field(default_factory=list)
 
 
@@ -161,13 +160,9 @@ class ExecutionGraph:
     def children(self, node_id: str) -> list[str]:
         return self._children[node_id]
 
-    def done_count(self) -> int:
-        return sum(n.done for n in self.nodes.values())
-
     def reset(self, node_id: str) -> None:
-        """Mark a node and everything downstream of it not done and drop their
-        results, so the next execution runs them again."""
-        self.nodes[node_id].done = False
+        """Drop the results of a node and of everything downstream of it, so
+        the next execution runs them again."""
         self.results.pop(node_id, None)
         for child in self._children[node_id]:
             self.reset(child)
@@ -378,7 +373,7 @@ class Scheduler:
                 failed_node=node_id,
                 cause=cause,
                 replacement_tool=replacement,
-                preserved_nodes=graph.done_count(),
+                preserved_nodes=len(graph.results),
             )
         )
         return replacement
@@ -417,14 +412,14 @@ class Scheduler:
         running: list[tuple[int, int, str]] = []  # (finish_ts, insertion, node_id)
         # Unfinished parents per node; a node is ready once its count is zero.
         waiting = {
-            node_id: sum(not graph.nodes[p].done for p in graph.parents(node_id))
+            node_id: sum(p not in graph.results for p in graph.parents(node_id))
             for node_id in graph.nodes
         }
         # Heap of (insertion, node_id); built in insertion order, so already a heap.
         ready: list[tuple[int, str]] = [
             (insertion[node_id], node_id)
-            for node_id, node in graph.nodes.items()
-            if not node.done and waiting[node_id] == 0
+            for node_id in graph.nodes
+            if node_id not in graph.results and waiting[node_id] == 0
         ]
 
         def launch(node_id: str, at_ms: int) -> None:
@@ -480,7 +475,6 @@ class Scheduler:
                 )
                 heapq.heappush(ready, (insertion[node_id], node_id))
             else:
-                node.done = True
                 # Finish along dependencies alone, as if every node had its own
                 # slot: a wait for the single slot in serial mode is not a chain.
                 finished[node_id] = node_elapsed[node_id] + max(
@@ -492,7 +486,7 @@ class Scheduler:
                 )
                 for child in graph.children(node_id):
                     waiting[child] -= 1
-                    if waiting[child] == 0 and not graph.nodes[child].done:
+                    if waiting[child] == 0 and child not in graph.results:
                         heapq.heappush(ready, (insertion[child], child))
             launch_ready(finish_ts)
 

@@ -183,7 +183,7 @@ def test_graph_shape(name):
         n: [p for p, c in edges if c == n] for n in graph.nodes
     }
     assert all(n.requirement.state is state for n in graph.nodes.values())
-    assert all(not n.done and not n.failed_tools for n in graph.nodes.values())
+    assert not graph.results and all(not n.failed_tools for n in graph.nodes.values())
 
 
 def test_no_capable_tool_carries_requirement():
