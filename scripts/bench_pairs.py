@@ -10,9 +10,13 @@ ones. For every workload and end-to-end metric of BENCHMARK.json it prints
 the medians, quartiles and wins of each side, the claim verdict (the change
 wins at least nine tenths of the pairs, ties counting for neither, and its
 median beats the parent's by more than the parent's interquartile range) and
-the bound check, and writes everything to the `--out` JSON file under the key
-"<workload> seed <seed>"; entries already in that file for other keys are
-kept, so runs on a second seed can be added to the same file.
+the bound check, and the failed-share check (the change's share of failed
+operations is no larger than the parent's). It writes everything to the
+`--out` JSON file, after each workload, under the key "<workload> seed
+<seed>"; entries already in that file for other keys are kept, so runs on a
+second seed can be added to the same file. A run that exits nonzero is
+recorded under "failures" with its side, pair, exit code and the end of its
+stderr; its pair is left out of the verdicts and the other pairs go on.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+STDERR_TAIL_LINES = 20  # of a failing run, kept in the report
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -71,6 +76,26 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     }
 
 
+def failed_verdict(runs: dict[str, list[dict | None]]) -> dict:
+    """Each side's share of failed operations over its finished runs, and its
+    count of runs that exited nonzero (`None` entries). The verdict is "worse"
+    when the change has a larger share or more such runs than the parent."""
+    share = {side: sum(r["failed"] for r in rs if r) / max(1, sum(r["attempted"] for r in rs if r))
+             for side, rs in runs.items()}
+    crashed = {side: rs.count(None) for side, rs in runs.items()}
+    worse = share["change"] > share["parent"] or crashed["change"] > crashed["parent"]
+    return share | {"crashed": crashed, "verdict": "worse" if worse else "ok"}
+
+
+class RunFailed(Exception):
+    """One benchmark run exited nonzero."""
+
+    def __init__(self, returncode: int, stderr_tail: list[str]):
+        super().__init__(f"exit {returncode}")
+        self.returncode = returncode
+        self.stderr_tail = stderr_tail
+
+
 def export(rev: str, dest: Path) -> Path:
     """Write the tree of `rev` to `dest` with `git archive`; no worktree is made."""
     dest.mkdir(parents=True)
@@ -85,7 +110,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, check=True, capture_output=True, text=True)
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        raise RunFailed(proc.returncode, proc.stderr.splitlines()[-STDERR_TAIL_LINES:])
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
@@ -111,21 +138,36 @@ def main(argv=None) -> int:
                  for side, rev in (("parent", args.parent), ("change", args.change))}
         for workload in args.workloads.split(","):
             runs = {"parent": [], "change": []}
+            failures = []
             for i in range(args.pairs):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    runs[side].append(run_once(trees[side], workload, args.seed, args.seconds))
+                    try:
+                        runs[side].append(run_once(trees[side], workload, args.seed, args.seconds))
+                    except RunFailed as exc:
+                        runs[side].append(None)
+                        failures.append({"side": side, "pair": i + 1, "returncode": exc.returncode,
+                                         "stderr_tail": exc.stderr_tail})
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
-                          f"{runs[side][-1]['metrics']}", file=sys.stderr, flush=True)
-            entry = {"runs": runs, "metrics": {}, "seed": args.seed, "seconds": args.seconds,
-                     "correct": all(r["correct"] for side in runs.values() for r in side),
-                     "failed_share": {side: sum(r["failed"] for r in rs)
-                                      / max(1, sum(r["attempted"] for r in rs))
-                                      for side, rs in runs.items()}}
-            print(f"\n{workload} (seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s)")
-            for metric in spec["end_to_end"]:
+                          f"{runs[side][-1]['metrics'] if runs[side][-1] else failures[-1]}",
+                          file=sys.stderr, flush=True)
+            # A pair counts only when both of its runs finished.
+            paired = {side: [r for i, r in enumerate(rs)
+                             if runs["parent"][i] and runs["change"][i]]
+                      for side, rs in runs.items()}
+            entry = {"runs": runs, "failures": failures, "metrics": {}, "seed": args.seed,
+                     "seconds": args.seconds,
+                     "correct": all(r["correct"] for rs in paired.values() for r in rs),
+                     "failed_share": failed_verdict(runs)}
+            print(f"\n{workload} (seed {args.seed}, {len(paired['parent'])} of {args.pairs} "
+                  f"pairs of {args.seconds:g} s complete)")
+            share = entry["failed_share"]
+            print(f"  failed share     parent {share['parent']:.6f}  change {share['change']:.6f}"
+                  f"  runs exited nonzero {share['crashed']['parent']} and "
+                  f"{share['crashed']['change']}  {share['verdict']}")
+            for metric in spec["end_to_end"] if paired["parent"] else ():
                 name = metric["name"]
-                v = verdict([r["metrics"][name] for r in runs["parent"]],
-                            [r["metrics"][name] for r in runs["change"]],
+                v = verdict([r["metrics"][name] for r in paired["parent"]],
+                            [r["metrics"][name] for r in paired["change"]],
                             metric["better"], metric["bound"])
                 entry["metrics"][name] = v
                 p, c = v["parent"], v["change"]
@@ -134,7 +176,7 @@ def main(argv=None) -> int:
                       f"  wins {v['change_wins']}/{v['pairs']}"
                       f"  claim {'met' if v['claim'] else 'not met'}  bound {v['bound']}")
             report["workloads"][f"{workload} seed {args.seed}"] = entry
-    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+            out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -12,7 +12,8 @@ file, budget amount) or an empty or all-whitespace `run` query, 3 unknown
 session, 4 corrupt state, memory or trace file, 11 unplannable query or a
 tool catalog without a tool the engine or a baseline names, 12 budget
 exceeded (checked as each node finishes). Commands return 13 pipeline failed
-and 20 clarification required in non-interactive mode.
+and 20 clarification required in non-interactive mode. A command whose stdout
+closes early (`simulate | head`) stops quietly with 141, the shell's SIGPIPE code.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, TypeVar
 
-from .couplet import SimulatedBackend
+from .couplet import SimulatedBackend, check_fixtures
 from .decomposition import load_flag_rules
 from .engine import (
     EngineConfig,
@@ -60,6 +61,7 @@ EXIT_UNPLANNABLE = 11
 EXIT_BUDGET = 12
 EXIT_PIPELINE_FAILED = 13
 EXIT_CLARIFICATION = 20
+EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE, what a shell reports for a writer its pipe ended
 
 # The code `main` returns, after printing `error: <message>`, for each typed
 # error a command raises. A subclass takes its base's code.
@@ -178,10 +180,10 @@ def _attachment_from_arg(arg: str) -> Attachment:
 
 
 def _fixtures_from_file(path: str) -> dict:
-    fixtures = _load_json(path)
-    if not isinstance(fixtures, dict):
-        raise ValueError("fixtures file must hold a JSON object")
-    return fixtures
+    try:
+        return check_fixtures(_load_json(path))
+    except WorkloadSpecError as exc:
+        raise ValueError(f"{exc.field_path} {exc}".lstrip()) from exc
 
 
 def _load_fixtures(path: Optional[str]) -> dict:
@@ -519,10 +521,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in EXIT_CODES.items() if isinstance(exc, error))
+    except BrokenPipeError:  # stdout's reader has gone (`| head`); devnull takes the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
 
 
 if __name__ == "__main__":

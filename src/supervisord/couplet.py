@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
-from .errors import AmbiguousIntent, NodeFailure
+from .errors import AmbiguousIntent, NodeFailure, WorkloadSpecError
 from .state import Modality
 
 DEFAULT_FRAME_INTERVAL_S = 1.0
@@ -184,6 +184,37 @@ def keyed_uniform(*parts) -> float:
     (run seed, query id, site, purpose, attempt); see docs/policies.md.
     """
     return (stable_seed(*parts) >> 11) * 2.0**-53
+
+
+def _is_scores(value) -> bool:
+    return isinstance(value, dict) and all(
+        type(v) in (int, float) and 0 <= v <= 1 for v in value.values()
+    )
+
+
+# Fixture key -> (what its value must be where given, the test of that).
+FIXTURE_RULES = {
+    "frames": ("a nonnegative integer", lambda v: type(v) is int and v >= 0),
+    "tokens": ("a nonnegative integer", lambda v: type(v) is int and v >= 0),
+    "tool_confidence": ("an object of numbers in [0, 1]", _is_scores),
+    "refined_confidence": ("an object of numbers in [0, 1]", _is_scores),
+    "tool_failure": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def check_fixtures(fixtures: object, where: str = "") -> dict[str, dict]:
+    """Return `fixtures` if it is an object of fixture objects that keep
+    `FIXTURE_RULES`; else raise WorkloadSpecError at `<where>.<name>.<key>`."""
+    if not isinstance(fixtures, dict):
+        raise WorkloadSpecError("fixtures must be an object of objects", where)
+    for name, fixture in fixtures.items():
+        at = f"{where}.{name}" if where else name
+        if not isinstance(fixture, dict):
+            raise WorkloadSpecError(f"must be an object, not {fixture!r}", at)
+        for key, (what, holds) in FIXTURE_RULES.items():
+            if key in fixture and not holds(fixture[key]):
+                raise WorkloadSpecError(f"must be {what}, not {fixture[key]!r}", f"{at}.{key}")
+    return fixtures
 
 
 class SimulatedBackend:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import Optional
 from urllib.parse import urlparse
@@ -187,9 +188,14 @@ def reconcile_flag(flag: ExecutionFlag, modalities: set[Modality]) -> ExecutionF
 # --- rule table file ----------------------------------------------------------
 
 
-def rules_from_json(obj: dict) -> dict[ExecutionFlag, FlagRule]:
+def load_flag_rules(path: str) -> dict[ExecutionFlag, FlagRule]:
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
     rules = {}
     for flag_name, raw in obj.items():
+        for key in ("keywords", "bonus_modalities", "absent_modalities"):
+            if not isinstance(raw.get(key, []), list):
+                raise ValueError(f"{flag_name}: {key} must be a list, not {raw[key]!r}")
         rules[ExecutionFlag(flag_name)] = FlagRule(
             keywords=tuple(raw.get("keywords", [])),
             keyword_weight=float(raw.get("keyword_weight", 1.0)),
@@ -204,17 +210,6 @@ def rules_from_json(obj: dict) -> dict[ExecutionFlag, FlagRule]:
     return rules
 
 
-def load_flag_rules(path: str) -> dict[ExecutionFlag, FlagRule]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return rules_from_json(json.load(fh))
-
-
-_default_rules_cache: Optional[dict[ExecutionFlag, FlagRule]] = None
-
-
+@cache
 def default_flag_rules() -> dict[ExecutionFlag, FlagRule]:
-    global _default_rules_cache
-    if _default_rules_cache is None:
-        text = resources.files("supervisord.data").joinpath("flag_rules.json").read_text("utf-8")
-        _default_rules_cache = rules_from_json(json.loads(text))
-    return _default_rules_cache
+    return load_flag_rules(resources.files("supervisord.data").joinpath("flag_rules.json"))

@@ -90,7 +90,7 @@ class AmbiguousIntent(SupervisorError):
 # --- harness -----------------------------------------------------------------
 
 class WorkloadSpecError(SupervisorError):
-    """Workload spec file violates its schema; names the offending field."""
+    """A workload or fixtures file violates its schema; names the offending field."""
 
     def __init__(self, message: str, field_path: str = ""):
         super().__init__(message)

@@ -14,6 +14,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -252,12 +253,6 @@ def load_model_catalog(path: str) -> ModelCatalog:
     return catalog
 
 
-_default_catalog_cache: Optional[ModelCatalog] = None
-
-
+@cache
 def default_model_catalog() -> ModelCatalog:
-    global _default_catalog_cache
-    if _default_catalog_cache is None:
-        text = resources.files("supervisord.data").joinpath("models.json").read_text("utf-8")
-        _default_catalog_cache = ModelCatalog([entry_from_json(o) for o in json.loads(text)])
-    return _default_catalog_cache
+    return load_model_catalog(resources.files("supervisord.data").joinpath("models.json"))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .couplet import SimulatedBackend
+from .couplet import SimulatedBackend, check_fixtures
 from .engine import EngineConfig, QueryOutcome, Supervisor
 from .memory import MemoryStore
 from .routing import select_tier
@@ -32,18 +32,14 @@ class Scenario:
 
 
 def load_scenario(name: str) -> Scenario:
-    filename = SCENARIO_FILES[name]
-    text = (
-        resources.files("supervisord.data").joinpath("fixtures").joinpath(filename)
-        .read_text("utf-8")
-    )
-    obj = json.loads(text)
+    path = resources.files("supervisord.data") / "fixtures" / SCENARIO_FILES[name]
+    obj = json.loads(path.read_text("utf-8"))
     return Scenario(
         name=obj["name"],
         query=obj["query"],
         knob=obj.get("knob", "closed_src"),
         attachments=obj["attachments"],
-        fixtures=obj["fixtures"],
+        fixtures=check_fixtures(obj["fixtures"]),
         clarify_reply=obj.get("clarify_reply"),
     )
 

@@ -23,6 +23,7 @@ STATE_VERSION = 1
 MICROS_PER_USD = 1_000_000
 
 
+@dataclass(order=True, unsafe_hash=True, slots=True)
 class Money:
     """USD amount held as integer micro-dollars; arithmetic is exact.
 
@@ -30,10 +31,7 @@ class Money:
     micro-dollar, so sums are permutation-invariant.
     """
 
-    __slots__ = ("micros",)
-
-    def __init__(self, micros: int = 0):
-        self.micros = int(micros)
+    micros: int = 0
 
     @classmethod
     def from_usd(cls, value: "str | int | float | Decimal") -> "Money":
@@ -57,24 +55,6 @@ class Money:
 
     def __sub__(self, other: "Money") -> "Money":
         return Money(self.micros - other.micros)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Money) and self.micros == other.micros
-
-    def __lt__(self, other: "Money") -> bool:
-        return self.micros < other.micros
-
-    def __le__(self, other: "Money") -> bool:
-        return self.micros <= other.micros
-
-    def __gt__(self, other: "Money") -> bool:
-        return self.micros > other.micros
-
-    def __ge__(self, other: "Money") -> bool:
-        return self.micros >= other.micros
-
-    def __hash__(self) -> int:
-        return hash(("Money", self.micros))
 
     def __repr__(self) -> str:
         return f"Money({self.usd_str()})"

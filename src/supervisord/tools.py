@@ -261,6 +261,9 @@ class ToolRegistry:
 
 
 def spec_from_json(obj: dict) -> ToolSpec:
+    for key in ("input_modalities", "output_tags", "preconditions"):
+        if not isinstance(obj.get(key, []), list):
+            raise InvalidSpec(f"{obj['name']}: {key} must be a list, not {obj[key]!r}")
     latency = obj.get("latency_ms", {})
     cost = obj.get("cost", {})
     return ToolSpec(
@@ -314,8 +317,4 @@ def load_catalog(path: str) -> ToolRegistry:
 
 def default_registry() -> ToolRegistry:
     """Registry built from the bundled catalog (seven category families)."""
-    text = resources.files("supervisord.data").joinpath("tools.json").read_text("utf-8")
-    registry = ToolRegistry()
-    for obj in json.loads(text):
-        registry.register_tool(spec_from_json(obj))
-    return registry
+    return load_catalog(resources.files("supervisord.data").joinpath("tools.json"))

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
-from .couplet import stable_seed
+from .couplet import check_fixtures, stable_seed
 from .engine import detect_underspecified
 from .errors import WorkloadSpecError
 from .state import Attachment, ExecutionFlag, Modality
@@ -456,20 +456,16 @@ def _query_from_json(index: int, obj: dict) -> GeneratedQuery:
     where = f"queries[{index}]"
     if not isinstance(obj, dict):
         raise WorkloadSpecError("query must be an object", where)
-    fixtures = obj.get("fixtures", {})
-    if not isinstance(fixtures, dict) or not all(isinstance(f, dict) for f in fixtures.values()):
-        raise WorkloadSpecError("fixtures must be an object of objects", f"{where}.fixtures")
-    for name, fixture in fixtures.items():
-        for key in ("frames", "tokens"):
-            value = fixture.get(key, 0)
-            if type(value) is not int or value < 0:
-                raise WorkloadSpecError(f"{key} must be a nonnegative integer, not {value!r}",
-                                        f"{where}.fixtures.{name}.{key}")
+    fixtures = check_fixtures(obj.get("fixtures", {}), f"{where}.fixtures")
     category = obj.get("category", "general_qa")
     if category not in CATEGORIES:
         raise WorkloadSpecError(f"unknown category {category!r}", f"{where}.category")
     try:
         gt = obj["ground_truth"]
+        for key in ("evidence_keys", "required_segments"):
+            if not isinstance(gt.get(key, []), list):
+                raise WorkloadSpecError(f"must be a list, not {gt[key]!r}",
+                                        f"{where}.ground_truth.{key}")
         return GeneratedQuery(
             query_id=obj.get("query_id", f"q{index:05d}"),
             category=category,
@@ -490,7 +486,7 @@ def _query_from_json(index: int, obj: dict) -> GeneratedQuery:
                 memory_hint=gt.get("memory_hint"),
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise WorkloadSpecError(f"malformed materialized query: {exc}", where) from exc
 
 

@@ -6,7 +6,10 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,7 @@ from supervisord.cli import (
     EXIT_CLARIFICATION,
     EXIT_CORRUPT_STATE,
     EXIT_PIPELINE_FAILED,
+    EXIT_STDOUT_CLOSED,
     EXIT_UNKNOWN_SESSION,
     EXIT_UNPLANNABLE,
     EXIT_WORKLOAD_SPEC,
@@ -419,14 +423,35 @@ class TestSimulate:
         (lambda w: w["queries"][2].update(query_id="q00000"), "queries[2].query_id"),
         (lambda w: (w["queries"][0].update(query_id="q00001"), w["queries"][1].pop("query_id")),
          "queries[1].query_id"),
+        (lambda w: w.update(failure_injection=[]), "failure_injection"),
+        (lambda w: w["queries"].__setitem__(0, "q"), "queries[0]"),
+        (lambda w: w["queries"][0].__delitem__("ground_truth"), "queries[0]"),
+        (lambda w: w["queries"][0]["ground_truth"].update(evidence_keys="answer_text"),
+         "queries[0].ground_truth.evidence_keys"),
+        (lambda w: w["queries"][0]["ground_truth"].update(required_segments="answer"),
+         "queries[0].ground_truth.required_segments"),
+        # A string replaces the whole file.
+        ("{not json", "$"),
+        ("[]", "$"),
+        (json.dumps({"total_queries": 3,
+                     "category_mix": dict.fromkeys(CATEGORY_TABLE, 1 / 15) | {"poetry": 0.0}}),
+         "category_mix"),
+        (json.dumps({"total_queries": 3, "category_mix": dict.fromkeys(CATEGORY_TABLE, 0.0)
+                     | {"text_reasoning": 1.5, "general_qa": -0.5}}), "category_mix"),
     ], ids=["rate-not-a-number", "rate-above-one", "no-queries", "fixtures-list",
-            "unknown-category", "repeated-query-id", "repeated-defaulted-query-id"])
+            "unknown-category", "repeated-query-id", "repeated-defaulted-query-id",
+            "failure-injection-list", "query-not-an-object", "no-ground-truth",
+            "evidence-keys-string", "required-segments-string", "not-json", "not-an-object",
+            "spec-unknown-category", "spec-negative-proportion"])
     def test_invalid_materialized_workload_exits_2(self, store, tmp_path, capsys, corrupt, field):
         spec = default_workload_spec(3, seed=3)
         workload = materialize_workload(generate_workload(spec), spec)
-        corrupt(workload)
         path = tmp_path / "frozen.json"
-        path.write_text(json.dumps(workload))
+        if isinstance(corrupt, str):
+            path.write_text(corrupt)
+        else:
+            corrupt(workload)
+            path.write_text(json.dumps(workload))
         code = run_cli("--json", "simulate", str(path), "--policies", "centralized,hierarchical")
         assert code == EXIT_WORKLOAD_SPEC
         assert capsys.readouterr().err.startswith(f"error: workload spec invalid at {field}: ")
@@ -446,21 +471,43 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key,value", [
         ("tokens", "many"), ("tokens", -5), ("tokens", 120.0), ("frames", True), ("frames", "9"),
+        ("frames", -5), ("tokens", -5_000_000), ("frames", "12"), ("tool_confidence", 5),
+        pytest.param("tool_confidence", {"yolo-detect": "high"}, id="tool_confidence-high"),
+        pytest.param("refined_confidence", {"tesseract-ocr": 1.5}, id="refined_confidence-1.5"),
+        pytest.param("tool_failure", ["yolo-detect"], id="tool_failure-list"),
+        pytest.param(None, 5, id="fixture-5"),
     ])
     def test_fixture_count_of_wrong_type_exits_2(self, store, tmp_path, capsys, key, value):
+        def corrupt(fixtures, name):
+            if key is None:
+                fixtures[name] = value
+            else:
+                fixtures[name][key] = value
+
+        # In a materialized workload: the first bad fixture names its query.
         spec = default_workload_spec(3, seed=1)
         workload = materialize_workload(generate_workload(spec), spec)
         for query in workload["queries"]:
-            for fixture in query["fixtures"].values():
-                fixture[key] = value
-        path = tmp_path / "frozen.json"
-        path.write_text(json.dumps(workload))
-        code = run_cli("--json", "simulate", str(path), "--policies", "centralized,hierarchical")
+            for name in query["fixtures"]:
+                corrupt(query["fixtures"], name)
+        path = write_json(tmp_path / "frozen.json", workload)
+        code = run_cli("--json", "simulate", path, "--policies", "centralized,hierarchical")
         assert code == EXIT_WORKLOAD_SPEC
         err = capsys.readouterr().err
-        assert err.startswith(
-            f"error: workload spec invalid at queries[0].fixtures.q00000.jpg.{key}: "
-        )
+        where = "q00000.jpg" if key is None else f"q00000.jpg.{key}"
+        assert err.startswith(f"error: workload spec invalid at queries[0].fixtures.{where}: ")
+        assert "Traceback" not in err
+
+        # In a --fixtures file.
+        fixtures = {"v.mp4": {"frames": 12, "tokens": 100}}
+        corrupt(fixtures, "v.mp4")
+        path = write_json(tmp_path / "fixtures.json", fixtures)
+        code = run_cli("run", "What products are shown in this advertisement video",
+                       "--attach", "v.mp4", "--fixtures", path)
+        assert code == EXIT_WORKLOAD_SPEC
+        err = capsys.readouterr().err
+        where = "v.mp4" if key is None else f"v.mp4.{key}"
+        assert err.startswith(f"error: cannot read fixtures {path}: {where} must ")
         assert "Traceback" not in err
 
 
@@ -615,6 +662,23 @@ class TestUnreadableInputs:
         assert err.startswith(f"error: cannot read tool catalog {catalog}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("what, flag, name, corrupt, message", [
+        ("tool catalog", "--tools", "tools.json",
+         lambda tools: next(t for t in tools if t["name"] == "whisper-transcribe")
+         .update(output_tags="transcript"),
+         "whisper-transcribe: output_tags must be a list, not 'transcript'"),
+        ("flag rules", "--flag-rules", "flag_rules.json",
+         lambda rules: rules["audio"].update(keywords="transcribe"),
+         "audio: keywords must be a list, not 'transcribe'"),
+    ], ids=["tool-output-tags", "flag-rule-keywords"])
+    def test_a_string_where_a_list_belongs_exits_2(self, store, tmp_path, capsys,
+                                                   what, flag, name, corrupt, message):
+        content = bundled(name)
+        corrupt(content)
+        path = write_json(tmp_path / name, content)
+        assert run_cli(flag, path, "run", "What is the capital of France") == EXIT_WORKLOAD_SPEC
+        assert capsys.readouterr().err == f"error: cannot read {what} {path}: {message}\n"
+
     def test_catalog_with_postconditions_loads_and_lists_without_them(self, store, tmp_path,
                                                                        capsys):
         assert run_cli("--json", "tools", "list") == 0
@@ -626,6 +690,21 @@ class TestUnreadableInputs:
         ))
         assert run_cli("--json", "--tools", str(catalog), "tools", "list") == 0
         assert json.loads(capsys.readouterr().out) == listed
+
+
+def test_closed_stdout_ends_quietly(store):
+    # The REPL waits for its next line, so stdout is closed before it writes again.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen([sys.executable, "-m", "supervisord.cli", "session"], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"session ")
+    proc.stdout.close()
+    _, err = proc.communicate(b":cost\n:cost\n", timeout=60)
+    assert proc.returncode == EXIT_STDOUT_CLOSED
+    assert b"Traceback" not in err
 
 
 class TestSessionRepl:
