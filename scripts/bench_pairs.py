@@ -10,8 +10,8 @@ ones. For every workload and end-to-end metric of BENCHMARK.json it prints
 the medians, quartiles and wins of each side, the claim verdict (the change
 wins at least nine tenths of the pairs, ties counting for neither, and its
 median beats the parent's by more than the parent's interquartile range) and
-the bound check, and the failed-share check (the change's share of failed
-operations is no larger than the parent's). It writes everything to the
+the bound check, and the failed-share check (the change has no larger share of
+failed operations, and no more runs that exited nonzero, than the parent). It writes everything to the
 `--out` JSON file, after each workload, under the key "<workload> seed
 <seed>"; entries already in that file for other keys are kept, so runs on a
 second seed can be added to the same file. A run that exits nonzero is
