@@ -49,8 +49,12 @@ def run(failure_rates):
     critical = sorted(n for n, r in graph.results.items() if r.critical)
     print(f"total latency: {outcome.total_latency_ms} ms (critical path through {critical})")
     for row in outcome.trace:
-        lat = f" {row.latency_ms}ms" if row.latency_ms else ""
-        print(f"  t={row.ts:>6} {row.event:<9} {row.node_id:<7} {row.tool}{lat}")
+        # an attempt's row is its span: it began at ts - latency_ms
+        if row.latency_ms is None:
+            span, lat = f"{row.ts:>6}{'':8}", ""
+        else:
+            span, lat = f"{row.ts - row.latency_ms:>6}..{row.ts:<6}", f" {row.latency_ms}ms"
+        print(f"  t={span} {row.event:<9} {row.node_id:<7} {row.tool}{lat}")
     if graph.repair_log:
         event = graph.repair_log[0]
         replacement = event.replacement_tool.value.split(":", 1)[1]

@@ -16,6 +16,9 @@ for name in ("financial-analysis", "video-advertisement", "handwritten-notes"):
           f"repairs={outcome.repair_count}  clarifications={outcome.clarifications_user}")
     for row in outcome.trace_rows:
         marker = {"failed": "!", "repaired": "~", "clarify": "?"}.get(row.event, " ")
-        print(f"  {marker} t={row.ts:>6} {row.event:<9} {row.node_id:<9} {row.tool}")
+        # an attempt's row is its span: it began at ts - latency_ms
+        span = (f"{row.ts:>6}{'':8}" if row.latency_ms is None
+                else f"{row.ts - row.latency_ms:>6}..{row.ts:<6}")
+        print(f"  {marker} t={span} {row.event:<9} {row.node_id:<9} {row.tool}")
     for segment, text in outcome.segments.items():
         print(f"  [{segment}] {text[:84]}")

@@ -388,7 +388,8 @@ def cmd_inspect(args) -> int:
     cfg = resolve_config(args)
     sid = args.session_id
     state, memory = load_session(cfg.store_root, sid)
-    rows = load_trace_rows(cfg.store_root, sid)
+    # Older logs also hold a `start` row per attempt: its ending row's `ts - latency_ms`.
+    rows = [row for row in load_trace_rows(cfg.store_root, sid) if row["event"] != "start"]
     if args.json:
         print(json.dumps({
             "state": {
@@ -418,8 +419,10 @@ def cmd_inspect(args) -> int:
         print(f"  [turn {rec.turn_index}] {rec.content[:72]}")
     print(f"trace timeline ({len(rows)} events):")
     for row in rows:
-        lat = f" {row['latency_ms']}ms" if row.get("latency_ms") else ""
-        print(f"  t={row['ts']:>8} {row['event']:<9} {row['node_id']:<10} {row['tool']}{lat}")
+        ts, lat = row["ts"], row.get("latency_ms")
+        span = f"{ts:>8}{'':10}" if lat is None else f"{ts - lat:>8}..{ts:<8}"
+        lat = f" {lat}ms" if lat else ""
+        print(f"  t={span} {row['event']:<9} {row['node_id']:<10} {row['tool']}{lat}")
     return 0
 
 

@@ -12,6 +12,7 @@ uses.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -192,29 +193,71 @@ def _is_scores(value) -> bool:
     )
 
 
-# Fixture key -> (what its value must be where given, the test of that).
+def _is_finite(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _is_objects(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, dict) for v in value)
+
+
+# A list entry's key -> (what its value must be, the test of that, whether it
+# must be given: always, never, or when the key named is given).
+DETECTION_RULES = {
+    "label": ("a string", lambda v: isinstance(v, str), True),
+    "conf": ("a finite number", _is_finite, False),
+    "t_start": ("a finite number", _is_finite, "t_end"),
+    "t_end": ("a finite number", _is_finite, "t_start"),
+    "box": ("a list of finite numbers",
+            lambda v: isinstance(v, list) and all(map(_is_finite, v)), False),
+}
+TRANSCRIPT_RULES = {
+    "word": ("a string", lambda v: isinstance(v, str), True),
+    "t": ("a finite number", _is_finite, True),
+}
+TABLE_RULES = {"headers": ("a list", lambda v: isinstance(v, list), False)}
+
+# Fixture key -> (what its value must be where given, the test of that, and for
+# a list of objects the rules each entry keeps).
 FIXTURE_RULES = {
     "frames": ("a nonnegative integer", lambda v: type(v) is int and v >= 0),
     "tokens": ("a nonnegative integer", lambda v: type(v) is int and v >= 0),
     "tool_confidence": ("an object of numbers in [0, 1]", _is_scores),
     "refined_confidence": ("an object of numbers in [0, 1]", _is_scores),
     "tool_failure": ("an object", lambda v: isinstance(v, dict)),
+    "detections": ("a list of objects", _is_objects, DETECTION_RULES),
+    "transcript": ("a list of objects", _is_objects, TRANSCRIPT_RULES),
+    "tables": ("a list of objects", _is_objects, TABLE_RULES),
+    "text_blocks": ("a list", lambda v: isinstance(v, list)),
 }
 
 
 def check_fixtures(fixtures: object, where: str = "") -> dict[str, dict]:
     """Return `fixtures` if it is an object of fixture objects that keep
-    `FIXTURE_RULES`; else raise WorkloadSpecError at `<where>.<name>.<key>`."""
+    `FIXTURE_RULES`; else raise WorkloadSpecError at `<where>.<name>.<key>`,
+    or at `<where>.<name>.<key>[<i>].<entry key>` for a list entry."""
     if not isinstance(fixtures, dict):
         raise WorkloadSpecError("fixtures must be an object of objects", where)
     for name, fixture in fixtures.items():
         at = f"{where}.{name}" if where else name
         if not isinstance(fixture, dict):
             raise WorkloadSpecError(f"must be an object, not {fixture!r}", at)
-        for key, (what, holds) in FIXTURE_RULES.items():
+        for key, (what, holds, *entry_rules) in FIXTURE_RULES.items():
             if key in fixture and not holds(fixture[key]):
                 raise WorkloadSpecError(f"must be {what}, not {fixture[key]!r}", f"{at}.{key}")
+            for rules in entry_rules:
+                for i, entry in enumerate(fixture.get(key, [])):
+                    _check_entry(entry, rules, f"{at}.{key}[{i}]")
     return fixtures
+
+
+def _check_entry(entry: dict, rules: dict, at: str) -> None:
+    for key, (what, holds, required) in rules.items():
+        if key in entry and not holds(entry[key]):
+            raise WorkloadSpecError(f"must be {what}, not {entry[key]!r}", f"{at}.{key}")
+        if key not in entry and (required is True or required in entry):
+            given = f" when {required} is given" if isinstance(required, str) else ""
+            raise WorkloadSpecError(f"must be given{given}: {what}", f"{at}.{key}")
 
 
 class SimulatedBackend:

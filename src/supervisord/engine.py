@@ -32,7 +32,14 @@ from .decomposition import (
     detect_modality,
     reconcile_flag,
 )
-from .errors import AmbiguousIntent, CorruptState, NodeFailure, PipelineFailed, UnknownSession
+from .errors import (
+    AmbiguousIntent,
+    CorruptState,
+    InvalidInput,
+    NodeFailure,
+    PipelineFailed,
+    UnknownSession,
+)
 from .memory import (
     HashingEmbedder,
     MemoryStore,
@@ -206,6 +213,12 @@ class EngineBackends:
             detections, transcript = [], []
             for parent in self.graph.parents(node.node_id):
                 payload = self.graph.results[parent].output
+                for i, det in enumerate(payload.get("detections", [])):
+                    if "t_start" not in det:  # the fixture rules give t_start and t_end together
+                        raise InvalidInput(
+                            f"fixtures invalid at {self.graph.nodes[parent].task.source}"
+                            f".detections[{i}]: a video detection must give t_start and t_end"
+                        )
                 detections.extend(payload.get("detections", []))
                 transcript.extend(payload.get("transcript", []))
             transcript.sort(key=lambda w: w["t"])
@@ -336,8 +349,7 @@ class Supervisor:
                 retrieved = memory_store.retrieve_relevant(query_embedding, primary)
             context_tokens = memory_store.context_tokens(retrieved)
             outcome.trace_rows.append(TraceRow(
-                ts=clock.now_ms(), session_id=state.session.session_id,
-                node_id="memory", tool="memory-retrieve", event="done",
+                ts=clock.now_ms(), node_id="memory", tool="memory-retrieve", event="done",
                 latency_ms=mem_latency, cost_usd=mem_cost.usd_str(), confidence=1.0,
             ))
             resolution_text = self._self_serve_resolution(state, marker, memory_store, retrieved)
@@ -395,7 +407,6 @@ class Supervisor:
                     executed = self.scheduler.execute(
                         graph, clock, backends,
                         stable_seed(config.seed, query_id, query_seed, round_index),
-                        session_id=state.session.session_id,
                     )
                 except PipelineFailed as exc:
                     outcome.failed = True
@@ -448,8 +459,7 @@ class Supervisor:
     def _ask_user(self, state, question, clarifier, clock, outcome) -> bool:
         state.clarify_question = question
         outcome.trace_rows.append(TraceRow(
-            ts=clock.now_ms(), session_id=state.session.session_id, node_id="clarify",
-            tool="supervisor", event="clarify",
+            ts=clock.now_ms(), node_id="clarify", tool="supervisor", event="clarify",
         ))
         outcome.clarifications_user += 1
         if clarifier is None:

@@ -235,8 +235,8 @@ def _run_centralized(
 
 def _work_ms(outcome) -> int:
     # Worker occupancy: every attempt's latency, failed ones too, excluding
-    # human wait time.
-    return sum(r.latency_ms or 0 for r in outcome.trace_rows if r.event in ("done", "failed"))
+    # human wait time; only the rows that end an attempt carry a latency.
+    return sum(r.latency_ms or 0 for r in outcome.trace_rows)
 
 
 # The fixed baselines run one plan per query: a fixed sequence of stage tools

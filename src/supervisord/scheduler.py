@@ -88,23 +88,21 @@ class TraceRow:
     """One JSON-lines trace event."""
 
     ts: int
-    session_id: str
     node_id: str
     tool: str
-    event: str  # start | done | failed | repaired | clarify
+    event: str  # done | failed (an attempt, which began at ts - latency_ms) | repaired | clarify
     latency_ms: Optional[int] = None
     cost_usd: Optional[str] = None
     confidence: Optional[float] = None
 
     def to_json_line(self) -> str:
         """The row's trace-log line: what `json.dumps` writes for a dict of
-        the eight fields with `sort_keys=True`, and a newline."""
+        the seven fields with `sort_keys=True`, and a newline."""
         v = _json_value
         return (
             f'{{"confidence": {v(self.confidence)}, "cost_usd": {v(self.cost_usd)}, '
             f'"event": {v(self.event)}, "latency_ms": {v(self.latency_ms)}, '
-            f'"node_id": {v(self.node_id)}, "session_id": {v(self.session_id)}, '
-            f'"tool": {v(self.tool)}, "ts": {v(self.ts)}}}\n'
+            f'"node_id": {v(self.node_id)}, "tool": {v(self.tool)}, "ts": {v(self.ts)}}}\n'
         )
 
 
@@ -380,14 +378,7 @@ class Scheduler:
 
     # -- execution -----------------------------------------------------------------
 
-    def execute(
-        self,
-        graph: ExecutionGraph,
-        clock,
-        backends,
-        seed: int,
-        session_id: str = "",
-    ) -> ExecutionOutcome:
+    def execute(self, graph: ExecutionGraph, clock, backends, seed: int) -> ExecutionOutcome:
         """Event-driven execution: nodes start as soon as their parents are done.
 
         Nodes already done (from an earlier clarification round) are kept and
@@ -396,8 +387,9 @@ class Scheduler:
         clock advances to each finish. A repaired node becomes ready again
         under its original insertion index. Deterministic for a fixed seed.
         Every attempt is priced and charged by `backends.node_cost` once, when
-        it ends, and its `done` or `failed` trace row carries that cost and
-        that attempt's own latency. A done node is recorded in
+        it ends, and leaves one trace row then, `done` or `failed`, carrying
+        that cost and that attempt's own latency: the attempt began at the
+        row's `ts - latency_ms`. A done node is recorded in
         `graph.results`, flagged `critical` when it lies on this call's
         longest dependency chain, which counts every attempt of a repaired
         node. Returns this call's trace and its total virtual latency, which
@@ -425,10 +417,6 @@ class Scheduler:
         def launch(node_id: str, at_ms: int) -> None:
             node = graph.nodes[node_id]
             attempt_seed = stable_seed(seed, node_id, len(node.failed_tools))
-            trace.append(
-                TraceRow(ts=at_ms, session_id=session_id, node_id=node_id,
-                         tool=self.registry.get(node.tool).name, event="start")
-            )
             try:
                 invocation = backends.run_node(node, attempt_seed)
                 latency = invocation.latency_ms
@@ -458,9 +446,9 @@ class Scheduler:
             tool_name = self.registry.get(node.tool).name
             cost = backends.node_cost(node, invocation)
             trace.append(
-                TraceRow(ts=finish_ts, session_id=session_id, node_id=node_id,
-                         tool=tool_name, event="failed" if failed else "done",
-                         latency_ms=latency, cost_usd=cost.usd_str(),
+                TraceRow(ts=finish_ts, node_id=node_id, tool=tool_name,
+                         event="failed" if failed else "done", latency_ms=latency,
+                         cost_usd=cost.usd_str(),
                          confidence=None if invocation is None else invocation.confidence)
             )
             if failed:
@@ -470,7 +458,7 @@ class Scheduler:
                     exc.trace = trace
                     raise
                 trace.append(
-                    TraceRow(ts=finish_ts, session_id=session_id, node_id=node_id,
+                    TraceRow(ts=finish_ts, node_id=node_id,
                              tool=self.registry.get(replacement).name, event="repaired")
                 )
                 heapq.heappush(ready, (insertion[node_id], node_id))

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from supervisord import cli, errors
-from supervisord.engine import STATE_JOURNAL_HEADER, EngineBackends
+from supervisord.engine import STATE_JOURNAL_HEADER, EngineBackends, load_trace_rows
 from supervisord.errors import NodeFailure
 from supervisord.tools import default_registry, spec_to_json
 from supervisord.workload import (
@@ -134,6 +134,15 @@ class TestRun:
         assert payload["flag"] == "complex"
         assert "[part_0]" in payload["answer"] and "[part_1]" in payload["answer"]
 
+    def test_image_embedding(self, store, capsys):
+        assert run_cli("--json", "run", "find similar images", "--attach", "a.jpg") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["flag"] == "vision"
+        rows = load_trace_rows(str(store), payload["session_id"])
+        assert [row["tool"] for row in rows if row["event"] == "done"] == [
+            "memory-retrieve", "clip-embed"]
+        assert payload["answer"] == "[detections] Computed a 8-dimensional image embedding."
+
     def test_state_files_persisted(self, store, capsys):
         run_cli("--json", "run", "hello there")
         payload = json.loads(capsys.readouterr().out)
@@ -141,6 +150,9 @@ class TestRun:
         assert (store / f"{sid}.state.json").exists()
         assert (store / f"{sid}.memory.json").exists()
         assert (store / f"{sid}.trace.jsonl").exists()
+
+
+VIDEO_QUERY = "What products are shown in this advertisement video"
 
 
 class TestInspect:
@@ -155,6 +167,29 @@ class TestInspect:
 
     def test_unknown_session(self, store, capsys):
         assert run_cli("inspect", "0-doesnotexist0000") == EXIT_UNKNOWN_SESSION
+
+    def test_older_log_with_start_rows_and_session_ids(self, store, capsys):
+        run_cli("--json", "run", "hello there")
+        sid = json.loads(capsys.readouterr().out)["session_id"]
+        old_rows = [
+            {"event": "done", "node_id": "memory", "tool": "memory-retrieve", "ts": 93,
+             "latency_ms": 93, "cost_usd": "0.000000", "confidence": 1.0},
+            {"event": "start", "node_id": "route", "tool": "route-classify", "ts": 93,
+             "latency_ms": None, "cost_usd": None, "confidence": None},
+            {"event": "done", "node_id": "route", "tool": "route-classify", "ts": 243,
+             "latency_ms": 150, "cost_usd": "0.000100", "confidence": 0.9},
+        ]
+        (store / f"{sid}.trace.jsonl").write_text("".join(
+            json.dumps({**row, "session_id": sid}, sort_keys=True) + "\n" for row in old_rows))
+        loaded = load_trace_rows(str(store), sid)
+        assert [row["event"] for row in loaded] == ["done", "start", "done"]
+        assert run_cli("--json", "inspect", sid) == 0
+        trace = json.loads(capsys.readouterr().out)["trace"]
+        assert trace == [row for row in loaded if row["event"] != "start"]
+        assert run_cli("inspect", sid) == 0
+        out = capsys.readouterr().out
+        assert "trace timeline (2 events):" in out and "start" not in out
+        assert "  t=      93..243      done      route      route-classify 150ms\n" in out
 
     def test_corrupt_state_file(self, store, capsys):
         run_cli("--json", "run", "hello there")
@@ -257,7 +292,10 @@ class TestSessionSaves:
         payload = json.loads(capsys.readouterr().out)
         assert payload["state"]["turn_count"] == payload["memory"]["turns"] == 2
         assert payload["state"]["user_query"] == "what is the capital of france"
-        assert {row["session_id"] for row in payload["trace"]} == {sid}
+        # The trace log is appended turn by turn, so it holds the second turn's
+        # rows alone, one memory read among them: the first turn's went with
+        # the removed directory.
+        assert [row["node_id"] for row in payload["trace"]].count("memory") == 1
 
 
 class TestCorruptMemory:
@@ -509,6 +547,50 @@ class TestSimulate:
         where = "v.mp4" if key is None else f"v.mp4.{key}"
         assert err.startswith(f"error: cannot read fixtures {path}: {where} must ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("query,name,fixture,where", [
+        pytest.param("detect the objects in this photo", "a.jpg", {"detections": [{"lbl": "cat"}]},
+                     "detections[0].label", id="detection-without-label"),
+        pytest.param("transcribe this recording", "a.mp3", {"transcript": [{"w": "hi", "t": 0}]},
+                     "transcript[0].word", id="transcript-without-word"),
+        pytest.param(VIDEO_QUERY, "a.mp4", {"transcript": None}, "transcript",
+                     id="transcript-null"),
+        pytest.param("extract the tables from this report", "a.pdf", {"tables": "x"}, "tables",
+                     id="tables-string"),
+        pytest.param(VIDEO_QUERY, "a.mp4", {"detections": [{"label": "cat", "t_start": 1}]},
+                     "detections[0].t_end", id="t-start-without-t-end"),
+        pytest.param("detect the objects in this photo", "a.jpg",
+                     {"detections": [{"label": "cat", "conf": float("nan")}]},
+                     "detections[0].conf", id="conf-nan"),
+        pytest.param("detect the objects in this photo", "a.jpg",
+                     {"detections": [{"label": "cat", "box": [0, "x"]}]},
+                     "detections[0].box", id="box-string-entry"),
+        pytest.param("transcribe this recording", "a.mp3", {"transcript": [{"word": "a", "t": "0"}]},
+                     "transcript[0].t", id="transcript-t-string"),
+        pytest.param("extract the tables from this report", "a.pdf", {"tables": [{"headers": 5}]},
+                     "tables[0].headers", id="table-headers-5"),
+        pytest.param("extract the text from this report", "a.pdf", {"text_blocks": "x"},
+                     "text_blocks", id="text-blocks-string"),
+    ])
+    def test_fixture_payload_of_wrong_shape_exits_2(
+        self, store, tmp_path, capsys, query, name, fixture, where
+    ):
+        path = write_json(tmp_path / "fixtures.json", {name: fixture})
+        code = run_cli("run", query, "--attach", name, "--fixtures", path)
+        assert code == EXIT_WORKLOAD_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read fixtures {path}: {name}.{where} must ")
+        assert "Traceback" not in err
+
+    def test_video_detection_without_times_exits_2(self, store, tmp_path, capsys):
+        # An image detection needs no times, so the load cannot tell; the
+        # temporal alignment that reads them rejects the file.
+        path = write_json(tmp_path / "fixtures.json", {"a.mp4": {"detections": [{"label": "cat"}]}})
+        code = run_cli("run", VIDEO_QUERY, "--attach", "a.mp4", "--fixtures", path)
+        assert code == EXIT_WORKLOAD_SPEC
+        err = capsys.readouterr().err
+        assert err == ("error: fixtures invalid at a.mp4.detections[0]: "
+                       "a video detection must give t_start and t_end\n")
 
 
 class TestListings:

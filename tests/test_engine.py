@@ -772,9 +772,7 @@ class TestPersistence:
         with open(path) as fh:
             rows = [json.loads(line) for line in fh]
         assert rows
-        expected_keys = {"ts", "session_id", "node_id", "tool", "event",
-                         "latency_ms", "cost_usd", "confidence"}
+        expected_keys = {"ts", "node_id", "tool", "event", "latency_ms", "cost_usd", "confidence"}
         assert all(set(row) == expected_keys for row in rows)
-        assert all(row["event"] in ("start", "done", "failed", "repaired", "clarify")
-                   for row in rows)
+        assert all(row["event"] in ("done", "failed", "repaired", "clarify") for row in rows)
         assert any(row["event"] == "done" and row["tool"].endswith("-invoke") for row in rows)

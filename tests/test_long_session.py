@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from supervisord import engine, errors, memory, routing, state
+from supervisord import engine, errors, memory, routing, scheduler, state
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,7 +27,10 @@ ANSWERS_SHA256 = "5264b9b9ab20ea700d2d0114e1a22e0b8ce67bf45b66ff1bf69a402790df62
 # The same store written in the one-line layout of earlier versions.
 LEGACY_MEMORY_FILE_SHA256 = "1dc8abee491aab01610a94c54de1af5cd78f346abdefe108f43ddbc788e5ed56"
 MEMORY_FILE_SHA256 = "ec3414a7006e13ece551c01f211275e8023423bc74c0544c4bcb3e5301f8ed1a"
-TRACE_FILE_SHA256 = "43c142171d95c72283441cd4b4790b44af657162bb4d6f1b82d0b20e32b0bafa"
+TRACE_FILE_SHA256 = "6ac8eb8bb85a75c738691b5c4d78be3a82195142abd94274cf16a7ab32940dc7"
+# The log as versions that wrote a `start` row at each launch and a
+# `session_id` key on every row left it.
+START_ROWS_TRACE_FILE_SHA256 = "43c142171d95c72283441cd4b4790b44af657162bb4d6f1b82d0b20e32b0bafa"
 STATE_FILE_SHA256 = "cef35eacf50c66a09b7afa157ad0a8874071dd069f963c5144df30350173020a"
 # The journal that versions writing each turn's context into its snapshot
 # left: the same snapshots plus a `context` key, so fewer fit before a rewrite.
@@ -58,7 +61,64 @@ def with_context(snapshot: bytes, context: tuple[str, str, str]) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode()
 
 
+class LaunchRecorder:
+    """Wraps `Scheduler.execute` to note, in call order, each launch (its
+    virtual time, node and tool) and each priced attempt end: the places where
+    versions that wrote `start` rows wrote them."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        execute = scheduler.Scheduler.execute
+        recorder = self
+
+        class Backends:
+            def __init__(self, inner, clock, registry):
+                self.inner, self.clock, self.registry = inner, clock, registry
+
+            def run_node(self, node, seed):
+                recorder.calls.append((self.clock.now_ms(), node.node_id,
+                                       self.registry.get(node.tool).name))
+                return self.inner.run_node(node, seed)
+
+            def node_cost(self, node, invocation):
+                recorder.calls.append(None)
+                return self.inner.node_cost(node, invocation)
+
+        def recording_execute(sched, graph, clock, backends, seed):
+            return execute(sched, graph, clock, Backends(backends, clock, sched.registry), seed)
+
+        monkeypatch.setattr(scheduler.Scheduler, "execute", recording_execute)
+
+    def with_start_rows(self, rows, session_id: str) -> bytes:
+        """The turn's log lines as those versions wrote them: the launches
+        noted before an attempt's end go ahead of its row, and any left over
+        (a failed pipeline's) after the turn's last row."""
+        launches = iter(self.calls)
+        lines = []
+
+        def start_rows_until_end():
+            for call in launches:
+                if call is None:
+                    return
+                ts, node_id, tool = call
+                lines.append(json.dumps({
+                    "confidence": None, "cost_usd": None, "event": "start", "latency_ms": None,
+                    "node_id": node_id, "session_id": session_id, "tool": tool, "ts": ts,
+                }, sort_keys=True) + "\n")
+
+        for row in rows:
+            if row.event in ("done", "failed") and row.node_id != "memory":
+                start_rows_until_end()
+            lines.append(json.dumps({**json.loads(row.to_json_line()), "session_id": session_id},
+                                    sort_keys=True) + "\n")
+        start_rows_until_end()
+        self.calls.clear()
+        return "".join(lines).encode("utf-8")
+
+
 def test_seed_1_session_long_answers_and_memory_file(tmp_path, monkeypatch):
+    launches = LaunchRecorder(monkeypatch)
+    start_rows_log = b""
     context = []
     context_tokens = memory.MemoryStore.context_tokens
 
@@ -81,6 +141,7 @@ def test_seed_1_session_long_answers_and_memory_file(tmp_path, monkeypatch):
     answers = []
     saved = None
     for i, (text, names) in enumerate(turns):
+        launches.calls.clear()
         query = state.QueryState(
             user_query=text, cost_knob=knob, session=session,
             attachments=[state.Attachment("path", n, declared_name=n) for n in names],
@@ -96,6 +157,7 @@ def test_seed_1_session_long_answers_and_memory_file(tmp_path, monkeypatch):
             continue
         answers.append(f"{i}:{outcome.answer_text}")
         engine.save_turn(store_root, query, store, outcome)
+        start_rows_log += launches.with_start_rows(outcome.trace_rows, session_id)
         saved = state.serialize_state(query)
         line = with_context(saved, tuple(context)) + b"\n"
         state.write_jsonl(
@@ -112,6 +174,20 @@ def test_seed_1_session_long_answers_and_memory_file(tmp_path, monkeypatch):
     trace_file = Path(engine.trace_path(store_root, session_id)).read_bytes()
     state_file = Path(engine.state_path(store_root, session_id)).read_bytes()
     assert hashlib.sha256(trace_file).hexdigest() == TRACE_FILE_SHA256
+    assert hashlib.sha256(start_rows_log).hexdigest() == START_ROWS_TRACE_FILE_SHA256
+    # That log with its `start` lines dropped and its `session_id` keys cut is this one.
+    session_key = f'"session_id": "{session_id}", '.encode()
+    assert b"".join(
+        line.replace(session_key, b"")
+        for line in start_rows_log.splitlines(keepends=True) if b'"event": "start"' not in line
+    ) == trace_file
+    # Each `start` row's time is its attempt's end less the attempt's latency.
+    launched = {}
+    for row in map(json.loads, start_rows_log.splitlines()):
+        if row["event"] == "start":
+            launched[row["node_id"]] = row["ts"]
+        elif row["event"] in ("done", "failed") and row["node_id"] != "memory":
+            assert row["ts"] - row["latency_ms"] == launched.pop(row["node_id"])
     assert hashlib.sha256(state_file).hexdigest() == STATE_FILE_SHA256
     assert not any("context" in json.loads(line).get("state", {})
                    for line in state_file.splitlines())

@@ -49,14 +49,17 @@ def attach(name, modality):
 
 
 class StubBackends:
-    """Fixed per-node latencies; scripted failures by (node_id, attempt)."""
+    """Fixed per-node latencies; scripted failures by (node_id, attempt). Keeps
+    the node ids in launch order."""
 
     def __init__(self, latencies=None, failures=(), confidences=None):
         self.latencies = latencies or {}
         self.failures = set(failures)
         self.confidences = confidences or {}
+        self.launched = []
 
     def run_node(self, node, seed):
+        self.launched.append(node.node_id)
         attempt = len(node.failed_tools)
         if (node.node_id, attempt) in self.failures:
             from supervisord.errors import NodeFailure
@@ -298,8 +301,14 @@ def graph_of(registry, nodes, edges):
     return graph
 
 
+def spans(trace):
+    """(start, ts, node, event) per row; an attempt's row starts at `ts - latency_ms`."""
+    return [(None if r.latency_ms is None else r.ts - r.latency_ms, r.ts, r.node_id, r.event)
+            for r in trace]
+
+
 class TestPinnedEventOrder:
-    """Exact (ts, node, event) sequences: launch order, tie-breaks, repairs."""
+    """Exact (start, ts, node, event) sequences and launch order: tie-breaks, repairs."""
 
     def test_single_slot_fan_out_with_repair(self):
         # a, b, c become ready together; b fails once and is relaunched ahead
@@ -317,14 +326,15 @@ class TestPinnedEventOrder:
         outcome = Scheduler(registry, parallel_enabled=False).execute(
             graph, VirtualClock(), backends, seed=1
         )
-        assert [(r.ts, r.node_id, r.event) for r in outcome.trace] == [
-            (0, "src", "start"), (100, "src", "done"),
-            (100, "a", "start"), (400, "a", "done"),
-            (400, "b", "start"), (500, "b", "failed"), (500, "b", "repaired"),
-            (500, "b", "start"), (700, "b", "done"),
-            (700, "c", "start"), (750, "c", "done"),
-            (750, "join", "start"), (760, "join", "done"),
+        assert spans(outcome.trace) == [
+            (0, 100, "src", "done"),
+            (100, 400, "a", "done"),
+            (400, 500, "b", "failed"), (None, 500, "b", "repaired"),
+            (500, 700, "b", "done"),
+            (700, 750, "c", "done"),
+            (750, 760, "join", "done"),
         ]
+        assert backends.launched == ["src", "a", "b", "b", "c", "join"]
 
     def test_unbounded_diamond_with_repair(self):
         # a's failure and b's completion tie at 200; a is popped first.
@@ -338,14 +348,14 @@ class TestPinnedEventOrder:
             {"src": 100, "a": 200, "b": 100, "join": 50}, failures={("a", 0)}
         )
         outcome = Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
-        assert [(r.ts, r.node_id, r.event) for r in outcome.trace] == [
-            (0, "src", "start"), (100, "src", "done"),
-            (100, "a", "start"), (100, "b", "start"),
-            (200, "a", "failed"), (200, "a", "repaired"), (200, "a", "start"),
-            (200, "b", "done"),
-            (400, "a", "done"),
-            (400, "join", "start"), (450, "join", "done"),
+        assert spans(outcome.trace) == [
+            (0, 100, "src", "done"),
+            (100, 200, "a", "failed"), (None, 200, "a", "repaired"),
+            (100, 200, "b", "done"),
+            (200, 400, "a", "done"),
+            (400, 450, "join", "done"),
         ]
+        assert backends.launched == ["src", "a", "b", "a", "join"]
 
 
 class TestRepair:
@@ -377,9 +387,11 @@ class TestRepair:
             graph.add_node(GraphNode(node_id, tool, requirement, role="perceptual"))
         backends = StubBackends({"left": 50, "right": 400}, failures={("right", 0)})
         outcome = Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
-        # untouched by the right-node repair: one start and one done row
-        left = [(r.ts, r.event, r.latency_ms) for r in outcome.trace if r.node_id == "left"]
-        assert left == [(0, "start", None), (50, "done", 50)]
+        # untouched by the right-node repair: one attempt, launched at 0
+        left = [(r.ts - r.latency_ms, r.ts, r.event, r.latency_ms)
+                for r in outcome.trace if r.node_id == "left"]
+        assert left == [(0, 50, "done", 50)]
+        assert backends.launched.count("left") == 1
         assert graph.results["left"].confidence == 0.95
 
     def test_each_row_carries_its_attempts_own_latency(self):
@@ -388,12 +400,12 @@ class TestRepair:
         # a's first attempt raises, so its latency is the prior's 100 ms.
         backends = StubBackends({"a": 200, "b": 50}, failures={("a", 0)})
         outcome = Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
-        rows = [(r.ts, r.node_id, r.event, r.latency_ms) for r in outcome.trace
-                if r.event != "repaired"]
+        rows = [(r.ts - r.latency_ms, r.ts, r.node_id, r.event, r.latency_ms)
+                for r in outcome.trace if r.event != "repaired"]
         assert rows == [
-            (0, "a", "start", None), (100, "a", "failed", 100),
-            (100, "a", "start", None), (300, "a", "done", 200),
-            (300, "b", "start", None), (350, "b", "done", 50),
+            (0, 100, "a", "failed", 100),
+            (100, 300, "a", "done", 200),
+            (300, 350, "b", "done", 50),
         ]
         # The critical path still counts both of a's attempts.
         assert outcome.total_latency_ms == 350
@@ -495,7 +507,6 @@ def row_dict(row: TraceRow) -> dict:
     were encoded field by field."""
     return {
         "ts": row.ts,
-        "session_id": row.session_id,
         "node_id": row.node_id,
         "tool": row.tool,
         "event": row.event,
@@ -518,7 +529,7 @@ _FLOATS = st.one_of(
 _VALUES = st.one_of(
     _STRINGS, _INTS, _FLOATS, st.none(), st.booleans(), st.floats().map(np.float64),
 )
-_FIELDS = ("ts", "session_id", "node_id", "tool", "event", "latency_ms", "cost_usd", "confidence")
+_FIELDS = ("ts", "node_id", "tool", "event", "latency_ms", "cost_usd", "confidence")
 
 
 class TestTraceLine:
@@ -526,11 +537,13 @@ class TestTraceLine:
 
     @settings(max_examples=300, deadline=None)
     @given(st.fixed_dictionaries({name: _VALUES for name in _FIELDS}))
-    @example(dict(ts=1, session_id="s", node_id="n0", tool="yolo-detect", event="done",
+    @example(dict(ts=1, node_id="n0", tool="yolo-detect", event="done",
                   latency_ms=None, cost_usd=None, confidence=None))
-    @example(dict(ts=0, session_id="\u2028", node_id="", tool="\U0001f600", event='"\\',
+    @example(dict(ts=0, node_id="\u2028", tool="\U0001f600", event='"\\',
                   latency_ms=-5, cost_usd="0.000150", confidence=1))
-    @example(dict(ts=True, session_id="s", node_id="n", tool="t", event="done",
+    @example(dict(ts=0, node_id="", tool="t", event="done",
+                  latency_ms=None, cost_usd=None, confidence=None))
+    @example(dict(ts=True, node_id="n", tool="t", event="done",
                   latency_ms=2**70, cost_usd=None, confidence=np.float64(0.1)))
     def test_line_matches_json_dumps(self, fields):
         row = TraceRow(**fields)
@@ -540,8 +553,7 @@ class TestTraceLine:
         registry = simple_registry()
         graph = chain_graph(registry, {"a": None, "b": None})
         backends = StubBackends({"a": 100}, failures={("b", 0)}, confidences={"a": 0.8125})
-        outcome = Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1,
-                                              session_id="0-" + "ab" * 8)
-        assert {row.event for row in outcome.trace} >= {"start", "done", "failed", "repaired"}
+        outcome = Scheduler(registry).execute(graph, VirtualClock(), backends, seed=1)
+        assert {row.event for row in outcome.trace} == {"done", "failed", "repaired"}
         for row in outcome.trace:
             assert row.to_json_line() == json.dumps(row_dict(row), sort_keys=True) + "\n"
