@@ -605,6 +605,8 @@ def load_trace_rows(store_root: str, session_id: str) -> list[dict]:
     for number, row in enumerate(rows, 1):
         if not isinstance(row, dict) or not {"ts", "event", "node_id", "tool"} <= row.keys():
             raise CorruptState(f"{source}: line {number} is not a trace row")
+        if type(row["ts"]) is not int or type(row.get("latency_ms")) not in (int, type(None)):
+            raise CorruptState(f"{source}: line {number}: ts and latency_ms must be integers")
     return rows
 
 

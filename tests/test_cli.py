@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -357,6 +358,19 @@ class TestCorruptTrace:
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed trace file {path}: line 2: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [("latency_ms", '"x"'), ("ts", "1.5")])
+    def test_times_that_are_not_integers_exit_4(self, store, capsys, monkeypatch, key, value):
+        # `inspect` prints an attempt's start, `ts - latency_ms`.
+        sid = session_with_turns(monkeypatch, capsys, "hello there")
+        path = store / f"{sid}.trace.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1], n = re.subn(rf'"{key}": \d+', f'"{key}": {value}', lines[1])
+        assert n == 1
+        path.write_text("".join(lines))
+        assert run_cli("inspect", sid) == EXIT_CORRUPT_STATE
+        assert capsys.readouterr().err == (f"error: malformed trace file {path}: line 2: "
+                                           "ts and latency_ms must be integers\n")
 
 
 class TestSimulate:
